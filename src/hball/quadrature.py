@@ -478,18 +478,24 @@ def sup_norm_probe(f_like, alpha_plus_t: float, grid: ShellDecomposition) -> Sup
 
     The caller guarantees alpha + t > 0 (checked upstream); zero-weight probe
     nodes participate, so distinguished directions are sampled exactly.
-    Shells past the first uncertified one are dropped.
+    Shells past the first uncertified one are dropped; when no shell is
+    certified there is no supremum and NonConvergent is raised.
     """
     maxima = []
+    stop = None
     for j in range(grid.depth):
         try:
             vals = _shell_values(f_like, grid, j)
-        except NonConvergent:
+        except NonConvergent as exc:
+            stop = exc
             break
         except Exception as exc:  # noqa: BLE001
             raise EvaluationFailure(f"probe integrand failed on shell {j}: {exc}") from exc
         shell = grid.shells[j]
         weighted = (1.0 - shell.nodes**2) ** alpha_plus_t
         maxima.append(float(np.max(weighted[:, None] * np.abs(vals))))
-    sup = max(maxima) if maxima else float("nan")
-    return SupProbe(sup, tuple(maxima), len(maxima))
+    if not maxima:
+        raise NonConvergent(
+            f"sup probe certified no shell of a depth-{grid.depth} grid"
+        ) from stop
+    return SupProbe(max(maxima), tuple(maxima), len(maxima))

@@ -11,8 +11,9 @@ that characterize closure membership; the distance functional is estimated by
 bisecting the level threshold on that verdict.
 
 All operations are reentrant; weighted-derivative fields are cached per
-(function, pair, grid) so that sweeping the level threshold costs one grid
-evaluation in total.
+(function, pair, grid), so the field values on the grid nodes are computed
+once.  Each level threshold still locates its own level-set boundaries by
+bisection, which evaluates the field between nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .calculus import DiffPair, HarmonicExpansion, apply_D, evaluate_grid
-from .errors import AdmissibilityError, UnsupportedPair
+from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
 from .kernel import CoeffProduct, eval_coeff_series_grid
 from .quadrature import (
     BallQuadrature,
@@ -156,6 +157,13 @@ class _ShellField:
         return self._cache[j]
 
 
+# Bisection steps per level-set boundary, and how many of them one series
+# call resolves: each call evaluates every midpoint the next _LOOKAHEAD steps
+# can visit, so _BISECT_STEPS // _LOOKAHEAD calls make all the steps.
+_BISECT_STEPS = 8
+_LOOKAHEAD = 4
+
+
 def _bisect_boundaries(
     field: _ShellField,
     shell_nodes: np.ndarray,
@@ -166,27 +174,51 @@ def _bisect_boundaries(
     hi: np.ndarray,
     lo_in: np.ndarray,
     unit_of,
-    steps: int = 8,
 ) -> np.ndarray:
     """Locate indicator boundaries between bracketing directions.
 
     Each bracket is (radius index, lo angle, hi angle) with the indicator
     status at the lo end; the angular parametrization is supplied by
-    `unit_of`.  All brackets advance together so the per-step cost is one
-    grid evaluation.
+    `unit_of`.  All brackets advance together, _BISECT_STEPS halvings each.
+
+    A grid evaluation costs a full kernel series sum whatever the number of
+    directions, so each of the _BISECT_STEPS // _LOOKAHEAD rounds evaluates
+    the dyadic tree of midpoints _LOOKAHEAD levels below every bracket in one
+    call and then replays the _LOOKAHEAD lo/hi decisions on that table.  The
+    tree's midpoints are formed by the same `0.5 * (lo + hi)` as halving one
+    step at a time, and the call keeps the full `shell_nodes` and the same
+    tolerance: the truncation degree depends only on the radii, so every
+    visited midpoint gets the value, and every decision the outcome, of a
+    bisection that evaluates one halving per call.
     """
+    cols = np.arange(len(r_idx))
     weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
     # boundary location tolerates a much looser series tolerance than the
     # field values themselves
     tol = max(field.tol_rel, 1e-5)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        units = unit_of(mid)
+    for _ in range(_BISECT_STEPS // _LOOKAHEAD):
+        # heap order: node i halves its bracket, whose lower and upper halves
+        # are brackets of nodes 2i+1 and 2i+2
+        brackets = [(lo, hi)]
+        mids = []
+        for i in range(2**_LOOKAHEAD - 1):
+            a, b = brackets[i]
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            brackets += [(a, mid), (mid, b)]
+        units = np.concatenate([unit_of(mid) for mid in mids])
         vals = evaluate_grid(field.g, shell_nodes, units, tol_rel=tol)
-        mid_in = weight * np.abs(vals[r_idx, np.arange(len(r_idx))]) >= eps
-        take_lo = mid_in == lo_in
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
+        # (node, bracket) tables; each bracket keeps the row of its radius
+        table = np.stack(mids)
+        diag = vals[r_idx, np.arange(units.shape[0]).reshape(table.shape)]
+        inside = weight * np.abs(diag) >= eps
+        node = np.zeros(len(r_idx), dtype=int)
+        for _ in range(_LOOKAHEAD):
+            mid = table[node, cols]
+            take_lo = inside[node, cols] == lo_in
+            lo = np.where(take_lo, mid, lo)
+            hi = np.where(take_lo, hi, mid)
+            node = 2 * node + np.where(take_lo, 2, 1)
     return 0.5 * (lo + hi)
 
 
@@ -329,7 +361,6 @@ def _level_shell_integral(
     epsilon: float,
     weight_exponent: float,
 ) -> tuple[ShellIntegral, tuple[int, ...]]:
-    from .errors import NonConvergent
     from .quadrature import classify_increments
 
     increments: list[float] = []
@@ -458,7 +489,10 @@ def besov_norm_shells(
 
 
 def bloch_norm(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> float:
-    """sup over grid nodes of (1-|x|^2)^(alpha+t) |D f|."""
+    """sup over grid nodes of (1-|x|^2)^(alpha+t) |D f|.
+
+    Raises NonConvergent when no shell of the grid is certified.
+    """
     if not isinstance(spec, Bloch):
         raise AdmissibilityError("bloch_norm expects a sup-norm space spec")
     probe = _bloch_probe(f, spec, grid)
@@ -483,9 +517,13 @@ def little_bloch_test(
 
     Decaying when the certified shell maxima fall below decay_fraction times
     the shell-0 maximum with a monotone tail; non-decaying when the last
-    maxima stall above stall_fraction times the shell-0 maximum.
+    maxima stall above stall_fraction times the shell-0 maximum; inconclusive
+    otherwise, and when no shell is certified.
     """
-    probe = _bloch_probe(f, spec, grid)
+    try:
+        probe = _bloch_probe(f, spec, grid)
+    except NonConvergent:
+        return DecayVerdict.INCONCLUSIVE
     maxima = probe.shell_maxima
     if len(maxima) < window + 1:
         return DecayVerdict.INCONCLUSIVE
@@ -587,7 +625,8 @@ def distance_estimate(
 
     Finite verdicts lower the upper bracket, divergent ones raise the lower
     bracket; inconclusive verdicts are retried at off-center points and
-    counted.  The reported value is the bracket midpoint.
+    counted.  The reported value is the bracket midpoint.  Raises
+    NonConvergent when no shell of the grid is certified.
     """
     if not alpha + pair.t > 0.0:
         raise AdmissibilityError("the distance estimator requires alpha + t > 0")

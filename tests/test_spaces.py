@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from hball.calculus import DiffPair, HarmonicExpansion, KernelAtom, ZonalTerm, constant, evaluate
-from hball.errors import AdmissibilityError, UnsupportedPair
-from hball.quadrature import BallQuadrature, Verdict, shell_decomposition
+import hball.spaces as spaces
+from hball.calculus import (
+    DiffPair,
+    HarmonicExpansion,
+    KernelAtom,
+    ZonalTerm,
+    constant,
+    evaluate,
+    evaluate_grid,
+)
+from hball.errors import AdmissibilityError, NonConvergent, UnsupportedPair
+from hball.experiments import verification_family
+from hball.quadrature import BallQuadrature, Verdict, _frame, shell_decomposition
 from hball.spaces import (
     BergmanBesov,
     Bloch,
@@ -130,6 +140,28 @@ class TestBlochNorm:
 
         probe = _bloch_probe(atom, spec, grid)
         assert min(probe.shell_maxima[-3:]) > 0.01 * probe.shell_maxima[0]
+
+
+class TestNoCertifiedShell:
+    """A grid without certified shells has no supremum: an error or an
+    inconclusive verdict, never a NaN."""
+
+    ATOM = HarmonicExpansion(2, (KernelAtom(-2.0, ZETA2),))
+    SPEC = Bloch(0.0, DiffPair(3.0, 3.0))
+
+    def grid(self):
+        return shell_decomposition(2, 0, (ZETA2,))
+
+    def test_bloch_norm_raises(self):
+        with pytest.raises(NonConvergent, match="no shell of a depth-0 grid"):
+            bloch_norm(self.ATOM, self.SPEC, self.grid())
+
+    def test_distance_estimate_raises(self):
+        with pytest.raises(NonConvergent, match="no shell of a depth-0 grid"):
+            distance_estimate(self.ATOM, self.SPEC.alpha, self.SPEC.pair, self.grid())
+
+    def test_little_bloch_inconclusive(self):
+        assert little_bloch_test(self.ATOM, self.SPEC, self.grid()) == DecayVerdict.INCONCLUSIVE
 
 
 class TestLittleBloch:
@@ -388,6 +420,104 @@ class TestDistance:
         est = distance_estimate(atom, alpha, DiffPair(alpha + 3.0, 3.0), grid)
         assert est.lower > 0.0
         assert est.value > 0.01 * est.bloch_norm
+
+
+def _bisect_one_step_per_call(field, shell_nodes, exponent, eps, r_idx, lo, hi, lo_in, unit_of):
+    """Reference: eight halvings, one grid evaluation each."""
+    weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
+    tol = max(field.tol_rel, 1e-5)
+    for _ in range(8):
+        mid = 0.5 * (lo + hi)
+        vals = evaluate_grid(field.g, shell_nodes, unit_of(mid), tol_rel=tol)
+        mid_in = weight * np.abs(vals[r_idx, np.arange(len(r_idx))]) >= eps
+        take_lo = mid_in == lo_in
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_lo, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestBisectLookahead:
+    """The lookahead bisection locates the same boundaries, bit for bit, as
+    one grid evaluation per halving, in two evaluations per call."""
+
+    J, SHELL_DEPTH = 3, 4
+
+    def critical_field(self, n):
+        """The critical atom's derivative field, and half its largest
+        weighted value on shell J as the level."""
+        _, (_, f, pair), zeta = verification_family(n, 0.0)
+        grid = shell_decomposition(n, self.SHELL_DEPTH, (zeta,))
+        field = spaces._derivative_field(f, pair, grid)
+        exponent = pair.t
+        nodes = grid.shells[self.J].nodes
+        weighted = (1.0 - nodes**2)[:, None] ** exponent * np.abs(field.eval_shell(grid, self.J))
+        return field, grid, nodes, exponent, 0.5 * float(weighted.max()), np.asarray(zeta)
+
+    def level_brackets(self, monkeypatch, field, grid, exponent, eps):
+        """The brackets the level-set measure hands to the bisection."""
+        seen = []
+        real = spaces._bisect_boundaries
+
+        def record(*args):
+            seen.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_bisect_boundaries", record)
+            spaces._shell_level_measures(field, grid, self.J, exponent, eps)
+        assert len(seen) == 1
+        return seen[0]
+
+    def wide_brackets(self, field, nodes, exponent, eps, zeta):
+        """Brackets across the pole direction, where the indicator flips at
+        least twice: from -1 to 1 rad and from the pole once round to it."""
+        n = zeta.shape[0]
+        i = nodes.shape[0] - 1
+        r_idx = np.array([i, i])
+        lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0 * np.pi])
+        if n == 2:
+            base = math.atan2(zeta[1], zeta[0])
+
+            def unit_of(a):
+                return np.stack([np.cos(base + a), np.sin(base + a)], axis=1)
+        else:
+            e1, _ = _frame(zeta)
+
+            def unit_of(th):
+                return np.cos(th)[:, None] * zeta[None, :] + np.sin(th)[:, None] * e1[None, :]
+
+        # the indicator along each bracket, sampled densely
+        lo_in = []
+        for b in range(2):
+            path = np.linspace(lo[b], hi[b], 801)
+            vals = evaluate_grid(field.g, nodes[i : i + 1], unit_of(path), tol_rel=1e-9)[0]
+            status = (1.0 - nodes[i] ** 2) ** exponent * np.abs(vals) >= eps
+            assert np.count_nonzero(status[1:] != status[:-1]) >= 2
+            lo_in.append(status[0])
+        return (field, nodes, exponent, eps, r_idx, lo, hi, np.array(lo_in), unit_of)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_one_step_per_call(self, n, monkeypatch):
+        field, grid, nodes, exponent, eps, zeta = self.critical_field(n)
+        cases = [
+            self.level_brackets(monkeypatch, field, grid, exponent, eps),
+            self.wide_brackets(field, nodes, exponent, eps, zeta),
+        ]
+        lo_in = np.concatenate([case[7] for case in cases])
+        assert lo_in.any() and not lo_in.all()
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_grid(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "evaluate_grid", counted)
+        for case in cases:
+            calls.clear()
+            got = spaces._bisect_boundaries(*case)
+            assert len(calls) == 2
+            assert np.array_equal(got, _bisect_one_step_per_call(*case))
 
 
 class TestPairIndependence:
