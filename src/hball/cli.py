@@ -1,7 +1,7 @@
 """Command-line harness: run named verifications, emit JSON/CSV tables.
 
 Exit codes: 0 when every check passes, 1 on a hard disagreement, 2 when the
-only failures are inconclusive verdicts.  HBALL_THREADS caps the work pool.
+only failures are inconclusive verdicts.
 """
 
 from __future__ import annotations

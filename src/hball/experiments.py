@@ -6,8 +6,7 @@ summary}; the summary counts hard disagreements and inconclusive cells
 separately (an inconclusive verdict is flagged, never counted as a
 disagreement).  Reports validate against the packaged schema and are
 reproducible: fixed grids, seeded rotations and deterministic reductions,
-with combos fanned out to a work pool capped by HBALL_THREADS and
-reassembled in declared order.  Computed row floats are emitted at
+with combos run in declared order.  Computed row floats are emitted at
 REPORT_DIGITS significant digits (see `_at_report_precision`).
 """
 
@@ -15,21 +14,23 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
 import numpy as np
+from scipy.special import betaln
 
 from .calculus import (
     DiffPair,
     HarmonicExpansion,
     KernelAtom,
     ZonalTerm,
+    apply_D,
     constant,
+    evaluate,
     expansion_to_json,
+    homogeneous_coefficient,
 )
 from .kernel import (
     CoeffProduct,
@@ -128,23 +129,10 @@ class RegimeFit:
     verdict: RegimeVerdict
 
 
-def _pool_size() -> int:
-    raw = os.environ.get("HBALL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_combos(fn, combos):
-    """Run combos in a pool (HBALL_THREADS), results in declared order."""
-    workers = _pool_size()
-    if workers == 1 or len(combos) <= 1:
-        return [fn(c) for c in combos]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, combos))
-
-
+# Shell grids for the life of the process.  The fields derived from a grid
+# are memoized weakly under it (see `hball.spaces`), so keeping the grid is
+# what lets inclusion, levelset and distance runs in one process share its
+# derivative fields.
 _GRIDS: dict = {}
 
 
@@ -426,7 +414,7 @@ def run_kernel_growth(cfg: ExperimentConfig) -> dict:
             "agree": bool(fit.verdict == expected and slope_ok),
         }
 
-    rows = _map_combos(one, combos)
+    rows = [one(combo) for combo in combos]
     inconclusive = sum(r["verdict"] == "inconclusive" for r in rows)
     disagreements = sum((not r["agree"]) and r["verdict"] != "inconclusive" for r in rows)
     return _report("kernel-growth", cfg, rows, disagreements, inconclusive)
@@ -468,7 +456,7 @@ def run_membership(cfg: ExperimentConfig) -> dict:
             "agree": bool(numeric == predicate.value),
         }
 
-    rows = _map_combos(one, combos)
+    rows = [one(combo) for combo in combos]
     inconclusive = sum(r["numeric"] == "inconclusive" for r in rows)
     disagreements = sum((not r["agree"]) and r["numeric"] != "inconclusive" for r in rows)
     return _report("membership", cfg, rows, disagreements, inconclusive)
@@ -515,7 +503,7 @@ def run_inclusion_little_bloch(cfg: ExperimentConfig) -> dict:
             )
         return rows
 
-    rows = [r for chunk in _map_combos(one, combos) for r in chunk]
+    rows = [r for combo in combos for r in one(combo)]
     inconclusive = sum(r["agree"] is None for r in rows)
     disagreements = sum(r["agree"] is False for r in rows)
     return _report("inclusion", _with_family(cfg), rows, disagreements, inconclusive)
@@ -603,7 +591,7 @@ def run_levelset_characterization(cfg: ExperimentConfig) -> dict:
         )
         return rows
 
-    rows = [r for chunk in _map_combos(one, combos) for r in chunk]
+    rows = [r for combo in combos for r in one(combo)]
     inconclusive = sum(r["agree"] is None for r in rows)
     disagreements = sum(r["agree"] is False for r in rows)
     return _report("levelset", _with_family(cfg), rows, disagreements, inconclusive)
@@ -662,7 +650,7 @@ def run_distance(cfg: ExperimentConfig) -> dict:
             )
         return rows
 
-    rows = [r for chunk in _map_combos(one, combos) for r in chunk]
+    rows = [r for combo in combos for r in one(combo)]
     disagreements = sum(r["agree"] is False for r in rows)
     return _report("distance", _with_family(cfg), rows, disagreements, 0)
 
@@ -683,8 +671,6 @@ def _random_atom(rng, n: int) -> HarmonicExpansion:
 
 
 def _identity_rows(cfg: ExperimentConfig) -> list[dict]:
-    from .calculus import apply_D, homogeneous_coefficient
-
     rng = np.random.default_rng(cfg.seed)
     pairs = int(cfg.parameters.get("pairs", 50))
     layers = int(cfg.parameters.get("layers", 200))
@@ -723,8 +709,6 @@ def _identity_rows(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _quadrature_rows() -> list[dict]:
-    from scipy.special import betaln
-
     rows = []
     worst = 0.0
     for n in (2, 3):
@@ -794,8 +778,6 @@ def _growth_probe_rows() -> list[dict]:
 
 
 def _reproduce_rows(cfg: ExperimentConfig) -> list[dict]:
-    from .calculus import evaluate
-
     probes = int(cfg.parameters.get("reproduce_probes", 4))
     rng = np.random.default_rng(cfg.seed + 1)
     rows = []
@@ -865,7 +847,7 @@ def _schema() -> dict:
 
 
 def validate_report(report: dict) -> None:
-    import jsonschema
+    import jsonschema  # lazy: about 30 ms to import, paid only when validating
 
     jsonschema.validate(report, _schema())
 

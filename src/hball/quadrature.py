@@ -18,6 +18,11 @@ point arrays or as grid-aware objects exposing ``eval_grid(radii, units)``;
 the latter keeps the radius x direction tensor structure that makes kernel
 series affordable near the boundary.  Node reductions use numpy's pairwise
 summation, so results are deterministic for a fixed rule.
+
+Every shell walk (shell integrals, sup probes, level sets) follows the stop
+rule of `walk_shells`: it stops at the first shell that raises NonConvergent
+and answers on the certified shells before it; any other failure on a shell
+raises EvaluationFailure.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ __all__ = [
     "shell_decomposition",
     "sphere_rule",
     "sup_norm_probe",
+    "walk_shells",
 ]
 
 _GL3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
@@ -415,7 +421,16 @@ class ShellIntegral:
     increments: tuple[float, ...]
     partial_sums: tuple[float, ...]
     verdict: Verdict
-    shells_used: int
+
+    @classmethod
+    def from_increments(cls, increments) -> "ShellIntegral":
+        """Partial sums and verdict of the certified increments."""
+        inc = tuple(increments)
+        return cls(inc, tuple(float(p) for p in np.cumsum(inc)), classify_increments(inc))
+
+    @property
+    def shells_used(self) -> int:
+        return len(self.increments)
 
     @property
     def total(self) -> float:
@@ -431,6 +446,22 @@ class ShellIntegral:
         }
 
 
+def walk_shells(d: ShellDecomposition, shell_fn) -> tuple[list, NonConvergent | None]:
+    """`shell_fn(j)` for the shells j = 0, 1, ... of `d` up to the first that
+    raises NonConvergent: returns those results and that error (None when
+    every shell was certified).  Any other exception is wrapped in an
+    EvaluationFailure naming the shell."""
+    results = []
+    for j in range(d.depth):
+        try:
+            results.append(shell_fn(j))
+        except NonConvergent as exc:
+            return results, exc
+        except Exception as exc:  # noqa: BLE001 - contract: surface shell failures
+            raise EvaluationFailure(f"shell evaluation failed on shell {j}: {exc}") from exc
+    return results, None
+
+
 def _shell_values(g, d: ShellDecomposition, j: int) -> np.ndarray:
     if hasattr(g, "eval_shell"):
         return np.asarray(g.eval_shell(d, j))
@@ -439,38 +470,32 @@ def _shell_values(g, d: ShellDecomposition, j: int) -> np.ndarray:
 
 
 def integrate_shells(d: ShellDecomposition, g, weight_exponent: float) -> ShellIntegral:
-    """Shell-wise integral of g(x) (1-|x|^2)^weight_exponent dnu, g >= 0.
+    """Shell-wise integral of g(x) (1-|x|^2)^weight_exponent dnu, g >= 0,
+    over the certified shells (see `walk_shells`)."""
 
-    Evaluation stops at the first shell whose integrand cannot be certified
-    (NonConvergent); the verdict is formed on the certified prefix.
-    """
-    increments = []
-    for j in range(d.depth):
-        try:
-            vals = _shell_values(g, d, j)
-        except NonConvergent:
-            break
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationFailure(f"shell integrand failed on shell {j}: {exc}") from exc
+    def increment(j: int) -> float:
+        vals = _shell_values(g, d, j)
         shell, sph = d.shells[j], d.spheres[j]
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
-        increments.append(float(wr @ vals @ sph.weights))
-    partial = np.cumsum(increments)
-    return ShellIntegral(
-        tuple(increments),
-        tuple(float(p) for p in partial),
-        classify_increments(increments),
-        len(increments),
-    )
+        return float(wr @ vals @ sph.weights)
+
+    increments, _ = walk_shells(d, increment)
+    return ShellIntegral.from_increments(increments)
 
 
 @dataclass(frozen=True)
 class SupProbe:
     """Weighted supremum estimate with the per-shell maxima sequence."""
 
-    sup: float
     shell_maxima: tuple[float, ...]
-    shells_used: int
+
+    @property
+    def sup(self) -> float:
+        return max(self.shell_maxima)
+
+    @property
+    def shells_used(self) -> int:
+        return len(self.shell_maxima)
 
 
 def sup_norm_probe(f_like, alpha_plus_t: float, grid: ShellDecomposition) -> SupProbe:
@@ -478,24 +503,18 @@ def sup_norm_probe(f_like, alpha_plus_t: float, grid: ShellDecomposition) -> Sup
 
     The caller guarantees alpha + t > 0 (checked upstream); zero-weight probe
     nodes participate, so distinguished directions are sampled exactly.
-    Shells past the first uncertified one are dropped; when no shell is
-    certified there is no supremum and NonConvergent is raised.
+    The maxima cover the certified shells (see `walk_shells`); when no shell
+    is certified there is no supremum and NonConvergent is raised.
     """
-    maxima = []
-    stop = None
-    for j in range(grid.depth):
-        try:
-            vals = _shell_values(f_like, grid, j)
-        except NonConvergent as exc:
-            stop = exc
-            break
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationFailure(f"probe integrand failed on shell {j}: {exc}") from exc
-        shell = grid.shells[j]
-        weighted = (1.0 - shell.nodes**2) ** alpha_plus_t
-        maxima.append(float(np.max(weighted[:, None] * np.abs(vals))))
+
+    def shell_max(j: int) -> float:
+        vals = _shell_values(f_like, grid, j)
+        weighted = (1.0 - grid.shells[j].nodes**2) ** alpha_plus_t
+        return float(np.max(weighted[:, None] * np.abs(vals)))
+
+    maxima, stop = walk_shells(grid, shell_max)
     if not maxima:
         raise NonConvergent(
             f"sup probe certified no shell of a depth-{grid.depth} grid"
         ) from stop
-    return SupProbe(max(maxima), tuple(maxima), len(maxima))
+    return SupProbe(tuple(maxima))

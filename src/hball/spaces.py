@@ -10,10 +10,13 @@ boundary.  Level sets of the weighted derivative, integrated against
 that characterize closure membership; the distance functional is estimated by
 bisecting the level threshold on that verdict.
 
-All operations are reentrant; weighted-derivative fields are cached per
-(function, pair, grid), so the field values on the grid nodes are computed
-once.  Each level threshold still locates its own level-set boundaries by
-bisection, which evaluates the field between nodes.
+All operations are reentrant.  Values derived on a grid or rule live as
+long as it does (`_memo` holds them weakly under it): derivative fields on
+shell grids, so node values are computed once, and the derivative tables of
+the reproducing integral on ball rules.  Grids belong to the caller; the
+experiments keep theirs for the life of the process.  Each level threshold
+still locates its own level-set boundaries by bisection, which evaluates the
+field between nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import betaln
 
 from .calculus import DiffPair, HarmonicExpansion, apply_D, evaluate_grid
 from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
@@ -34,11 +38,14 @@ from .quadrature import (
     ShellIntegral,
     SupProbe,
     Verdict,
+    _frame,
     integrate_ball,
     integrate_shells,
+    shell_decomposition,
     sup_norm_probe,
+    walk_shells,
 )
-from .special import weight_constant
+from .special import log_dim_spherical_harmonics, weight_constant
 
 __all__ = [
     "BergmanBesov",
@@ -122,20 +129,15 @@ class Bloch:
                 f"alpha + t = {self.alpha + self.pair.t} <= 0"
             )
 
-    @staticmethod
-    def standard(alpha: float) -> "Bloch":
+    @classmethod
+    def standard(cls, alpha: float) -> "Bloch":
         t = float(max(1, math.ceil(-alpha) + 1))
-        return Bloch(alpha, DiffPair(alpha + t, t))
+        return cls(alpha, DiffPair(alpha + t, t))
 
 
 @dataclass(frozen=True)
 class LittleBloch(Bloch):
     """Boundary-vanishing subspace of the sup-norm space (same admissibility)."""
-
-    @staticmethod
-    def standard(alpha: float) -> "LittleBloch":
-        t = float(max(1, math.ceil(-alpha) + 1))
-        return LittleBloch(alpha, DiffPair(alpha + t, t))
 
 
 class _ShellField:
@@ -143,12 +145,13 @@ class _ShellField:
 
     def __init__(self, g: HarmonicExpansion, grid: ShellDecomposition, tol_rel: float):
         self.g = g
-        self.grid = grid
+        # weak, so that a field memoized under its grid does not keep the grid alive
+        self._grid = weakref.ref(grid)
         self.tol_rel = tol_rel
         self._cache: dict[int, np.ndarray] = {}
 
     def eval_shell(self, d: ShellDecomposition, j: int) -> np.ndarray:
-        if d is not self.grid:
+        if d is not self._grid():
             raise ValueError("field evaluated on a foreign grid")
         if j not in self._cache:
             self._cache[j] = evaluate_grid(
@@ -316,8 +319,6 @@ def _shell_level_measures(
     theta = sph.polar[order]
     n_t, n_phi = sph.polar.shape[0], sph.azimuth.shape[0]
     status = status_full[:, : sph.structured].reshape(m_r, n_t, n_phi)[:, order, :]
-    from .quadrature import _frame
-
     e1, e2 = _frame(sph.axis)
 
     r_idx, lo, hi, lo_in, keys = [], [], [], [], []
@@ -361,27 +362,18 @@ def _level_shell_integral(
     epsilon: float,
     weight_exponent: float,
 ) -> tuple[ShellIntegral, tuple[int, ...]]:
-    from .quadrature import classify_increments
+    """Weighted level-set measure over the certified shells (see
+    `walk_shells`), with the per-shell in-set node counts."""
 
-    increments: list[float] = []
-    counts: list[int] = []
-    for j in range(grid.depth):
-        try:
-            measures, count = _shell_level_measures(field, grid, j, exponent, epsilon)
-        except NonConvergent:
-            break
+    def shell_term(j: int) -> tuple[float, int]:
+        measures, count = _shell_level_measures(field, grid, j, exponent, epsilon)
         shell = grid.shells[j]
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
-        increments.append(float(wr @ measures))
-        counts.append(count)
-    partial = np.cumsum(increments)
-    integral = ShellIntegral(
-        tuple(increments),
-        tuple(float(p) for p in partial),
-        classify_increments(increments),
-        len(increments),
-    )
-    return integral, tuple(counts)
+        return float(wr @ measures), count
+
+    terms, _ = walk_shells(grid, shell_term)
+    integral = ShellIntegral.from_increments(inc for inc, _ in terms)
+    return integral, tuple(count for _, count in terms)
 
 
 class _AbsPower:
@@ -408,17 +400,22 @@ class _GridFn:
         return vals if self.transform is None else self.transform(vals)
 
 
-_FIELDS: "weakref.WeakKeyDictionary[ShellDecomposition, dict]" = weakref.WeakKeyDictionary()
+_MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
+
+
+def _memo(owner, key, make):
+    """`make()`, computed once per `key` and kept while `owner` (the grid or
+    rule the value lives on) is alive."""
+    per_owner = _MEMO.setdefault(owner, {})
+    if key not in per_owner:
+        per_owner[key] = make()
+    return per_owner[key]
 
 
 def _derivative_field(
     f: HarmonicExpansion, pair: DiffPair, grid: ShellDecomposition, tol_rel: float = REL_TOL
 ) -> _ShellField:
-    per_grid = _FIELDS.setdefault(grid, {})
-    key = (f, pair, tol_rel)
-    if key not in per_grid:
-        per_grid[key] = _ShellField(apply_D(f, pair), grid, tol_rel)
-    return per_grid[key]
+    return _memo(grid, (f, pair, tol_rel), lambda: _ShellField(apply_D(f, pair), grid, tol_rel))
 
 
 def default_shell_grid(
@@ -430,8 +427,6 @@ def default_shell_grid(
     truncation can certify; everything else (polynomials, interior poles)
     evaluates exactly and probes much deeper.
     """
-    from .quadrature import shell_decomposition
-
     foci = f.boundary_kernel_poles()
     if depth is None:
         depth = 12 if foci else 28
@@ -481,7 +476,6 @@ def besov_norm_shells(
         tuple(i / va for i in report.increments),
         tuple(p / va for p in report.partial_sums),
         report.verdict,
-        report.shells_used,
     )
     if scaled.verdict == Verdict.DIVERGENT:
         return scaled, float("inf")
@@ -724,10 +718,6 @@ def reproducing_rule(
     radial moment of r^(2j) against the rule weight, which decays like a
     Beta function; accounting for that damping keeps the rule small.
     """
-    from scipy.special import betaln
-
-    from .special import log_dim_spherical_harmonics
-
     coeff = CoeffProduct.kernel(s)
     log_rho = math.log(x_max)
     log_gate = math.log(target) + math.log(1.0 - x_max)
@@ -748,7 +738,14 @@ def reproducing_rule(
     return BallQuadrature.build(n, s + t, degree)
 
 
-_REPRODUCE_CACHE: "weakref.WeakKeyDictionary[BallQuadrature, dict]" = weakref.WeakKeyDictionary()
+def _rule_derivative(
+    f: HarmonicExpansion, s: float, t: float, q: BallQuadrature, tol_rel: float
+) -> np.ndarray:
+    """D^t_s f on the rule's product grid, memoized under the rule."""
+    return _memo(
+        q, (f, float(s), float(t), tol_rel),
+        lambda: evaluate_grid(apply_D(f, DiffPair(s, t)), q.radial_nodes, q.units, tol_rel=tol_rel),
+    )
 
 
 def reproduce(
@@ -773,12 +770,7 @@ def reproduce(
             f"quadrature weight {q.gamma} does not match s + t = {gamma}"
         )
     x = np.asarray(x, dtype=float)
-    per_rule = _REPRODUCE_CACHE.setdefault(q, {})
-    key = (f, float(s), float(t), tol_rel)
-    if key not in per_rule:
-        g = apply_D(f, DiffPair(s, t))
-        per_rule[key] = evaluate_grid(g, q.radial_nodes, q.units, tol_rel=tol_rel)
-    gv = per_rule[key]
+    gv = _rule_derivative(f, s, t, q, tol_rel)
     kv = eval_coeff_series_grid(
         f.dimension, CoeffProduct.kernel(s), q.units, x, [q.radial_nodes], tol_rel=tol_rel
     )[0]
@@ -827,8 +819,7 @@ def split(
     if abs(q.gamma - (s + t)) > 1e-9:
         raise AdmissibilityError("quadrature weight must equal s + t")
     n = f.dimension
-    g = apply_D(f, pair)
-    gv = evaluate_grid(g, q.radial_nodes, q.units, tol_rel=tol_rel)
+    gv = _rule_derivative(f, s, t, q, tol_rel)
     w_boundary = (1.0 - q.radial_nodes**2) ** (alpha + t)
     mask = (w_boundary[:, None] * np.abs(gv)) >= epsilon
     v = weight_constant(n, s + t).value

@@ -142,12 +142,6 @@ class TestReports:
         b = report_to_json(run_experiment("membership", small_config("membership")))
         assert a == b
 
-    def test_worker_pool_preserves_output(self, monkeypatch):
-        serial = report_to_json(run_experiment("membership", small_config("membership")))
-        monkeypatch.setenv("HBALL_THREADS", "3")
-        pooled = report_to_json(run_experiment("membership", small_config("membership")))
-        assert pooled == serial
-
     def test_csv_emission(self):
         rep = run_experiment("membership", small_config("membership"))
         text = report_to_csv(rep)

@@ -25,6 +25,26 @@ def radial_moment(n, gamma, j):
 
 ONE = lambda pts: np.ones(pts.shape[0])  # noqa: E731
 
+# the shell walks, called as (grid, point integrand)
+WALKS = {
+    "integrate_shells": lambda d, g: integrate_shells(d, g, 0.0),
+    "sup_norm_probe": lambda d, g: sup_norm_probe(g, 1.0, d),
+}
+
+
+def failing_from_shell(j, exc):
+    """Point integrand equal to 1 that raises `exc` from shell j on (one call
+    per shell)."""
+    calls = {"n": 0}
+
+    def g(pts):
+        calls["n"] += 1
+        if calls["n"] > j:
+            raise exc
+        return np.ones(pts.shape[0])
+
+    return g
+
 
 class TestRadialRule:
     def test_beta_moments_exact(self):
@@ -183,18 +203,17 @@ class TestSupProbe:
         probe = sup_norm_probe(g, 1.0, d)
         assert probe.shell_maxima[-1] < 1e-6 * max(probe.shell_maxima)
 
-    def test_shells_truncate_on_nonconvergence(self):
-        calls = {"n": 0}
-
-        def g(pts):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise NonConvergent("deep shell")
-            return np.ones(pts.shape[0])
-
+    @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
+    def test_shells_truncate_on_nonconvergence(self, walk):
         d = shell_decomposition(2, 10)
-        probe = sup_norm_probe(g, 1.0, d)
-        assert probe.shells_used == 3
+        result = walk(d, failing_from_shell(3, NonConvergent("deep shell")))
+        assert result.shells_used == 3
+
+    @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
+    def test_other_errors_name_the_shell(self, walk):
+        d = shell_decomposition(2, 10)
+        with pytest.raises(EvaluationFailure, match="shell 2"):
+            walk(d, failing_from_shell(2, RuntimeError("broken integrand")))
 
 
 class TestClassifier:

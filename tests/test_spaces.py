@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hball.calculus import (
     evaluate,
     evaluate_grid,
 )
-from hball.errors import AdmissibilityError, NonConvergent, UnsupportedPair
+from hball.errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from hball.experiments import verification_family
 from hball.quadrature import BallQuadrature, Verdict, _frame, shell_decomposition
 from hball.spaces import (
@@ -165,6 +167,11 @@ class TestNoCertifiedShell:
 
 
 class TestLittleBloch:
+    def test_standard_keeps_the_subclass(self):
+        spec = LittleBloch.standard(0.5)
+        assert type(spec) is LittleBloch
+        assert spec.pair == Bloch.standard(0.5).pair
+
     def test_polynomials_decay(self):
         for n, zeta in ((2, ZETA2), (3, ZETA3)):
             poly = HarmonicExpansion(n, (ZonalTerm(3, zeta),))
@@ -268,6 +275,30 @@ class TestLevelSet:
             want, err = quad(lambda r: n * r ** (n - 1) * cap_measure(r), lo, hi)
             got = rep.integral.increments[j]
             assert got == pytest.approx(want, rel=2e-3, abs=1e-12)
+
+    def shell_walk_failing_from(self, monkeypatch, j_fail, exc):
+        """level_set on a constant, with the measure of shells >= j_fail
+        raising `exc`."""
+        real = spaces._shell_level_measures
+
+        def failing(field, grid, j, exponent, eps):
+            if j >= j_fail:
+                raise exc
+            return real(field, grid, j, exponent, eps)
+
+        monkeypatch.setattr(spaces, "_shell_level_measures", failing)
+        one = constant(2)
+        pair = Bloch.standard(0.0).pair
+        return level_set(one, 0.0, pair, 0.5, default_shell_grid(one, depth=8), -2.0)
+
+    def test_shells_truncate_on_nonconvergence(self, monkeypatch):
+        rep = self.shell_walk_failing_from(monkeypatch, 3, NonConvergent("deep shell"))
+        assert rep.integral.shells_used == 3
+        assert len(rep.node_counts) == 3
+
+    def test_other_errors_name_the_shell(self, monkeypatch):
+        with pytest.raises(EvaluationFailure, match="shell 2"):
+            self.shell_walk_failing_from(monkeypatch, 2, RuntimeError("broken measure"))
 
     def test_report_serialization(self):
         one = constant(2)
@@ -434,6 +465,17 @@ def _bisect_one_step_per_call(field, shell_nodes, exponent, eps, r_idx, lo, hi, 
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     return 0.5 * (lo + hi)
+
+
+class TestMemo:
+    def test_fields_do_not_keep_their_grid_alive(self):
+        grid = shell_decomposition(2, 3)
+        field = spaces._derivative_field(constant(2), Bloch.standard(0.0).pair, grid)
+        field.eval_shell(grid, 0)
+        ref = weakref.ref(grid)
+        del grid, field
+        gc.collect()
+        assert ref() is None
 
 
 class TestBisectLookahead:
