@@ -26,6 +26,7 @@ from .kernel import (
     eval_coeff_series_grid,
     eval_coeff_series_points,
     gamma_ratio,
+    zonal_angular_table,
 )
 from .special import check_dimension, zonal
 
@@ -192,11 +193,16 @@ def evaluate(f: HarmonicExpansion, x, tol: float = 1e-9) -> float:
 
 
 def _zonal_grid(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Z_degree(r u, pole) on a product grid, computed exactly."""
+    """Z_degree(r u, pole) = (r |u| |pole|)^degree Q_degree(cos angle) on a
+    product grid, computed exactly; `special.zonal` is the scalar form."""
     pole = np.asarray(pole, dtype=float)
     if degree == 0:
         return np.ones((radii.shape[0], units.shape[0]))
-    vals = np.array([zonal(n, degree, u, pole) for u in units])
+    scale = np.linalg.norm(units, axis=1) * float(np.linalg.norm(pole))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(units @ pole / scale, -1.0, 1.0)
+    q = zonal_angular_table(n, np.where(scale > 0.0, cos, 1.0), degree, 1)[0]
+    vals = np.where(scale > 0.0, scale**degree * q, 0.0)
     return (radii**degree)[:, None] * vals[None, :]
 
 

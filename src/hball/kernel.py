@@ -11,14 +11,28 @@ the growth ratio of gamma_k h_k.
 Series are summed adaptively and a `NonConvergent` error is raised when the
 evaluation cap is reached before the tail bound certifies the requested
 accuracy (in particular for |x||y| = 1, where the series need not converge).
+Non-finite directions, poles, points and radii are refused with ValueError.
+
+A series sum runs in two passes.  Z_k(x, pole) = (|x||pole|)^k Q_k(u)
+depends on the direction only through u = <x/|x|, pole/|pole|>.  Pass 1
+sums the majorant c_k h_k rho^k degree block by degree block until the tail
+bound certifies, which fixes the last degree K without any angular work.
+The values are then summed against rows of Q_k built once per distinct u
+(`zonal_angular_table`) and gathered back to the directions: at n = 2 the
+rows of each block come directly from products of unit phases, so they are
+summed inside pass 1; at n = 3 pass 2 sums against a Legendre table of
+degrees 0..K; at n >= 4, and in calls with more than _TABLE_MAX_U distinct
+u, the Gegenbauer recurrence streams inside pass 1.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, legendre_p_all
 
 from .errors import NonConvergent
 from .special import check_dimension, log_dim_spherical_harmonics
@@ -33,6 +47,7 @@ __all__ = [
     "kernel_eval",
     "kernel_growth_exponent_probe",
     "log_gamma_coeffs",
+    "zonal_angular_table",
 ]
 
 # Hard cap on the truncation degree; beyond it evaluation is refused rather
@@ -40,6 +55,20 @@ __all__ = [
 KMAX_DEFAULT = 200_000
 
 _BLOCK_MAX = 4096
+
+# A series call whose directions have more distinct u than this streams the
+# angular recurrence over its columns instead of building rows over the
+# distinct u.  Measured at n = 3 on the identity battery's reproduce calls
+# (29 161 directions, all u distinct, K = 63..447): a table plus the column
+# gather took 32-43 ms per call against 30 ms streamed.  Every call of the
+# other benchmark workloads has fewer than 512 distinct u.
+_TABLE_MAX_U = 2048
+
+# Largest column chunk of the n = 3 Legendre table, in bytes.
+_TABLE_CHUNK_BYTES = 4 << 20
+
+# Rows of one e^{i k0 theta} e^{i j theta} piece of an n = 2 table.
+_PIECE_ROWS = 512
 
 
 def _is_upper_branch(n: int, alpha: float) -> bool:
@@ -191,15 +220,16 @@ class _ZonalAngular:
         self._p1 = None  # degree k-1 base polynomial
         self._p2 = None  # degree k-2
 
-    def block(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Next `size` rows (ks, Q) with Q of shape (size, len(u))."""
+    def block(self, k0: int, size: int) -> np.ndarray:
+        """Rows k0 <= k < k0 + size of Q, shape (size, len(u)); the rows
+        stream, so k0 is where the previous block ended."""
+        if k0 != self.k:
+            raise ValueError(f"the recurrence is at degree {self.k}, not {k0}")
         n, u = self.n, self.u
         m = u.shape[0]
         out = np.empty((size, m))
-        ks = np.arange(self.k, self.k + size)
         lam = 0.5 * (n - 2)
-        for i, k in enumerate(ks):
-            k = int(k)
+        for i, k in enumerate(range(self.k, self.k + size)):
             if k == 0:
                 base = np.ones(m)
             elif k == 1:
@@ -217,7 +247,115 @@ class _ZonalAngular:
             else:
                 out[i] = ((2.0 * k + n - 2.0) / (n - 2.0)) * base
         self.k += size
-        return ks, out
+        return out
+
+
+def _unit_phases(ks: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """e^{i k theta}, shape (len(ks), len(theta))."""
+    return np.exp(1j * (ks[:, None] * theta[None, :]))
+
+
+def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
+    """The angular factors Q_k(u) for k0 <= k < k0 + size, shape (size, len(u)).
+
+    Z_k(x, y) = (|x||y|)^k Q_k(u), with u the cosine of the angle between x
+    and y and |Q_k| <= h_k.
+    - n = 2: Q_k = 2 cos k theta (DLMF 18.5) and Q_0 = 1.  Row k0 + s + j is
+      2 Re(e^{i (k0+s) theta} e^{i j theta}) over pieces of _PIECE_ROWS rows,
+      so any degree block costs one complex product per entry.
+    - n = 3: Q_k = (2k+1) P_k(u) from scipy's `legendre_p_all` (DLMF 18.9).
+      It computes every degree from 0, so callers ask from k0 = 0.
+    - n >= 4: the Gegenbauer recurrence of `_ZonalAngular`, stepped from
+      degree 0.
+    """
+    u = np.asarray(u, dtype=float)
+    if n == 2:
+        theta = np.arccos(u)
+        out = np.empty((size, u.shape[0]))
+        # e^{i j theta} for j < span as e^{i a theta} e^{i b theta}, from
+        # two tables of about sqrt(span) phases each
+        span = min(size, _PIECE_ROWS)
+        step = math.isqrt(span - 1) + 1 if span else 1
+        coarse_j = np.arange(0.0, span, step)
+        fine = (
+            _unit_phases(coarse_j, theta)[:, None, :]
+            * _unit_phases(np.arange(float(step)), theta)[None, :, :]
+        ).reshape(coarse_j.shape[0] * step, u.shape[0])[:span]
+        fine_re, fine_im = 2.0 * fine.real, 2.0 * fine.imag
+        for s in range(0, size, _PIECE_ROWS):
+            piece = out[s : s + _PIECE_ROWS]
+            r = piece.shape[0]
+            coarse = np.exp(1j * ((k0 + s) * theta))
+            np.multiply(fine_re[:r], coarse.real, out=piece)
+            piece -= fine_im[:r] * coarse.imag
+        if k0 == 0 and size:
+            out[0] = 1.0
+        return out
+    if n == 3:
+        ks = np.arange(k0, k0 + size, dtype=float)
+        out = legendre_p_all(k0 + size - 1, u)[0][k0:]
+        # its recurrence drifts at u = +-1 (by 1.4e-9 at k = 98 239), where
+        # P_k(u) = u^k exactly
+        ends = np.abs(u) == 1.0
+        if ends.any():
+            out[:, ends] = u[ends][None, :] ** ks[:, None]
+        out *= (2.0 * ks + 1.0)[:, None]
+        return out
+    angular = _ZonalAngular(n, u)
+    angular.block(0, k0)
+    return angular.block(k0, size)
+
+
+def _degree_blocks(kmax: int):
+    """(k0, size) of the summation blocks: 64 rows, doubling to _BLOCK_MAX,
+    the last one ending at kmax."""
+    k0, block = 0, 64
+    while k0 <= kmax:
+        size = min(block, kmax - k0 + 1)
+        yield k0, size
+        k0 += size
+        block = min(2 * block, _BLOCK_MAX)
+
+
+def _powers(log_c: np.ndarray, kf: np.ndarray, log_rho: np.ndarray) -> np.ndarray:
+    """c_k rho^k, shape (len(rho), len(k)), with the k = 0 convention
+    0 * log(0) = 0."""
+    log_pow = np.where(kf[None, :] == 0.0, 0.0, kf[None, :] * log_rho[:, None])
+    return np.exp(log_c[None, :] + log_pow)
+
+
+def _add_rows(acc: np.ndarray, p: np.ndarray, q: np.ndarray, pair_cols) -> None:
+    """acc += the degree block p (radii x degrees) against the angular rows
+    q (degrees x columns).  Product grids take every column; paired sums
+    (pair_cols not None) take, for each radius, its own column."""
+    if pair_cols is None:
+        acc += p @ q
+    else:
+        acc += np.einsum("mk,km->m", p, np.take(q, pair_cols, axis=1))
+
+
+def _legendre_pass(cols, log_c, log_rho, acc, pair_cols) -> None:
+    """Pass 2 at n = 3: add the terms of degrees 0..K = len(log_c) - 1 to
+    acc, against a Legendre table over `cols` built in column chunks of at
+    most _TABLE_CHUNK_BYTES; c_k rho^k is recomputed per chunk."""
+    k_end = log_c.shape[0]
+    width = max(1, _TABLE_CHUNK_BYTES // (8 * k_end))
+    for c0 in range(0, cols.shape[0], width):
+        c1 = min(c0 + width, cols.shape[0])
+        q = zonal_angular_table(3, cols[c0:c1], 0, k_end)
+        if pair_cols is None:
+            target, lr, chunk_cols = acc[:, c0:c1], log_rho, None
+        else:
+            # the radii paired with a column of this chunk
+            sel = np.flatnonzero((pair_cols >= c0) & (pair_cols < c1))
+            target, lr, chunk_cols = np.zeros(sel.shape[0]), log_rho[sel], pair_cols[sel] - c0
+        for k0 in range(0, k_end, _BLOCK_MAX):
+            kf = np.arange(k0, min(k0 + _BLOCK_MAX, k_end), dtype=float)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                p = _powers(log_c[k0 : k0 + kf.shape[0]], kf, lr)
+            _add_rows(target, p, q[k0 : k0 + kf.shape[0]], chunk_cols)
+        if pair_cols is not None:
+            acc[sel] = target
 
 
 def _series_sum(
@@ -235,10 +373,24 @@ def _series_sum(
     """Sum sum_k c_k rho^k Q_k(u) with a certified truncation-error bound.
 
     With matmul=True each rho set is a radius vector and the result is the
-    full (len(rho), len(u)) product grid; with matmul=False the rho entries
-    pair off with u elementwise.  Returns (values, tails, masses, K) where
-    `masses` are the majorant sums sum c_k h_k rho^k used for relative
-    tolerances and K is the last degree included.
+    full (len(rho), len(u)) product grid; with matmul=False the entries of
+    each rho set pair off with u elementwise.  Returns (values, tails,
+    masses, K) where `masses` are the majorant sums sum c_k h_k rho^k used
+    for relative tolerances and K is the last degree included.
+
+    Pass 1 walks the degree blocks (64 rows, doubling to _BLOCK_MAX) on the
+    majorant c_k h_k rho^k and stops at the first block after which every
+    tail bound meets its tolerance; that block's last degree is K.  The
+    values are summed against angular rows Q_k over the distinct u (exact
+    `np.unique`) and gathered back to the directions at the end:
+    - n = 2: `zonal_angular_table` gives the rows of each degree block
+      directly, so they are summed inside pass 1 and there is no pass 2;
+    - n = 3: pass 2 runs once K is known, against one Legendre table of
+      degrees 0..K over the distinct u, built in column chunks;
+    - n >= 4: the Gegenbauer recurrence streams inside pass 1.
+    A call with more than _TABLE_MAX_U distinct u streams the recurrence
+    inside pass 1 over its directions themselves, with no gather.  All rho
+    sets share each degree block's matrix product.
     """
     if tol_abs <= 0.0 and tol_rel <= 0.0:
         raise ValueError("a positive tol_abs or tol_rel is required")
@@ -248,63 +400,79 @@ def _series_sum(
     if rho_max >= 1.0:
         raise NonConvergent(f"series evaluated at |x||y| = {rho_max} >= 1")
 
+    # the rho sets stacked into one radius vector, and where each set sits
+    ends = np.cumsum([0] + [r.shape[0] for r in rho_sets])
+    sets = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    rho = np.concatenate(rho_sets)
     with np.errstate(divide="ignore"):
-        log_rhos = [np.log(np.maximum(r, 0.0)) for r in rho_sets]
+        log_rho = np.log(np.maximum(rho, 0.0))
 
     fracs = coeff.step_fractions(n) + _h_step_fractions(n)
-    angular = _ZonalAngular(n, u)
 
-    if matmul:
-        values = [np.zeros((r.shape[0], u.shape[0])) for r in rho_sets]
+    # the columns the angular rows are built on, and each u's column
+    cols = np.unique(u)
+    gather = cols.shape[0] <= _TABLE_MAX_U
+    if gather:
+        inv = np.searchsorted(cols, u)
     else:
-        values = [np.zeros(r.shape[0]) for r in rho_sets]
+        cols, inv = u, np.arange(u.shape[0])
+    if gather and n == 3:
+        rows = None  # pass 2
+    elif gather and n == 2:
+        rows = functools.partial(zonal_angular_table, 2, cols)
+    else:
+        rows = _ZonalAngular(n, cols).block
+
+    pair_cols = None if matmul else np.concatenate([inv] * len(rho_sets))
+    acc = np.zeros((rho.shape[0], cols.shape[0]) if matmul else rho.shape[0])
     masses = [np.zeros(r.shape[0]) for r in rho_sets]
-    tails = [np.full(r.shape[0], np.inf) for r in rho_sets]
+    log_cs = []
 
-    block = 64
-    k_next = 0
-    while k_next <= kmax:
-        size = min(block, kmax - k_next + 1)
-        ks, q = angular.block(size)
-        kf = ks.astype(float)
+    for k0, size in _degree_blocks(kmax):
+        kf = np.arange(k0, k0 + size, dtype=float)
         log_c = coeff.log_values(n, kf)
-        log_h = log_dim_spherical_harmonics(n, kf)
+        h = np.exp(log_dim_spherical_harmonics(n, kf))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            for i, (rho, log_rho) in enumerate(zip(rho_sets, log_rhos)):
-                # k log rho with the k = 0 convention 0 * log(0) = 0
-                log_pow = np.where(kf[None, :] == 0.0, 0.0, kf[None, :] * log_rho[:, None])
-                p = np.exp(log_c[None, :] + log_pow)  # c_k rho^k, (m, B)
-                if matmul:
-                    values[i] += p @ q
-                else:
-                    values[i] += np.einsum("mk,km->m", p, q)
-                masses[i] += p @ np.exp(log_h)
-        k_next += size
-        block = min(2 * block, _BLOCK_MAX)
+            p = _powers(log_c, kf, log_rho)  # c_k rho^k, (radii, B)
+        if rows is None:
+            log_cs.append(log_c)
+        else:
+            _add_rows(acc, p, rows(k0, size), pair_cols)
+        for i, sl in enumerate(sets):
+            masses[i] += p[sl] @ h
 
-        k_used = k_next - 1
+        k_used = k0 + size - 1
         if k_used < max(min_terms, 1):
             continue
-        k0 = k_used + 1
-        ratio = _step_ratio_bound(fracs, k0)
-        log_first = float(coeff.log_values(n, np.array([float(k0)]))[0]) + float(
-            log_dim_spherical_harmonics(n, np.array([k0]))[0]
+        k1 = k_used + 1
+        ratio = _step_ratio_bound(fracs, k1)
+        log_first = float(coeff.log_values(n, np.array([float(k1)]))[0]) + float(
+            log_dim_spherical_harmonics(n, np.array([k1]))[0]
         )
-        done = True
-        for i, (rho, log_rho) in enumerate(zip(rho_sets, log_rhos)):
-            geo = rho * ratio
-            with np.errstate(over="ignore", under="ignore"):
-                head = np.exp(log_first + k0 * log_rho)
-                tails[i] = np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
-            allow = tol_abs + tol_rel * masses[i]
-            if not np.all(tails[i] <= allow):
-                done = False
-        if done:
-            return values, tails, masses, k_used
+        geo = rho * ratio
+        with np.errstate(over="ignore", under="ignore"):
+            head = np.exp(log_first + k1 * log_rho)
+            tail = np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
+        tails = [tail[sl] for sl in sets]
+        if all(np.all(t <= tol_abs + tol_rel * m) for t, m in zip(tails, masses)):
+            break
+    else:
+        raise NonConvergent(
+            f"series not certified within {kmax} terms (worst |x||y| = {rho_max})"
+        )
 
-    raise NonConvergent(
-        f"series not certified within {kmax} terms (worst |x||y| = {rho_max})"
-    )
+    if rows is None:
+        _legendre_pass(cols, np.concatenate(log_cs), log_rho, acc, pair_cols)
+    if matmul and gather:
+        acc = np.take(acc, inv, axis=1)
+    return [acc[sl] for sl in sets], tails, masses, k_used
+
+
+def _require_finite(name: str, *arrays: np.ndarray) -> None:
+    """Refuse NaN and inf inputs before any series work: a NaN direction
+    would give NaN values and a NaN radius would never certify."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{name} must be finite")
 
 
 def _unit_and_norm(p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -334,8 +502,11 @@ def eval_coeff_series_grid(
     """
     pole = np.asarray(pole, dtype=float)
     units = np.asarray(units, dtype=float)
-    pole_unit, pole_norm = _unit_and_norm(pole)
     radii_sets = [np.asarray(r, dtype=float) for r in radii_sets]
+    _require_finite("units", units)
+    _require_finite("pole", pole)
+    _require_finite("radii", *radii_sets)
+    pole_unit, pole_norm = _unit_and_norm(pole)
     if pole_norm == 0.0:
         # only the k = 0 term survives: the sum is identically c_0 = 1
         return [np.ones((r.shape[0], units.shape[0])) for r in radii_sets]
@@ -364,6 +535,8 @@ def eval_coeff_series_points(
     """
     pole = np.asarray(pole, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    _require_finite("pole", pole)
+    _require_finite("points", points)
     pole_unit, pole_norm = _unit_and_norm(pole)
     norms = np.linalg.norm(points, axis=1)
     if pole_norm == 0.0:

@@ -109,8 +109,15 @@ class BergmanBesov:
 
     @staticmethod
     def standard(p: float, alpha: float) -> "BergmanBesov":
-        """Default admissible pair: smallest integer t with alpha + p t > -1,
-        based at s = alpha + t (which keeps kernel atoms built at s exact)."""
+        """Default admissible pair (s, t) = (alpha + t, t), with the order
+        t = max(0, ceil((-1 - alpha)/p) + 1).
+
+        This t is admissible (alpha + p t > -1) but not always the smallest
+        admissible integer: it is one more whenever (-1 - alpha)/p exceeds
+        -1 and is not an integer, e.g. p = 1, alpha = -1.5 gives t = 2 where
+        t = 1 already has alpha + p t = -0.5.  The base s = alpha + t keeps
+        kernel atoms built at s exact.  The membership experiment's pairs,
+        and so its report, rest on this formula."""
         t = float(max(0, math.ceil((-1.0 - alpha) / p) + 1))
         return BergmanBesov(p, alpha, DiffPair(alpha + t, t))
 

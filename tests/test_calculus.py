@@ -10,6 +10,7 @@ from hball.calculus import (
     HarmonicExpansion,
     KernelAtom,
     ZonalTerm,
+    _zonal_grid,
     apply_D,
     apply_I,
     constant,
@@ -20,7 +21,7 @@ from hball.calculus import (
     homogeneous_coefficient,
 )
 from hball.kernel import gamma_ratio
-from hball.special import dim_spherical_harmonics
+from hball.special import dim_spherical_harmonics, zonal
 
 
 def gamma_product_oracle(n, alpha, k):
@@ -242,3 +243,19 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             expansion_from_json('{"dimension": 2, "atoms": [{"kind": "puff", "pole": [1, 0]}]}')
+
+
+class TestZonalGrid:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_scalar_zonal(self, n):
+        rng = np.random.default_rng(n)
+        units = rng.normal(size=(30, n))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        units[0] = 0.0  # the origin direction of a degenerate grid
+        units[1] = units[2]
+        pole = 0.8 * units[3]
+        radii = np.array([0.0, 0.3, 0.9, 1.0])
+        for k in range(6):
+            want = np.array([[zonal(n, k, r * u, pole) for u in units] for r in radii])
+            got = _zonal_grid(n, k, pole, radii, units)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,22 @@ from hypothesis import strategies as st
 
 from hball.errors import NonConvergent
 from hball.kernel import (
+    _BLOCK_MAX,
+    _TABLE_MAX_U,
     CoeffProduct,
+    _h_step_fractions,
+    _series_sum,
+    _step_ratio_bound,
+    eval_coeff_series_grid,
+    eval_coeff_series_points,
     gamma_coeff,
     gamma_ratio,
     kernel_eval,
     kernel_growth_exponent_probe,
     log_gamma_coeffs,
+    zonal_angular_table,
 )
-from hball.special import dim_spherical_harmonics, pochhammer
+from hball.special import dim_spherical_harmonics, log_dim_spherical_harmonics, pochhammer
 
 
 def gamma_by_direct_product(n, alpha, k):
@@ -219,3 +228,208 @@ class TestCoeffProduct:
             - log_gamma_coeffs(3, 0.4, ks)
         )
         assert np.allclose(cp.log_values(3, ks), want, rtol=1e-12, atol=1e-12)
+
+
+def recurrence_rows(n, u, k0, size, state):
+    """Rows k0..k0+size-1 of Q_k(u) by the per-degree Chebyshev (n = 2) or
+    Gegenbauer (n >= 3) recurrence; `state` carries the last two degrees."""
+    lam = 0.5 * (n - 2)
+    out = np.empty((size, u.shape[0]))
+    for i, k in enumerate(range(k0, k0 + size)):
+        if k == 0:
+            base = np.ones(u.shape[0])
+        elif k == 1:
+            base = u.copy() if n == 2 else 2.0 * lam * u
+        elif n == 2:
+            base = 2.0 * u * state[0] - state[1]
+        else:
+            base = (2.0 * u * (k + lam - 1.0) * state[0] - (k + 2.0 * lam - 2.0) * state[1]) / k
+        state[:] = [base, state[0]]
+        out[i] = 1.0 if k == 0 else (2.0 * base if n == 2 else ((2.0 * k + n - 2.0) / (n - 2.0)) * base)
+    return out
+
+
+def streamed_reference(n, coeff, u, rho_sets, *, tol_rel, kmax=200_000, matmul=True):
+    """The one-pass sum that streams the recurrence over every column, block
+    by block, until the tail test passes: the reference for the stop degree,
+    the values and the error at the cap."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_rhos = [np.log(np.maximum(r, 0.0)) for r in rho_sets]
+    fracs = coeff.step_fractions(n) + _h_step_fractions(n)
+    state = [None, None]
+    if matmul:
+        values = [np.zeros((r.shape[0], u.shape[0])) for r in rho_sets]
+    else:
+        values = [np.zeros(r.shape[0]) for r in rho_sets]
+    masses = [np.zeros(r.shape[0]) for r in rho_sets]
+    tails = [None] * len(rho_sets)
+    block, k_next = 64, 0
+    while k_next <= kmax:
+        size = min(block, kmax - k_next + 1)
+        q = recurrence_rows(n, u, k_next, size, state)
+        kf = np.arange(k_next, k_next + size, dtype=float)
+        log_c = coeff.log_values(n, kf)
+        log_h = log_dim_spherical_harmonics(n, kf)
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            for i, log_rho in enumerate(log_rhos):
+                log_pow = np.where(kf[None, :] == 0.0, 0.0, kf[None, :] * log_rho[:, None])
+                p = np.exp(log_c[None, :] + log_pow)
+                values[i] += p @ q if matmul else np.einsum("mk,km->m", p, q)
+                masses[i] += p @ np.exp(log_h)
+        k_next += size
+        block = min(2 * block, _BLOCK_MAX)
+        k0 = k_next
+        ratio = _step_ratio_bound(fracs, k0)
+        log_first = float(coeff.log_values(n, np.array([float(k0)]))[0]) + float(
+            log_dim_spherical_harmonics(n, np.array([k0]))[0]
+        )
+        done = True
+        for i, (rho, log_rho) in enumerate(zip(rho_sets, log_rhos)):
+            geo = rho * ratio
+            with np.errstate(divide="ignore", over="ignore", under="ignore"):
+                head = np.exp(log_first + k0 * log_rho)
+                tails[i] = np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
+            if not np.all(tails[i] <= tol_rel * masses[i]):
+                done = False
+        if done:
+            return values, tails, masses, k_next - 1
+    raise NonConvergent(f"series not certified within {kmax} terms (worst |x||y| = {max(r.max() for r in rho_sets)})")
+
+
+def repeated_u(rng, m, distinct):
+    """m cosines drawn from `distinct` values, the poles and the equator among them."""
+    pool = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, distinct - 3)])
+    return rng.choice(pool, size=m)
+
+
+class TestTwoPassSum:
+    """The majorant pass stops at the degree the streamed recurrence stopped
+    at, and the angular rows over the distinct u give its values."""
+
+    COEFFS = (CoeffProduct.kernel(0.0), CoeffProduct.kernel(-2.7).shifted(0.4, 1.1))
+
+    def assert_matches(self, n, coeff, u, rho_sets, matmul):
+        got = _series_sum(n, coeff, u, rho_sets, tol_rel=1e-10, matmul=matmul)
+        want = streamed_reference(n, coeff, u, rho_sets, tol_rel=1e-10, matmul=matmul)
+        assert got[3] == want[3]
+        for v, t, mass, v_ref, t_ref, mass_ref in zip(*got[:3], *want[:3]):
+            assert v.shape == v_ref.shape
+            assert np.array_equal(t, t_ref)
+            assert np.array_equal(mass, mass_ref)
+            scale = mass[:, None] if matmul else mass
+            assert np.all(np.abs(v - v_ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("coeff", COEFFS)
+    def test_product_grid_with_repeated_u(self, n, coeff):
+        rng = np.random.default_rng(n)
+        u = repeated_u(rng, 60, 17)
+        rho_sets = [np.array([0.0, 0.3, 0.9, 0.97]), np.array([0.5, 0.995])]
+        self.assert_matches(n, coeff, u, rho_sets, matmul=True)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("coeff", COEFFS)
+    def test_paired_points_with_repeated_u(self, n, coeff):
+        rng = np.random.default_rng(10 + n)
+        u = repeated_u(rng, 40, 9)
+        rho = rng.uniform(0.0, 0.99, 40)
+        self.assert_matches(n, coeff, u, [rho], matmul=False)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wide_call_streams_the_columns(self, n):
+        u = np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50)
+        self.assert_matches(n, self.COEFFS[0], u, [np.array([0.2, 0.7])], matmul=True)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_deep_sums_with_one_column_chunks(self, n, monkeypatch):
+        # chunks one column wide, deep enough to span several degree blocks
+        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 8)
+        rng = np.random.default_rng(5)
+        u = repeated_u(rng, 12, 5)
+        self.assert_matches(n, self.COEFFS[0], u, [np.array([0.999])], matmul=True)
+        self.assert_matches(n, self.COEFFS[0], u, [np.full(12, 0.999)], matmul=False)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_empty_units_and_empty_radius_sets(self, n):
+        coeff = self.COEFFS[0]
+        self.assert_matches(n, coeff, np.zeros(0), [np.array([0.2, 0.5])], matmul=True)
+        self.assert_matches(n, coeff, np.array([0.1, 0.1, -0.4]), [np.zeros(0)], matmul=True)
+        self.assert_matches(n, coeff, np.zeros(0), [np.zeros(0)], matmul=False)
+        grid = eval_coeff_series_grid(n, coeff, np.zeros((0, n)), np.eye(n)[0] * 0.5, [[0.2, 0.5]], tol_rel=1e-9)
+        assert grid[0].shape == (2, 0)
+        grid = eval_coeff_series_grid(n, coeff, np.eye(n)[[0, 1, 0]], np.eye(n)[0] * 0.5, [[]], tol_rel=1e-9)
+        assert grid[0].shape == (0, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("matmul", [True, False])
+    def test_same_error_at_the_cap(self, n, matmul):
+        u = np.array([0.3, 0.3, 1.0])
+        rho_sets = [np.array([0.5, 0.9999, 0.2])]
+        args = (n, self.COEFFS[0], u, rho_sets)
+        with pytest.raises(NonConvergent) as want:
+            streamed_reference(*args, tol_rel=1e-10, kmax=3000, matmul=matmul)
+        with pytest.raises(NonConvergent) as got:
+            _series_sum(*args, tol_rel=1e-10, kmax=3000, matmul=matmul)
+        assert str(got.value) == str(want.value)
+
+
+class TestAngularTable:
+    """The angular rows against mpmath at high degree, relative to the bound
+    |Q_k| <= h_k that the tail bounds rest on."""
+
+    def test_legendre_table_near_the_pole(self):
+        u = math.cos(1e-4)
+        table = zonal_angular_table(3, np.array([u]), 0, 10_001)[:, 0]
+        for k in (0, 1, 10, 100, 1000, 5000, 7777, 10_000):
+            want = (2 * k + 1) * mpmath.legendre(k, mpmath.mpf(u))
+            assert abs(table[k] - float(want)) <= 5e-11 * (2 * k + 1)
+
+    def test_chebyshev_block_product(self):
+        us = np.array([math.cos(1e-4), 0.3, 0.0, -0.7, math.cos(3.1), -1.0, 1.0])
+        k0 = 90_000
+        table = zonal_angular_table(2, us, k0, 1100)
+        for j in (0, 1, 511, 512, 513, 1024, 1099):  # across piece boundaries
+            for c, u in enumerate(us):
+                want = 2 * mpmath.cos((k0 + j) * mpmath.acos(mpmath.mpf(u)))
+                assert abs(table[j, c] - float(want)) <= 5e-11 * 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_low_degrees_match_the_scalar_zonal(self, n):
+        from hball.special import zonal
+
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(25, n))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        u = np.clip(x @ x[0], -1.0, 1.0)
+        table = zonal_angular_table(n, u, 0, 6)
+        want = np.array([[zonal(n, k, xi, x[0]) for xi in x] for k in range(6)])
+        assert np.allclose(table, want, rtol=0.0, atol=1e-13)
+        assert np.allclose(zonal_angular_table(n, u, 3, 3), table[3:], rtol=0.0, atol=1e-14)
+
+
+class TestNonFiniteInputs:
+    """Non-finite directions, poles, points and radii are refused before any
+    series work."""
+
+    coeff = CoeffProduct.kernel(0.0)
+
+    def test_nan_unit(self):
+        with pytest.raises(ValueError, match="finite"):
+            eval_coeff_series_grid(2, self.coeff, np.array([[np.nan, 0.0]]), (0.5, 0.0), [[0.5]], tol_rel=1e-9)
+
+    def test_nan_radius(self):
+        with pytest.raises(ValueError, match="finite"):
+            eval_coeff_series_grid(2, self.coeff, np.array([[1.0, 0.0]]), (0.5, 0.0), [[np.nan]], tol_rel=1e-9)
+
+    def test_infinite_pole(self):
+        with pytest.raises(ValueError, match="finite"):
+            eval_coeff_series_grid(3, self.coeff, np.eye(3), (np.inf, 0.0, 0.0), [[0.5]], tol_rel=1e-9)
+        with pytest.raises(ValueError, match="finite"):
+            eval_coeff_series_points(3, self.coeff, (0.1, np.nan, 0.0), np.eye(3) * 0.5, tol_abs=1e-9)
+
+    def test_nan_point(self):
+        with pytest.raises(ValueError, match="finite"):
+            eval_coeff_series_points(2, self.coeff, (0.5, 0.0), np.array([[0.1, np.inf]]), tol_abs=1e-9)
+        with pytest.raises(ValueError, match="finite"):
+            kernel_eval(2, 0.0, np.array([np.nan, 0.0]), np.array([0.5, 0.0]), 1e-9)
