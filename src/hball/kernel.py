@@ -324,38 +324,20 @@ def _powers(log_c: np.ndarray, kf: np.ndarray, log_rho: np.ndarray) -> np.ndarra
     return np.exp(log_c[None, :] + log_pow)
 
 
-def _add_rows(acc: np.ndarray, p: np.ndarray, q: np.ndarray, pair_cols) -> None:
-    """acc += the degree block p (radii x degrees) against the angular rows
-    q (degrees x columns).  Product grids take every column; paired sums
-    (pair_cols not None) take, for each radius, its own column."""
-    if pair_cols is None:
-        acc += p @ q
-    else:
-        acc += np.einsum("mk,km->m", p, np.take(q, pair_cols, axis=1))
-
-
-def _legendre_pass(cols, log_c, log_rho, acc, pair_cols) -> None:
+def _legendre_pass(cols, log_c, log_rho, acc) -> None:
     """Pass 2 at n = 3: add the terms of degrees 0..K = len(log_c) - 1 to
-    acc, against a Legendre table over `cols` built in column chunks of at
-    most _TABLE_CHUNK_BYTES; c_k rho^k is recomputed per chunk."""
+    acc (radii x cols), against a Legendre table over `cols` built in column
+    chunks of at most _TABLE_CHUNK_BYTES; c_k rho^k is recomputed per chunk."""
     k_end = log_c.shape[0]
     width = max(1, _TABLE_CHUNK_BYTES // (8 * k_end))
     for c0 in range(0, cols.shape[0], width):
         c1 = min(c0 + width, cols.shape[0])
         q = zonal_angular_table(3, cols[c0:c1], 0, k_end)
-        if pair_cols is None:
-            target, lr, chunk_cols = acc[:, c0:c1], log_rho, None
-        else:
-            # the radii paired with a column of this chunk
-            sel = np.flatnonzero((pair_cols >= c0) & (pair_cols < c1))
-            target, lr, chunk_cols = np.zeros(sel.shape[0]), log_rho[sel], pair_cols[sel] - c0
         for k0 in range(0, k_end, _BLOCK_MAX):
             kf = np.arange(k0, min(k0 + _BLOCK_MAX, k_end), dtype=float)
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                p = _powers(log_c[k0 : k0 + kf.shape[0]], kf, lr)
-            _add_rows(target, p, q[k0 : k0 + kf.shape[0]], chunk_cols)
-        if pair_cols is not None:
-            acc[sel] = target
+                p = _powers(log_c[k0 : k0 + kf.shape[0]], kf, log_rho)
+            acc[:, c0:c1] += p @ q[k0 : k0 + kf.shape[0]]
 
 
 def _series_sum(
@@ -368,15 +350,14 @@ def _series_sum(
     tol_rel: float = 0.0,
     kmax: int = KMAX_DEFAULT,
     min_terms: int = 0,
-    matmul: bool = True,
 ):
     """Sum sum_k c_k rho^k Q_k(u) with a certified truncation-error bound.
 
-    With matmul=True each rho set is a radius vector and the result is the
-    full (len(rho), len(u)) product grid; with matmul=False the entries of
-    each rho set pair off with u elementwise.  Returns (values, tails,
-    masses, K) where `masses` are the majorant sums sum c_k h_k rho^k used
-    for relative tolerances and K is the last degree included.
+    Each rho set is a radius vector and its values are the full
+    (len(rho), len(u)) product grid; paired points (rho_i, u_i) are the
+    diagonal of their grid.  Returns (values, tails, masses, K) where
+    `masses` are the majorant sums sum c_k h_k rho^k used for relative
+    tolerances and K is the last degree included.
 
     Pass 1 walks the degree blocks (64 rows, doubling to _BLOCK_MAX) on the
     majorant c_k h_k rho^k and stops at the first block after which every
@@ -423,8 +404,7 @@ def _series_sum(
     else:
         rows = _ZonalAngular(n, cols).block
 
-    pair_cols = None if matmul else np.concatenate([inv] * len(rho_sets))
-    acc = np.zeros((rho.shape[0], cols.shape[0]) if matmul else rho.shape[0])
+    acc = np.zeros((rho.shape[0], cols.shape[0]))
     masses = [np.zeros(r.shape[0]) for r in rho_sets]
     log_cs = []
 
@@ -437,7 +417,7 @@ def _series_sum(
         if rows is None:
             log_cs.append(log_c)
         else:
-            _add_rows(acc, p, rows(k0, size), pair_cols)
+            acc += p @ rows(k0, size)
         for i, sl in enumerate(sets):
             masses[i] += p[sl] @ h
 
@@ -462,8 +442,8 @@ def _series_sum(
         )
 
     if rows is None:
-        _legendre_pass(cols, np.concatenate(log_cs), log_rho, acc, pair_cols)
-    if matmul and gather:
+        _legendre_pass(cols, np.concatenate(log_cs), log_rho, acc)
+    if gather:
         acc = np.take(acc, inv, axis=1)
     return [acc[sl] for sl in sets], tails, masses, k_used
 
@@ -531,7 +511,9 @@ def eval_coeff_series_points(
 ):
     """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points.
 
-    Returns (values, tails, degree_used).
+    The points are summed as one product grid of their radii and directions
+    and the values are its diagonal, so the grid costs N^2 entries; callers
+    pass one point.  Returns (values, tails, degree_used).
     """
     pole = np.asarray(pole, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -554,9 +536,8 @@ def eval_coeff_series_points(
         tol_rel=tol_rel,
         kmax=kmax,
         min_terms=min_terms,
-        matmul=False,
     )
-    return values[0], tails[0], k_used
+    return np.diagonal(values[0]).copy(), tails[0], k_used
 
 
 @dataclass(frozen=True)
@@ -625,7 +606,6 @@ def kernel_growth_exponent_probe(n, alpha, zeta, radii, *, tol_rel=1e-10):
         [radii],
         tol_rel=tol_rel,
         tol_abs=1e-300,
-        matmul=True,
     )
     mags = np.abs(values[0][:, 0])
     return [(float(r), float(v)) for r, v in zip(radii, mags)]

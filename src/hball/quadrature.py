@@ -13,11 +13,16 @@ Two complementary node families:
   monitoring, suprema and level sets, where the action concentrates near the
   boundary (and, for kernel atoms, near their poles).
 
-Integrands are evaluated either as plain vectorized callables on (N, n)
-point arrays or as grid-aware objects exposing ``eval_grid(radii, units)``;
-the latter keeps the radius x direction tensor structure that makes kernel
-series affordable near the boundary.  Node reductions use numpy's pairwise
-summation, so results are deterministic for a fixed rule.
+Integrands are evaluated on product grids of radii x directions, the
+tensor structure that makes kernel series affordable near the boundary:
+
+* a ball-rule integrand is ``g(radii, units)`` and returns the values at
+  the points r u, shape (len(radii), len(units));
+* a shell integrand is ``g(d, j)`` and returns the values on shell j's
+  product grid, shape (len(d.shells[j].nodes), len(d.spheres[j].units)).
+
+A result of any other shape raises EvaluationFailure.  Node reductions use
+numpy's pairwise summation, so results are deterministic for a fixed rule.
 
 Every shell walk (shell integrals, sup probes, level sets) follows the stop
 rule of `walk_shells`: it stops at the first shell that raises NonConvergent
@@ -56,6 +61,17 @@ __all__ = [
 
 _GL3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+
+# Dyadic refinement levels of a focused angular rule beyond its shell index.
+_REFINE_EXTRA = 8
+
+# The verdict convention of `classify_increments`; the floor is relative to
+# max(1, sum of the increments).
+VERDICT_WINDOW = 5
+VERDICT_GROWTH_WINDOW = 2
+VERDICT_DECAY_RATIO = 0.9
+VERDICT_GROWTH_RATIO = 0.99
+VERDICT_FLOOR = 1e-12
 
 
 class Verdict(str, Enum):
@@ -246,7 +262,6 @@ def shell_decomposition(
     radial_per_shell: int = 8,
     base_angular: int = 32,
     azimuth: int = 16,
-    refine_extra: int = 8,
 ) -> ShellDecomposition:
     """Build the dyadic shell grid; angular rules refine toward `foci`.
 
@@ -275,11 +290,11 @@ def shell_decomposition(
             spheres.append(sphere_rule(n, base_angular))
         elif n == 2:
             angles = [math.atan2(f[1], f[0]) for f in foci]
-            spheres.append(_focused_circle_rule(angles, j + refine_extra, base_angular))
+            spheres.append(_focused_circle_rule(angles, j + _REFINE_EXTRA, base_angular))
         else:
             axis = np.asarray(foci[0], dtype=float)
             axis = axis / np.linalg.norm(axis)
-            spheres.append(_focused_polar_rule(axis, j + refine_extra, azimuth, 8))
+            spheres.append(_focused_polar_rule(axis, j + _REFINE_EXTRA, azimuth, 8))
     return ShellDecomposition(n, tuple(shells), tuple(spheres), foci)
 
 
@@ -352,64 +367,57 @@ class BallQuadrature:
         return self.radial_nodes.shape[0] * self.sphere.units.shape[0]
 
 
-def _grid_values(g, radii: np.ndarray, units: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate `g` on the product grid; grid-aware objects keep the structure."""
-    if hasattr(g, "eval_grid"):
-        return np.asarray(g.eval_grid(radii, units))
-    points = radii[:, None, None] * units[None, :, :]
-    vals = g(points.reshape(-1, n))
-    return np.asarray(vals, dtype=float).reshape(radii.shape[0], units.shape[0])
+def _grid_shaped(vals, radii: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """The integrand's values, refused unless they cover the radii x units grid."""
+    vals = np.asarray(vals, dtype=float)
+    shape = (radii.shape[0], units.shape[0])
+    if vals.shape != shape:
+        raise EvaluationFailure(f"integrand returned shape {vals.shape} on a {shape} grid")
+    return vals
 
 
 def integrate_ball(q: BallQuadrature, g) -> float:
     """Quadrature estimate of the integral of g(x) (1-|x|^2)^gamma dnu(x).
 
-    `g` is a vectorized callable on (N, n) arrays or a grid-aware object.
+    `g(radii, units)` gives the values on the rule's product grid.
     NonConvergent propagates; any other exception from g is wrapped in
     EvaluationFailure.
     """
     try:
-        vals = _grid_values(g, q.radial_nodes, q.sphere.units, q.dimension)
+        vals = g(q.radial_nodes, q.sphere.units)
     except NonConvergent:
         raise
     except Exception as exc:  # noqa: BLE001 - contract: surface node failures
         raise EvaluationFailure(f"integrand failed at quadrature nodes: {exc}") from exc
+    vals = _grid_shaped(vals, q.radial_nodes, q.sphere.units)
     return float(q.radial_weights @ vals @ q.sphere.weights)
 
 
-def classify_increments(
-    increments,
-    *,
-    decay_ratio: float = 0.9,
-    growth_ratio: float = 0.99,
-    floor: float = 1e-12,
-    window: int = 5,
-    growth_window: int = 2,
-) -> Verdict:
+def classify_increments(increments) -> Verdict:
     """Finite / divergent verdict from nonnegative per-shell increments.
 
-    Finite when the last `window` increments decay geometrically (ratio <=
-    decay_ratio) or have vanished below the floor; divergent when the tail
-    is bounded below (the last `growth_window` ratios >= growth_ratio and
-    the last increment above the floor).  Divergence is not provable
-    numerically; these thresholds are the declared convention used
-    consistently by every verdict in the library.
+    Finite when the last VERDICT_WINDOW increments decay geometrically
+    (ratio <= VERDICT_DECAY_RATIO) or have vanished below the floor;
+    divergent when the tail is bounded below (the last VERDICT_GROWTH_WINDOW
+    ratios >= VERDICT_GROWTH_RATIO and the last increment above the floor).
+    Divergence is not provable numerically; these thresholds are the
+    declared convention used consistently by every verdict in the library.
     """
     inc = np.asarray(list(increments), dtype=float)
-    if inc.size < window + 1:
+    if inc.size < VERDICT_WINDOW + 1:
         return Verdict.INCONCLUSIVE
     total = float(inc.sum())
-    floor_abs = floor * max(1.0, total)
-    tail = inc[-window:]
+    floor_abs = VERDICT_FLOOR * max(1.0, total)
+    tail = inc[-VERDICT_WINDOW:]
     if np.all(tail <= floor_abs):
         return Verdict.FINITE
-    prev = inc[-(window + 1) : -1]
+    prev = inc[-(VERDICT_WINDOW + 1) : -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(prev > 0.0, tail / np.maximum(prev, 1e-300), np.inf)
     ratios = np.where((prev <= floor_abs) & (tail <= floor_abs), 0.0, ratios)
-    if np.all(ratios <= decay_ratio):
+    if np.all(ratios <= VERDICT_DECAY_RATIO):
         return Verdict.FINITE
-    if np.all(ratios[-growth_window:] >= growth_ratio) and inc[-1] >= floor_abs:
+    if np.all(ratios[-VERDICT_GROWTH_WINDOW:] >= VERDICT_GROWTH_RATIO) and inc[-1] >= floor_abs:
         return Verdict.DIVERGENT
     return Verdict.INCONCLUSIVE
 
@@ -462,20 +470,14 @@ def walk_shells(d: ShellDecomposition, shell_fn) -> tuple[list, NonConvergent | 
     return results, None
 
 
-def _shell_values(g, d: ShellDecomposition, j: int) -> np.ndarray:
-    if hasattr(g, "eval_shell"):
-        return np.asarray(g.eval_shell(d, j))
-    shell, sph = d.shells[j], d.spheres[j]
-    return _grid_values(g, shell.nodes, sph.units, d.dimension)
-
-
 def integrate_shells(d: ShellDecomposition, g, weight_exponent: float) -> ShellIntegral:
     """Shell-wise integral of g(x) (1-|x|^2)^weight_exponent dnu, g >= 0,
-    over the certified shells (see `walk_shells`)."""
+    over the certified shells (see `walk_shells`); `g(d, j)` gives the
+    values on shell j."""
 
     def increment(j: int) -> float:
-        vals = _shell_values(g, d, j)
         shell, sph = d.shells[j], d.spheres[j]
+        vals = _grid_shaped(g(d, j), shell.nodes, sph.units)
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
         return float(wr @ vals @ sph.weights)
 
@@ -501,15 +503,17 @@ class SupProbe:
 def sup_norm_probe(f_like, alpha_plus_t: float, grid: ShellDecomposition) -> SupProbe:
     """sup over nodes of (1-|x|^2)^(alpha+t) |f(x)| plus per-shell maxima.
 
-    The caller guarantees alpha + t > 0 (checked upstream); zero-weight probe
-    nodes participate, so distinguished directions are sampled exactly.
+    `f_like(grid, j)` gives the values on shell j.  The caller guarantees
+    alpha + t > 0 (checked upstream); zero-weight probe nodes participate,
+    so distinguished directions are sampled exactly.
     The maxima cover the certified shells (see `walk_shells`); when no shell
     is certified there is no supremum and NonConvergent is raised.
     """
 
     def shell_max(j: int) -> float:
-        vals = _shell_values(f_like, grid, j)
-        weighted = (1.0 - grid.shells[j].nodes**2) ** alpha_plus_t
+        shell = grid.shells[j]
+        vals = _grid_shaped(f_like(grid, j), shell.nodes, grid.spheres[j].units)
+        weighted = (1.0 - shell.nodes**2) ** alpha_plus_t
         return float(np.max(weighted[:, None] * np.abs(vals)))
 
     maxima, stop = walk_shells(grid, shell_max)

@@ -73,6 +73,17 @@ __all__ = [
 
 REL_TOL = 1e-7
 
+# The settings of `little_bloch_test`, `distance_estimate` and
+# `reproducing_rule`; each docstring says how they are used.
+_DECAY_WINDOW = 5
+_DECAY_FRACTION = 1e-6
+_STALL_FRACTION = 1e-2
+_REL_BRACKET = 1e-3
+_MAX_BISECTIONS = 40
+_ALIAS_X_MAX = 0.9
+_ALIAS_TARGET = 1e-8
+_DEGREE_MARGIN = 32
+
 
 class DecayVerdict(str, Enum):
     DECAYING = "decaying"
@@ -383,30 +394,6 @@ def _level_shell_integral(
     return integral, tuple(count for _, count in terms)
 
 
-class _AbsPower:
-    """|field|^p as a shell field (p-th power of the derivative magnitude)."""
-
-    def __init__(self, field: _ShellField, p: float):
-        self.field = field
-        self.p = p
-
-    def eval_shell(self, d: ShellDecomposition, j: int) -> np.ndarray:
-        return np.abs(self.field.eval_shell(d, j)) ** self.p
-
-
-class _GridFn:
-    """Adapter exposing an expansion evaluation as a ball-rule integrand."""
-
-    def __init__(self, g: HarmonicExpansion, transform=None, tol_rel: float = 1e-9):
-        self.g = g
-        self.transform = transform
-        self.tol_rel = tol_rel
-
-    def eval_grid(self, radii: np.ndarray, units: np.ndarray) -> np.ndarray:
-        vals = evaluate_grid(self.g, radii, units, tol_rel=self.tol_rel)
-        return vals if self.transform is None else self.transform(vals)
-
-
 _MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 
@@ -425,9 +412,7 @@ def _derivative_field(
     return _memo(grid, (f, pair, tol_rel), lambda: _ShellField(apply_D(f, pair), grid, tol_rel))
 
 
-def default_shell_grid(
-    f: HarmonicExpansion, depth: int | None = None, **kwargs
-) -> ShellDecomposition:
+def default_shell_grid(f: HarmonicExpansion, depth: int | None = None) -> ShellDecomposition:
     """Shell grid focused toward the boundary kernel poles of f.
 
     Functions with boundary kernel poles are capped at the depth the series
@@ -437,7 +422,7 @@ def default_shell_grid(
     foci = f.boundary_kernel_poles()
     if depth is None:
         depth = 12 if foci else 28
-    return shell_decomposition(f.dimension, depth, foci=foci, **kwargs)
+    return shell_decomposition(f.dimension, depth, foci=foci)
 
 
 # --- norms -------------------------------------------------------------------
@@ -459,7 +444,10 @@ def besov_norm(f: HarmonicExpansion, spec: BergmanBesov, q: BallQuadrature) -> f
             f"quadrature weight {q.gamma} does not match alpha + p t = {gamma}"
         )
     g = apply_D(f, spec.pair)
-    integrand = _GridFn(g, transform=lambda v: np.abs(v) ** spec.p)
+
+    def integrand(radii: np.ndarray, units: np.ndarray) -> np.ndarray:
+        return np.abs(evaluate_grid(g, radii, units, tol_rel=1e-9)) ** spec.p
+
     va = weight_constant(f.dimension, spec.alpha).value
     return (integrate_ball(q, integrand) / va) ** (1.0 / spec.p)
 
@@ -477,7 +465,9 @@ def besov_norm_shells(
     if gamma <= -1.0:
         raise AdmissibilityError("alpha + p t must exceed -1")
     field = _derivative_field(f, spec.pair, grid)
-    report = integrate_shells(grid, _AbsPower(field, spec.p), gamma)
+    report = integrate_shells(
+        grid, lambda d, j: np.abs(field.eval_shell(d, j)) ** spec.p, gamma
+    )
     va = weight_constant(f.dimension, spec.alpha).value
     scaled = ShellIntegral(
         tuple(i / va for i in report.increments),
@@ -502,40 +492,33 @@ def bloch_norm(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> f
 
 def _bloch_probe(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> SupProbe:
     field = _derivative_field(f, spec.pair, grid)
-    return sup_norm_probe(field, spec.alpha + spec.pair.t, grid)
+    return sup_norm_probe(field.eval_shell, spec.alpha + spec.pair.t, grid)
 
 
-def little_bloch_test(
-    f: HarmonicExpansion,
-    spec: Bloch,
-    grid: ShellDecomposition,
-    *,
-    decay_fraction: float = 1e-6,
-    stall_fraction: float = 1e-2,
-    window: int = 5,
-) -> DecayVerdict:
+def little_bloch_test(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> DecayVerdict:
     """Boundary-decay verdict for the weighted derivative.
 
-    Decaying when the certified shell maxima fall below decay_fraction times
-    the shell-0 maximum with a monotone tail; non-decaying when the last
-    maxima stall above stall_fraction times the shell-0 maximum; inconclusive
-    otherwise, and when no shell is certified.
+    Decaying when the certified shell maxima fall below _DECAY_FRACTION
+    times the shell-0 maximum with a monotone tail over the last
+    _DECAY_WINDOW; non-decaying when the last maxima stall above
+    _STALL_FRACTION times the shell-0 maximum; inconclusive otherwise, and
+    when no shell is certified.
     """
     try:
         probe = _bloch_probe(f, spec, grid)
     except NonConvergent:
         return DecayVerdict.INCONCLUSIVE
     maxima = probe.shell_maxima
-    if len(maxima) < window + 1:
+    if len(maxima) < _DECAY_WINDOW + 1:
         return DecayVerdict.INCONCLUSIVE
     m0 = maxima[0]
     if m0 == 0.0:
         return DecayVerdict.DECAYING
-    tail = maxima[-window:]
+    tail = maxima[-_DECAY_WINDOW:]
     monotone = all(b <= a * (1.0 + 1e-9) for a, b in zip(tail, tail[1:]))
-    if maxima[-1] <= decay_fraction * m0 and monotone:
+    if maxima[-1] <= _DECAY_FRACTION * m0 and monotone:
         return DecayVerdict.DECAYING
-    if min(maxima[-3:]) >= stall_fraction * m0:
+    if min(maxima[-3:]) >= _STALL_FRACTION * m0:
         return DecayVerdict.NON_DECAYING
     return DecayVerdict.INCONCLUSIVE
 
@@ -618,16 +601,14 @@ def distance_estimate(
     alpha: float,
     pair: DiffPair,
     grid: ShellDecomposition,
-    *,
-    rel_bracket: float = 1e-3,
-    max_iterations: int = 40,
 ) -> DistanceEstimate:
     """Bisect epsilon on the finite/divergent verdict at weight -n.
 
     Finite verdicts lower the upper bracket, divergent ones raise the lower
     bracket; inconclusive verdicts are retried at off-center points and
-    counted.  The reported value is the bracket midpoint.  Raises
-    NonConvergent when no shell of the grid is certified.
+    counted.  It stops at a bracket _REL_BRACKET of the Bloch norm wide or
+    after _MAX_BISECTIONS steps; the reported value is the bracket
+    midpoint.  Raises NonConvergent when no shell of the grid is certified.
     """
     if not alpha + pair.t > 0.0:
         raise AdmissibilityError("the distance estimator requires alpha + t > 0")
@@ -643,8 +624,8 @@ def distance_estimate(
 
     lo, hi = 0.0, norm
     inconclusive = 0
-    for _ in range(max_iterations):
-        if hi - lo <= rel_bracket * norm:
+    for _ in range(_MAX_BISECTIONS):
+        if hi - lo <= _REL_BRACKET * norm:
             break
         decided = False
         for frac in (0.5, 0.4, 0.6):
@@ -709,25 +690,18 @@ def inclusion_predicate(n: int, spec_from, spec_to) -> Inclusion:
 # --- reproducing representation ------------------------------------------------
 
 
-def reproducing_rule(
-    n: int,
-    s: float,
-    t: float,
-    *,
-    x_max: float = 0.9,
-    target: float = 1e-8,
-    degree_margin: int = 32,
-) -> BallQuadrature:
+def reproducing_rule(n: int, s: float, t: float) -> BallQuadrature:
     """Ball rule sized so that the kernel-series aliasing of the reproducing
-    integral at |x| <= x_max stays below `target` (computed, not guessed).
+    integral at |x| <= _ALIAS_X_MAX stays below _ALIAS_TARGET (computed, not
+    guessed).
 
-    A degree-j alias term is bounded by gamma_j(s) h_j x_max^j times the
-    radial moment of r^(2j) against the rule weight, which decays like a
-    Beta function; accounting for that damping keeps the rule small.
+    A degree-j alias term is bounded by gamma_j(s) h_j _ALIAS_X_MAX^j times
+    the radial moment of r^(2j) against the rule weight, which decays like
+    a Beta function; accounting for that damping keeps the rule small.
     """
     coeff = CoeffProduct.kernel(s)
-    log_rho = math.log(x_max)
-    log_gate = math.log(target) + math.log(1.0 - x_max)
+    log_rho = math.log(_ALIAS_X_MAX)
+    log_gate = math.log(_ALIAS_TARGET) + math.log(1.0 - _ALIAS_X_MAX)
     k = 16
     while k < 20_000:
         ks = np.array([float(k)])
@@ -741,7 +715,7 @@ def reproducing_rule(
         if log_term < log_gate:
             break
         k += 16
-    degree = k + degree_margin
+    degree = k + _DEGREE_MARGIN
     return BallQuadrature.build(n, s + t, degree)
 
 

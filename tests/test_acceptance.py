@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from conftest import critical_atom_verdicts
 
 from hball.calculus import (
     DiffPair,
@@ -33,6 +34,7 @@ from hball.experiments import (
     run_membership,
     run_kernel_growth,
 )
+from hball.quadrature import Verdict
 from hball.spaces import reproduce, reproducing_rule
 
 
@@ -257,8 +259,9 @@ def test_criterion_09_coefficient_power_law():
 
 
 def test_criterion_10_distance_estimator():
-    """Zero (tight bracket) for polynomials; strictly positive and
-    exponent-independent for the critical atom."""
+    """Zero (tight bracket) for polynomials; strictly positive for the
+    critical atom, which lies outside the integral-norm space (p, p alpha - n)
+    at every exponent p of the pair."""
     report = _distance_report()
     rows = report["rows"]
     poly_rows = [r for r in rows if r["f"] in ("const", "zonal3")]
@@ -268,15 +271,17 @@ def test_criterion_10_distance_estimator():
         r["bracket"][1] <= 1e-3 * max(r["bloch_norm"], 1e-30) for r in poly_rows
     )
     atoms_ok = all(r["bracket"][0] > 0.0 for r in atom_rows)
-    p_independent = all(r["estimate_p0"] == r["estimate_p1"] for r in atom_rows) and all(
+    verdicts = critical_atom_verdicts(default_config("distance"))
+    per_p = all(v == Verdict.DIVERGENT for v in verdicts.values()) and all(
         r["agree"] for r in approx_rows
     )
-    ok = polys_ok and atoms_ok and p_independent
+    ok = polys_ok and atoms_ok and per_p
     _line(
         10,
         ok,
-        f"{len(poly_rows)} polynomial rows at zero, {len(atom_rows)} critical rows positive, exponent-independent {p_independent}",
+        f"{len(poly_rows)} polynomial rows at zero, {len(atom_rows)} critical rows positive, "
+        f"critical atom divergent at every p {per_p} ({len(verdicts)} cases)",
     )
     assert polys_ok
     assert atoms_ok
-    assert p_independent
+    assert per_p, verdicts

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from conftest import critical_atom_verdicts
 
 from hball.cli import main
 from hball.experiments import (
@@ -17,6 +18,7 @@ from hball.experiments import (
     validate_report,
     verification_family,
 )
+from hball.quadrature import Verdict
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -113,10 +115,12 @@ class TestRunners:
         assert window_rows and all(r["agree"] for r in window_rows)
 
     def test_distance_small(self):
-        rep = run_experiment("distance", small_config("distance"))
+        cfg = small_config("distance")
+        rep = run_experiment("distance", cfg)
         assert rep["summary"]["pass"]
-        atom_rows = [r for r in rep["rows"] if r["f"] == "atom_critical"]
-        assert atom_rows[0]["estimate_p0"] == atom_rows[0]["estimate_p1"]
+        verdicts = critical_atom_verdicts(cfg)
+        assert len(verdicts) == 2
+        assert all(v == Verdict.DIVERGENT for v in verdicts.values()), verdicts
 
     def test_verify_identities_small(self):
         rep = run_experiment("verify-identities", small_config("verify-identities"))

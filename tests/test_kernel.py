@@ -309,16 +309,38 @@ class TestTwoPassSum:
 
     COEFFS = (CoeffProduct.kernel(0.0), CoeffProduct.kernel(-2.7).shifted(0.4, 1.1))
 
-    def assert_matches(self, n, coeff, u, rho_sets, matmul):
-        got = _series_sum(n, coeff, u, rho_sets, tol_rel=1e-10, matmul=matmul)
-        want = streamed_reference(n, coeff, u, rho_sets, tol_rel=1e-10, matmul=matmul)
+    def assert_matches(self, n, coeff, u, rho_sets):
+        got = _series_sum(n, coeff, u, rho_sets, tol_rel=1e-10)
+        want = streamed_reference(n, coeff, u, rho_sets, tol_rel=1e-10)
         assert got[3] == want[3]
         for v, t, mass, v_ref, t_ref, mass_ref in zip(*got[:3], *want[:3]):
             assert v.shape == v_ref.shape
             assert np.array_equal(t, t_ref)
             assert np.array_equal(mass, mass_ref)
-            scale = mass[:, None] if matmul else mass
-            assert np.all(np.abs(v - v_ref) <= 1e-12 * scale)
+            assert np.all(np.abs(v - v_ref) <= 1e-12 * mass[:, None])
+
+    @staticmethod
+    def paired_points(n, u, rho):
+        """The points rho_i (u_i, sqrt(1 - u_i^2), 0, ...) about the pole e_1,
+        and the cosines and radii they define, as the kernel computes them."""
+        pole = np.eye(n)[0]
+        dirs = np.zeros((u.shape[0], n))
+        dirs[:, 0], dirs[:, 1] = u, np.sqrt(1.0 - u**2)
+        points = rho[:, None] * dirs
+        norms = np.linalg.norm(points, axis=1)
+        with np.errstate(invalid="ignore"):
+            cos = points @ pole / np.where(norms > 0.0, norms, 1.0)
+        return pole, points, np.clip(np.where(norms > 0.0, cos, 1.0), -1.0, 1.0), norms
+
+    def assert_points_match(self, n, coeff, u, rho):
+        """Point evaluation, a grid diagonal, against the streamed paired sum."""
+        pole, points, u_pts, rho_pts = self.paired_points(n, u, rho)
+        values, tails, k_used = eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10)
+        want = streamed_reference(n, coeff, u_pts, [rho_pts], tol_rel=1e-10, matmul=False)
+        assert k_used == want[3]
+        assert values.shape == want[0][0].shape
+        assert np.array_equal(tails, want[1][0])
+        assert np.all(np.abs(values - want[0][0]) <= 1e-12 * want[2][0])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("coeff", COEFFS)
@@ -326,7 +348,7 @@ class TestTwoPassSum:
         rng = np.random.default_rng(n)
         u = repeated_u(rng, 60, 17)
         rho_sets = [np.array([0.0, 0.3, 0.9, 0.97]), np.array([0.5, 0.995])]
-        self.assert_matches(n, coeff, u, rho_sets, matmul=True)
+        self.assert_matches(n, coeff, u, rho_sets)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("coeff", COEFFS)
@@ -334,12 +356,12 @@ class TestTwoPassSum:
         rng = np.random.default_rng(10 + n)
         u = repeated_u(rng, 40, 9)
         rho = rng.uniform(0.0, 0.99, 40)
-        self.assert_matches(n, coeff, u, [rho], matmul=False)
+        self.assert_points_match(n, coeff, u, rho)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_wide_call_streams_the_columns(self, n):
         u = np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50)
-        self.assert_matches(n, self.COEFFS[0], u, [np.array([0.2, 0.7])], matmul=True)
+        self.assert_matches(n, self.COEFFS[0], u, [np.array([0.2, 0.7])])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_deep_sums_with_one_column_chunks(self, n, monkeypatch):
@@ -347,30 +369,34 @@ class TestTwoPassSum:
         monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 8)
         rng = np.random.default_rng(5)
         u = repeated_u(rng, 12, 5)
-        self.assert_matches(n, self.COEFFS[0], u, [np.array([0.999])], matmul=True)
-        self.assert_matches(n, self.COEFFS[0], u, [np.full(12, 0.999)], matmul=False)
+        self.assert_matches(n, self.COEFFS[0], u, [np.array([0.999])])
+        self.assert_points_match(n, self.COEFFS[0], u, np.full(12, 0.999))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_empty_units_and_empty_radius_sets(self, n):
         coeff = self.COEFFS[0]
-        self.assert_matches(n, coeff, np.zeros(0), [np.array([0.2, 0.5])], matmul=True)
-        self.assert_matches(n, coeff, np.array([0.1, 0.1, -0.4]), [np.zeros(0)], matmul=True)
-        self.assert_matches(n, coeff, np.zeros(0), [np.zeros(0)], matmul=False)
+        self.assert_matches(n, coeff, np.zeros(0), [np.array([0.2, 0.5])])
+        self.assert_matches(n, coeff, np.array([0.1, 0.1, -0.4]), [np.zeros(0)])
+        self.assert_points_match(n, coeff, np.zeros(0), np.zeros(0))
         grid = eval_coeff_series_grid(n, coeff, np.zeros((0, n)), np.eye(n)[0] * 0.5, [[0.2, 0.5]], tol_rel=1e-9)
         assert grid[0].shape == (2, 0)
         grid = eval_coeff_series_grid(n, coeff, np.eye(n)[[0, 1, 0]], np.eye(n)[0] * 0.5, [[]], tol_rel=1e-9)
         assert grid[0].shape == (0, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("matmul", [True, False])
-    def test_same_error_at_the_cap(self, n, matmul):
-        u = np.array([0.3, 0.3, 1.0])
-        rho_sets = [np.array([0.5, 0.9999, 0.2])]
-        args = (n, self.COEFFS[0], u, rho_sets)
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_same_error_at_the_cap(self, n, grid):
+        # grid: one product grid; otherwise the points u_i, rho_i paired off
+        coeff, u, rho = self.COEFFS[0], np.array([0.3, 0.3, 1.0]), np.array([0.5, 0.9999, 0.2])
+        if not grid:
+            pole, points, u, rho = self.paired_points(n, u, rho)
         with pytest.raises(NonConvergent) as want:
-            streamed_reference(*args, tol_rel=1e-10, kmax=3000, matmul=matmul)
+            streamed_reference(n, coeff, u, [rho], tol_rel=1e-10, kmax=3000, matmul=grid)
         with pytest.raises(NonConvergent) as got:
-            _series_sum(*args, tol_rel=1e-10, kmax=3000, matmul=matmul)
+            if grid:
+                _series_sum(n, coeff, u, [rho], tol_rel=1e-10, kmax=3000)
+            else:
+                eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10, kmax=3000)
         assert str(got.value) == str(want.value)
 
 

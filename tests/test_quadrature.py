@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grid_integrand
 from scipy.special import betaln
 
 from hball.errors import EvaluationFailure, NonConvergent
@@ -24,16 +25,26 @@ def radial_moment(n, gamma, j):
 
 
 ONE = lambda pts: np.ones(pts.shape[0])  # noqa: E731
+ONE_BALL = grid_integrand(ONE)
+ONE_SHELLS = grid_integrand(ONE, shells=True)
 
-# the shell walks, called as (grid, point integrand)
+# the shell walks, called as (grid, shell integrand)
 WALKS = {
     "integrate_shells": lambda d, g: integrate_shells(d, g, 0.0),
     "sup_norm_probe": lambda d, g: sup_norm_probe(g, 1.0, d),
 }
 
 
+# values that miss an (m, M) product grid, which must not broadcast
+WRONG_SHAPES = {
+    "column": lambda m, k: np.ones((m, 1)),
+    "flat": lambda m, k: np.ones(m * k),
+    "transposed": lambda m, k: np.ones((k, m)),
+}
+
+
 def failing_from_shell(j, exc):
-    """Point integrand equal to 1 that raises `exc` from shell j on (one call
+    """Shell integrand equal to 1 that raises `exc` from shell j on (one call
     per shell)."""
     calls = {"n": 0}
 
@@ -43,7 +54,7 @@ def failing_from_shell(j, exc):
             raise exc
         return np.ones(pts.shape[0])
 
-    return g
+    return grid_integrand(g, shells=True)
 
 
 class TestRadialRule:
@@ -116,16 +127,16 @@ class TestSphereRules:
 class TestIntegrateBall:
     def test_unit_mass(self):
         q = BallQuadrature.build(2, 0.0, 12)
-        assert integrate_ball(q, ONE) == pytest.approx(1.0, abs=1e-13)
+        assert integrate_ball(q, ONE_BALL) == pytest.approx(1.0, abs=1e-13)
 
     def test_weighted_mass_matches_constant(self):
         q = BallQuadrature.build(2, 1.0, 12)
-        assert integrate_ball(q, ONE) == pytest.approx(0.5, abs=1e-13)
+        assert integrate_ball(q, ONE_BALL) == pytest.approx(0.5, abs=1e-13)
 
     def test_radial_square_moment(self):
         q = BallQuadrature.build(2, 0.0, 12)
         g = lambda pts: (pts**2).sum(axis=1)  # noqa: E731
-        assert integrate_ball(q, g) == pytest.approx(0.5, abs=1e-13)
+        assert integrate_ball(q, grid_integrand(g)) == pytest.approx(0.5, abs=1e-13)
 
     def test_refinement_stability(self):
         def g(pts):
@@ -137,46 +148,54 @@ class TestIntegrateBall:
                 n, 0.5, 20,
                 radial_count=2 * q1.radial_nodes.shape[0], sphere_degree=41,
             )
-            assert abs(integrate_ball(q1, g) - integrate_ball(q2, g)) < 1e-8
+            g_grid = grid_integrand(g)
+            assert abs(integrate_ball(q1, g_grid) - integrate_ball(q2, g_grid)) < 1e-8
 
     def test_wraps_integrand_failures(self):
-        def bad(pts):
+        def bad(radii, units):
             raise RuntimeError("boom")
 
         q = BallQuadrature.build(2, 0.0, 8)
         with pytest.raises(EvaluationFailure):
             integrate_ball(q, bad)
 
+    @pytest.mark.parametrize("shape", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES))
+    def test_wrong_shape_is_an_evaluation_failure(self, shape):
+        q = BallQuadrature.build(2, 0.0, 8)
+        g = lambda radii, units: shape(radii.shape[0], units.shape[0])  # noqa: E731
+        with pytest.raises(EvaluationFailure, match="shape"):
+            integrate_ball(q, g)
+
     def test_shell_composite_mass(self):
         q = BallQuadrature.shell_composite(2, 1.0, depth=20)
-        assert integrate_ball(q, ONE) == pytest.approx(0.5, rel=1e-9)
+        assert integrate_ball(q, ONE_BALL) == pytest.approx(0.5, rel=1e-9)
 
 
 class TestShellIntegrals:
     def test_compactly_supported_indicator(self):
         d = shell_decomposition(2, 10)
         ind = lambda pts: ((pts**2).sum(axis=1) <= 0.25).astype(float)  # noqa: E731
-        si = integrate_shells(d, ind, 0.0)
+        si = integrate_shells(d, grid_integrand(ind, shells=True), 0.0)
         assert si.verdict == Verdict.FINITE
         assert si.total == pytest.approx(0.25, rel=1e-6)
         assert all(i == 0.0 for i in si.increments[1:])
 
     def test_unit_weight_total(self):
         d = shell_decomposition(2, 12)
-        si = integrate_shells(d, ONE, 0.0)
+        si = integrate_shells(d, ONE_SHELLS, 0.0)
         assert si.verdict == Verdict.FINITE
         assert si.total == pytest.approx(1.0, abs=1e-3)  # shells reach 1 - 2^-12
 
     def test_hyperbolic_volume_diverges(self):
         for n in (2, 3):
             d = shell_decomposition(n, 10)
-            si = integrate_shells(d, ONE, -float(n))
+            si = integrate_shells(d, ONE_SHELLS, -float(n))
             assert si.verdict == Verdict.DIVERGENT
 
     def test_divergent_increments_match_radial_oracle(self):
         # n = 2, weight -2: shell increment = 1/(1-b^2) - 1/(1-a^2)
         d = shell_decomposition(2, 10)
-        si = integrate_shells(d, ONE, -2.0)
+        si = integrate_shells(d, ONE_SHELLS, -2.0)
         for j in (2, 5, 9):
             a, b = 1 - 2.0**-j, 1 - 2.0 ** -(j + 1)
             want = 1.0 / (1 - b**2) - 1.0 / (1 - a**2)
@@ -185,7 +204,7 @@ class TestShellIntegrals:
     def test_partial_sums_monotone(self):
         d = shell_decomposition(3, 8)
         g = lambda pts: 1.0 + pts[:, 0] ** 2  # noqa: E731
-        si = integrate_shells(d, g, 0.5)
+        si = integrate_shells(d, grid_integrand(g, shells=True), 0.5)
         assert all(b >= a for a, b in zip(si.partial_sums, si.partial_sums[1:]))
 
 
@@ -193,14 +212,14 @@ class TestSupProbe:
     def test_constant_attains_sup_at_center(self):
         d = shell_decomposition(2, 10)
         c = lambda pts: np.full(pts.shape[0], 2.5)  # noqa: E731
-        probe = sup_norm_probe(c, 1.3, d)
+        probe = sup_norm_probe(grid_integrand(c, shells=True), 1.3, d)
         assert probe.sup == pytest.approx(2.5, rel=1e-12)
         assert probe.shell_maxima[0] == probe.sup
 
     def test_polynomial_maxima_vanish(self):
         d = shell_decomposition(2, 24)
         g = lambda pts: pts[:, 0] ** 2  # noqa: E731
-        probe = sup_norm_probe(g, 1.0, d)
+        probe = sup_norm_probe(grid_integrand(g, shells=True), 1.0, d)
         assert probe.shell_maxima[-1] < 1e-6 * max(probe.shell_maxima)
 
     @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
@@ -214,6 +233,14 @@ class TestSupProbe:
         d = shell_decomposition(2, 10)
         with pytest.raises(EvaluationFailure, match="shell 2"):
             walk(d, failing_from_shell(2, RuntimeError("broken integrand")))
+
+    @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
+    @pytest.mark.parametrize("shape", list(WRONG_SHAPES.values()), ids=list(WRONG_SHAPES))
+    def test_wrong_shape_is_an_evaluation_failure(self, walk, shape):
+        d = shell_decomposition(2, 4)
+        g = lambda d, j: shape(d.shells[j].nodes.shape[0], d.spheres[j].units.shape[0])  # noqa: E731
+        with pytest.raises(EvaluationFailure, match="shape"):
+            walk(d, g)
 
 
 class TestClassifier:

@@ -477,6 +477,13 @@ class TestMemo:
         gc.collect()
         assert ref() is None
 
+    def test_fields_refuse_a_foreign_grid(self):
+        # an equal grid built separately is still foreign: the cache is per grid
+        grid = shell_decomposition(2, 3)
+        field = spaces._derivative_field(constant(2), Bloch.standard(0.0).pair, grid)
+        with pytest.raises(ValueError, match="foreign grid"):
+            field.eval_shell(shell_decomposition(2, 3), 0)
+
 
 class TestBisectLookahead:
     """The lookahead bisection locates the same boundaries, bit for bit, as
