@@ -601,8 +601,9 @@ def run_levelset_characterization(cfg: ExperimentConfig) -> dict:
 
 
 def run_distance(cfg: ExperimentConfig) -> dict:
-    """Level-set distance estimates: zero for polynomials, strictly positive
-    and exponent-independent for the designated critical atom."""
+    """Level-set distance estimates: zero for polynomials and strictly
+    positive for the designated critical atom; the approximant rows check
+    that the membership boundary agrees across the exponent pair."""
     p0, p1 = cfg.parameters["p_pair"]
     combos = [
         (n, alpha)
@@ -631,8 +632,6 @@ def run_distance(cfg: ExperimentConfig) -> dict:
                     "bracket": [est.lower, est.upper],
                     "bloch_norm": est.bloch_norm,
                     "inconclusive_probes": est.inconclusive,
-                    "estimate_p0": est.value,
-                    "estimate_p1": est.value,
                     "agree": bool(ok),
                 }
             )

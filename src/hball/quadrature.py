@@ -13,6 +13,13 @@ Two complementary node families:
   monitoring, suprema and level sets, where the action concentrates near the
   boundary (and, for kernel atoms, near their poles).
 
+Every sphere rule also describes its nodes as `Rings`: great-circle arcs
+through the nodes, parametrized in the frame the rule's units are built
+from.  At n = 2 the one ring is the closed circle; at n = 3 the rings are
+the open meridians from the rule's pole.  Level-set code locates indicator
+boundaries along the rings and measures the runs between them exactly in
+the ring parameter.
+
 Integrands are evaluated on product grids of radii x directions, the
 tensor structure that makes kernel series affordable near the boundary:
 
@@ -45,6 +52,7 @@ from .special import check_dimension
 __all__ = [
     "BallQuadrature",
     "RadialShell",
+    "Rings",
     "ShellDecomposition",
     "ShellIntegral",
     "SphereRule",
@@ -81,45 +89,86 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True, eq=False)
+class Rings:
+    """A sphere rule's structured nodes as rings of directions.
+
+    Ring i passes through the nodes `index[i]` at the increasing parameters
+    `param`, in the directions cos t a[i] + sin t b[i] of the orthonormal
+    pair (a[i], b[i]).  A closed ring (n = 2, the circle) carries dt / 2 pi
+    over the period `span`; an open ring (n = 3, a meridian, t in [0, pi])
+    carries sin t dt / 2.  The surface measure is the mean over the rings.
+    """
+
+    index: np.ndarray
+    param: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    closed: bool
+
+    @property
+    def span(self) -> tuple[float, float]:
+        if self.closed:
+            return float(self.param[0]), float(self.param[0]) + 2.0 * np.pi
+        return 0.0, np.pi
+
+    def units(self, ring, t: np.ndarray) -> np.ndarray:
+        """Directions at the parameters `t` on ring `ring` (one index, or
+        one per parameter)."""
+        return np.cos(t)[:, None] * self.a[ring] + np.sin(t)[:, None] * self.b[ring]
+
+    def measure(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Measures of the arcs [lo, hi] of one ring."""
+        if self.closed:
+            return (hi - lo) / (2.0 * np.pi)
+        return 0.5 * (np.cos(lo) - np.cos(hi))
+
+
+@dataclass(frozen=True, eq=False)
 class SphereRule:
     """Nodes and weights for the normalized surface measure (weights sum to 1).
 
-    Zero-weight probe nodes may be appended so that suprema and indicator
-    samples see distinguished directions exactly.  The structural metadata
-    (`angles` for n = 2; `polar`, `azimuth`, `axis` for n = 3 product rules)
-    describes the leading `structured` nodes and lets level-set code locate
-    indicator boundaries between neighboring directions.
+    `rings` describes the leading, structured nodes as rings of directions,
+    so that level-set code can locate indicator boundaries between
+    neighboring nodes.  Zero-weight probe nodes may follow them, so that
+    suprema and indicator samples see distinguished directions exactly.
     """
 
     dimension: int
     units: np.ndarray
     weights: np.ndarray
     degree: int
-    structured: int = 0
-    angles: np.ndarray | None = None
-    polar: np.ndarray | None = None
-    azimuth: np.ndarray | None = None
-    axis: np.ndarray | None = None
+    rings: Rings
 
 
-def _circle_units(angles: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+def _circle_rings(angles: np.ndarray) -> Rings:
+    """The closed circle through the increasing `angles`."""
+    return Rings(
+        np.arange(angles.shape[0])[None, :], angles,
+        np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), closed=True,
+    )
+
+
+def _meridian_rings(polar, azimuth, axis, e1, e2) -> Rings:
+    """Meridians from `axis` at the `azimuth` angles of the frame (e1, e2),
+    through the nodes (polar p, azimuth q) numbered p * len(azimuth) + q."""
+    order = np.argsort(polar)
+    index = order[None, :] * azimuth.shape[0] + np.arange(azimuth.shape[0])[:, None]
+    b = np.cos(azimuth)[:, None] * e1 + np.sin(azimuth)[:, None] * e2
+    return Rings(index, polar[order], np.broadcast_to(axis, b.shape), b, closed=False)
 
 
 def sphere_rule(n: int, degree: int) -> SphereRule:
     """Product rule integrating spherical harmonics of degree 1..degree to 0.
 
     n = 2: uniform angular grid; n = 3: Gauss-Legendre in the polar cosine
-    times a uniform azimuth.
+    times a uniform azimuth, about the pole z with azimuth 0 at x.
     """
     n = check_dimension(n)
     if n == 2:
         m = max(int(degree) + 1, 8)
         angles = 2.0 * np.pi * np.arange(m) / m
-        return SphereRule(
-            2, _circle_units(angles), np.full(m, 1.0 / m), degree,
-            structured=m, angles=angles,
-        )
+        rings = _circle_rings(angles)
+        return SphereRule(2, rings.units(0, angles), np.full(m, 1.0 / m), degree, rings)
     if n == 3:
         ell = max((int(degree) + 2) // 2, 4)
         m = max(int(degree) + 1, 8)
@@ -135,11 +184,8 @@ def sphere_rule(n: int, degree: int) -> SphereRule:
             axis=1,
         )
         weights = np.repeat(wt * 0.5, m) / m
-        return SphereRule(
-            3, units, weights, degree,
-            structured=ell * m, polar=np.arccos(t), azimuth=phi,
-            axis=np.array([0.0, 0.0, 1.0]),
-        )
+        x, y, z = np.eye(3)
+        return SphereRule(3, units, weights, degree, _meridian_rings(np.arccos(t), phi, z, x, y))
     raise ValueError("sphere rules are implemented for n in {2, 3}")
 
 
@@ -178,16 +224,12 @@ def _focused_circle_rule(foci_angles, depth: int, base: int) -> SphereRule:
         bounds.add(math.remainder(phi, 2.0 * math.pi))
     part = _merge_bounds(bounds, -np.pi, np.pi)
     nodes, weights = _gl3_cells(part)
-    units = _circle_units(nodes)
-    weights = weights / (2.0 * np.pi)
-    structured = nodes.shape[0]
+    rings = _circle_rings(nodes)
     # probe nodes at the foci themselves
-    probes = _circle_units(np.asarray(list(foci_angles)))
-    units = np.vstack([units, probes]) if len(foci_angles) else units
-    weights = np.concatenate([weights, np.zeros(len(foci_angles))])
-    return SphereRule(
-        2, units, weights / weights.sum(), 0, structured=structured, angles=nodes
-    )
+    probes = np.asarray(foci_angles, dtype=float)
+    units = rings.units(0, np.concatenate([nodes, probes]))
+    weights = np.concatenate([weights / (2.0 * np.pi), np.zeros(len(probes))])
+    return SphereRule(2, units, weights / weights.sum(), 0, rings)
 
 
 def _frame(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,21 +249,12 @@ def _focused_polar_rule(axis: np.ndarray, depth: int, azimuth: int, base: int) -
     part = _merge_bounds(bounds, 0.0, np.pi)
     theta, wt = _gl3_cells(part)
     phi = 2.0 * np.pi * np.arange(azimuth) / azimuth
-    e1, e2 = _frame(axis)
-    dirs = (
-        np.cos(theta)[:, None, None] * axis[None, None, :]
-        + np.sin(theta)[:, None, None]
-        * (np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2)
-    )
-    units = dirs.reshape(-1, 3)
-    weights = np.repeat(0.5 * np.sin(theta) * wt, azimuth) / azimuth
-    structured = units.shape[0]
+    rings = _meridian_rings(theta, phi, axis, *_frame(axis))
+    units = rings.units(np.tile(np.arange(azimuth), len(theta)), np.repeat(theta, azimuth))
     units = np.vstack([units, axis[None, :]])
+    weights = np.repeat(0.5 * np.sin(theta) * wt, azimuth) / azimuth
     weights = np.concatenate([weights, [0.0]])
-    return SphereRule(
-        3, units, weights / weights.sum(), 0,
-        structured=structured, polar=theta, azimuth=phi, axis=axis,
-    )
+    return SphereRule(3, units, weights / weights.sum(), 0, rings)
 
 
 @dataclass(frozen=True, eq=False)

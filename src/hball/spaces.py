@@ -15,8 +15,9 @@ long as it does (`_memo` holds them weakly under it): derivative fields on
 shell grids, so node values are computed once, and the derivative tables of
 the reproducing integral on ball rules.  Grids belong to the caller; the
 experiments keep theirs for the life of the process.  Each level threshold
-still locates its own level-set boundaries by bisection, which evaluates the
-field between nodes.
+still locates its own level-set boundaries: it bisects every flip of the
+indicator between neighboring nodes along the rings of the shell's sphere
+rule (`quadrature.Rings`), which evaluates the field between nodes.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
 from .kernel import CoeffProduct, eval_coeff_series_grid
 from .quadrature import (
     BallQuadrature,
+    Rings,
     ShellDecomposition,
     ShellIntegral,
     SupProbe,
     Verdict,
-    _frame,
     integrate_ball,
     integrate_shells,
     shell_decomposition,
@@ -243,45 +244,11 @@ def _bisect_boundaries(
     return 0.5 * (lo + hi)
 
 
-def _runs_measure_circle(angles: np.ndarray, status: np.ndarray, cuts: dict) -> float:
-    """Normalized arc measure of the in-set on the circle.
-
-    `cuts` maps a gap index k (between sorted node k and k+1, cyclic) to the
-    located boundary angle; each cut flips the status once.
-    """
-    m = angles.shape[0]
-    if not cuts:
-        return 1.0 if status[0] else 0.0
-    ordered = sorted(cuts.items())
-    total = 0.0
-    # walk arcs between consecutive cuts; the arc starting at cut k carries
-    # the status of node k+1 (the first node after the boundary)
-    for idx, (k, a) in enumerate(ordered):
-        k2, a2 = ordered[(idx + 1) % len(ordered)]
-        width = (a2 - a) % (2.0 * np.pi)
-        if width == 0.0:
-            width = 2.0 * np.pi
-        if status[(k + 1) % m]:
-            total += width
-    return total / (2.0 * np.pi)
-
-
-def _runs_measure_polar(status: np.ndarray, cuts: dict) -> float:
-    """Normalized measure of the in-set on a polar great-circle ring.
-
-    Segment measures are exact in the cosine; `cuts` maps gap index to the
-    located polar angle.
-    """
-    if not cuts:
-        return 1.0 if status[0] else 0.0
-    bounds = [0.0] + [a for _, a in sorted(cuts.items())] + [np.pi]
-    total = 0.0
-    inside = bool(status[0])
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if inside:
-            total += 0.5 * (math.cos(a) - math.cos(b))
-        inside = not inside
-    return total
+def _runs_measure(rings: Rings, first_in: bool, cuts: np.ndarray) -> float:
+    """Measure of the in-set on one ring, whose indicator is `first_in` at
+    the start of the ring's span and flips at each of the increasing `cuts`."""
+    edges = np.concatenate([[rings.span[0]], cuts, [rings.span[1]]])
+    return float(rings.measure(edges[:-1], edges[1:])[int(not first_in) :: 2].sum())
 
 
 def _shell_level_measures(
@@ -292,85 +259,34 @@ def _shell_level_measures(
     eps: float,
 ) -> tuple[np.ndarray, int]:
     """Per-radius spherical measure of the level set on shell j, plus the
-    count of in-set grid nodes (the node-wise indicator samples)."""
+    count of in-set grid nodes (the node-wise indicator samples).
+
+    Each flip of the indicator between neighboring nodes of a ring (across
+    the wrap gap too, on a closed ring) is bisected along the ring to a
+    boundary; the measure per radius is the mean over the rings of their
+    in-set runs."""
     vals = field.eval_shell(grid, j)
-    shell, sph = grid.shells[j], grid.spheres[j]
+    shell, rings = grid.shells[j], grid.spheres[j].rings
     weighted = (1.0 - shell.nodes**2) ** exponent
-    status_full = weighted[:, None] * np.abs(vals) >= eps
-    count = int(status_full[:, : sph.structured].sum())
-    m_r = shell.nodes.shape[0]
-    measures = np.zeros(m_r)
-
-    if grid.dimension == 2:
-        order = np.argsort(sph.angles)
-        ang = sph.angles[order]
-        status = status_full[:, : sph.structured][:, order]
-        m = ang.shape[0]
-        nxt = np.roll(np.arange(m), -1)
-        r_idx, lo, hi, lo_in, keys = [], [], [], [], []
-        for i in range(m_r):
-            flip = np.nonzero(status[i] != status[i, nxt])[0]
-            for k in flip:
-                a, b = ang[k], ang[(k + 1) % m]
-                if (k + 1) % m == 0:
-                    b += 2.0 * np.pi
-                r_idx.append(i)
-                lo.append(a)
-                hi.append(b)
-                lo_in.append(status[i, k])
-                keys.append((i, int(k)))
-        if r_idx:
-            bounds = _bisect_boundaries(
-                field, shell.nodes, exponent, eps,
-                np.array(r_idx), np.array(lo), np.array(hi), np.array(lo_in),
-                lambda a: np.stack([np.cos(a), np.sin(a)], axis=1),
-            )
-        cuts_by_radius: list[dict] = [dict() for _ in range(m_r)]
-        for pos, (i, k) in enumerate(keys):
-            cuts_by_radius[i][k] = float(bounds[pos]) % (2.0 * np.pi)
-        for i in range(m_r):
-            measures[i] = _runs_measure_circle(ang, status[i], cuts_by_radius[i])
-        return measures, count
-
-    # n = 3: rings of constant azimuth about the rule's polar axis
-    order = np.argsort(sph.polar)
-    theta = sph.polar[order]
-    n_t, n_phi = sph.polar.shape[0], sph.azimuth.shape[0]
-    status = status_full[:, : sph.structured].reshape(m_r, n_t, n_phi)[:, order, :]
-    e1, e2 = _frame(sph.axis)
-
-    r_idx, lo, hi, lo_in, keys = [], [], [], [], []
-    for i in range(m_r):
-        flips = np.nonzero(status[i, :-1, :] != status[i, 1:, :])
-        for k, a in zip(*flips):
-            r_idx.append(i)
-            lo.append(theta[k])
-            hi.append(theta[k + 1])
-            lo_in.append(status[i, k, a])
-            keys.append((i, int(a), int(k)))
-    if r_idx:
-        phis = np.array([sph.azimuth[a] for _, a, _ in keys])
-
-        def unit_of(th):
-            return (
-                np.cos(th)[:, None] * sph.axis[None, :]
-                + np.sin(th)[:, None]
-                * (np.cos(phis)[:, None] * e1[None, :] + np.sin(phis)[:, None] * e2[None, :])
-            )
-
+    # indicator per (radius, ring, position)
+    status = weighted[:, None, None] * np.abs(vals[:, rings.index]) >= eps
+    flips = status != np.roll(status, -1, axis=2)
+    if not rings.closed:
+        flips[:, :, -1] = False
+    r_idx, ring, k = np.nonzero(flips)
+    ends = np.append(rings.param, rings.span[1])
+    bounds = np.empty(0)
+    if r_idx.size:
         bounds = _bisect_boundaries(
-            field, shell.nodes, exponent, eps,
-            np.array(r_idx), np.array(lo), np.array(hi), np.array(lo_in), unit_of,
+            field, shell.nodes, exponent, eps, r_idx, ends[k], ends[k + 1],
+            status[r_idx, ring, k], lambda t: rings.units(ring, t),
         )
-    cuts: list[list[dict]] = [[dict() for _ in range(n_phi)] for _ in range(m_r)]
-    for pos, (i, a, k) in enumerate(keys):
-        cuts[i][a][k] = float(bounds[pos])
-    for i in range(m_r):
-        ring = [
-            _runs_measure_polar(status[i, :, a], cuts[i][a]) for a in range(n_phi)
-        ]
-        measures[i] = float(np.mean(ring))
-    return measures, count
+    per_ring = np.split(bounds, np.cumsum(flips.sum(axis=2).ravel())[:-1])
+    measures = [
+        _runs_measure(rings, first_in, cuts)
+        for first_in, cuts in zip(status[:, :, 0].ravel(), per_ring)
+    ]
+    return np.reshape(measures, status.shape[:2]).mean(axis=1), int(status.sum())
 
 
 def _level_shell_integral(
@@ -568,12 +484,15 @@ def level_set(
     against (1-|x|^2)^weight_exponent dnu.
 
     The weighted magnitude equals (1-|x|^2)^(alpha+t) |D f|, so admissibility
-    requires alpha + t > 0.
+    requires alpha + t > 0.  epsilon must be positive (inf gives the empty
+    set) and weight_exponent finite, or ValueError is raised.
     """
     if not alpha + pair.t > 0.0:
         raise AdmissibilityError("level sets require alpha + t > 0")
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(weight_exponent):
+        raise ValueError("the weight exponent must be finite")
     field = _derivative_field(f, pair, grid)
     integral, counts = _level_shell_integral(
         field, grid, alpha + pair.t, epsilon, weight_exponent

@@ -124,6 +124,39 @@ class TestSphereRules:
                 )
 
 
+TILTED = (0.0, math.sqrt(0.5), math.sqrt(0.5))
+
+# the rules whose rings are checked: plain rules at two degrees each, and the
+# deepest shell's rule of focused decompositions
+RING_RULES = {
+    "circle-8": lambda: sphere_rule(2, 8),
+    "circle-40": lambda: sphere_rule(2, 40),
+    "sphere-8": lambda: sphere_rule(3, 8),
+    "sphere-20": lambda: sphere_rule(3, 20),
+    "circle-one-focus": lambda: shell_decomposition(2, 4, ((0.6, -0.8),)).spheres[-1],
+    "circle-two-foci": lambda: shell_decomposition(2, 4, ((1.0, 0.0), (-0.6, 0.8))).spheres[-1],
+    "sphere-tilted-focus": lambda: shell_decomposition(3, 4, (TILTED,)).spheres[-1],
+}
+
+
+class TestRings:
+    @pytest.mark.parametrize("rule", RING_RULES.values(), ids=RING_RULES.keys())
+    def test_rings_describe_the_structured_nodes(self, rule):
+        sph = rule()
+        rings = sph.rings
+        index = rings.index
+        # a permutation of the leading nodes; any others are zero-weight probes
+        assert np.array_equal(np.sort(index.ravel()), np.arange(index.size))
+        assert np.all(sph.weights[index.size :] == 0.0)
+        assert np.all(np.diff(rings.param) > 0.0)
+        for i in range(index.shape[0]):
+            assert np.abs(rings.units(i, rings.param) - sph.units[index[i]]).max() < 1e-14
+            assert np.allclose([rings.a[i] @ rings.a[i], rings.b[i] @ rings.b[i]], 1.0, atol=1e-14)
+            assert abs(rings.a[i] @ rings.b[i]) < 1e-14
+        # every ring has the same measure, and the surface measure is their mean
+        assert float(rings.measure(*rings.span)) == pytest.approx(1.0, abs=1e-14)
+
+
 class TestIntegrateBall:
     def test_unit_mass(self):
         q = BallQuadrature.build(2, 0.0, 12)

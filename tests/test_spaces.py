@@ -17,7 +17,7 @@ from hball.calculus import (
 )
 from hball.errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from hball.experiments import verification_family
-from hball.quadrature import BallQuadrature, Verdict, _frame, shell_decomposition
+from hball.quadrature import BallQuadrature, Verdict, shell_decomposition
 from hball.spaces import (
     BergmanBesov,
     Bloch,
@@ -246,16 +246,38 @@ class TestLevelSet:
             level_set(constant(2), 0.0, DiffPair(1.0, 0.0), 0.1,
                       default_shell_grid(constant(2)), -2.0)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_angular_measure_against_cap_closed_form(self, n):
-        # f = Z_1 with its pole on the grid's polar axis: the level set per
-        # radius is a symmetric pair of angular caps {|cos theta| >= c(r)}
-        # with exact measure 2 arccos(c)/pi (n = 2) or 1 - c (n = 3)
+    @pytest.mark.parametrize(
+        "epsilon, weight_exponent",
+        [(math.nan, -2.0), (0.0, -2.0), (-0.1, -2.0), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)],
+    )
+    def test_refuses_non_positive_epsilon_and_non_finite_weight(self, epsilon, weight_exponent):
+        one = constant(2)
+        with pytest.raises(ValueError):
+            level_set(one, 0.0, Bloch.standard(0.0).pair, epsilon,
+                      default_shell_grid(one, depth=8), weight_exponent)
+
+    @pytest.mark.parametrize(
+        "zeta",
+        [
+            pytest.param((1.0, 0.0), id="2"),
+            pytest.param((math.cos(1.0), math.sin(1.0)), id="2-tilted"),
+            pytest.param((0.0, 0.0, 1.0), id="3"),
+            pytest.param((math.sqrt(0.5), 0.0, math.sqrt(0.5)), id="3-tilted-xz"),
+            pytest.param((0.0, math.sqrt(0.5), math.sqrt(0.5)), id="3-tilted-yz"),
+        ],
+    )
+    def test_angular_measure_against_cap_closed_form(self, zeta):
+        # f = Z_1 with pole zeta: the level set per radius is a symmetric
+        # pair of angular caps {|cos theta| >= c(r)} about zeta with exact
+        # measure 2 arccos(c)/pi (n = 2) or 1 - c (n = 3).  On the unfocused
+        # grid a tilted pole lies off the rule's polar axis, so the caps cut
+        # the meridians obliquely; at n = 2 it puts cap boundaries in the
+        # circle's wrap gap at some radii.
         from scipy.integrate import quad
 
         from hball.kernel import gamma_ratio
 
-        zeta = (1.0, 0.0) if n == 2 else (0.0, 0.0, 1.0)
+        n = len(zeta)
         f = HarmonicExpansion(n, (ZonalTerm(1, zeta),))
         pair = DiffPair(1.0, 1.0)
         grid = default_shell_grid(f, depth=8)
@@ -500,7 +522,7 @@ class TestBisectLookahead:
         exponent = pair.t
         nodes = grid.shells[self.J].nodes
         weighted = (1.0 - nodes**2)[:, None] ** exponent * np.abs(field.eval_shell(grid, self.J))
-        return field, grid, nodes, exponent, 0.5 * float(weighted.max()), np.asarray(zeta)
+        return field, grid, exponent, 0.5 * float(weighted.max()), np.asarray(zeta)
 
     def level_brackets(self, monkeypatch, field, grid, exponent, eps):
         """The brackets the level-set measure hands to the bisection."""
@@ -517,23 +539,20 @@ class TestBisectLookahead:
         assert len(seen) == 1
         return seen[0]
 
-    def wide_brackets(self, field, nodes, exponent, eps, zeta):
-        """Brackets across the pole direction, where the indicator flips at
-        least twice: from -1 to 1 rad and from the pole once round to it."""
-        n = zeta.shape[0]
+    def wide_brackets(self, field, grid, exponent, eps, zeta):
+        """Brackets along ring 0 of shell J's rule across the pole direction,
+        where the indicator flips at least twice: from -1 to 1 rad and from
+        the pole once round to it."""
+        nodes, rings = grid.shells[self.J].nodes, grid.spheres[self.J].rings
+        # parameter 0 of ring 0 is the pole: the focused circle's angle 0 is
+        # zeta = (1, 0), and every meridian starts at its focus
+        assert np.allclose(rings.units(0, np.zeros(1)), zeta, atol=1e-15)
         i = nodes.shape[0] - 1
         r_idx = np.array([i, i])
         lo, hi = np.array([-1.0, 0.0]), np.array([1.0, 2.0 * np.pi])
-        if n == 2:
-            base = math.atan2(zeta[1], zeta[0])
 
-            def unit_of(a):
-                return np.stack([np.cos(base + a), np.sin(base + a)], axis=1)
-        else:
-            e1, _ = _frame(zeta)
-
-            def unit_of(th):
-                return np.cos(th)[:, None] * zeta[None, :] + np.sin(th)[:, None] * e1[None, :]
+        def unit_of(t):
+            return rings.units(0, t)
 
         # the indicator along each bracket, sampled densely
         lo_in = []
@@ -547,10 +566,10 @@ class TestBisectLookahead:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_one_step_per_call(self, n, monkeypatch):
-        field, grid, nodes, exponent, eps, zeta = self.critical_field(n)
+        field, grid, exponent, eps, zeta = self.critical_field(n)
         cases = [
             self.level_brackets(monkeypatch, field, grid, exponent, eps),
-            self.wide_brackets(field, nodes, exponent, eps, zeta),
+            self.wide_brackets(field, grid, exponent, eps, zeta),
         ]
         lo_in = np.concatenate([case[7] for case in cases])
         assert lo_in.any() and not lo_in.all()
