@@ -1,7 +1,9 @@
 """Command-line harness: run named verifications, emit JSON/CSV tables.
 
-Exit codes: 0 when every check passes, 1 on a hard disagreement, 2 when the
-only failures are inconclusive verdicts.
+Exit codes: 0 when every check passes, 1 on a hard disagreement or a refused
+config (one for another experiment, a shell depth below 1 or a tolerance that
+is not finite and positive), 2 when the only failures are inconclusive
+verdicts.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import click
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _check_config,
     default_config,
     report_to_csv,
     report_to_json,
@@ -44,6 +47,10 @@ def _load_config(name: str, config_path: str | None, shells: int | None, tol: fl
         cfg.shells = shells
     if tol is not None:
         cfg.tol = tol
+    try:
+        _check_config(cfg)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     return cfg
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 
@@ -129,10 +129,9 @@ class RegimeFit:
     verdict: RegimeVerdict
 
 
-# Shell grids for the life of the process.  The fields derived from a grid
+# Shell grids for the life of the process.  The derivative values on a grid
 # are memoized weakly under it (see `hball.spaces`), so keeping the grid is
-# what lets inclusion, levelset and distance runs in one process share its
-# derivative fields.
+# what lets inclusion, levelset and distance runs in one process share them.
 _GRIDS: dict = {}
 
 
@@ -214,10 +213,6 @@ def verification_family(n: int, alpha: float, seed: int = 0):
     return members, designated, zeta
 
 
-def _family_grid(n: int, zeta: tuple, depth: int):
-    return _grid(n, depth, (zeta,))
-
-
 def family_manifest(n_grid, alpha_grid, seed: int) -> dict:
     """JSON manifest of the fixed test family, embedded in reports so that
     formal runs pin exactly which functions and operator pairs were tested."""
@@ -234,15 +229,6 @@ def family_manifest(n_grid, alpha_grid, seed: int) -> dict:
                 for label, f, pair in members + [designated]
             ]
     return out
-
-
-def _with_family(cfg: ExperimentConfig) -> ExperimentConfig:
-    manifest = family_manifest(
-        cfg.parameters["n_grid"], cfg.parameters["alpha_grid"], cfg.seed
-    )
-    return ExperimentConfig(
-        cfg.name, {**cfg.parameters, "family": manifest}, cfg.seed, cfg.shells, cfg.tol
-    )
 
 
 # Declared output precision of computed report floats.  Series are certified
@@ -265,7 +251,7 @@ def _at_report_precision(value):
     return value
 
 
-def _report(experiment: str, cfg: ExperimentConfig, rows, disagreements: int, inconclusive: int, extra_pass: bool = True) -> dict:
+def _report(experiment: str, cfg: ExperimentConfig, rows, disagreements: int, inconclusive: int) -> dict:
     """Assemble and validate a report.  Every verdict and `agree` decision is
     made on the full-precision values before the rows are rounded to the
     declared precision; the config is echoed as given."""
@@ -274,7 +260,7 @@ def _report(experiment: str, cfg: ExperimentConfig, rows, disagreements: int, in
         "config": cfg.to_json_dict(),
         "rows": _at_report_precision(rows),
         "summary": {
-            "pass": bool(disagreements == 0 and extra_pass),
+            "pass": bool(disagreements == 0),
             "disagreements": int(disagreements),
             "inconclusive": int(inconclusive),
             "rows": len(rows),
@@ -282,6 +268,28 @@ def _report(experiment: str, cfg: ExperimentConfig, rows, disagreements: int, in
     }
     validate_report(report)
     return report
+
+
+def _family_report(name: str, cfg: ExperimentConfig, rows_of) -> dict:
+    """Report of an experiment on the fixed test family.
+
+    For each (n, alpha) of the config, in config order, `rows_of(n, alpha,
+    members, designated, grid)` gives the rows on the family's focused grid
+    (see `verification_family`).  A row whose `agree` is None counts as
+    inconclusive, one whose `agree` is False as a disagreement.  The echoed
+    config carries the family manifest.
+    """
+    n_grid, alpha_grid = cfg.parameters["n_grid"], cfg.parameters["alpha_grid"]
+    rows = []
+    for n in n_grid:
+        for alpha in alpha_grid:
+            members, designated, zeta = verification_family(n, alpha, cfg.seed)
+            rows += rows_of(n, alpha, members, designated, _grid(n, cfg.shells, (zeta,)))
+    inconclusive = sum(r["agree"] is None for r in rows)
+    disagreements = sum(r["agree"] is False for r in rows)
+    manifest = family_manifest(n_grid, alpha_grid, cfg.seed)
+    cfg = replace(cfg, parameters={**cfg.parameters, "family": manifest})
+    return _report(name, cfg, rows, disagreements, inconclusive)
 
 
 # --- kernel growth (weighted kernel integral trichotomy) ----------------------
@@ -430,7 +438,7 @@ def run_membership(cfg: ExperimentConfig) -> dict:
     s_grid = cfg.parameters["s_grid"]
     delta_grid = cfg.parameters["delta_grid"]
     zeta = _rotate((1.0,) + (0.0,) * (n - 1), cfg.seed)
-    grid = _family_grid(n, zeta, cfg.shells)
+    grid = _grid(n, cfg.shells, (zeta,))
     combos = [
         (p, s, delta) for p in p_grid for s in s_grid for delta in delta_grid
     ]
@@ -468,45 +476,33 @@ def run_membership(cfg: ExperimentConfig) -> dict:
 def run_inclusion_little_bloch(cfg: ExperimentConfig) -> dict:
     """Every family member with finite critical integral norm must have a
     decaying weighted derivative; the designated critical atom must not."""
-    combos = [
-        (n, alpha, p)
-        for n in cfg.parameters["n_grid"]
-        for alpha in cfg.parameters["alpha_grid"]
-        for p in cfg.parameters["p_grid"]
-    ]
 
-    def one(combo):
-        n, alpha, p = combo
-        members, designated, zeta = verification_family(n, alpha, cfg.seed)
-        grid = _family_grid(n, zeta, cfg.shells)
-        beta = p * alpha - n
+    def rows_of(n, alpha, members, designated, grid):
         rows = []
-        for label, f, pair in members + [designated]:
-            spec = BergmanBesov.standard(p, beta)
-            shell_report, norm_est = besov_norm_shells(f, spec, grid)
-            in_space = shell_report.verdict == Verdict.FINITE
-            decay = little_bloch_test(f, Bloch(alpha, pair), grid)
-            if shell_report.verdict == Verdict.INCONCLUSIVE or decay == DecayVerdict.INCONCLUSIVE:
-                agree = None
-            elif in_space:
-                agree = decay == DecayVerdict.DECAYING
-            else:
-                agree = decay == DecayVerdict.NON_DECAYING
-            rows.append(
-                {
-                    "n": n, "alpha": alpha, "p": p, "f": label,
-                    "norm_verdict": shell_report.verdict.value,
-                    "norm_estimate": norm_est if math.isfinite(norm_est) else None,
-                    "decay": decay.value,
-                    "agree": agree,
-                }
-            )
+        for p in cfg.parameters["p_grid"]:
+            spec = BergmanBesov.standard(p, p * alpha - n)
+            for label, f, pair in members + [designated]:
+                shell_report, norm_est = besov_norm_shells(f, spec, grid)
+                in_space = shell_report.verdict == Verdict.FINITE
+                decay = little_bloch_test(f, Bloch(alpha, pair), grid)
+                if shell_report.verdict == Verdict.INCONCLUSIVE or decay == DecayVerdict.INCONCLUSIVE:
+                    agree = None
+                elif in_space:
+                    agree = decay == DecayVerdict.DECAYING
+                else:
+                    agree = decay == DecayVerdict.NON_DECAYING
+                rows.append(
+                    {
+                        "n": n, "alpha": alpha, "p": p, "f": label,
+                        "norm_verdict": shell_report.verdict.value,
+                        "norm_estimate": norm_est if math.isfinite(norm_est) else None,
+                        "decay": decay.value,
+                        "agree": agree,
+                    }
+                )
         return rows
 
-    rows = [r for combo in combos for r in one(combo)]
-    inconclusive = sum(r["agree"] is None for r in rows)
-    disagreements = sum(r["agree"] is False for r in rows)
-    return _report("inclusion", _with_family(cfg), rows, disagreements, inconclusive)
+    return _family_report("inclusion", cfg, rows_of)
 
 
 # --- level-set characterizations ----------------------------------------------
@@ -523,78 +519,67 @@ def _stall_level(f: HarmonicExpansion, alpha: float, pair: DiffPair, grid) -> fl
 def run_levelset_characterization(cfg: ExperimentConfig) -> dict:
     """Level-set finiteness vs boundary decay, and the intersection-closure
     window (critical atom finite at weight beta - p alpha, divergent at -n)."""
-    combos = [
-        (n, alpha, p)
-        for n in cfg.parameters["n_grid"]
-        for alpha in cfg.parameters["alpha_grid"]
-        for p in cfg.parameters["p_grid"]
-    ]
     fractions = cfg.parameters["eps_fractions"]
 
-    def one(combo):
-        n, alpha, p = combo
-        members, designated, zeta = verification_family(n, alpha, cfg.seed)
-        grid = _family_grid(n, zeta, cfg.shells)
+    def rows_of(n, alpha, members, designated, grid):
         rows = []
-        for label, f, pair in members + [designated]:
-            norm = bloch_norm(f, Bloch(alpha, pair), grid)
-            decay = little_bloch_test(f, Bloch(alpha, pair), grid)
-            verdicts = {}
-            for frac in fractions:
-                rep = level_set(f, alpha, pair, frac * norm, grid, -float(n))
-                verdicts[str(frac)] = rep.verdict.value
-            row = {
-                "n": n, "alpha": alpha, "p": p, "f": label,
-                "decay": decay.value,
-                "bloch_norm": norm,
-                "levelset_weight": -float(n),
-                "verdicts": verdicts,
-            }
-            if label == designated[0]:
-                eps0 = _stall_level(f, alpha, pair, grid)
-                rep0 = level_set(f, alpha, pair, eps0, grid, -float(n))
-                row["anchored_epsilon"] = eps0
-                row["anchored_verdict"] = rep0.verdict.value
-            all_finite = all(v == Verdict.FINITE.value for v in verdicts.values())
-            any_div = any(v == Verdict.DIVERGENT.value for v in verdicts.values()) or (
-                row.get("anchored_verdict") == Verdict.DIVERGENT.value
-            )
-            if decay == DecayVerdict.INCONCLUSIVE or (not all_finite and not any_div):
-                row["agree"] = None
-            elif decay == DecayVerdict.DECAYING:
-                row["agree"] = all_finite
-            else:
-                row["agree"] = (not all_finite) and any_div
-            rows.append(row)
+        for p in cfg.parameters["p_grid"]:
+            for label, f, pair in members + [designated]:
+                norm = bloch_norm(f, Bloch(alpha, pair), grid)
+                decay = little_bloch_test(f, Bloch(alpha, pair), grid)
+                verdicts = {}
+                for frac in fractions:
+                    rep = level_set(f, alpha, pair, frac * norm, grid, -float(n))
+                    verdicts[str(frac)] = rep.verdict.value
+                row = {
+                    "n": n, "alpha": alpha, "p": p, "f": label,
+                    "decay": decay.value,
+                    "bloch_norm": norm,
+                    "levelset_weight": -float(n),
+                    "verdicts": verdicts,
+                }
+                if label == designated[0]:
+                    eps0 = _stall_level(f, alpha, pair, grid)
+                    rep0 = level_set(f, alpha, pair, eps0, grid, -float(n))
+                    row["anchored_epsilon"] = eps0
+                    row["anchored_verdict"] = rep0.verdict.value
+                all_finite = all(v == Verdict.FINITE.value for v in verdicts.values())
+                any_div = any(v == Verdict.DIVERGENT.value for v in verdicts.values()) or (
+                    row.get("anchored_verdict") == Verdict.DIVERGENT.value
+                )
+                if decay == DecayVerdict.INCONCLUSIVE or (not all_finite and not any_div):
+                    row["agree"] = None
+                elif decay == DecayVerdict.DECAYING:
+                    row["agree"] = all_finite
+                else:
+                    row["agree"] = (not all_finite) and any_div
+                rows.append(row)
 
-        # intersection-closure window: beta = p*alpha - 1, weight beta - p*alpha
-        label, f, _ = designated
-        t0 = float(n) + 1.0 - alpha
-        pair0 = DiffPair(alpha + t0, t0)
-        beta = p * alpha - 1.0
-        if not (alpha + t0 > n and beta + p * t0 > -1.0):
-            raise ValueError("window parameters violate their admissibility bounds")
-        eps0 = _stall_level(f, alpha, pair0, grid)
-        rep_window = level_set(f, alpha, pair0, eps0, grid, beta - p * alpha)
-        rep_hyper = level_set(f, alpha, pair0, eps0, grid, -float(n))
-        rows.append(
-            {
-                "n": n, "alpha": alpha, "p": p, "f": label,
-                "window": {"beta": beta, "t0": t0, "epsilon": eps0},
-                "verdict_window_weight": rep_window.verdict.value,
-                "verdict_hyperbolic": rep_hyper.verdict.value,
-                "agree": bool(
-                    rep_window.verdict == Verdict.FINITE
-                    and rep_hyper.verdict == Verdict.DIVERGENT
-                ),
-            }
-        )
+            # intersection-closure window: beta = p*alpha - 1, weight beta - p*alpha
+            label, f, _ = designated
+            t0 = float(n) + 1.0 - alpha
+            pair0 = DiffPair(alpha + t0, t0)
+            beta = p * alpha - 1.0
+            if not (alpha + t0 > n and beta + p * t0 > -1.0):
+                raise ValueError("window parameters violate their admissibility bounds")
+            eps0 = _stall_level(f, alpha, pair0, grid)
+            rep_window = level_set(f, alpha, pair0, eps0, grid, beta - p * alpha)
+            rep_hyper = level_set(f, alpha, pair0, eps0, grid, -float(n))
+            rows.append(
+                {
+                    "n": n, "alpha": alpha, "p": p, "f": label,
+                    "window": {"beta": beta, "t0": t0, "epsilon": eps0},
+                    "verdict_window_weight": rep_window.verdict.value,
+                    "verdict_hyperbolic": rep_hyper.verdict.value,
+                    "agree": bool(
+                        rep_window.verdict == Verdict.FINITE
+                        and rep_hyper.verdict == Verdict.DIVERGENT
+                    ),
+                }
+            )
         return rows
 
-    rows = [r for combo in combos for r in one(combo)]
-    inconclusive = sum(r["agree"] is None for r in rows)
-    disagreements = sum(r["agree"] is False for r in rows)
-    return _report("levelset", _with_family(cfg), rows, disagreements, inconclusive)
+    return _family_report("levelset", cfg, rows_of)
 
 
 # --- distance estimator ---------------------------------------------------------
@@ -605,19 +590,10 @@ def run_distance(cfg: ExperimentConfig) -> dict:
     positive for the designated critical atom; the approximant rows check
     that the membership boundary agrees across the exponent pair."""
     p0, p1 = cfg.parameters["p_pair"]
-    combos = [
-        (n, alpha)
-        for n in cfg.parameters["n_grid"]
-        for alpha in cfg.parameters["alpha_grid"]
-    ]
 
-    def one(combo):
-        n, alpha = combo
-        members, designated, zeta = verification_family(n, alpha, cfg.seed)
-        grid = _family_grid(n, zeta, cfg.shells)
-        picks = [members[0], members[2], designated]
+    def rows_of(n, alpha, members, designated, grid):
         rows = []
-        for label, f, pair in picks:
+        for label, f, pair in [members[0], members[2], designated]:
             est = distance_estimate(f, alpha, pair, grid)
             is_poly = label != designated[0]
             ok = (
@@ -649,9 +625,7 @@ def run_distance(cfg: ExperimentConfig) -> dict:
             )
         return rows
 
-    rows = [r for combo in combos for r in one(combo)]
-    disagreements = sum(r["agree"] is False for r in rows)
-    return _report("distance", _with_family(cfg), rows, disagreements, 0)
+    return _family_report("distance", cfg, rows_of)
 
 
 # --- identity battery -----------------------------------------------------------
@@ -834,10 +808,26 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
+    """Run experiment `name` on `cfg` (its default config when None).
+
+    Raises ValueError, before any work, for an unknown name, a shell depth
+    that is not an integer >= 1 or a tolerance that is not finite and
+    positive; the runners raise it for parameters they refuse.
+    """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     cfg = cfg if cfg is not None else default_config(name)
+    _check_config(cfg)
     return EXPERIMENTS[name](cfg)
+
+
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Raise ValueError unless the shell depth is an integer >= 1 and the
+    tolerance is finite and positive."""
+    if not isinstance(cfg.shells, int) or cfg.shells < 1:
+        raise ValueError(f"shells must be an integer >= 1, not {cfg.shells!r}")
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, not {cfg.tol!r}")
 
 
 def _schema() -> dict:

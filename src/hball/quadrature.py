@@ -266,9 +266,6 @@ class RadialShell:
     operation.  Zero-weight probe radii may be included.
     """
 
-    index: int
-    r_lo: float
-    r_hi: float
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -280,7 +277,6 @@ class ShellDecomposition:
     dimension: int
     shells: tuple[RadialShell, ...]
     spheres: tuple[SphereRule, ...]
-    foci: tuple[tuple[float, ...], ...]
 
     @property
     def depth(self) -> int:
@@ -318,7 +314,7 @@ def shell_decomposition(
         if j == 0:
             r = np.concatenate([[0.0], r])
             w = np.concatenate([[0.0], w])
-        shells.append(RadialShell(j, lo, hi, r, w))
+        shells.append(RadialShell(r, w))
         if not foci:
             spheres.append(sphere_rule(n, base_angular))
         elif n == 2:
@@ -328,7 +324,7 @@ def shell_decomposition(
             axis = np.asarray(foci[0], dtype=float)
             axis = axis / np.linalg.norm(axis)
             spheres.append(_focused_polar_rule(axis, j + _REFINE_EXTRA, azimuth, 8))
-    return ShellDecomposition(n, tuple(shells), tuple(spheres), foci)
+    return ShellDecomposition(n, tuple(shells), tuple(spheres))
 
 
 @dataclass(frozen=True, eq=False)

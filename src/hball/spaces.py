@@ -11,13 +11,15 @@ that characterize closure membership; the distance functional is estimated by
 bisecting the level threshold on that verdict.
 
 All operations are reentrant.  Values derived on a grid or rule live as
-long as it does (`_memo` holds them weakly under it): derivative fields on
-shell grids, so node values are computed once, and the derivative tables of
-the reproducing integral on ball rules.  Grids belong to the caller; the
+long as it does (`_memo` holds them weakly under it).  On a shell grid the
+derivative values are keyed by the derivative expansion itself and the shell
+(`_shell_values`), so equal derivatives, whatever function and operator pair
+they come from, are evaluated once per shell; on a ball rule the reproducing
+integral's derivative tables are kept.  Grids belong to the caller; the
 experiments keep theirs for the life of the process.  Each level threshold
 still locates its own level-set boundaries: it bisects every flip of the
 indicator between neighboring nodes along the rings of the shell's sphere
-rule (`quadrature.Rings`), which evaluates the field between nodes.
+rule (`quadrature.Rings`), which evaluates the derivative between nodes.
 """
 
 from __future__ import annotations
@@ -159,35 +161,18 @@ class LittleBloch(Bloch):
     """Boundary-vanishing subspace of the sup-norm space (same admissibility)."""
 
 
-class _ShellField:
-    """Grid-aware evaluations of a fixed expansion on a shell decomposition."""
-
-    def __init__(self, g: HarmonicExpansion, grid: ShellDecomposition, tol_rel: float):
-        self.g = g
-        # weak, so that a field memoized under its grid does not keep the grid alive
-        self._grid = weakref.ref(grid)
-        self.tol_rel = tol_rel
-        self._cache: dict[int, np.ndarray] = {}
-
-    def eval_shell(self, d: ShellDecomposition, j: int) -> np.ndarray:
-        if d is not self._grid():
-            raise ValueError("field evaluated on a foreign grid")
-        if j not in self._cache:
-            self._cache[j] = evaluate_grid(
-                self.g, d.shells[j].nodes, d.spheres[j].units, tol_rel=self.tol_rel
-            )
-        return self._cache[j]
-
-
 # Bisection steps per level-set boundary, and how many of them one series
 # call resolves: each call evaluates every midpoint the next _LOOKAHEAD steps
 # can visit, so _BISECT_STEPS // _LOOKAHEAD calls make all the steps.
 _BISECT_STEPS = 8
 _LOOKAHEAD = 4
+# Boundary location tolerates a much looser series tolerance than the shell
+# values themselves.
+_BISECT_TOL = 1e-5
 
 
 def _bisect_boundaries(
-    field: _ShellField,
+    g: HarmonicExpansion,
     shell_nodes: np.ndarray,
     exponent: float,
     eps: float,
@@ -208,16 +193,13 @@ def _bisect_boundaries(
     the dyadic tree of midpoints _LOOKAHEAD levels below every bracket in one
     call and then replays the _LOOKAHEAD lo/hi decisions on that table.  The
     tree's midpoints are formed by the same `0.5 * (lo + hi)` as halving one
-    step at a time, and the call keeps the full `shell_nodes` and the same
-    tolerance: the truncation degree depends only on the radii, so every
-    visited midpoint gets the value, and every decision the outcome, of a
-    bisection that evaluates one halving per call.
+    step at a time, and the call keeps the full `shell_nodes` and the one
+    tolerance _BISECT_TOL: the truncation degree depends only on the radii,
+    so every visited midpoint gets the value, and every decision the
+    outcome, of a bisection that evaluates one halving per call.
     """
     cols = np.arange(len(r_idx))
     weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
-    # boundary location tolerates a much looser series tolerance than the
-    # field values themselves
-    tol = max(field.tol_rel, 1e-5)
     for _ in range(_BISECT_STEPS // _LOOKAHEAD):
         # heap order: node i halves its bracket, whose lower and upper halves
         # are brackets of nodes 2i+1 and 2i+2
@@ -229,7 +211,7 @@ def _bisect_boundaries(
             mids.append(mid)
             brackets += [(a, mid), (mid, b)]
         units = np.concatenate([unit_of(mid) for mid in mids])
-        vals = evaluate_grid(field.g, shell_nodes, units, tol_rel=tol)
+        vals = evaluate_grid(g, shell_nodes, units, tol_rel=_BISECT_TOL)
         # (node, bracket) tables; each bracket keeps the row of its radius
         table = np.stack(mids)
         diag = vals[r_idx, np.arange(units.shape[0]).reshape(table.shape)]
@@ -252,7 +234,7 @@ def _runs_measure(rings: Rings, first_in: bool, cuts: np.ndarray) -> float:
 
 
 def _shell_level_measures(
-    field: _ShellField,
+    g: HarmonicExpansion,
     grid: ShellDecomposition,
     j: int,
     exponent: float,
@@ -265,7 +247,7 @@ def _shell_level_measures(
     the wrap gap too, on a closed ring) is bisected along the ring to a
     boundary; the measure per radius is the mean over the rings of their
     in-set runs."""
-    vals = field.eval_shell(grid, j)
+    vals = _shell_values(g, grid, j)
     shell, rings = grid.shells[j], grid.spheres[j].rings
     weighted = (1.0 - shell.nodes**2) ** exponent
     # indicator per (radius, ring, position)
@@ -278,7 +260,7 @@ def _shell_level_measures(
     bounds = np.empty(0)
     if r_idx.size:
         bounds = _bisect_boundaries(
-            field, shell.nodes, exponent, eps, r_idx, ends[k], ends[k + 1],
+            g, shell.nodes, exponent, eps, r_idx, ends[k], ends[k + 1],
             status[r_idx, ring, k], lambda t: rings.units(ring, t),
         )
     per_ring = np.split(bounds, np.cumsum(flips.sum(axis=2).ravel())[:-1])
@@ -290,7 +272,7 @@ def _shell_level_measures(
 
 
 def _level_shell_integral(
-    field: _ShellField,
+    g: HarmonicExpansion,
     grid: ShellDecomposition,
     exponent: float,
     epsilon: float,
@@ -300,7 +282,7 @@ def _level_shell_integral(
     `walk_shells`), with the per-shell in-set node counts."""
 
     def shell_term(j: int) -> tuple[float, int]:
-        measures, count = _shell_level_measures(field, grid, j, exponent, epsilon)
+        measures, count = _shell_level_measures(g, grid, j, exponent, epsilon)
         shell = grid.shells[j]
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
         return float(wr @ measures), count
@@ -322,10 +304,13 @@ def _memo(owner, key, make):
     return per_owner[key]
 
 
-def _derivative_field(
-    f: HarmonicExpansion, pair: DiffPair, grid: ShellDecomposition, tol_rel: float = REL_TOL
-) -> _ShellField:
-    return _memo(grid, (f, pair, tol_rel), lambda: _ShellField(apply_D(f, pair), grid, tol_rel))
+def _shell_values(g: HarmonicExpansion, grid: ShellDecomposition, j: int) -> np.ndarray:
+    """g on shell j's product grid at REL_TOL, memoized under the grid."""
+
+    def eval_shell():
+        return evaluate_grid(g, grid.shells[j].nodes, grid.spheres[j].units, tol_rel=REL_TOL)
+
+    return _memo(grid, (g, j), eval_shell)
 
 
 def default_shell_grid(f: HarmonicExpansion, depth: int | None = None) -> ShellDecomposition:
@@ -380,10 +365,8 @@ def besov_norm_shells(
     gamma = spec.alpha + spec.p * spec.pair.t
     if gamma <= -1.0:
         raise AdmissibilityError("alpha + p t must exceed -1")
-    field = _derivative_field(f, spec.pair, grid)
-    report = integrate_shells(
-        grid, lambda d, j: np.abs(field.eval_shell(d, j)) ** spec.p, gamma
-    )
+    g = apply_D(f, spec.pair)
+    report = integrate_shells(grid, lambda d, j: np.abs(_shell_values(g, d, j)) ** spec.p, gamma)
     va = weight_constant(f.dimension, spec.alpha).value
     scaled = ShellIntegral(
         tuple(i / va for i in report.increments),
@@ -407,8 +390,8 @@ def bloch_norm(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> f
 
 
 def _bloch_probe(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> SupProbe:
-    field = _derivative_field(f, spec.pair, grid)
-    return sup_norm_probe(field.eval_shell, spec.alpha + spec.pair.t, grid)
+    g = apply_D(f, spec.pair)
+    return sup_norm_probe(lambda d, j: _shell_values(g, d, j), spec.alpha + spec.pair.t, grid)
 
 
 def little_bloch_test(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> DecayVerdict:
@@ -493,9 +476,8 @@ def level_set(
         raise ValueError("epsilon must be positive")
     if not math.isfinite(weight_exponent):
         raise ValueError("the weight exponent must be finite")
-    field = _derivative_field(f, pair, grid)
     integral, counts = _level_shell_integral(
-        field, grid, alpha + pair.t, epsilon, weight_exponent
+        apply_D(f, pair), grid, alpha + pair.t, epsilon, weight_exponent
     )
     return LevelSetReport(alpha, pair, epsilon, weight_exponent, counts, integral)
 
@@ -510,9 +492,6 @@ class DistanceEstimate:
     upper: float
     bloch_norm: float
     inconclusive: int
-
-    def bracket_width(self) -> float:
-        return self.upper - self.lower
 
 
 def distance_estimate(
@@ -535,10 +514,10 @@ def distance_estimate(
     if norm == 0.0:
         return DistanceEstimate(0.0, 0.0, 0.0, 0.0, 0)
     n = f.dimension
-    field = _derivative_field(f, pair, grid)
+    g = apply_D(f, pair)
 
     def verdict(eps: float) -> Verdict:
-        integral, _ = _level_shell_integral(field, grid, alpha + pair.t, eps, -float(n))
+        integral, _ = _level_shell_integral(g, grid, alpha + pair.t, eps, -float(n))
         return integral.verdict
 
     lo, hi = 0.0, norm

@@ -1,6 +1,6 @@
 import numpy as np
 
-from hball.experiments import _family_grid, verification_family
+from hball.experiments import _grid, verification_family
 from hball.spaces import BergmanBesov, besov_norm_shells
 
 
@@ -29,7 +29,7 @@ def critical_atom_verdicts(cfg):
     for n in cfg.parameters["n_grid"]:
         for alpha in cfg.parameters["alpha_grid"]:
             _, (_, atom, _), zeta = verification_family(n, alpha, cfg.seed)
-            grid = _family_grid(n, zeta, cfg.shells)
+            grid = _grid(n, cfg.shells, (zeta,))
             for p in cfg.parameters["p_pair"]:
                 spec = BergmanBesov.standard(p, p * alpha - n)
                 verdicts[(n, alpha, p)] = besov_norm_shells(atom, spec, grid)[0].verdict

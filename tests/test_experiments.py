@@ -8,6 +8,7 @@ from conftest import critical_atom_verdicts
 
 from hball.cli import main
 from hball.experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     _at_report_precision,
     _report,
@@ -251,3 +252,26 @@ class TestCli:
         )
         assert result.exit_code == 0
         assert json.loads(out.read_text())["config"]["shells"] == 8
+
+    @pytest.mark.parametrize(
+        "option, value", [("shells", "0"), ("shells", "-2"), ("tol", "0"), ("tol", "nan"), ("tol", "inf")]
+    )
+    def test_invalid_shells_or_tol_refused_before_any_work(self, option, value, tmp_path, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(EXPERIMENTS, "membership", never)
+        cfg = small_config("membership")
+        setattr(cfg, option, int(value) if option == "shells" else float(value))
+        with pytest.raises(ValueError, match=option):
+            run_experiment("membership", cfg)
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config("membership").to_json_dict()))
+        out = tmp_path / "r.json"
+        result = CliRunner().invoke(
+            main, ["membership", "--config", str(cfg_path), "--out", str(out), f"--{option}={value}"]
+        )
+        assert result.exit_code == 1
+        assert f"Error: {option} must be" in result.output
+        assert not out.exists()

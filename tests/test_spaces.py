@@ -11,6 +11,7 @@ from hball.calculus import (
     HarmonicExpansion,
     KernelAtom,
     ZonalTerm,
+    apply_D,
     constant,
     evaluate,
     evaluate_grid,
@@ -303,10 +304,10 @@ class TestLevelSet:
         raising `exc`."""
         real = spaces._shell_level_measures
 
-        def failing(field, grid, j, exponent, eps):
+        def failing(g, grid, j, exponent, eps):
             if j >= j_fail:
                 raise exc
-            return real(field, grid, j, exponent, eps)
+            return real(g, grid, j, exponent, eps)
 
         monkeypatch.setattr(spaces, "_shell_level_measures", failing)
         one = constant(2)
@@ -475,13 +476,12 @@ class TestDistance:
         assert est.value > 0.01 * est.bloch_norm
 
 
-def _bisect_one_step_per_call(field, shell_nodes, exponent, eps, r_idx, lo, hi, lo_in, unit_of):
+def _bisect_one_step_per_call(g, shell_nodes, exponent, eps, r_idx, lo, hi, lo_in, unit_of):
     """Reference: eight halvings, one grid evaluation each."""
     weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
-    tol = max(field.tol_rel, 1e-5)
     for _ in range(8):
         mid = 0.5 * (lo + hi)
-        vals = evaluate_grid(field.g, shell_nodes, unit_of(mid), tol_rel=tol)
+        vals = evaluate_grid(g, shell_nodes, unit_of(mid), tol_rel=spaces._BISECT_TOL)
         mid_in = weight * np.abs(vals[r_idx, np.arange(len(r_idx))]) >= eps
         take_lo = mid_in == lo_in
         lo = np.where(take_lo, mid, lo)
@@ -492,19 +492,30 @@ def _bisect_one_step_per_call(field, shell_nodes, exponent, eps, r_idx, lo, hi, 
 class TestMemo:
     def test_fields_do_not_keep_their_grid_alive(self):
         grid = shell_decomposition(2, 3)
-        field = spaces._derivative_field(constant(2), Bloch.standard(0.0).pair, grid)
-        field.eval_shell(grid, 0)
+        spaces._shell_values(constant(2), grid, 0)
         ref = weakref.ref(grid)
-        del grid, field
+        del grid
         gc.collect()
         assert ref() is None
 
-    def test_fields_refuse_a_foreign_grid(self):
-        # an equal grid built separately is still foreign: the cache is per grid
-        grid = shell_decomposition(2, 3)
-        field = spaces._derivative_field(constant(2), Bloch.standard(0.0).pair, grid)
-        with pytest.raises(ValueError, match="foreign grid"):
-            field.eval_shell(shell_decomposition(2, 3), 0)
+    def test_equal_derivatives_share_their_shell_values(self, monkeypatch):
+        # D of a constant under either pair is the constant itself, so the
+        # second norm reuses every shell of the first
+        f = constant(2, 2.0)
+        assert apply_D(f, DiffPair(1.0, 1.0)) == apply_D(f, DiffPair(3.0, 3.0)) == f
+        depth = 4
+        grid = shell_decomposition(2, depth)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_grid(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "evaluate_grid", counted)
+        first = bloch_norm(f, Bloch(0.0, DiffPair(1.0, 1.0)), grid)
+        second = bloch_norm(f, Bloch(0.0, DiffPair(3.0, 3.0)), grid)
+        assert len(calls) == depth
+        assert first == pytest.approx(2.0) and second == pytest.approx(2.0)
 
 
 class TestBisectLookahead:
@@ -513,18 +524,18 @@ class TestBisectLookahead:
 
     J, SHELL_DEPTH = 3, 4
 
-    def critical_field(self, n):
-        """The critical atom's derivative field, and half its largest
-        weighted value on shell J as the level."""
+    def critical_derivative(self, n):
+        """The critical atom's derivative, and half its largest weighted
+        value on shell J as the level."""
         _, (_, f, pair), zeta = verification_family(n, 0.0)
         grid = shell_decomposition(n, self.SHELL_DEPTH, (zeta,))
-        field = spaces._derivative_field(f, pair, grid)
+        g = apply_D(f, pair)
         exponent = pair.t
         nodes = grid.shells[self.J].nodes
-        weighted = (1.0 - nodes**2)[:, None] ** exponent * np.abs(field.eval_shell(grid, self.J))
-        return field, grid, exponent, 0.5 * float(weighted.max()), np.asarray(zeta)
+        weighted = (1.0 - nodes**2)[:, None] ** exponent * np.abs(spaces._shell_values(g, grid, self.J))
+        return g, grid, exponent, 0.5 * float(weighted.max()), np.asarray(zeta)
 
-    def level_brackets(self, monkeypatch, field, grid, exponent, eps):
+    def level_brackets(self, monkeypatch, g, grid, exponent, eps):
         """The brackets the level-set measure hands to the bisection."""
         seen = []
         real = spaces._bisect_boundaries
@@ -535,11 +546,11 @@ class TestBisectLookahead:
 
         with monkeypatch.context() as m:
             m.setattr(spaces, "_bisect_boundaries", record)
-            spaces._shell_level_measures(field, grid, self.J, exponent, eps)
+            spaces._shell_level_measures(g, grid, self.J, exponent, eps)
         assert len(seen) == 1
         return seen[0]
 
-    def wide_brackets(self, field, grid, exponent, eps, zeta):
+    def wide_brackets(self, g, grid, exponent, eps, zeta):
         """Brackets along ring 0 of shell J's rule across the pole direction,
         where the indicator flips at least twice: from -1 to 1 rad and from
         the pole once round to it."""
@@ -558,18 +569,18 @@ class TestBisectLookahead:
         lo_in = []
         for b in range(2):
             path = np.linspace(lo[b], hi[b], 801)
-            vals = evaluate_grid(field.g, nodes[i : i + 1], unit_of(path), tol_rel=1e-9)[0]
+            vals = evaluate_grid(g, nodes[i : i + 1], unit_of(path), tol_rel=1e-9)[0]
             status = (1.0 - nodes[i] ** 2) ** exponent * np.abs(vals) >= eps
             assert np.count_nonzero(status[1:] != status[:-1]) >= 2
             lo_in.append(status[0])
-        return (field, nodes, exponent, eps, r_idx, lo, hi, np.array(lo_in), unit_of)
+        return (g, nodes, exponent, eps, r_idx, lo, hi, np.array(lo_in), unit_of)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_one_step_per_call(self, n, monkeypatch):
-        field, grid, exponent, eps, zeta = self.critical_field(n)
+        g, grid, exponent, eps, zeta = self.critical_derivative(n)
         cases = [
-            self.level_brackets(monkeypatch, field, grid, exponent, eps),
-            self.wide_brackets(field, grid, exponent, eps, zeta),
+            self.level_brackets(monkeypatch, g, grid, exponent, eps),
+            self.wide_brackets(g, grid, exponent, eps, zeta),
         ]
         lo_in = np.concatenate([case[7] for case in cases])
         assert lo_in.any() and not lo_in.all()
