@@ -518,62 +518,67 @@ def _stall_level(f: HarmonicExpansion, alpha: float, pair: DiffPair, grid) -> fl
 
 def run_levelset_characterization(cfg: ExperimentConfig) -> dict:
     """Level-set finiteness vs boundary decay, and the intersection-closure
-    window (critical atom finite at weight beta - p alpha, divergent at -n)."""
+    window (critical atom finite at weight beta - p alpha, divergent at -n).
+
+    Nothing but the window's admissibility depends on p: each row's norms,
+    verdicts and level sets are computed once per (n, alpha) and emitted
+    for every p of the config."""
     fractions = cfg.parameters["eps_fractions"]
 
     def rows_of(n, alpha, members, designated, grid):
+        member_rows = []
+        for label, f, pair in members + [designated]:
+            norm = bloch_norm(f, Bloch(alpha, pair), grid)
+            decay = little_bloch_test(f, Bloch(alpha, pair), grid)
+            verdicts = {}
+            for frac in fractions:
+                rep = level_set(f, alpha, pair, frac * norm, grid, -float(n))
+                verdicts[str(frac)] = rep.verdict.value
+            row = {
+                "decay": decay.value,
+                "bloch_norm": norm,
+                "levelset_weight": -float(n),
+                "verdicts": verdicts,
+            }
+            if label == designated[0]:
+                eps0 = _stall_level(f, alpha, pair, grid)
+                rep0 = level_set(f, alpha, pair, eps0, grid, -float(n))
+                row["anchored_epsilon"] = eps0
+                row["anchored_verdict"] = rep0.verdict.value
+            all_finite = all(v == Verdict.FINITE.value for v in verdicts.values())
+            any_div = any(v == Verdict.DIVERGENT.value for v in verdicts.values()) or (
+                row.get("anchored_verdict") == Verdict.DIVERGENT.value
+            )
+            if decay == DecayVerdict.INCONCLUSIVE or (not all_finite and not any_div):
+                row["agree"] = None
+            elif decay == DecayVerdict.DECAYING:
+                row["agree"] = all_finite
+            else:
+                row["agree"] = (not all_finite) and any_div
+            member_rows.append((label, row))
+
+        # intersection-closure window: beta = p*alpha - 1, so the weight
+        # beta - p*alpha is -1 at every p.  The designated pair has the window
+        # order t0 = n + 1 - alpha (`_atom_pair`), so the window's threshold
+        # and hyperbolic level set are the anchored eps0 and rep0 above.
+        label, f, pair0 = designated
+        t0 = pair0.t
+        rep_window = level_set(f, alpha, pair0, eps0, grid, -1.0)
         rows = []
         for p in cfg.parameters["p_grid"]:
-            for label, f, pair in members + [designated]:
-                norm = bloch_norm(f, Bloch(alpha, pair), grid)
-                decay = little_bloch_test(f, Bloch(alpha, pair), grid)
-                verdicts = {}
-                for frac in fractions:
-                    rep = level_set(f, alpha, pair, frac * norm, grid, -float(n))
-                    verdicts[str(frac)] = rep.verdict.value
-                row = {
-                    "n": n, "alpha": alpha, "p": p, "f": label,
-                    "decay": decay.value,
-                    "bloch_norm": norm,
-                    "levelset_weight": -float(n),
-                    "verdicts": verdicts,
-                }
-                if label == designated[0]:
-                    eps0 = _stall_level(f, alpha, pair, grid)
-                    rep0 = level_set(f, alpha, pair, eps0, grid, -float(n))
-                    row["anchored_epsilon"] = eps0
-                    row["anchored_verdict"] = rep0.verdict.value
-                all_finite = all(v == Verdict.FINITE.value for v in verdicts.values())
-                any_div = any(v == Verdict.DIVERGENT.value for v in verdicts.values()) or (
-                    row.get("anchored_verdict") == Verdict.DIVERGENT.value
-                )
-                if decay == DecayVerdict.INCONCLUSIVE or (not all_finite and not any_div):
-                    row["agree"] = None
-                elif decay == DecayVerdict.DECAYING:
-                    row["agree"] = all_finite
-                else:
-                    row["agree"] = (not all_finite) and any_div
-                rows.append(row)
-
-            # intersection-closure window: beta = p*alpha - 1, weight beta - p*alpha
-            label, f, _ = designated
-            t0 = float(n) + 1.0 - alpha
-            pair0 = DiffPair(alpha + t0, t0)
+            rows += [{"n": n, "alpha": alpha, "p": p, "f": lab, **row} for lab, row in member_rows]
             beta = p * alpha - 1.0
             if not (alpha + t0 > n and beta + p * t0 > -1.0):
                 raise ValueError("window parameters violate their admissibility bounds")
-            eps0 = _stall_level(f, alpha, pair0, grid)
-            rep_window = level_set(f, alpha, pair0, eps0, grid, beta - p * alpha)
-            rep_hyper = level_set(f, alpha, pair0, eps0, grid, -float(n))
             rows.append(
                 {
                     "n": n, "alpha": alpha, "p": p, "f": label,
                     "window": {"beta": beta, "t0": t0, "epsilon": eps0},
                     "verdict_window_weight": rep_window.verdict.value,
-                    "verdict_hyperbolic": rep_hyper.verdict.value,
+                    "verdict_hyperbolic": rep0.verdict.value,
                     "agree": bool(
                         rep_window.verdict == Verdict.FINITE
-                        and rep_hyper.verdict == Verdict.DIVERGENT
+                        and rep0.verdict == Verdict.DIVERGENT
                     ),
                 }
             )
@@ -765,12 +770,12 @@ def _reproduce_rows(cfg: ExperimentConfig) -> list[dict]:
             HarmonicExpansion(n, (KernelAtom(0.3, tuple(0.6 * c for c in _unit_vector(n, 4))),)),
         ]
         for f in fam:
-            for _ in range(probes):
-                x = rng.uniform(-1.0, 1.0, size=n)
+            xs = np.empty((probes, n))
+            for x in xs:
+                x[:] = rng.uniform(-1.0, 1.0, size=n)
                 x *= rng.uniform(0.0, 0.9) / max(np.linalg.norm(x), 1e-12)
-                got = reproduce(f, s, t, x, q)
-                want = evaluate(f, x, tol=1e-11)
-                worst = max(worst, abs(got - want))
+            for x, got in zip(xs, reproduce(f, s, t, xs, q)):
+                worst = max(worst, abs(float(got) - evaluate(f, x, tol=1e-11)))
         rows.append(
             {
                 "check": f"reproducing_formula_n{n}",

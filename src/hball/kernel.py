@@ -23,6 +23,12 @@ rows of each block come directly from products of unit phases, so they are
 summed inside pass 1; at n = 3 pass 2 sums against a Legendre table of
 degrees 0..K; at n >= 4, and in calls with more than _TABLE_MAX_U distinct
 u, the Gegenbauer recurrence streams inside pass 1.
+
+A third mode sums the series against a quadrature rule's weighted values
+for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes each
+point's K as above; the radial moments sum_i r_i^k weighted[i, j] are
+shared by the points, built a chunk of degrees at a time, and each point
+streams the recurrence through them with one dot product per degree.
 """
 
 from __future__ import annotations
@@ -66,6 +72,9 @@ _TABLE_MAX_U = 2048
 
 # Largest column chunk of the n = 3 Legendre table, in bytes.
 _TABLE_CHUNK_BYTES = 4 << 20
+
+# Degrees per chunk of the radial moments of `eval_coeff_series_rule_sum`.
+_MOMENT_ROWS = 64
 
 # Rows of one e^{i k0 theta} e^{i j theta} piece of an n = 2 table.
 _PIECE_ROWS = 512
@@ -211,42 +220,68 @@ class _ZonalAngular:
 
     n = 2 uses the Chebyshev recurrence (the Gegenbauer lambda -> 0 limit is
     singular); n >= 3 uses the Gegenbauer recurrence with lambda = (n-2)/2.
+    Each degree is one in-place step on three rolling buffers; `block`
+    copies the rows out and `dots` folds each row into a dot product.
     """
 
     def __init__(self, n: int, u: np.ndarray):
         self.n = n
-        self.u = np.asarray(u, dtype=float)
+        self._two_u = 2.0 * np.asarray(u, dtype=float)
         self.k = 0
-        self._p1 = None  # degree k-1 base polynomial
-        self._p2 = None  # degree k-2
+        m = self._two_u.shape[0]
+        self._p1 = np.empty(m)  # degree k-1 base polynomial
+        self._p2 = np.empty(m)  # degree k-2
+        self._free = np.empty(m)  # receives degree k
+
+    def _start(self, k0: int) -> None:
+        if k0 != self.k:
+            raise ValueError(f"the recurrence is at degree {self.k}, not {k0}")
+
+    def _step(self) -> tuple[np.ndarray, float]:
+        """Advance one degree k: (base, scale) with Q_k(u) = scale * base."""
+        n, k = self.n, self.k
+        lam = 0.5 * (n - 2)
+        base = self._free
+        if k == 0:
+            base.fill(1.0)
+        elif k == 1:
+            # u and 2 lam u, exactly
+            np.multiply(0.5 if n == 2 else lam, self._two_u, out=base)
+        elif n == 2:
+            np.multiply(self._two_u, self._p1, out=base)
+            base -= self._p2
+        else:
+            # (2 u (k+lam-1) p1 - (k+2lam-2) p2) / k, in this operation
+            # order; p2 is free after this step
+            np.multiply(self._two_u, k + lam - 1.0, out=base)
+            base *= self._p1
+            self._p2 *= k + 2.0 * lam - 2.0
+            base -= self._p2
+            base /= k
+        self._free, self._p2, self._p1 = self._p2, self._p1, base
+        self.k += 1
+        if k == 0:
+            return base, 1.0
+        return base, 2.0 if n == 2 else (2.0 * k + n - 2.0) / (n - 2.0)
 
     def block(self, k0: int, size: int) -> np.ndarray:
         """Rows k0 <= k < k0 + size of Q, shape (size, len(u)); the rows
         stream, so k0 is where the previous block ended."""
-        if k0 != self.k:
-            raise ValueError(f"the recurrence is at degree {self.k}, not {k0}")
-        n, u = self.n, self.u
-        m = u.shape[0]
-        out = np.empty((size, m))
-        lam = 0.5 * (n - 2)
-        for i, k in enumerate(range(self.k, self.k + size)):
-            if k == 0:
-                base = np.ones(m)
-            elif k == 1:
-                base = u.copy() if n == 2 else 2.0 * lam * u
-            else:
-                if n == 2:
-                    base = 2.0 * u * self._p1 - self._p2
-                else:
-                    base = (2.0 * u * (k + lam - 1.0) * self._p1 - (k + 2.0 * lam - 2.0) * self._p2) / k
-            self._p2, self._p1 = self._p1, base
-            if k == 0:
-                out[i] = 1.0
-            elif n == 2:
-                out[i] = 2.0 * base
-            else:
-                out[i] = ((2.0 * k + n - 2.0) / (n - 2.0)) * base
-        self.k += size
+        self._start(k0)
+        out = np.empty((size, self._two_u.shape[0]))
+        for row in out:
+            base, scale = self._step()
+            np.multiply(scale, base, out=row)
+        return out
+
+    def dots(self, k0: int, weights: np.ndarray) -> np.ndarray:
+        """sum_j Q_k(u_j) weights[k - k0, j] for the degrees k0 <= k <
+        k0 + len(weights), stepping the same stream as `block`."""
+        self._start(k0)
+        out = np.empty(weights.shape[0])
+        for i, row in enumerate(weights):
+            base, scale = self._step()
+            out[i] = scale * (base @ row)
         return out
 
 
@@ -324,10 +359,16 @@ def _powers(log_c: np.ndarray, kf: np.ndarray, log_rho: np.ndarray) -> np.ndarra
     return np.exp(log_c[None, :] + log_pow)
 
 
-def _legendre_pass(cols, log_c, log_rho, acc) -> None:
+def _log_radii(rho: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(rho, 0.0))
+
+
+def _legendre_pass(cols, log_c, rho, acc) -> None:
     """Pass 2 at n = 3: add the terms of degrees 0..K = len(log_c) - 1 to
     acc (radii x cols), against a Legendre table over `cols` built in column
     chunks of at most _TABLE_CHUNK_BYTES; c_k rho^k is recomputed per chunk."""
+    log_rho = _log_radii(rho)
     k_end = log_c.shape[0]
     width = max(1, _TABLE_CHUNK_BYTES // (8 * k_end))
     for c0 in range(0, cols.shape[0], width):
@@ -338,6 +379,75 @@ def _legendre_pass(cols, log_c, log_rho, acc) -> None:
             with np.errstate(over="ignore", under="ignore", invalid="ignore"):
                 p = _powers(log_c[k0 : k0 + kf.shape[0]], kf, log_rho)
             acc[:, c0:c1] += p @ q[k0 : k0 + kf.shape[0]]
+
+
+def _stack(rho_sets: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
+    """The rho sets stacked into one radius vector, and where each set sits."""
+    ends = np.cumsum([0] + [r.shape[0] for r in rho_sets])
+    return np.concatenate(rho_sets), [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+
+def _certified_degree(
+    n: int,
+    coeff: CoeffProduct,
+    rho: np.ndarray,
+    sets: list[slice],
+    *,
+    tol_abs: float,
+    tol_rel: float,
+    kmax: int,
+    min_terms: int,
+    on_block=None,
+):
+    """Pass 1 of a series sum: the last degree K that certifies every rho set.
+
+    Walks the degree blocks (64 rows, doubling to _BLOCK_MAX) on the
+    majorant c_k h_k rho^k and stops at the first block after which every
+    tail bound meets its tolerance; that block's last degree is K.  `rho`
+    is the rho sets stacked (`_stack`) and `sets` their slices.
+    `on_block(k0, size, log_c, p)` sees each block's log c_k and its
+    c_k rho^k, shape (len(rho), size).  Returns (tails, masses, K), one
+    tail and one mass vector per set.
+    """
+    if tol_abs <= 0.0 and tol_rel <= 0.0:
+        raise ValueError("a positive tol_abs or tol_rel is required")
+    rho_max = float(rho.max()) if rho.size else 0.0
+    if rho_max >= 1.0:
+        raise NonConvergent(f"series evaluated at |x||y| = {rho_max} >= 1")
+
+    log_rho = _log_radii(rho)
+    fracs = coeff.step_fractions(n) + _h_step_fractions(n)
+    masses = [np.zeros(sl.stop - sl.start) for sl in sets]
+
+    for k0, size in _degree_blocks(kmax):
+        kf = np.arange(k0, k0 + size, dtype=float)
+        log_c = coeff.log_values(n, kf)
+        h = np.exp(log_dim_spherical_harmonics(n, kf))
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            p = _powers(log_c, kf, log_rho)  # c_k rho^k, (radii, B)
+        if on_block is not None:
+            on_block(k0, size, log_c, p)
+        for i, sl in enumerate(sets):
+            masses[i] += p[sl] @ h
+
+        k_used = k0 + size - 1
+        if k_used < max(min_terms, 1):
+            continue
+        k1 = k_used + 1
+        ratio = _step_ratio_bound(fracs, k1)
+        log_first = float(coeff.log_values(n, np.array([float(k1)]))[0]) + float(
+            log_dim_spherical_harmonics(n, np.array([k1]))[0]
+        )
+        geo = rho * ratio
+        with np.errstate(over="ignore", under="ignore"):
+            head = np.exp(log_first + k1 * log_rho)
+            tail = np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
+        tails = [tail[sl] for sl in sets]
+        if all(np.all(t <= tol_abs + tol_rel * m) for t, m in zip(tails, masses)):
+            return tails, masses, k_used
+    raise NonConvergent(
+        f"series not certified within {kmax} terms (worst |x||y| = {rho_max})"
+    )
 
 
 def _series_sum(
@@ -359,11 +469,9 @@ def _series_sum(
     `masses` are the majorant sums sum c_k h_k rho^k used for relative
     tolerances and K is the last degree included.
 
-    Pass 1 walks the degree blocks (64 rows, doubling to _BLOCK_MAX) on the
-    majorant c_k h_k rho^k and stops at the first block after which every
-    tail bound meets its tolerance; that block's last degree is K.  The
-    values are summed against angular rows Q_k over the distinct u (exact
-    `np.unique`) and gathered back to the directions at the end:
+    Pass 1 (`_certified_degree`) fixes K on the majorant.  The values are
+    summed against angular rows Q_k over the distinct u (exact `np.unique`)
+    and gathered back to the directions at the end:
     - n = 2: `zonal_angular_table` gives the rows of each degree block
       directly, so they are summed inside pass 1 and there is no pass 2;
     - n = 3: pass 2 runs once K is known, against one Legendre table of
@@ -373,22 +481,8 @@ def _series_sum(
     inside pass 1 over its directions themselves, with no gather.  All rho
     sets share each degree block's matrix product.
     """
-    if tol_abs <= 0.0 and tol_rel <= 0.0:
-        raise ValueError("a positive tol_abs or tol_rel is required")
     u = np.asarray(u, dtype=float)
-    rho_sets = [np.asarray(r, dtype=float) for r in rho_sets]
-    rho_max = max((float(r.max()) if r.size else 0.0) for r in rho_sets)
-    if rho_max >= 1.0:
-        raise NonConvergent(f"series evaluated at |x||y| = {rho_max} >= 1")
-
-    # the rho sets stacked into one radius vector, and where each set sits
-    ends = np.cumsum([0] + [r.shape[0] for r in rho_sets])
-    sets = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
-    rho = np.concatenate(rho_sets)
-    with np.errstate(divide="ignore"):
-        log_rho = np.log(np.maximum(rho, 0.0))
-
-    fracs = coeff.step_fractions(n) + _h_step_fractions(n)
+    rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
 
     # the columns the angular rows are built on, and each u's column
     cols = np.unique(u)
@@ -405,44 +499,21 @@ def _series_sum(
         rows = _ZonalAngular(n, cols).block
 
     acc = np.zeros((rho.shape[0], cols.shape[0]))
-    masses = [np.zeros(r.shape[0]) for r in rho_sets]
     log_cs = []
 
-    for k0, size in _degree_blocks(kmax):
-        kf = np.arange(k0, k0 + size, dtype=float)
-        log_c = coeff.log_values(n, kf)
-        h = np.exp(log_dim_spherical_harmonics(n, kf))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            p = _powers(log_c, kf, log_rho)  # c_k rho^k, (radii, B)
+    def on_block(k0, size, log_c, p):
+        nonlocal acc
         if rows is None:
             log_cs.append(log_c)
         else:
             acc += p @ rows(k0, size)
-        for i, sl in enumerate(sets):
-            masses[i] += p[sl] @ h
 
-        k_used = k0 + size - 1
-        if k_used < max(min_terms, 1):
-            continue
-        k1 = k_used + 1
-        ratio = _step_ratio_bound(fracs, k1)
-        log_first = float(coeff.log_values(n, np.array([float(k1)]))[0]) + float(
-            log_dim_spherical_harmonics(n, np.array([k1]))[0]
-        )
-        geo = rho * ratio
-        with np.errstate(over="ignore", under="ignore"):
-            head = np.exp(log_first + k1 * log_rho)
-            tail = np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
-        tails = [tail[sl] for sl in sets]
-        if all(np.all(t <= tol_abs + tol_rel * m) for t, m in zip(tails, masses)):
-            break
-    else:
-        raise NonConvergent(
-            f"series not certified within {kmax} terms (worst |x||y| = {rho_max})"
-        )
-
+    tails, masses, k_used = _certified_degree(
+        n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax,
+        min_terms=min_terms, on_block=on_block,
+    )
     if rows is None:
-        _legendre_pass(cols, np.concatenate(log_cs), log_rho, acc)
+        _legendre_pass(cols, np.concatenate(log_cs), rho, acc)
     if gather:
         acc = np.take(acc, inv, axis=1)
     return [acc[sl] for sl in sets], tails, masses, k_used
@@ -538,6 +609,80 @@ def eval_coeff_series_points(
         min_terms=min_terms,
     )
     return np.diagonal(values[0]).copy(), tails[0], k_used
+
+
+def eval_coeff_series_rule_sum(
+    n: int,
+    coeff: CoeffProduct,
+    points,
+    radii,
+    units,
+    weighted,
+    *,
+    tol_rel: float,
+    kmax: int = KMAX_DEFAULT,
+):
+    """Rule sums sum_ij weighted[i, j] sum_k c_k Z_k(x, radii[i] units[j])
+    for each point x of a (P, n) stack.
+
+    Each point's series is cut at the degree K_x that pass 1 certifies for
+    `eval_coeff_series_grid(n, coeff, units, x, [radii])`, so the result is
+    that grid summed against `weighted`, in another order:
+
+        sum_{k <= K_x} c_k |x|^k sum_j Q_k(u_j) M_kj,
+        u_j = <x/|x|, units[j]>,  M_kj = sum_i radii[i]^k weighted[i, j].
+
+    The moments M do not depend on x.  They are built _MOMENT_ROWS degrees
+    at a time (fewer when a chunk of them would pass _TABLE_CHUNK_BYTES),
+    each chunk one (B x R) @ (R x M) product shared by every point, so no
+    (K+1) x M table is held.  Each point streams its own angular recurrence
+    through the chunks with one dot product per degree; the recurrence is
+    started at degree 0 and released after K_x.  The chunks do not depend
+    on the other points, nor does a point's value.  A point at the origin
+    keeps only the k = 0 term.  Returns (values, degrees), each of shape
+    (P,).
+    """
+    points = np.asarray(points, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    units = np.asarray(units, dtype=float)
+    weighted = np.asarray(weighted, dtype=float)
+    if points.ndim != 2 or points.shape[1] != units.shape[1]:
+        raise ValueError(f"points must have shape (P, {units.shape[1]})")
+    if weighted.shape != (radii.shape[0], units.shape[0]):
+        raise ValueError("weighted must have shape (len(radii), len(units))")
+    _require_finite("points", points)
+    _require_finite("radii", radii)
+    _require_finite("units", units)
+    _require_finite("weighted values", weighted)
+
+    x_units = np.zeros(points.shape)
+    norms = np.zeros(points.shape[0])
+    degrees = np.zeros(points.shape[0], dtype=int)
+    for p, x in enumerate(points):
+        x_units[p], norms[p] = _unit_and_norm(x)
+        if norms[p] > 0.0:
+            rho, sets = _stack([radii * norms[p]])
+            _, _, degrees[p] = _certified_degree(
+                n, coeff, rho, sets, tol_abs=0.0, tol_rel=tol_rel, kmax=kmax, min_terms=0
+            )
+
+    log_r, log_x = _log_radii(radii), _log_radii(norms)
+    rows = max(1, min(_MOMENT_ROWS, _TABLE_CHUNK_BYTES // (8 * max(units.shape[0], 1))))
+    angular = [None] * points.shape[0]
+    values = np.zeros(points.shape[0])
+    for k0 in range(0, degrees.max(initial=0) + 1, rows):
+        kf = np.arange(k0, k0 + rows, dtype=float)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            moments = _powers(np.zeros(rows), kf, log_r).T @ weighted
+            c_x = _powers(coeff.log_values(n, kf), kf, log_x)  # c_k |x|^k, (P, rows)
+        for p in np.flatnonzero(degrees >= k0):
+            if k0 == 0:
+                angular[p] = _ZonalAngular(n, np.clip(units @ x_units[p], -1.0, 1.0))
+            m = min(rows, degrees[p] - k0 + 1)
+            values[p] += c_x[p, :m] @ angular[p].dots(k0, moments[:m])
+            if degrees[p] < k0 + rows:
+                angular[p] = None  # past K_x: release its buffers
+    return values, degrees
 
 
 @dataclass(frozen=True)

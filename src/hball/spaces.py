@@ -34,7 +34,7 @@ from scipy.special import betaln
 
 from .calculus import DiffPair, HarmonicExpansion, apply_D, evaluate_grid
 from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
-from .kernel import CoeffProduct, eval_coeff_series_grid
+from .kernel import CoeffProduct, eval_coeff_series_rule_sum
 from .quadrature import (
     BallQuadrature,
     Rings,
@@ -627,6 +627,22 @@ def _rule_derivative(
     )
 
 
+def _rule_integral(
+    q: BallQuadrature, kernel_s: float, x, values: np.ndarray, volume: float, tol_rel: float
+):
+    """(1/volume) times the rule sum of R_s(x, .) against `values` on the
+    rule's product grid: a float for one point x of shape (n,), a (P,)
+    array for a stack of shape (P, n)."""
+    x = np.asarray(x, dtype=float)
+    weighted = q.radial_weights[:, None] * values * q.sphere.weights
+    sums, _ = eval_coeff_series_rule_sum(
+        q.dimension, CoeffProduct.kernel(kernel_s), np.atleast_2d(x), q.radial_nodes,
+        q.units, weighted, tol_rel=tol_rel,
+    )
+    sums = sums / volume
+    return float(sums[0]) if x.ndim == 1 else sums
+
+
 def reproduce(
     f: HarmonicExpansion,
     s: float,
@@ -635,26 +651,26 @@ def reproduce(
     q: BallQuadrature,
     *,
     tol_rel: float = 1e-9,
-) -> float:
+):
     """Integral representation (1/V_{s+t}) int R_s(x, y) (1-|y|^2)^{s+t}
     (D f)(y) dnu(y); equals f(x) for f in a sup-norm space of weight alpha
     with s > alpha - 1 and alpha + t > 0.
 
-    Derivative values on the rule's grid are cached per (rule, f, s, t), so
-    sweeping probe points costs one kernel evaluation each.
+    `x` is one point of shape (n,), giving a float, or a stack of shape
+    (P, n), giving a (P,) array.  Derivative values on the rule's grid are
+    cached per (rule, f, s, t), and the points of a stack share the radial
+    moments of the kernel series (`kernel.eval_coeff_series_rule_sum`), so
+    a stack of probes costs one moment table plus one angular recurrence
+    per point.
     """
     gamma = s + t
     if abs(q.gamma - gamma) > 1e-9:
         raise AdmissibilityError(
             f"quadrature weight {q.gamma} does not match s + t = {gamma}"
         )
-    x = np.asarray(x, dtype=float)
     gv = _rule_derivative(f, s, t, q, tol_rel)
-    kv = eval_coeff_series_grid(
-        f.dimension, CoeffProduct.kernel(s), q.units, x, [q.radial_nodes], tol_rel=tol_rel
-    )[0]
     v = weight_constant(f.dimension, gamma).value
-    return float(q.radial_weights @ (kv * gv) @ q.sphere.weights) / v
+    return _rule_integral(q, s, x, gv, v, tol_rel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -662,7 +678,8 @@ class SplitResult:
     """Level-set splitting f = f1 + f2 of the reproducing integral.
 
     f1 integrates over the epsilon-level-set nodes, f2 over the complement;
-    both are quadrature-backed callables on single points.  d_f1 / d_f2
+    both are quadrature-backed callables that, like `reproduce`, take one
+    point (n,) or a stack of points (P, n).  d_f1 / d_f2
     evaluate the order-t derivative images (kernel shifted under the
     integral sign).  f2_weighted_sup is the measured sup over the probe
     points of (1-|x|^2)^(alpha+t) |D f2|, to be compared against epsilon.
@@ -703,12 +720,8 @@ def split(
     mask = (w_boundary[:, None] * np.abs(gv)) >= epsilon
     v = weight_constant(n, s + t).value
 
-    def _integral(x, kernel_s: float, masked: np.ndarray) -> float:
-        kv = eval_coeff_series_grid(
-            n, CoeffProduct.kernel(kernel_s), q.units, np.asarray(x, float),
-            [q.radial_nodes], tol_rel=tol_rel,
-        )[0]
-        return float(q.radial_weights @ (kv * gv * masked) @ q.sphere.weights) / v
+    def _integral(x, kernel_s: float, masked: np.ndarray):
+        return _rule_integral(q, kernel_s, x, gv * masked, v, tol_rel)
 
     f1 = lambda x: _integral(x, s, mask)  # noqa: E731
     f2 = lambda x: _integral(x, s, ~mask)  # noqa: E731
@@ -719,8 +732,9 @@ def split(
         pole = np.zeros(n)
         pole[0] = 1.0
         probes = np.array([r * pole for r in (0.0, 0.3, 0.6, 0.8, 0.9)])
+    probes = np.asarray(probes, dtype=float).reshape(-1, n)
     sup = 0.0
-    for xp in probes:
+    for xp, d in zip(probes, d_f2(probes)):
         r2 = float(np.dot(xp, xp))
-        sup = max(sup, (1.0 - r2) ** (alpha + t) * abs(d_f2(xp)))
+        sup = max(sup, (1.0 - r2) ** (alpha + t) * abs(d))
     return SplitResult(epsilon, f1, f2, d_f1, d_f2, sup, probes)

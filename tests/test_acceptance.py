@@ -129,9 +129,9 @@ def test_criterion_02_reproducing_formula():
             x = rng.normal(size=n)
             x *= rng.uniform(0.0, 0.9) / max(np.linalg.norm(x), 1e-12)
             probes.append(x)
+        probes = np.array(probes)
         for f in family:
-            for x in probes:
-                got = reproduce(f, s, t, x, q)
+            for x, got in zip(probes, reproduce(f, s, t, probes, q)):
                 want = evaluate(f, x, tol=1e-11)
                 worst = max(worst, abs(got - want))
     elapsed = time.monotonic() - start

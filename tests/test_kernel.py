@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import points_at_norms, rule_sum_reference
+
 from hball.errors import NonConvergent
 from hball.kernel import (
     _BLOCK_MAX,
@@ -14,8 +16,10 @@ from hball.kernel import (
     _h_step_fractions,
     _series_sum,
     _step_ratio_bound,
+    _ZonalAngular,
     eval_coeff_series_grid,
     eval_coeff_series_points,
+    eval_coeff_series_rule_sum,
     gamma_coeff,
     gamma_ratio,
     kernel_eval,
@@ -398,6 +402,102 @@ class TestTwoPassSum:
             else:
                 eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10, kmax=3000)
         assert str(got.value) == str(want.value)
+
+
+class TestStreamedRecurrence:
+    """`_ZonalAngular` steps in place on rolling buffers; its rows are the
+    per-degree loop's bit for bit, and `dots` folds the same rows."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_equal_the_loop(self, n):
+        rng = np.random.default_rng(20 + n)
+        u = repeated_u(rng, 300, 280)
+        stream, state = _ZonalAngular(n, u), [None, None]
+        for k0, size in [(0, 1), (1, 1), (2, 64), (66, 200)]:
+            assert np.array_equal(stream.block(k0, size), recurrence_rows(n, u, k0, size, state))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dots_fold_the_rows(self, n):
+        rng = np.random.default_rng(30 + n)
+        u = repeated_u(rng, 300, 280)
+        weights = rng.normal(size=(130, u.shape[0]))
+        rows = _ZonalAngular(n, u).block(0, 130)
+        stream = _ZonalAngular(n, u)
+        got = np.concatenate([stream.dots(0, weights[:64]), stream.dots(64, weights[64:])])
+        want = np.einsum("kj,kj->k", rows, weights)
+        scale = np.abs(rows) @ np.abs(weights).T
+        assert np.all(np.abs(got - want) <= 1e-13 * np.diagonal(scale))
+        with pytest.raises(ValueError, match="at degree 130"):
+            stream.dots(0, weights[:1])
+
+
+class TestRuleSum:
+    """Sums against radial moments shared by the points: the same degree as
+    each point's own grid series and the same value within 1e-12 of its
+    mass."""
+
+    COEFFS = TestTwoPassSum.COEFFS
+
+    @staticmethod
+    def rule(n, seed, m=150, r=12):
+        rng = np.random.default_rng(seed)
+        radii = np.append(np.sort(rng.uniform(0.0, 0.999, r - 1)), 0.999)
+        units = rng.normal(size=(m, n))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        return rng, radii, units, rng.normal(size=(r, m))
+
+    def assert_matches(self, n, coeff, points, radii, units, weighted):
+        values, degrees = eval_coeff_series_rule_sum(
+            n, coeff, points, radii, units, weighted, tol_rel=1e-9
+        )
+        assert values.shape == degrees.shape == (points.shape[0],)
+        for x, v, k in zip(points, values, degrees):
+            want, mass, k_want = rule_sum_reference(n, coeff, x, radii, units, weighted, 1e-9)
+            assert k == k_want
+            assert abs(v - want) <= 1e-12 * mass
+        return degrees
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("coeff", COEFFS)
+    def test_stack_with_the_origin_across_three_degree_blocks(self, n, coeff):
+        rng, radii, units, weighted = self.rule(n, 40 + n)
+        points = points_at_norms(rng, n, [0.3, 0.93, 0.0, 0.8, 0.5, 0.93])
+        degrees = self.assert_matches(n, coeff, points, radii, units, weighted)
+        assert sorted(set(degrees)) == [0, 63, 191, 447]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_boundary_product_raises_as_the_grid_does(self, n):
+        _, radii, units, weighted = self.rule(n, 9)
+        radii[-1] = 1.0
+        x = np.eye(n)[:2] * np.array([[0.5], [1.0]])
+        with pytest.raises(NonConvergent) as want:
+            eval_coeff_series_grid(n, self.COEFFS[0], units, x[1], [radii], tol_rel=1e-9)
+        with pytest.raises(NonConvergent) as got:
+            eval_coeff_series_rule_sum(n, self.COEFFS[0], x, radii, units, weighted, tol_rel=1e-9)
+        assert str(got.value) == str(want.value)
+
+    def test_same_error_at_the_cap(self):
+        _, radii, units, weighted = self.rule(2, 10)
+        x = np.array([[0.3, 0.0], [0.999, 0.0]])
+        with pytest.raises(NonConvergent) as want:
+            eval_coeff_series_grid(2, self.COEFFS[0], units, x[1], [radii], tol_rel=1e-10, kmax=3000)
+        with pytest.raises(NonConvergent) as got:
+            eval_coeff_series_rule_sum(2, self.COEFFS[0], x, radii, units, weighted, tol_rel=1e-10, kmax=3000)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_and_misshapen_inputs(self):
+        _, radii, units, weighted = self.rule(2, 11)
+        coeff = self.COEFFS[0]
+        with pytest.raises(ValueError, match="finite"):
+            eval_coeff_series_rule_sum(2, coeff, np.array([[np.nan, 0.1]]), radii, units, weighted, tol_rel=1e-9)
+        bad = weighted.copy()
+        bad[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            eval_coeff_series_rule_sum(2, coeff, np.zeros((1, 2)), radii, units, bad, tol_rel=1e-9)
+        with pytest.raises(ValueError, match="shape"):
+            eval_coeff_series_rule_sum(2, coeff, np.zeros(2), radii, units, weighted, tol_rel=1e-9)
+        with pytest.raises(ValueError, match="shape"):
+            eval_coeff_series_rule_sum(2, coeff, np.zeros((1, 2)), radii, units, weighted.T, tol_rel=1e-9)
 
 
 class TestAngularTable:

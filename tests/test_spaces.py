@@ -5,6 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import points_at_norms, rule_sum_reference
+
 import hball.spaces as spaces
 from hball.calculus import (
     DiffPair,
@@ -18,6 +20,7 @@ from hball.calculus import (
 )
 from hball.errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from hball.experiments import verification_family
+from hball.kernel import CoeffProduct
 from hball.quadrature import BallQuadrature, Verdict, shell_decomposition
 from hball.spaces import (
     BergmanBesov,
@@ -409,6 +412,38 @@ class TestReproduce:
             evaluate(f, np.zeros(n)), abs=1e-9
         )
 
+    @staticmethod
+    def assert_rule_sums(q, kernel_s, points, values, got):
+        """`got` against the per-point grid sum of the kernel series over the
+        rule, within 1e-12 of its mass."""
+        weighted = q.radial_weights[:, None] * values * q.sphere.weights
+        v = weight_constant(q.dimension, q.gamma).value
+        degrees = []
+        for x, g in zip(points, got):
+            want, mass, k = rule_sum_reference(
+                q.dimension, CoeffProduct.kernel(kernel_s), x, q.radial_nodes, q.units,
+                weighted, 1e-9,
+            )
+            assert abs(g - want / v) <= 1e-12 * mass / v
+            degrees.append(k)
+        return degrees
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_stack_is_the_per_point_grid_sum(self, n):
+        s, t = 0.5, 1.0
+        q = reproducing_rule(n, s, t)
+        e = np.eye(n)
+        f = HarmonicExpansion(n, (KernelAtom(0.3, tuple(0.6 * e[1])), ZonalTerm(2, tuple(e[0]), 0.7)))
+        points = points_at_norms(np.random.default_rng(n), n, [0.0, 0.3, 0.8, 0.9])
+        got = reproduce(f, s, t, points, q)
+        assert got.shape == (4,)
+        gv = spaces._rule_derivative(f, s, t, q, 1e-9)
+        assert self.assert_rule_sums(q, s, points, gv, got) == [0, 63, 191, 447]
+        for x, g in zip(points, got):
+            one = reproduce(f, s, t, x, q)
+            assert isinstance(one, float) and one == g
+            assert one == pytest.approx(evaluate(f, x), abs=1e-6)
+
     def test_requires_matching_rule(self):
         q = BallQuadrature.build(2, 0.7, 16)
         with pytest.raises(AdmissibilityError):
@@ -435,6 +470,26 @@ class TestSplit:
         for x in ([0.0, 0.0], [0.4, -0.3], [0.8, 0.1]):
             assert res.f1(x) + res.f2(x) == pytest.approx(1.0, abs=1e-6)
         assert res.f2_weighted_sup <= 0.5 * 3.0  # C * eps with a small constant
+
+    def test_parts_on_a_stack_are_masked_grid_sums(self):
+        n, alpha, pair = 2, 0.0, DiffPair(1.0, 1.0)
+        f = HarmonicExpansion(n, (KernelAtom(0.3, (0.0, 0.6)),))
+        q = reproducing_rule(n, pair.s, pair.t)
+        gv = spaces._rule_derivative(f, pair.s, pair.t, q, 1e-9)
+        mask = (1.0 - q.radial_nodes**2)[:, None] ** (alpha + pair.t) * np.abs(gv) >= 0.5
+        assert 0 < mask.sum() < mask.size
+        res = split(f, alpha, pair, 0.5, q)
+        points = points_at_norms(np.random.default_rng(5), n, [0.0, 0.4, 0.85])
+        for part, kernel_s, masked in (
+            (res.f1, pair.s, mask), (res.f2, pair.s, ~mask),
+            (res.d_f1, pair.s + pair.t, mask), (res.d_f2, pair.s + pair.t, ~mask),
+        ):
+            got = part(points)
+            TestReproduce.assert_rule_sums(q, kernel_s, points, gv * masked, got)
+            assert [part(x) for x in points] == list(got)
+        assert res.f1(points) + res.f2(points) == pytest.approx(
+            [evaluate(f, x) for x in points], abs=1e-6
+        )
 
     def test_critical_atom_residual_shrinks_with_epsilon(self):
         n, alpha = 2, 0.0
