@@ -57,6 +57,11 @@ class DiffPair:
     s: float
     t: float
 
+    def __post_init__(self):
+        for name in ("s", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"an operator pair's {name} must be finite, got {getattr(self, name)}")
+
 
 def _as_pole(pole) -> tuple[float, ...]:
     return tuple(float(c) for c in pole)
@@ -87,6 +92,8 @@ class KernelAtom:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"a kernel atom's order s must be finite, got {self.s}")
         object.__setattr__(self, "pole", _as_pole(self.pole))
         if np.linalg.norm(self.pole) > 1.0 + _POLE_TOL:
             raise ValueError("a kernel atom's pole must lie in the closed ball")

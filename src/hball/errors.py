@@ -9,7 +9,7 @@ class EvaluationFailure(Exception):
     """An integrand raised while being evaluated at a quadrature node."""
 
 
-class AdmissibilityError(Exception):
+class AdmissibilityError(ValueError):
     """A space/operator parameter combination violates its admissibility condition."""
 
 

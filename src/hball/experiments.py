@@ -354,24 +354,27 @@ def default_config(name: str) -> ExperimentConfig:
     raise ValueError(f"unknown experiment {name!r}")
 
 
-def _growth_integral_curve(
-    n: int, alpha: float, p: float, d: float, j_radii, depth: int, tol: float
+def _growth_integral_curves(
+    n: int, alpha: float, weights, j_radii, depth: int, tol: float
 ):
-    """I(r) = int |R_alpha(r e1, y)|^p (1-|y|^2)^d dnu(y) along dyadic radii."""
+    """I(r) = int |R_alpha(r e1, y)|^p (1-|y|^2)^d dnu(y) along dyadic radii,
+    one curve per (p, d) of `weights`.  The kernel values depend only on
+    (n, alpha), so each shell's values are computed once and reweighted."""
     e1 = (1.0,) + (0.0,) * (n - 1)
     grid = _grid(n, depth, (e1,), azimuth=8)
     radii = np.array([1.0 - 2.0 ** (-j) for j in j_radii])
     coeff = CoeffProduct.kernel(alpha)
-    totals = np.zeros(len(radii))
+    totals = np.zeros((len(weights), len(radii)))
     for j in range(grid.depth):
         shell, sph = grid.shells[j], grid.spheres[j]
         vals = eval_coeff_series_grid(
             n, coeff, sph.units, np.asarray(e1),
             [shell.nodes * r for r in radii], tol_rel=min(tol, 1e-8),
         )
-        wr = shell.weights * (1.0 - shell.nodes**2) ** d
-        for i, v in enumerate(vals):
-            totals[i] += float(wr @ np.abs(v) ** p @ sph.weights)
+        for c, (p, d) in enumerate(weights):
+            wr = shell.weights * (1.0 - shell.nodes**2) ** d
+            for i, v in enumerate(vals):
+                totals[c, i] += float(wr @ np.abs(v) ** p @ sph.weights)
     return radii, totals
 
 
@@ -397,12 +400,23 @@ def run_kernel_growth(cfg: ExperimentConfig) -> dict:
     combos = cfg.parameters["combos"]
     j_radii = cfg.parameters["j_radii"]
 
-    def one(combo):
-        n, p, alpha, d = combo["n"], combo["p"], combo["alpha"], combo["d"]
-        if d <= -1.0:
+    for combo in combos:
+        if combo["d"] <= -1.0:
             raise ValueError("the boundary weight d must exceed -1")
+    # the combos of one (n, alpha) share their kernel values
+    groups: dict[tuple, list[int]] = {}
+    for i, combo in enumerate(combos):
+        groups.setdefault((combo["n"], combo["alpha"]), []).append(i)
+    curves = [None] * len(combos)
+    for (n, alpha), members in groups.items():
+        weights = [(combos[i]["p"], combos[i]["d"]) for i in members]
+        radii, totals = _growth_integral_curves(n, alpha, weights, j_radii, cfg.shells, cfg.tol)
+        for i, values in zip(members, totals):
+            curves[i] = (radii, values)
+
+    def one(combo, radii, values):
+        n, p, alpha, d = combo["n"], combo["p"], combo["alpha"], combo["d"]
         w = p * (n + alpha) - (n + d)
-        radii, values = _growth_integral_curve(n, alpha, p, d, j_radii, cfg.shells, cfg.tol)
         fit = _fit_regime(radii, values, w)
         if w > 0:
             expected = RegimeVerdict.POWER
@@ -422,7 +436,7 @@ def run_kernel_growth(cfg: ExperimentConfig) -> dict:
             "agree": bool(fit.verdict == expected and slope_ok),
         }
 
-    rows = [one(combo) for combo in combos]
+    rows = [one(combo, *curve) for combo, curve in zip(combos, curves)]
     inconclusive = sum(r["verdict"] == "inconclusive" for r in rows)
     disagreements = sum((not r["agree"]) and r["verdict"] != "inconclusive" for r in rows)
     return _report("kernel-growth", cfg, rows, disagreements, inconclusive)

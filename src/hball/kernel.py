@@ -24,6 +24,12 @@ summed inside pass 1; at n = 3 pass 2 sums against a Legendre table of
 degrees 0..K; at n >= 4, and in calls with more than _TABLE_MAX_U distinct
 u, the Gegenbauer recurrence streams inside pass 1.
 
+At n = 2 a plain kernel on the upper branch has the closed form
+2 Re (1 - z)^-(2+alpha) - 1, z = x conj(pole).  `eval_coeff_series_grid`
+uses it in place of the series wherever its stated rounding bound meets
+the requested tolerance (`_plain_n2_closed_form`); the other coefficients,
+and the point and rule-sum modes, always sum the series.
+
 A third mode sums the series against a quadrature rule's weighted values
 for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes each
 point's K as above; the radial moments sum_i r_i^k weighted[i, j] are
@@ -78,6 +84,13 @@ _MOMENT_ROWS = 64
 
 # Rows of one e^{i k0 theta} e^{i j theta} piece of an n = 2 table.
 _PIECE_ROWS = 512
+
+# Multiple of eps in the rounding bound of the n = 2 closed form.  Against
+# 40-digit mpmath, over b = 2 + alpha in (0, 20], rho up to 1 - 2^-40 and
+# u = +-1 among the cosines, the largest error was 1.8 eps (1 + b (1 +
+# |log|w||)) mass; the b term is the rounding of w raised to the power -b.
+_CLOSED_FORM_ROUNDING = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _is_upper_branch(n: int, alpha: float) -> bool:
@@ -141,6 +154,12 @@ class CoeffProduct:
     """
 
     factors: tuple[tuple[float, int], ...] = ()
+
+    def __post_init__(self):
+        # an infinite order would pass the upper-branch test, a NaN order
+        # would blame the degree cap
+        if not all(math.isfinite(a) for a, _ in self.factors):
+            raise ValueError(f"the orders in factors must be finite, got {self.factors}")
 
     @staticmethod
     def kernel(s: float) -> "CoeffProduct":
@@ -533,6 +552,42 @@ def _unit_and_norm(p: np.ndarray) -> tuple[np.ndarray, float]:
     return p / norm, norm
 
 
+def _plain_n2_closed_form(coeff, u, rho_sets, *, tol_abs: float, tol_rel: float):
+    """R_alpha at n = 2 on the upper branch in closed form, on the product
+    grids rho x u of `rho_sets`; None where the form is not used.
+
+    With b = 2 + alpha > 0, gamma_k = (b)_k / k! and Q_k(cos theta) =
+    2 cos k theta, so R_alpha = 2 Re (1 - z)^-b - 1 with z = rho e^{i theta}.
+    1 - z is formed without cancellation as w = (1 - rho) + rho (1 - u) -
+    i rho sqrt((1 - u)(1 + u)); the sign of Im w does not change Re w^-b.
+    The majorant mass is 2 (1 - rho)^-b - 1.  The rounding error is at most
+    _CLOSED_FORM_ROUNDING eps (1 + b (1 + |log|w||)) mass; since 1 - rho <=
+    |w| <= 1 + rho, |log|w|| <= -log(1 - rho) bounds it per radius.  The
+    form is used only when that bound meets tol_abs + tol_rel mass at every
+    radius and every value is finite; otherwise (and for rho outside [0, 1))
+    the caller sums the series, whose tail bound stays as it is.
+    """
+    alpha = coeff.single_kernel_parameter()
+    if alpha is None or not _is_upper_branch(2, alpha):
+        return None
+    rho, sets = _stack(rho_sets)
+    if rho.size == 0 or rho.min() < 0.0 or rho.max() >= 1.0:
+        return None
+    b = 2.0 + alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = 2.0 * (1.0 - rho) ** -b - 1.0
+        bound = _CLOSED_FORM_ROUNDING * _EPS * (1.0 + b * (1.0 - np.log1p(-rho))) * mass
+        if not (np.all(np.isfinite(mass)) and np.all(bound <= tol_abs + tol_rel * mass)):
+            return None
+        w = ((1.0 - rho)[:, None] + rho[:, None] * (1.0 - u)[None, :]) - 1j * (
+            rho[:, None] * np.sqrt((1.0 - u) * (1.0 + u))[None, :]
+        )
+        values = 2.0 * np.real(w**-b) - 1.0
+    if not np.all(np.isfinite(values)):
+        return None
+    return [values[sl] for sl in sets]
+
+
 def eval_coeff_series_grid(
     n: int,
     coeff: CoeffProduct,
@@ -550,6 +605,11 @@ def eval_coeff_series_grid(
     is a radius vector; the corresponding result has shape (m, M).  Sharing
     the angular tables across the radius sets is what makes near-boundary
     sweeps affordable.
+
+    A plain upper-branch kernel at n = 2 is summed in closed form,
+    2 Re (1 - z)^-(2+alpha) - 1, where its stated rounding bound meets the
+    tolerance (`_plain_n2_closed_form`); it needs no degree cap, so `kmax`
+    does not limit it.  Every other call sums the certified series.
     """
     pole = np.asarray(pole, dtype=float)
     units = np.asarray(units, dtype=float)
@@ -563,6 +623,10 @@ def eval_coeff_series_grid(
         return [np.ones((r.shape[0], units.shape[0])) for r in radii_sets]
     u = np.clip(units @ pole_unit, -1.0, 1.0)
     rho_sets = [r * pole_norm for r in radii_sets]
+    if n == 2:
+        values = _plain_n2_closed_form(coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel)
+        if values is not None:
+            return values
     values, _, _, _ = _series_sum(
         n, coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
     )
@@ -625,9 +689,11 @@ def eval_coeff_series_rule_sum(
     """Rule sums sum_ij weighted[i, j] sum_k c_k Z_k(x, radii[i] units[j])
     for each point x of a (P, n) stack.
 
-    Each point's series is cut at the degree K_x that pass 1 certifies for
-    `eval_coeff_series_grid(n, coeff, units, x, [radii])`, so the result is
-    that grid summed against `weighted`, in another order:
+    Each point's series is cut at the degree K_x that pass 1 of the series
+    (`_certified_degree`) certifies on the radii |x| radii[i], the degree at
+    which `_series_sum` stops for that grid.  The result is that truncated
+    series on the grid radii x units, summed against `weighted` in another
+    order:
 
         sum_{k <= K_x} c_k |x|^k sum_j Q_k(u_j) M_kj,
         u_j = <x/|x|, units[j]>,  M_kj = sum_i radii[i]^k weighted[i, j].

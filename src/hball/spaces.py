@@ -104,6 +104,11 @@ class Inclusion(str, Enum):
     NOT_INCLUDED = "not_included"
 
 
+def _check_exponent(p: float) -> None:
+    if not 0.0 < p < math.inf:
+        raise AdmissibilityError(f"the exponent p must satisfy 0 < p < inf, got p = {p}")
+
+
 @dataclass(frozen=True)
 class BergmanBesov:
     """Integral-norm space (p, alpha) with its admissible operator pair."""
@@ -113,8 +118,7 @@ class BergmanBesov:
     pair: DiffPair
 
     def __post_init__(self):
-        if not self.p > 0.0:
-            raise AdmissibilityError("the exponent p must be positive")
+        _check_exponent(self.p)
         if not self.alpha + self.p * self.pair.t > -1.0:
             raise AdmissibilityError(
                 f"pair (s={self.pair.s}, t={self.pair.t}) is inadmissible: "
@@ -132,6 +136,7 @@ class BergmanBesov:
         t = 1 already has alpha + p t = -0.5.  The base s = alpha + t keeps
         kernel atoms built at s exact.  The membership experiment's pairs,
         and so its report, rest on this formula."""
+        _check_exponent(p)
         t = float(max(0, math.ceil((-1.0 - alpha) / p) + 1))
         return BergmanBesov(p, alpha, DiffPair(alpha + t, t))
 

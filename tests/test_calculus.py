@@ -52,6 +52,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             HarmonicExpansion(3, (ZonalTerm(1, ZETA2),))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_orders_refused(self, bad):
+        with pytest.raises(ValueError, match="order s must be finite"):
+            KernelAtom(bad, ZETA2)
+        with pytest.raises(ValueError, match="order s must be finite"):
+            expansion_from_json(json.dumps({"dimension": 2, "atoms": [{"kind": "kernel", "s": bad, "pole": [0.5, 0.0]}]}))
+        with pytest.raises(ValueError, match="pair's s must be finite"):
+            DiffPair(bad, 1.0)
+        with pytest.raises(ValueError, match="pair's t must be finite"):
+            DiffPair(0.0, bad)
+
     def test_boundary_pole_listing(self):
         f = HarmonicExpansion(
             2, (KernelAtom(0.0, ZETA2), KernelAtom(0.0, (0.5, 0.0)), ZonalTerm(1, (0.0, 1.0)))

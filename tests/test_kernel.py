@@ -14,6 +14,7 @@ from hball.kernel import (
     _TABLE_MAX_U,
     CoeffProduct,
     _h_step_fractions,
+    _plain_n2_closed_form,
     _series_sum,
     _step_ratio_bound,
     _ZonalAngular,
@@ -214,6 +215,17 @@ class TestGrowthProbe:
 
 
 class TestCoeffProduct:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_orders_refused(self, bad):
+        with pytest.raises(ValueError, match="in factors must be finite"):
+            CoeffProduct.kernel(bad)
+        with pytest.raises(ValueError, match="in factors must be finite"):
+            CoeffProduct.kernel(0.0).shifted(0.0, bad)
+        with pytest.raises(ValueError, match="in factors must be finite"):
+            CoeffProduct(((1.0, 1), (bad, -1)))
+        with pytest.raises(ValueError, match="in factors must be finite"):
+            kernel_eval(2, bad, np.array([0.5, 0.0]), np.array([0.5, 0.0]), 1e-8)
+
     def test_kernel_shift_cancels_exactly(self):
         cp = CoeffProduct.kernel(0.3).shifted(0.3, 1.2)
         assert cp.single_kernel_parameter() == 1.5
@@ -477,13 +489,23 @@ class TestRuleSum:
         assert str(got.value) == str(want.value)
 
     def test_same_error_at_the_cap(self):
+        # a product coefficient: the grid sums its series, so it meets the cap
         _, radii, units, weighted = self.rule(2, 10)
         x = np.array([[0.3, 0.0], [0.999, 0.0]])
         with pytest.raises(NonConvergent) as want:
-            eval_coeff_series_grid(2, self.COEFFS[0], units, x[1], [radii], tol_rel=1e-10, kmax=3000)
+            eval_coeff_series_grid(2, self.COEFFS[1], units, x[1], [radii], tol_rel=1e-10, kmax=3000)
         with pytest.raises(NonConvergent) as got:
-            eval_coeff_series_rule_sum(2, self.COEFFS[0], x, radii, units, weighted, tol_rel=1e-10, kmax=3000)
+            eval_coeff_series_rule_sum(2, self.COEFFS[1], x, radii, units, weighted, tol_rel=1e-10, kmax=3000)
         assert str(got.value) == str(want.value)
+
+    def test_the_plain_n2_kernel_passes_the_cap_in_closed_form(self):
+        # the rule sum still meets the cap; the grid is summed in closed form
+        _, radii, units, weighted = self.rule(2, 10)
+        x = np.array([[0.3, 0.0], [0.999, 0.0]])
+        with pytest.raises(NonConvergent):
+            eval_coeff_series_rule_sum(2, self.COEFFS[0], x, radii, units, weighted, tol_rel=1e-10, kmax=3000)
+        got = eval_coeff_series_grid(2, self.COEFFS[0], units, x[1], [radii], tol_rel=1e-10, kmax=3000)[0]
+        assert_within_closed_form_bound(got, 0.0, radii * 0.999, units[:, 0])
 
     def test_non_finite_and_misshapen_inputs(self):
         _, radii, units, weighted = self.rule(2, 11)
@@ -498,6 +520,114 @@ class TestRuleSum:
             eval_coeff_series_rule_sum(2, coeff, np.zeros(2), radii, units, weighted, tol_rel=1e-9)
         with pytest.raises(ValueError, match="shape"):
             eval_coeff_series_rule_sum(2, coeff, np.zeros((1, 2)), radii, units, weighted.T, tol_rel=1e-9)
+
+
+# The rounding bound the n = 2 closed form states, in units of
+# eps (1 + b (1 + |log|w||)) times the majorant mass.
+STATED_ROUNDING = 4.0
+
+
+def closed_form_reference(alpha, rho, u):
+    """2 Re (1 - rho e^{i theta})^-b - 1 and |1 - rho e^{i theta}| with
+    b = 2 + alpha and cos theta = u, in 40-digit mpmath, on the grid rho x u."""
+    values = np.empty((len(rho), len(u)))
+    moduli = np.empty_like(values)
+    with mpmath.workdps(40):
+        b = mpmath.mpf(2.0 + alpha)
+        for i, r in enumerate(rho):
+            for j, c in enumerate(u):
+                w = 1 - mpmath.mpf(r) * mpmath.expj(mpmath.acos(mpmath.mpf(c)))
+                values[i, j] = float(2 * mpmath.re(w**-b) - 1)
+                moduli[i, j] = float(abs(w))
+    return values, moduli
+
+
+def assert_within_closed_form_bound(got, alpha, rho, u):
+    want, moduli = closed_form_reference(alpha, rho, u)
+    b = 2.0 + alpha
+    mass = 2.0 * (1.0 - rho) ** -b - 1.0
+    bound = STATED_ROUNDING * np.finfo(float).eps * (1.0 + b * (1.0 + np.abs(np.log(moduli)))) * mass[:, None]
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
+
+
+class TestPlainN2ClosedForm:
+    """Plain upper-branch kernels at n = 2 are summed as 2 Re (1 - z)^-b - 1:
+    within the certified series' tolerance inside the cap, within the stated
+    rounding bound of mpmath beyond it, and on the series wherever the form
+    does not apply or its bound misses the tolerance."""
+
+    @staticmethod
+    def grid(seed, rho_max, m=9):
+        """Radii in [0, rho_max] with rho_max among them, and m cosines with
+        +-1 and 0 among them, as radii of a grid about the pole e1.  Two
+        angles are within a factor 4 of 1 - rho_max, where 1 - z cancels."""
+        rng = np.random.default_rng(seed)
+        rho = np.append(rng.uniform(0.0, rho_max, 4), [0.0, rho_max])
+        near = np.cos((1.0 - rho_max) * 2.0 ** rng.uniform(-2.0, 2.0, 2))
+        u = np.concatenate([[-1.0, 0.0, 1.0], near, rng.uniform(-1.0, 1.0, m - 5)])
+        units = np.stack([u, np.sqrt(1.0 - u**2)], axis=1)
+        return rho, u, units
+
+    @settings(max_examples=20, deadline=None)
+    @given(alpha=st.floats(-2.0, 3.0, exclude_min=True), seed=st.integers(0, 2**16))
+    def test_inside_the_cap_it_agrees_with_the_series(self, alpha, seed):
+        rho, u, units = self.grid(seed, 0.99)
+        coeff = CoeffProduct.kernel(alpha)
+        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
+        want, _, masses, _ = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)
+        assert np.all(np.abs(got - want[0]) <= 1e-10 * masses[0][:, None])
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        alpha=st.floats(-2.0, 3.0, exclude_min=True),
+        depth=st.floats(12.0, 40.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_beyond_the_cap_it_is_within_the_bound_of_mpmath(self, alpha, depth, seed):
+        rho, u, units = self.grid(seed, 1.0 - 2.0**-depth, m=6)
+        coeff = CoeffProduct.kernel(alpha)
+        with pytest.raises(NonConvergent, match="not certified"):
+            _series_sum(2, coeff, u, [rho], tol_rel=1e-10, kmax=3000)
+        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10, kmax=3000)[0]
+        assert_within_closed_form_bound(got, alpha, rho, np.clip(units[:, 0], -1.0, 1.0))
+
+    def test_a_tolerance_below_the_bound_sums_the_series(self):
+        rho, u, units = self.grid(1, 0.6)
+        coeff = CoeffProduct.kernel(0.5)
+        assert _plain_n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is not None
+        assert _plain_n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-16) is None
+        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-16)[0]
+        want = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-16)[0][0]
+        assert np.array_equal(got, want)
+
+    def test_an_overflowing_mass_sums_the_series(self):
+        rho, u, _ = self.grid(2, 0.9)
+        assert _plain_n2_closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
+
+    @pytest.mark.parametrize(
+        "n,coeff",
+        [
+            (2, CoeffProduct.kernel(-2.0)),  # the branch boundary is lower branch
+            (2, CoeffProduct.kernel(-2.5)),
+            (2, CoeffProduct.kernel(-4.0)),
+            (2, CoeffProduct.kernel(0.0).shifted(0.5, 1.0)),
+            (3, CoeffProduct.kernel(0.0)),
+        ],
+    )
+    def test_other_coefficients_stay_on_the_series(self, n, coeff):
+        rho, u, units = self.grid(3, 0.9)
+        units = np.pad(units, ((0, 0), (0, n - 2)))
+        if n == 2:
+            assert _plain_n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
+        got = eval_coeff_series_grid(n, coeff, units, np.eye(n)[0], [rho], tol_rel=1e-10)[0]
+        want = _series_sum(n, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)[0][0]
+        assert np.array_equal(got, want)
+
+    def test_a_boundary_radius_raises_as_the_series_does(self):
+        _, u, units = self.grid(4, 0.5)
+        with pytest.raises(NonConvergent, match=r"\|x\|\|y\| = 1.0 >= 1"):
+            eval_coeff_series_grid(2, CoeffProduct.kernel(0.0), units, np.eye(2)[0], [[0.5, 1.0]], tol_rel=1e-10)
 
 
 class TestAngularTable:

@@ -68,6 +68,13 @@ class TestSpecConstruction:
         with pytest.raises(AdmissibilityError):
             BergmanBesov(-1.0, 0.0, DiffPair(0.0, 1.0))
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
+    def test_exponent_outside_zero_to_infinity_refused(self, p):
+        with pytest.raises(ValueError, match="0 < p < inf"):
+            BergmanBesov.standard(p, 0.0)
+        with pytest.raises(ValueError, match="0 < p < inf"):
+            BergmanBesov(p, 0.0, DiffPair(1.0, 1.0))
+
 
 class TestBesovNorm:
     def test_constant_closed_form(self):
