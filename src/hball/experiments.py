@@ -32,6 +32,7 @@ from .calculus import (
     expansion_to_json,
     homogeneous_coefficient,
 )
+from .errors import NonConvergent
 from .kernel import (
     CoeffProduct,
     eval_coeff_series_grid,
@@ -445,6 +446,16 @@ def run_kernel_growth(cfg: ExperimentConfig) -> dict:
 # --- membership (kernel atoms in the integral-norm spaces) ---------------------
 
 
+def _shell_norm(f: HarmonicExpansion, spec: BergmanBesov, grid) -> tuple[Verdict, float | None]:
+    """Shell verdict and norm estimate of f in spec, the estimate None when
+    it is not finite; INCONCLUSIVE and None when no shell is certified."""
+    try:
+        report, estimate = besov_norm_shells(f, spec, grid)
+    except NonConvergent:
+        return Verdict.INCONCLUSIVE, None
+    return report.verdict, estimate if math.isfinite(estimate) else None
+
+
 def run_membership(cfg: ExperimentConfig) -> dict:
     """Predicate vs shell-sum verdict for kernel-atom membership."""
     n = cfg.parameters["n"]
@@ -463,10 +474,10 @@ def run_membership(cfg: ExperimentConfig) -> dict:
         predicate = membership_kernel_atom(n, p, s, beta)
         atom = HarmonicExpansion(n, (KernelAtom(s, zeta),))
         spec = BergmanBesov.standard(p, beta)
-        shell_report, norm_est = besov_norm_shells(atom, spec, grid)
-        if shell_report.verdict == Verdict.FINITE:
+        verdict, norm_est = _shell_norm(atom, spec, grid)
+        if verdict == Verdict.FINITE:
             numeric = Membership.MEMBER.value
-        elif shell_report.verdict == Verdict.DIVERGENT:
+        elif verdict == Verdict.DIVERGENT:
             numeric = Membership.NON_MEMBER.value
         else:
             numeric = "inconclusive"
@@ -474,7 +485,7 @@ def run_membership(cfg: ExperimentConfig) -> dict:
             "p": p, "s": s, "beta": beta, "boundary_margin": delta,
             "predicate": predicate.value,
             "numeric": numeric,
-            "norm_estimate": norm_est if math.isfinite(norm_est) else None,
+            "norm_estimate": norm_est,
             "agree": bool(numeric == predicate.value),
         }
 
@@ -496,10 +507,10 @@ def run_inclusion_little_bloch(cfg: ExperimentConfig) -> dict:
         for p in cfg.parameters["p_grid"]:
             spec = BergmanBesov.standard(p, p * alpha - n)
             for label, f, pair in members + [designated]:
-                shell_report, norm_est = besov_norm_shells(f, spec, grid)
-                in_space = shell_report.verdict == Verdict.FINITE
+                verdict, norm_est = _shell_norm(f, spec, grid)
+                in_space = verdict == Verdict.FINITE
                 decay = little_bloch_test(f, Bloch(alpha, pair), grid)
-                if shell_report.verdict == Verdict.INCONCLUSIVE or decay == DecayVerdict.INCONCLUSIVE:
+                if verdict == Verdict.INCONCLUSIVE or decay == DecayVerdict.INCONCLUSIVE:
                     agree = None
                 elif in_space:
                     agree = decay == DecayVerdict.DECAYING
@@ -508,8 +519,8 @@ def run_inclusion_little_bloch(cfg: ExperimentConfig) -> dict:
                 rows.append(
                     {
                         "n": n, "alpha": alpha, "p": p, "f": label,
-                        "norm_verdict": shell_report.verdict.value,
-                        "norm_estimate": norm_est if math.isfinite(norm_est) else None,
+                        "norm_verdict": verdict.value,
+                        "norm_estimate": norm_est,
                         "decay": decay.value,
                         "agree": agree,
                     }

@@ -24,11 +24,16 @@ summed inside pass 1; at n = 3 pass 2 sums against a Legendre table of
 degrees 0..K; at n >= 4, and in calls with more than _TABLE_MAX_U distinct
 u, the Gegenbauer recurrence streams inside pass 1.
 
-At n = 2 a plain kernel on the upper branch has the closed form
-2 Re (1 - z)^-(2+alpha) - 1, z = x conj(pole).  `eval_coeff_series_grid`
-uses it in place of the series wherever its stated rounding bound meets
-the requested tolerance (`_plain_n2_closed_form`); the other coefficients,
-and the point and rule-sum modes, always sum the series.
+At n = 2 the kernels and their derivative fields have closed forms.
+With z = x conj(pole) the grid values are 2 Re F(z) - 1, F = sum_k c_k z^k.
+When c_k = P(k) gamma_k(q), P a polynomial that the operator pairs of the
+coefficient contribute, F is the Euler operator P(z d/dz) applied to the
+atom's generating function: (1 - z)^-(2+q) on the upper branch, and
+-log(1 - z)/z for q = -2 (`_N2Form`).  `eval_coeff_series_grid` uses it in
+place of the series wherever its stated rounding bound meets the requested
+tolerance (`_n2_closed_form`); the other coefficients (non-integer or
+negative operator orders, other lower-branch atoms), n >= 3, and the point
+and rule-sum modes always sum the series.
 
 A third mode sums the series against a quadrature rule's weighted values
 for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes each
@@ -85,10 +90,13 @@ _MOMENT_ROWS = 64
 # Rows of one e^{i k0 theta} e^{i j theta} piece of an n = 2 table.
 _PIECE_ROWS = 512
 
-# Multiple of eps in the rounding bound of the n = 2 closed form.  Against
-# 40-digit mpmath, over b = 2 + alpha in (0, 20], rho up to 1 - 2^-40 and
-# u = +-1 among the cosines, the largest error was 1.8 eps (1 + b (1 +
-# |log|w||)) mass; the b term is the rounding of w raised to the power -b.
+# Multiple of eps in the rounding bound of the n = 2 closed form, in units
+# of eps (1 + B (1 + |log|w||)) mass.  Against 40- to 50-digit mpmath, with
+# rho up to 1 - 2^-40 and u = +-1 among the cosines, the largest error was
+# 1.98 for plain kernels with b = 2 + alpha in (0, 20] (B = b, worst at
+# b = 0.01; the b term is the rounding of w raised to the power -b) and 1.75
+# for the lifted fields (B = `_N2Form.order` up to 22, the family's fields
+# below 1).
 _CLOSED_FORM_ROUNDING = 4.0
 _EPS = float(np.finfo(float).eps)
 
@@ -444,10 +452,16 @@ def _certified_degree(
         h = np.exp(log_dim_spherical_harmonics(n, kf))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             p = _powers(log_c, kf, log_rho)  # c_k rho^k, (radii, B)
+            for i, sl in enumerate(sets):
+                masses[i] += p[sl] @ h
+        if not all(np.all(np.isfinite(m)) for m in masses):
+            # an infinite mass would meet any relative tolerance
+            raise NonConvergent(
+                f"series majorant overflows by degree {k0 + size - 1} "
+                f"(worst |x||y| = {rho_max})"
+            )
         if on_block is not None:
             on_block(k0, size, log_c, p)
-        for i, sl in enumerate(sets):
-            masses[i] += p[sl] @ h
 
         k_used = k0 + size - 1
         if k_used < max(min_terms, 1):
@@ -483,8 +497,7 @@ def _series_sum(
     """Sum sum_k c_k rho^k Q_k(u) with a certified truncation-error bound.
 
     Each rho set is a radius vector and its values are the full
-    (len(rho), len(u)) product grid; paired points (rho_i, u_i) are the
-    diagonal of their grid.  Returns (values, tails, masses, K) where
+    (len(rho), len(u)) product grid.  Returns (values, tails, masses, K) where
     `masses` are the majorant sums sum c_k h_k rho^k used for relative
     tolerances and K is the last degree included.
 
@@ -552,37 +565,155 @@ def _unit_and_norm(p: np.ndarray) -> tuple[np.ndarray, float]:
     return p / norm, norm
 
 
-def _plain_n2_closed_form(coeff, u, rho_sets, *, tol_abs: float, tol_rel: float):
-    """R_alpha at n = 2 on the upper branch in closed form, on the product
-    grids rho x u of `rho_sets`; None where the form is not used.
+def _n2_lift(coeff: CoeffProduct):
+    """(q, offsets) with c_k = gamma_k(q) prod_i (k + c_i) / c_i at n = 2, or
+    None.
 
-    With b = 2 + alpha > 0, gamma_k = (b)_k / k! and Q_k(cos theta) =
-    2 cos k theta, so R_alpha = 2 Re (1 - z)^-b - 1 with z = rho e^{i theta}.
-    1 - z is formed without cancellation as w = (1 - rho) + rho (1 - u) -
-    i rho sqrt((1 - u)(1 + u)); the sign of Im w does not change Re w^-b.
-    The majorant mass is 2 (1 - rho)^-b - 1.  The rounding error is at most
-    _CLOSED_FORM_ROUNDING eps (1 + b (1 + |log|w||)) mass; since 1 - rho <=
-    |w| <= 1 + rho, |log|w|| <= -log(1 - rho) bounds it per radius.  The
-    form is used only when that bound meets tol_abs + tol_rel mass at every
-    radius and every value is finite; otherwise (and for rho outside [0, 1))
-    the caller sums the series, whose tail bound stays as it is.
+    Each (s, -1) factor pairs with an (s + t, +1) factor, t a positive
+    integer and both orders on the upper branch; the pair is
+    gamma_k(s+t) / gamma_k(s) = (2+s+k)_t / (2+s)_t, the offsets
+    2 + s, ..., 2 + s + t - 1.  Exactly one (q, +1) factor is left over.
     """
-    alpha = coeff.single_kernel_parameter()
-    if alpha is None or not _is_upper_branch(2, alpha):
+    ups = sorted(a for a, e in coeff.factors for _ in range(e))
+    offsets = []
+    for s in sorted(a for a, e in coeff.factors for _ in range(-e)):
+        top = next((a for a in ups if a > s and float(a - s).is_integer()), None)
+        if top is None or not _is_upper_branch(2, s):
+            return None
+        ups.remove(top)
+        offsets.extend(2.0 + s + i for i in range(int(top - s)))
+    if len(ups) != 1:
+        return None
+    return ups[0], offsets
+
+
+def _factorial_basis(offsets, step):
+    """The coefficients a_j of prod_i (k + c_i) / c_i in a factorial basis
+    phi_j with (k + c) phi_j = phi_{j+1} + step(c, j) phi_j; None if some
+    step(c, j) is negative, so every coefficient is a sum of nonnegative
+    products."""
+    a = [1.0]
+    for c in sorted(offsets):
+        steps = [step(c, j) for j in range(len(a))]
+        if min(steps) < 0.0:
+            return None
+        a = [
+            (steps[j] * a[j] if j < len(a) else 0.0) / c + (a[j - 1] / c if j else 0.0)
+            for j in range(len(a) + 1)
+        ]
+    return a
+
+
+@dataclass(frozen=True)
+class _N2Form:
+    """F(z) = sum_k c_k z^k at n = 2 for c_k = P(k) gamma_k(q), with P =
+    prod_i (k + c_i) / c_i of degree d; the grid values are 2 Re F - 1.
+
+    F = P(z d/dz) G_q with G_q = sum_k gamma_k(q) z^k, w = 1 - z:
+    - upper branch, b = 2 + q > 0: G_q = w^-b.  With P(k) = sum_j p_j k(k-1)
+      ...(k-j+1), F = w^-b sum_j p_j (b)_j (z/w)^j; `coefs` are p_j (b)_j.
+    - q = -2 (c = 2 on the lower branch): gamma_k = 1/(k+1), G_q = -log(w)/z.
+      With P(k) = sum_j r_j (k+1)_j, P(k) = r_0 + (k+1) Q(k) and Q(k) =
+      sum_j q_j (k+1)_j, q_j = sum_{i >= j} r_{i+1} i!/j!, so F = sum_j
+      q_j j! w^-(j+1) + r_0 (-log w)/z; `coefs` are q_j j! and `log_coef`
+      is r_0 = P(-1).
+    Every coefficient is >= 0, so the sum of |terms| at z is at most F(|z|)
+    and the rounding bound is relative to the majorant mass 2 F(rho) - 1.
+    """
+
+    lower: bool
+    b: float
+    coefs: tuple[float, ...]
+    log_coef: float = 0.0
+
+    @staticmethod
+    def of(coeff: CoeffProduct) -> "_N2Form | None":
+        lift = _n2_lift(coeff)
+        if lift is None:
+            return None
+        q, offsets = lift
+        if _is_upper_branch(2, q):
+            b = 2.0 + q
+            p = _factorial_basis(offsets, lambda c, j: c + j)
+            coefs = tuple(pj * math.prod(b + i for i in range(j)) for j, pj in enumerate(p))
+            return _N2Form(False, b, coefs)
+        if q != -2.0:
+            return None
+        r = _factorial_basis(offsets, lambda c, j: c - 1.0 - j)
+        if r is None:
+            return None
+        coefs = [
+            math.fsum(r[i + 1] * math.factorial(i) for i in range(j, len(r) - 1))
+            for j in range(len(r) - 1)
+        ]
+        return _N2Form(True, 0.0, tuple(coefs), r[0])
+
+    @property
+    def order(self) -> float:
+        """B of the rounding bound: b + d, or d + 1 at q = -2, where the
+        logarithm counts as one power of 1/w."""
+        if self.lower:
+            return len(self.coefs) + 1.0
+        return self.b + (len(self.coefs) - 1)
+
+    @property
+    def plain(self) -> bool:
+        """P = 1 on the upper branch: F = w^-b reads neither z nor log w."""
+        return not self.lower and len(self.coefs) == 1
+
+    def __call__(self, z, w, log_w):
+        """F at z, given w = 1 - z and log w (real or complex arrays)."""
+        if self.plain:
+            return w**-self.b
+        y = 1.0 / w if self.lower else z / w
+        poly = self.coefs[-1] if self.coefs else 0.0
+        for c in self.coefs[-2::-1]:
+            poly = poly * y + c
+        if not self.lower:
+            return w**-self.b * poly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_term = np.where(z == 0.0, 1.0, -log_w / z)
+        return y * poly + self.log_coef * log_term
+
+
+def _n2_closed_form(coeff, u, rho_sets, *, tol_abs: float, tol_rel: float):
+    """sum_k c_k Z_k(x, pole) at n = 2 in closed form (`_N2Form`), on the
+    product grids rho x u of `rho_sets`; None where the form is not used.
+
+    z = rho e^{i theta} with cos theta = u, and 1 - z is formed without
+    cancellation as w = (1 - rho) + rho (1 - u) - i rho sqrt((1 - u)(1 + u));
+    the sign of Im w does not change Re F.  For q = -2, log |w| is
+    log1p(rho (rho - 2u)) / 2 where |w|^2 >= 1/2 and log(abs(w)) below, and
+    arg w is atan2.  The rounding error is at most _CLOSED_FORM_ROUNDING eps
+    (1 + B (1 + |log|w||)) mass with B = `order` and mass = 2 F(rho) - 1,
+    the majorant; since 1 - rho <= |w| <= 1 + rho, |log|w|| <= -log(1 - rho)
+    bounds it per radius.  The form is used only when that bound meets
+    tol_abs + tol_rel mass at every radius and every value is finite;
+    otherwise (and for rho outside [0, 1)) the caller sums the series, whose
+    tail bound stays as it is.
+    """
+    form = _N2Form.of(coeff)
+    if form is None:
         return None
     rho, sets = _stack(rho_sets)
     if rho.size == 0 or rho.min() < 0.0 or rho.max() >= 1.0:
         return None
-    b = 2.0 + alpha
-    with np.errstate(over="ignore", invalid="ignore"):
-        mass = 2.0 * (1.0 - rho) ** -b - 1.0
-        bound = _CLOSED_FORM_ROUNDING * _EPS * (1.0 + b * (1.0 - np.log1p(-rho))) * mass
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_gap = np.log1p(-rho)
+        mass = 2.0 * form(rho, 1.0 - rho, log_gap) - 1.0
+        bound = _CLOSED_FORM_ROUNDING * _EPS * (1.0 + form.order * (1.0 - log_gap)) * mass
         if not (np.all(np.isfinite(mass)) and np.all(bound <= tol_abs + tol_rel * mass)):
             return None
-        w = ((1.0 - rho)[:, None] + rho[:, None] * (1.0 - u)[None, :]) - 1j * (
-            rho[:, None] * np.sqrt((1.0 - u) * (1.0 + u))[None, :]
-        )
-        values = 2.0 * np.real(w**-b) - 1.0
+        rho, sin = rho[:, None], np.sqrt((1.0 - u) * (1.0 + u))[None, :]
+        w = ((1.0 - rho) + rho * (1.0 - u)[None, :]) - 1j * (rho * sin)
+        z = log_w = None
+        if not form.plain:
+            z = rho * (u[None, :] + 1j * sin)
+        if form.lower:
+            gap = rho * (rho - 2.0 * u[None, :])  # |w|^2 - 1
+            log_abs = np.where(gap > -0.5, 0.5 * np.log1p(gap), np.log(np.abs(w)))
+            log_w = log_abs + 1j * np.arctan2(w.imag, w.real)
+        values = 2.0 * np.real(form(z, w, log_w)) - 1.0
     if not np.all(np.isfinite(values)):
         return None
     return [values[sl] for sl in sets]
@@ -606,10 +737,10 @@ def eval_coeff_series_grid(
     the angular tables across the radius sets is what makes near-boundary
     sweeps affordable.
 
-    A plain upper-branch kernel at n = 2 is summed in closed form,
-    2 Re (1 - z)^-(2+alpha) - 1, where its stated rounding bound meets the
-    tolerance (`_plain_n2_closed_form`); it needs no degree cap, so `kmax`
-    does not limit it.  Every other call sums the certified series.
+    At n = 2 a coefficient that `_N2Form` covers is summed in closed form
+    where its stated rounding bound meets the tolerance (`_n2_closed_form`);
+    it needs no degree cap, so `kmax` does not limit it.  Every other call
+    sums the certified series.
     """
     pole = np.asarray(pole, dtype=float)
     units = np.asarray(units, dtype=float)
@@ -624,7 +755,7 @@ def eval_coeff_series_grid(
     u = np.clip(units @ pole_unit, -1.0, 1.0)
     rho_sets = [r * pole_norm for r in radii_sets]
     if n == 2:
-        values = _plain_n2_closed_form(coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel)
+        values = _n2_closed_form(coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel)
         if values is not None:
             return values
     values, _, _, _ = _series_sum(
@@ -646,9 +777,9 @@ def eval_coeff_series_points(
 ):
     """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points.
 
-    The points are summed as one product grid of their radii and directions
-    and the values are its diagonal, so the grid costs N^2 entries; callers
-    pass one point.  Returns (values, tails, degree_used).
+    Each point is summed as a 1 x 1 grid.  Several points share the degree
+    K that certifies them all (pass 1 on their radii), so every tail is
+    taken at K.  Returns (values, tails, degree_used).
     """
     pole = np.asarray(pole, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -662,17 +793,19 @@ def eval_coeff_series_points(
         u = points @ pole_unit / np.where(norms > 0.0, norms, 1.0)
     u = np.clip(np.where(norms > 0.0, u, 1.0), -1.0, 1.0)
     rho = norms * pole_norm
-    values, tails, _, k_used = _series_sum(
-        n,
-        coeff,
-        u,
-        [rho],
-        tol_abs=tol_abs,
-        tol_rel=tol_rel,
-        kmax=kmax,
-        min_terms=min_terms,
-    )
-    return np.diagonal(values[0]).copy(), tails[0], k_used
+    tol = dict(tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax)
+    if rho.shape[0] != 1:
+        _, _, min_terms = _certified_degree(
+            n, coeff, rho, [slice(0, rho.shape[0])], min_terms=min_terms, **tol
+        )
+    values, tails = np.empty(rho.shape[0]), np.empty(rho.shape[0])
+    k_used = min_terms
+    for i in range(rho.shape[0]):
+        v, t, _, k = _series_sum(
+            n, coeff, u[i : i + 1], [rho[i : i + 1]], min_terms=min_terms, **tol
+        )
+        values[i], tails[i], k_used = v[0][0, 0], t[0][0], max(k_used, k)
+    return values, tails, k_used
 
 
 def eval_coeff_series_rule_sum(

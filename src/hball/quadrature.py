@@ -34,7 +34,8 @@ numpy's pairwise summation, so results are deterministic for a fixed rule.
 Every shell walk (shell integrals, sup probes, level sets) follows the stop
 rule of `walk_shells`: it stops at the first shell that raises NonConvergent
 and answers on the certified shells before it; any other failure on a shell
-raises EvaluationFailure.
+raises EvaluationFailure.  A shell integral or sup probe with no certified
+shell has no answer and raises NonConvergent.
 """
 
 from __future__ import annotations
@@ -502,7 +503,8 @@ def walk_shells(d: ShellDecomposition, shell_fn) -> tuple[list, NonConvergent | 
 def integrate_shells(d: ShellDecomposition, g, weight_exponent: float) -> ShellIntegral:
     """Shell-wise integral of g(x) (1-|x|^2)^weight_exponent dnu, g >= 0,
     over the certified shells (see `walk_shells`); `g(d, j)` gives the
-    values on shell j."""
+    values on shell j.  When no shell is certified there is no estimate and
+    NonConvergent is raised."""
 
     def increment(j: int) -> float:
         shell, sph = d.shells[j], d.spheres[j]
@@ -510,7 +512,11 @@ def integrate_shells(d: ShellDecomposition, g, weight_exponent: float) -> ShellI
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
         return float(wr @ vals @ sph.weights)
 
-    increments, _ = walk_shells(d, increment)
+    increments, stop = walk_shells(d, increment)
+    if not increments:
+        raise NonConvergent(
+            f"shell integral certified no shell of a depth-{d.depth} grid"
+        ) from stop
     return ShellIntegral.from_increments(increments)
 
 

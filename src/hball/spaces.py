@@ -365,7 +365,8 @@ def besov_norm_shells(
 
     Returns (shell report, norm estimate); the estimate is inf when the
     shell increments are classified divergent.  This is the numerical side
-    of the kernel-atom membership check.
+    of the kernel-atom membership check.  Raises NonConvergent when no
+    shell of the grid is certified.
     """
     gamma = spec.alpha + spec.p * spec.pair.t
     if gamma <= -1.0:

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from conftest import critical_atom_verdicts
 
 from hball.cli import main
+from hball.errors import NonConvergent
 from hball.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -128,6 +129,24 @@ class TestRunners:
         assert rep["summary"]["pass"]
         checks = {r["check"] for r in rep["rows"]}
         assert "two_sided_inverse" in checks and "radial_beta_moments" in checks
+
+    def test_a_membership_row_without_certified_shells_is_inconclusive(self):
+        # kernel(3e5) overflows the series majorant on shell 0
+        cfg = small_config("membership")
+        cfg.parameters.update(p_grid=[2.0], s_grid=[3e5], delta_grid=[0.75])
+        (row,) = run_experiment("membership", cfg)["rows"]
+        assert row["numeric"] == "inconclusive" and row["norm_estimate"] is None
+
+    def test_inclusion_rows_without_certified_shells_are_inconclusive(self, monkeypatch):
+        def no_shell(*args):
+            raise NonConvergent("shell integral certified no shell")
+
+        monkeypatch.setattr("hball.experiments.besov_norm_shells", no_shell)
+        rows = run_experiment("inclusion", small_config("inclusion"))["rows"]
+        assert rows and all(
+            r["norm_verdict"] == "inconclusive" and r["norm_estimate"] is None and r["agree"] is None
+            for r in rows
+        )
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):

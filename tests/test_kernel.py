@@ -14,7 +14,8 @@ from hball.kernel import (
     _TABLE_MAX_U,
     CoeffProduct,
     _h_step_fractions,
-    _plain_n2_closed_form,
+    _N2Form,
+    _n2_closed_form,
     _series_sum,
     _step_ratio_bound,
     _ZonalAngular,
@@ -416,6 +417,13 @@ class TestTwoPassSum:
         assert str(got.value) == str(want.value)
 
 
+    def test_an_overflowing_majorant_raises(self):
+        # c_k rho^k of kernel(3000) passes the float range by degree 447,
+        # where an infinite tail would meet the infinite mass's tolerance
+        with pytest.raises(NonConvergent, match="majorant overflows by degree 447"):
+            _series_sum(3, CoeffProduct.kernel(3000.0), np.array([0.3, 1.0]), [np.array([0.25, 0.5])], tol_rel=1e-9)
+
+
 class TestStreamedRecurrence:
     """`_ZonalAngular` steps in place on rolling buffers; its rows are the
     per-degree loop's bit for bit, and `dots` folds the same rows."""
@@ -595,31 +603,43 @@ class TestPlainN2ClosedForm:
     def test_a_tolerance_below_the_bound_sums_the_series(self):
         rho, u, units = self.grid(1, 0.6)
         coeff = CoeffProduct.kernel(0.5)
-        assert _plain_n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is not None
-        assert _plain_n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-16) is None
+        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is not None
+        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-16) is None
         got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-16)[0]
         want = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-16)[0][0]
         assert np.array_equal(got, want)
 
     def test_an_overflowing_mass_sums_the_series(self):
         rho, u, _ = self.grid(2, 0.9)
-        assert _plain_n2_closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
+        assert _n2_closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
+
+    def test_plain_kernels_keep_the_plain_form_bit_for_bit(self):
+        rho, u, units = self.grid(5, 0.999)
+        w = ((1.0 - rho)[:, None] + rho[:, None] * (1.0 - u)[None, :]) - 1j * (
+            rho[:, None] * np.sqrt((1.0 - u) * (1.0 + u))[None, :]
+        )
+        for alpha in (-1.999, -1.5, -0.5, 0.0, 0.7, 3.0):
+            got = eval_coeff_series_grid(2, CoeffProduct.kernel(alpha), units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
+            assert np.array_equal(got, 2.0 * np.real(w ** -(2.0 + alpha)) - 1.0)
 
     @pytest.mark.parametrize(
         "n,coeff",
         [
-            (2, CoeffProduct.kernel(-2.0)),  # the branch boundary is lower branch
-            (2, CoeffProduct.kernel(-2.5)),
-            (2, CoeffProduct.kernel(-4.0)),
-            (2, CoeffProduct.kernel(0.0).shifted(0.5, 1.0)),
+            (2, CoeffProduct.kernel(-2.5)),  # half-integer c
+            (2, CoeffProduct.kernel(-4.0)),  # c = 4
+            (2, CoeffProduct.kernel(-3.5).shifted(0.0, 1.0)),  # an atom_in_* field
+            (2, CoeffProduct.kernel(0.0).shifted(1.0, -1.0)),  # negative t
             (3, CoeffProduct.kernel(0.0)),
+            (2, CoeffProduct.kernel(-2.7).shifted(0.4, 1.1)),  # non-integer t
+            (2, CoeffProduct.kernel(-2.0).shifted(-1.5, 2.0)),  # P(-1) < 0
+            (3, CoeffProduct.kernel(-2.0).shifted(3.0, 3.0)),
         ],
     )
     def test_other_coefficients_stay_on_the_series(self, n, coeff):
         rho, u, units = self.grid(3, 0.9)
         units = np.pad(units, ((0, 0), (0, n - 2)))
         if n == 2:
-            assert _plain_n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
+            assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
         got = eval_coeff_series_grid(n, coeff, units, np.eye(n)[0], [rho], tol_rel=1e-10)[0]
         want = _series_sum(n, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)[0][0]
         assert np.array_equal(got, want)
@@ -628,6 +648,124 @@ class TestPlainN2ClosedForm:
         _, u, units = self.grid(4, 0.5)
         with pytest.raises(NonConvergent, match=r"\|x\|\|y\| = 1.0 >= 1"):
             eval_coeff_series_grid(2, CoeffProduct.kernel(0.0), units, np.eye(2)[0], [[0.5, 1.0]], tol_rel=1e-10)
+
+
+# Fields c_k = P(k) gamma_k(q) at n = 2 with P(k) = prod_i (k + c_i) / c_i,
+# as (coefficient, q, offsets c_i): the two critical fields of the family
+# runs (alpha = 0 and alpha = 1), an upper-branch shift and two fields the
+# plain form did not cover.
+LIFTED = {
+    "critical_alpha0": (CoeffProduct(((-2.0, 1), (3.0, -1), (6.0, 1))), -2.0, (5.0, 6.0, 7.0)),
+    "critical_alpha1": (CoeffProduct(((-1.0, 1), (3.0, -1), (5.0, 1))), -1.0, (5.0, 6.0)),
+    "upper_shift": (CoeffProduct.kernel(0.3).shifted(0.5, 1.0), 0.3, (2.5,)),
+    "plain_upper_shift": (CoeffProduct.kernel(0.0).shifted(0.5, 1.0), 0.0, (2.5,)),
+    "lower_atom": (CoeffProduct.kernel(-2.0), -2.0, ()),
+}
+
+
+def lifted_reference(q, offsets, rho, u):
+    """2 Re F - 1, |1 - z| and the mass 2 F(rho) - 1 on the grid rho x u, in
+    50-digit mpmath, for F = P(theta) G_q with theta = z d/dz: P expanded in
+    monomials, theta^m = sum_j S(m, j) z^j (d/dz)^j, and the derivatives of
+    G_q = (1 - z)^-(2+q) or -log(1 - z)/z (q = -2, by Leibniz' rule)."""
+    with mpmath.workdps(50):
+        poly = [mpmath.mpf(1)]
+        for c in offsets:
+            c = mpmath.mpf(c)
+            poly = [((poly[m] * c if m < len(poly) else 0) + (poly[m - 1] if m else 0)) / c
+                    for m in range(len(poly) + 1)]
+
+        def derivative(z, j):
+            w = 1 - z
+            if q > -2.0:
+                return mpmath.rf(2 + mpmath.mpf(q), j) * w ** (-(2 + mpmath.mpf(q)) - j)
+            return sum(
+                mpmath.binomial(j, i)
+                * (-mpmath.log(w) if i == 0 else mpmath.factorial(i - 1) * w**-i)
+                * (-1) ** (j - i) * mpmath.factorial(j - i) * z ** (i - j - 1)
+                for i in range(j + 1)
+            )
+
+        def lifted(z):
+            if z == 0:
+                return mpmath.mpf(1)
+            return sum(
+                poly[m] * sum(mpmath.stirling2(m, j) * z**j * derivative(z, j) for j in range(m + 1))
+                for m in range(len(poly))
+            )
+
+        values = np.empty((len(rho), len(u)))
+        moduli = np.empty_like(values)
+        mass = np.array([float(2 * lifted(mpmath.mpf(r)) - 1) for r in rho])
+        for i, r in enumerate(rho):
+            for j, c in enumerate(u):
+                z = mpmath.mpf(r) * mpmath.expj(mpmath.acos(mpmath.mpf(c)))
+                values[i, j] = float(2 * mpmath.re(lifted(z)) - 1)
+                moduli[i, j] = float(abs(1 - z))
+    return values, moduli, mass
+
+
+class TestLiftedN2ClosedForm:
+    """At n = 2 a product coefficient P(k) gamma_k(q) is summed as 2 Re F - 1,
+    F the Euler operator P(z d/dz) applied to the atom's generating function:
+    within the certified series' tolerance inside the cap and within the
+    stated rounding bound of mpmath beyond it."""
+
+    grid = staticmethod(TestPlainN2ClosedForm.grid)
+
+    @pytest.mark.parametrize("name", list(LIFTED))
+    def test_the_table_is_the_coefficient(self, name):
+        coeff, q, offsets = LIFTED[name]
+        ks = np.arange(0.0, 400.0)
+        poly = np.prod([(ks + c) / c for c in offsets], axis=0)
+        want = np.log(poly) + log_gamma_coeffs(2, q, ks)
+        assert np.allclose(coeff.log_values(2, ks), want, rtol=0.0, atol=1e-11)
+
+    def test_the_critical_field_reads_its_terms_off_the_factors(self):
+        # (k+5)(k+6)(k+7)/(210 (k+1)): F = (2/w^3 + 14/w^2 + 74/w)/210 + (4/7)(-log w)/z
+        form = _N2Form.of(LIFTED["critical_alpha0"][0])
+        assert form.lower and form.order == 4.0
+        assert np.allclose(form.coefs, np.array([74.0, 14.0, 2.0]) / 210.0, rtol=1e-15, atol=0.0)
+        assert form.log_coef == pytest.approx(4.0 / 7.0, rel=1e-15)
+        form = _N2Form.of(LIFTED["critical_alpha1"][0])
+        # (k+5)(k+6)/30 = 1 + 12 k/30 + k(k-1)/30 and b = 1
+        assert not form.lower and form.b == 1.0 and form.order == 3.0
+        assert np.allclose(form.coefs, [1.0, 12.0 / 30.0, 2.0 / 30.0], rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(list(LIFTED)), seed=st.integers(0, 2**16))
+    def test_inside_the_cap_it_agrees_with_the_series(self, name, seed):
+        coeff = LIFTED[name][0]
+        rho, u, units = self.grid(seed, 0.99)
+        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is not None
+        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
+        want, _, masses, _ = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)
+        assert np.all(np.abs(got - want[0]) <= 1e-10 * masses[0][:, None])
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        name=st.sampled_from(list(LIFTED)),
+        depth=st.floats(12.0, 40.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_beyond_the_cap_it_is_within_the_bound_of_mpmath(self, name, depth, seed):
+        coeff, q, offsets = LIFTED[name]
+        rho, u, units = self.grid(seed, 1.0 - 2.0**-depth, m=6)
+        with pytest.raises(NonConvergent, match="not certified"):
+            _series_sum(2, coeff, u, [rho], tol_rel=1e-10, kmax=3000)
+        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10, kmax=3000)[0]
+        want, moduli, mass = lifted_reference(q, offsets, rho, np.clip(units[:, 0], -1.0, 1.0))
+        order = len(offsets) + (1.0 if q == -2.0 else 2.0 + q)
+        bound = STATED_ROUNDING * np.finfo(float).eps * (1.0 + order * (1.0 + np.abs(np.log(moduli))))
+        assert np.all(np.abs(got - want) <= bound * mass[:, None])
+
+    def test_a_tolerance_below_the_bound_sums_the_series(self):
+        coeff = LIFTED["critical_alpha0"][0]
+        rho, u, units = self.grid(6, 0.6)
+        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-16) is None
+        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-16)[0]
+        want = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-16)[0][0]
+        assert np.array_equal(got, want)
 
 
 class TestAngularTable:

@@ -262,6 +262,12 @@ class TestSupProbe:
         assert result.shells_used == 3
 
     @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
+    def test_no_certified_shell_raises(self, walk):
+        d = shell_decomposition(2, 10)
+        with pytest.raises(NonConvergent, match="no shell of a depth-10 grid"):
+            walk(d, failing_from_shell(0, NonConvergent("first shell")))
+
+    @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
     def test_other_errors_name_the_shell(self, walk):
         d = shell_decomposition(2, 10)
         with pytest.raises(EvaluationFailure, match="shell 2"):

@@ -176,6 +176,17 @@ class TestNoCertifiedShell:
     def test_little_bloch_inconclusive(self):
         assert little_bloch_test(self.ATOM, self.SPEC, self.grid()) == DecayVerdict.INCONCLUSIVE
 
+    def test_besov_norm_shells_raises(self):
+        with pytest.raises(NonConvergent, match="no shell of a depth-0 grid"):
+            besov_norm_shells(self.ATOM, BergmanBesov.standard(2.0, 0.0), self.grid())
+
+    def test_an_overflowing_atom_has_no_norm_estimate(self):
+        # its majorant overflows on shell 0, so no shell is certified
+        zeta = (1.0, 0.0, 0.0)
+        atom = HarmonicExpansion(3, (KernelAtom(3e5, zeta),))
+        with pytest.raises(NonConvergent, match="no shell of a depth-12 grid"):
+            besov_norm_shells(atom, BergmanBesov.standard(2.0, 0.0), shell_decomposition(3, 12, (zeta,)))
+
 
 class TestLittleBloch:
     def test_standard_keeps_the_subclass(self):
