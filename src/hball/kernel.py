@@ -35,11 +35,18 @@ tolerance (`_n2_closed_form`); the other coefficients (non-integer or
 negative operator orders, other lower-branch atoms), n >= 3, and the point
 and rule-sum modes always sum the series.
 
-A third mode sums the series against a quadrature rule's weighted values
-for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes each
-point's K as above; the radial moments sum_i r_i^k weighted[i, j] are
-shared by the points, built a chunk of degrees at a time, and each point
-streams the recurrence through them with one dot product per degree.
+A third mode sums the series against a product sphere rule's weighted
+values for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes
+each point's K as above.  The radial moments sum_i r_i^k weighted[i, j]
+are built a chunk of degrees at a time, and by the addition theorem their
+angular transform is shared by the points too: the DFT over the circle at
+n = 2; at n = 3, the DFT over each ring's equispaced azimuths followed by
+one associated-Legendre recurrence over the rings (`_AssociatedLegendre`).
+A point then costs O(K) at n = 2 and O(K^2) at n = 3, not O(K M) over the
+rule's M directions.  Past a degree K* read off the rule's shape
+(`_stream_degree`), where the shared ring work, which grows as K^2, would
+cost more, an n = 3 point streams the Gegenbauer recurrence through the
+moments with one dot product per degree instead.
 """
 
 from __future__ import annotations
@@ -86,6 +93,27 @@ _TABLE_CHUNK_BYTES = 4 << 20
 
 # Degrees per chunk of the radial moments of `eval_coeff_series_rule_sum`.
 _MOMENT_ROWS = 64
+
+# A point of an n = 3 rule sum streams its own recurrence once its K_x
+# passes K* = _STREAM_FACTOR * M / A for a rule of M nodes on A rings (M / A
+# azimuths).  The shared ring work grows as K^2 A and a streamed point's as
+# K M.  On the identity battery's reproducing rule (241 azimuths, 121
+# rings, K* = 2169), the shared path took one point at K = 1983 1.7x its
+# streamed time and 40 points 0.46x; at K = 4031 one point took 2.8x.  So
+# below K* a lone point pays less than twice its streamed time, and stacks
+# gain from about 4 points at K = 447 and 8 at K = 1983
+# (BENCH_addition_rule_sum.json).
+_STREAM_FACTOR = 9.0
+
+# Seed scale of `_AssociatedLegendre`: its values are carried times
+# 2^_SEED_EXP, so that sectoral seeds down to 2^-1982 stay normal numbers.
+# That keeps the rows exact to rounding below degree 3734 on every ring;
+# K* stays below _SEED_MAX_DEGREE.  On the identity battery's 121 rings,
+# sum_m (2 - delta_m0) (y_k^m)^2 = 2k+1 held within 6e-13 up to k = 3500
+# and failed first at k = 3725, on the ring with sin theta = 0.372.
+_SEED_EXP = 960
+_SEED_UNSCALE = 2.0**-_SEED_EXP
+_SEED_MAX_DEGREE = 3000
 
 # Rows of one e^{i k0 theta} e^{i j theta} piece of an n = 2 table.
 _PIECE_ROWS = 512
@@ -808,67 +836,244 @@ def eval_coeff_series_points(
     return values, tails, k_used
 
 
-def eval_coeff_series_rule_sum(
-    n: int,
-    coeff: CoeffProduct,
-    points,
-    radii,
-    units,
-    weighted,
-    *,
-    tol_rel: float,
-    kmax: int = KMAX_DEFAULT,
-):
-    """Rule sums sum_ij weighted[i, j] sum_k c_k Z_k(x, radii[i] units[j])
-    for each point x of a (P, n) stack.
+def _moment_rows(cols: int) -> int:
+    """Degrees per chunk of radial moments over `cols` columns: _MOMENT_ROWS,
+    fewer when a chunk would pass _TABLE_CHUNK_BYTES."""
+    return max(1, min(_MOMENT_ROWS, _TABLE_CHUNK_BYTES // (8 * max(cols, 1))))
 
-    Each point's series is cut at the degree K_x that pass 1 of the series
-    (`_certified_degree`) certifies on the radii |x| radii[i], the degree at
-    which `_series_sum` stops for that grid.  The result is that truncated
-    series on the grid radii x units, summed against `weighted` in another
-    order:
 
-        sum_{k <= K_x} c_k |x|^k sum_j Q_k(u_j) M_kj,
-        u_j = <x/|x|, units[j]>,  M_kj = sum_i radii[i]^k weighted[i, j].
+def _legendre_factors(k: int, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) of `_AssociatedLegendre` at degree k >= 1 for m = 0..k-1:
+    a_m = sqrt((4k^2 - 1) / (k^2 - m^2)) and b_m = 1 / a_m at degree k - 1
+    (0 at m = k - 1); `m2` holds the squares m^2."""
+    m2 = m2[:k]
+    a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m2))
+    j = k - 1.0
+    b = np.sqrt((j * j - m2) / (4.0 * j * j - 1.0))
+    return a, b
 
-    The moments M do not depend on x.  They are built _MOMENT_ROWS degrees
-    at a time (fewer when a chunk of them would pass _TABLE_CHUNK_BYTES),
-    each chunk one (B x R) @ (R x M) product shared by every point, so no
-    (K+1) x M table is held.  Each point streams its own angular recurrence
-    through the chunks with one dot product per degree; the recurrence is
-    started at degree 0 and released after K_x.  The chunks do not depend
-    on the other points, nor does a point's value.  A point at the origin
-    keeps only the k = 0 term.  Returns (values, degrees), each of shape
-    (P,).
+
+class _AssociatedLegendre:
+    """Streams y_k^m(cos theta), m = 0..k, over columns of unit directions
+    given by c = cos theta and s = sin theta >= 0, one degree per step.
+
+    y_k^m = sqrt(4 pi) ybar_k^m, with ybar_k^m the fully normalized
+    associated Legendre functions, so that by the addition theorem (DLMF
+    14.30.9, 18.18.9)
+        (2k+1) P_k(cos t cos t' + sin t sin t' cos phi)
+            = sum_{m=0}^{k} (2 - delta_m0) y_k^m(t) y_k^m(t') cos(m phi),
+    and |y_k^m| <= sqrt(2k+1).  Each order m runs the forward column
+    recurrence in k, y_k^m = a_m (c y_{k-1}^m - b_m y_{k-2}^m)
+    (`_legendre_factors`), from the sectoral seed y_k^k = sqrt((2k+1)/(2k))
+    s y_{k-1}^{k-1}.  The values are carried times 2^_SEED_EXP (Holmes and
+    Featherstone 2002), so they stay below 2^(_SEED_EXP + 11) for k < 2^21,
+    and a seed y_m^m ~ s^m stays a normal number while m log2(1/s) <
+    _SEED_EXP + 1022.  y_k^m is negligible until m falls to k s, so the
+    seeds that matter stay normal on every column while k < (_SEED_EXP +
+    1022) e / log2(e) = 3734 (worst at s = 1/e).  Past that, a seed can
+    stick at the smallest subnormal while the true one keeps shrinking, and
+    the rows blow up; `_stream_degree` keeps to _SEED_MAX_DEGREE.  Three
+    rolling (kmax+1) x columns buffers hold degrees k, k-1, k-2; rows above
+    a buffer's degree stay zero.
     """
-    points = np.asarray(points, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    units = np.asarray(units, dtype=float)
-    weighted = np.asarray(weighted, dtype=float)
-    if points.ndim != 2 or points.shape[1] != units.shape[1]:
-        raise ValueError(f"points must have shape (P, {units.shape[1]})")
-    if weighted.shape != (radii.shape[0], units.shape[0]):
-        raise ValueError("weighted must have shape (len(radii), len(units))")
-    _require_finite("points", points)
-    _require_finite("radii", radii)
-    _require_finite("units", units)
-    _require_finite("weighted values", weighted)
 
-    x_units = np.zeros(points.shape)
-    norms = np.zeros(points.shape[0])
-    degrees = np.zeros(points.shape[0], dtype=int)
-    for p, x in enumerate(points):
-        x_units[p], norms[p] = _unit_and_norm(x)
-        if norms[p] > 0.0:
-            rho, sets = _stack([radii * norms[p]])
-            _, _, degrees[p] = _certified_degree(
-                n, coeff, rho, sets, tol_abs=0.0, tol_rel=tol_rel, kmax=kmax, min_terms=0
-            )
+    def __init__(self, c: np.ndarray, s: np.ndarray, kmax: int):
+        self._c, self._s = c, s
+        self._bufs = [np.zeros((kmax + 1, c.shape[0])) for _ in range(3)]
+        self.k = 0
 
+    def step(self, a: np.ndarray, b: np.ndarray, cols: int) -> np.ndarray:
+        """The scaled rows m = 0..k of the next degree k on the first `cols`
+        columns, shape (k+1, cols); (a, b) are `_legendre_factors` of k.
+        `cols` may only shrink from step to step."""
+        k = self.k
+        new, p1, p2 = (self._bufs[(k - i) % 3] for i in range(3))
+        if k == 0:
+            new[0, :cols] = 2.0**_SEED_EXP
+        else:
+            out = new[:k, :cols]
+            np.multiply(p1[:k, :cols], self._c[:cols], out=out)
+            out -= p2[:k, :cols] * b[:, None]
+            out *= a[:, None]
+            seed = math.sqrt((2.0 * k + 1.0) / (2.0 * k))
+            np.multiply(p1[k - 1, :cols], seed * self._s[:cols], out=new[k, :cols])
+        self.k += 1
+        return new[: k + 1, :cols]
+
+
+def _synthesis(phi: float, re: np.ndarray, im: np.ndarray) -> float:
+    """sum_m Re(e^{i m phi} (re_m + i im_m)) over one point's contiguous
+    terms, so that its value does not depend on the other points."""
+    mphi = np.arange(re.shape[0]) * phi
+    return float(np.sum(np.cos(mphi) * re - np.sin(mphi) * im))
+
+
+def _circle_sums(coeff, points, degrees, radii, rings, weighted) -> np.ndarray:
+    """Rule sums at n = 2, where Q_k(cos(phi_x - phi_j)) = (2 - delta_k0)
+    Re(e^{i k phi_x} e^{-i k phi_j}): each degree's moments fold once into
+    C_k = sum_j e^{-i k phi_j} M_kj over the circle's nodes, and a point
+    sums c_k |x|^k (2 - delta_k0) Re(e^{i k phi_x} C_k) for k <= K_x."""
+    nodes, angle = rings.index[0], rings.param
+    w = weighted[:, nodes]
+    k_end = int(degrees.max(initial=0)) + 1
+    rows = _moment_rows(nodes.shape[0])
+    log_r = _log_radii(radii)
+    c = np.empty(k_end, dtype=complex)
+    for k0 in range(0, k_end, rows):
+        kf = np.arange(k0, k0 + rows, dtype=float)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            moments = _powers(np.zeros(rows), kf, log_r).T @ w
+        phases = np.exp(-1j * (kf[:, None] * angle[None, :]))
+        c[k0 : k0 + rows] = np.einsum("kj,kj->k", moments, phases)[: k_end - k0]
+    c[1:] *= 2.0
+    log_x = _log_radii(np.linalg.norm(points, axis=1))
+    phi = np.arctan2(points @ rings.b[0], points @ rings.a[0])
+    values = np.empty(points.shape[0])
+    for p, k in enumerate(degrees):
+        kf = np.arange(k + 1, dtype=float)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            c_x = _powers(coeff.log_values(2, kf), kf, log_x[p : p + 1])[0]
+        values[p] = _synthesis(phi[p], c_x * c.real[: k + 1], c_x * c.imag[: k + 1])
+    return values
+
+
+def _meridian_frame(units, rings):
+    """(axis, e1, e2, t, B) of an n = 3 rule's meridians: the pole, the
+    frame in which meridian b has azimuth 2 pi b / B, and the cosines t_a of
+    the rings, read off the nodes of meridian 0.  Refuses azimuths that are
+    not equispaced, which the azimuthal DFT needs."""
+    axis, e1 = rings.a[0], rings.b[0]
+    e2 = np.cross(axis, e1)
+    n_az = rings.index.shape[0]
+    phi = np.mod(np.arctan2(rings.b @ e2, rings.b @ e1), 2.0 * np.pi)
+    want = 2.0 * np.pi * np.arange(n_az) / n_az
+    if not np.allclose(phi, want, rtol=0.0, atol=1e-12):
+        raise ValueError("the meridians of an n = 3 rule sum must be equispaced in azimuth")
+    return axis, e1, e2, units[rings.index[0]] @ axis, n_az
+
+
+def _ring_spectra(weighted, index, t):
+    """(table, H): the DFT over each ring's B equispaced azimuths of the
+    weighted values, for m = 0..B//2, shape (R, B//2 + 1, 2, 2, H) with
+    axes (radius, m, sum or difference, re or im, ring) flattened past R.
+
+    The real part is the product of the even part x_b + x_{B-b} with
+    cos(2 pi m b / B) and the imaginary part that of the odd part
+    x_b - x_{B-b} with -sin, b <= B/2, at the exact phases (m b mod B) / B;
+    numpy's FFT took 4x longer at the prime B = 241.  It runs over chunks of
+    radii and writes into the table, so that no temporary exceeds
+    _TABLE_CHUNK_BYTES.  When the ring cosines t are symmetric about the
+    equator, ring a of the H = ceil(A/2) kept rings carries the sum and the
+    difference of the spectra of rings a and A-1-a (the equator, for odd A,
+    its own spectrum twice); otherwise H = A and both copies are the ring's
+    own spectrum."""
+    n_az, n_rings = index.shape
+    n_bins, pairs = n_az // 2 + 1, (n_az - 1) // 2
+    even_b = np.arange(n_bins)  # b = B/2, for even B, has no partner
+    turns = 2.0 * np.pi * (np.outer(even_b, even_b) % n_az) / n_az
+    cos, sin = np.cos(turns), -np.sin(turns[:, 1 : pairs + 1])
+    symmetric = bool(np.array_equal(t, -t[::-1]))
+    half = (n_rings + 1) // 2 if symmetric else n_rings
+    table = np.empty((weighted.shape[0], n_bins, 2, 2, half))
+    step, flat = max(1, _TABLE_CHUNK_BYTES // (8 * index.size)), index.ravel()
+    for i0 in range(0, weighted.shape[0], step):
+        x = np.take(weighted[i0 : i0 + step], flat, axis=1).reshape(-1, n_az, n_rings)
+        up, down = x[:, 1 : pairs + 1], x[:, : n_az - pairs - 1 : -1]
+        even = x[:, :n_bins].copy()
+        even[:, 1 : pairs + 1] += down
+        part = table[i0 : i0 + step]
+        for j, spectrum in enumerate((cos @ even, sin @ (up - down))):  # (radii, bins, A)
+            near = spectrum[..., :half]
+            if symmetric:
+                far = spectrum[..., ::-1][..., :half]
+                np.add(near, far, out=part[:, :, 0, j])
+                np.subtract(near, far, out=part[:, :, 1, j])
+                if n_rings % 2:
+                    part[:, :, :, j, -1] = near[:, :, None, -1]
+            else:
+                part[:, :, 0, j] = part[:, :, 1, j] = near
+    return table.reshape(weighted.shape[0], -1), half
+
+
+def _meridian_sums(coeff, points, degrees, radii, units, rings, weighted) -> np.ndarray:
+    """Rule sums at n = 3 by the addition theorem (`_AssociatedLegendre`):
+        sum_j Q_k(x^.z_j) M_kj
+            = sum_m (2 - delta_m0) y_k^m(x^) Re(e^{i m phi_x} C_k(m)),
+        C_k(m) = sum_a y_k^m(t_a) sum_b e^{-i m phi_b} M_k(a, b).
+    The moments of the weighted values' azimuthal DFT (`_ring_spectra`; bin
+    m mod B, conjugated past B/2) are taken _moment_rows degrees at a time,
+    and no bin above the chunk's last degree.  When the rings are symmetric
+    about the equator, y_k^m(-t) = (-1)^(k+m) y_k^m(t) folds each pair into
+    one ring carrying the sum (k + m even) or the difference of their
+    transforms.  One recurrence over the rings gives each degree's C_k; one
+    over the points' directions, scaled by |x|^k and cut at each point's
+    K_x, folds c_k C_k into per-point accumulators, which each point sums on
+    its own at the end (`_synthesis`)."""
+    axis, e1, e2, t, n_az = _meridian_frame(units, rings)
+    n_rings = t.shape[0]
+    table, half = _ring_spectra(weighted, rings.index, t)
+
+    k_max = int(degrees.max(initial=0))
+    order = np.argsort(-degrees, kind="stable")
+    sorted_deg = degrees[order]
+    x = points[order]
+    norms = np.linalg.norm(x, axis=1)
+    log_x = _log_radii(norms)
+    x_units = x / np.where(norms > 0.0, norms, 1.0)[:, None]
+    px, py = x_units @ e1, x_units @ e2
+    ring_sin = np.sqrt((1.0 - t[:half]) * (1.0 + t[:half]))
+    rings_y = _AssociatedLegendre(t[:half], ring_sin, k_max)
+    points_y = _AssociatedLegendre(x_units @ axis, np.hypot(px, py), k_max)
+
+    m = np.arange(k_max + 1)
+    m2 = m.astype(float) ** 2
+    bin_ = m % n_az
+    flipped = bin_ > n_az // 2
+    bin_ = np.where(flipped, n_az - bin_, bin_)
+    parity = (m & 1, 1 - (m & 1))  # S or D at even and odd k
+    # (2 - delta_m0) on both parts; past B/2 the bin is conjugated
+    weight = np.where(m == 0, 1.0, 2.0)[:, None] * np.stack(
+        [np.ones(k_max + 1), np.where(flipped, -1.0, 1.0)], axis=1
+    )
+    acc = np.zeros((k_max + 1, 2, x.shape[0]))  # per point: re, im per order m
+
+    n_bins = n_az // 2 + 1
+    rows = _moment_rows(table.shape[1])
+    log_r = _log_radii(radii)
+    for k0 in range(0, k_max + 1, rows):
+        kf = np.arange(k0, k0 + rows, dtype=float)
+        bins = min(n_bins, k0 + rows)  # a degree below B/2 reads no higher bin
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            moments = _powers(np.zeros(rows), kf, log_r).T @ table[:, : bins * 4 * half]
+        moments = moments.reshape(rows, bins, 2, 2, half)
+        c_k = np.exp(coeff.log_values(3, kf))
+        for k in range(k0, min(k0 + rows, k_max + 1)):
+            a, b = _legendre_factors(k, m2) if k else (None, None)
+            y = rings_y.step(a, b, half) * _SEED_UNSCALE
+            g = moments[k - k0][bin_[: k + 1], parity[k & 1][: k + 1]]  # (k+1, 2, half)
+            c = np.einsum("mh,mch->mc", y, g)
+            c *= c_k[k - k0] * weight[: k + 1]
+            cols = int(np.count_nonzero(sorted_deg >= k))
+            # |x|^k unscaled, for the points still below their K_x
+            scale = _SEED_UNSCALE * np.exp(k * log_x[:cols]) if k else _SEED_UNSCALE
+            z = points_y.step(a, b, cols) * scale
+            acc[: k + 1, :, :cols] += z[:, None, :] * c[:, :, None]
+
+    phi = np.arctan2(py, px)
+    values = np.empty(x.shape[0])
+    for i, k in enumerate(sorted_deg):
+        values[order[i]] = _synthesis(phi[i], acc[: k + 1, 0, i], acc[: k + 1, 1, i])
+    return values
+
+
+def _streamed_sums(n, coeff, x_units, norms, degrees, radii, units, weighted) -> np.ndarray:
+    """Rule sums with each point streaming its own angular recurrence
+    through the moment chunks, one dot product per degree; the recurrence
+    is started at degree 0 and released after K_x."""
     log_r, log_x = _log_radii(radii), _log_radii(norms)
-    rows = max(1, min(_MOMENT_ROWS, _TABLE_CHUNK_BYTES // (8 * max(units.shape[0], 1))))
-    angular = [None] * points.shape[0]
-    values = np.zeros(points.shape[0])
+    rows = _moment_rows(units.shape[0])
+    angular = [None] * x_units.shape[0]
+    values = np.zeros(x_units.shape[0])
     for k0 in range(0, degrees.max(initial=0) + 1, rows):
         kf = np.arange(k0, k0 + rows, dtype=float)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -881,6 +1086,97 @@ def eval_coeff_series_rule_sum(
             values[p] += c_x[p, :m] @ angular[p].dots(k0, moments[:m])
             if degrees[p] < k0 + rows:
                 angular[p] = None  # past K_x: release its buffers
+    return values
+
+
+def _stream_degree(rings) -> float:
+    """K*: an n = 3 point with K_x above it streams (`_streamed_sums`).  It
+    is _STREAM_FACTOR M / A for M nodes on A rings, and never more than
+    _SEED_MAX_DEGREE, where the shared path's seeds would stop being exact."""
+    return min(_STREAM_FACTOR * rings.index.size / rings.index.shape[1], _SEED_MAX_DEGREE)
+
+
+def eval_coeff_series_rule_sum(
+    n: int,
+    coeff: CoeffProduct,
+    points,
+    radii,
+    units,
+    weighted,
+    rings,
+    *,
+    tol_rel: float,
+    kmax: int = KMAX_DEFAULT,
+):
+    """Rule sums sum_ij weighted[i, j] sum_k c_k Z_k(x, radii[i] units[j])
+    for each point x of a (P, n) stack, on a product sphere rule whose
+    nodes `rings` (the rule's `quadrature.Rings`) describes.
+
+    Each point's series is cut at the degree K_x that pass 1 of the series
+    (`_certified_degree`) certifies on the radii |x| radii[i], the degree at
+    which `_series_sum` stops for that grid.  The result is that truncated
+    series on the grid radii x units, summed against `weighted` in another
+    order:
+
+        sum_{k <= K_x} c_k |x|^k sum_j Q_k(u_j) M_kj,
+        u_j = <x/|x|, units[j]>,  M_kj = sum_i radii[i]^k weighted[i, j].
+
+    The moments M do not depend on x, and by the addition theorem neither
+    does their angular transform: the DFT of the moments over the circle
+    (n = 2, `_circle_sums`) or over each ring's equispaced azimuths followed
+    by the ring sums against y_k^m (n = 3, `_meridian_sums`).  That work is
+    done once per call, built _MOMENT_ROWS degrees at a time (fewer when a
+    chunk would pass _TABLE_CHUNK_BYTES), so no (K+1) x M table is held;
+    then a point costs O(K_x) at n = 2 and O(K_x^2) at n = 3.  An n = 3
+    point with K_x above K* (`_stream_degree`) streams its own recurrence
+    over the directions instead (`_streamed_sums`).  The path is chosen
+    from K_x alone, and neither path lets a point's value depend on the
+    other points.  A point at the origin keeps only the k = 0 term.
+    Nodes off the rings must carry zero weighted values.  Returns (values,
+    degrees), each of shape (P,).
+    """
+    points = np.asarray(points, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    units = np.asarray(units, dtype=float)
+    weighted = np.asarray(weighted, dtype=float)
+    if n not in (2, 3):
+        raise ValueError("rule sums are implemented for n in {2, 3}")
+    if points.ndim != 2 or points.shape[1] != units.shape[1]:
+        raise ValueError(f"points must have shape (P, {units.shape[1]})")
+    if weighted.shape != (radii.shape[0], units.shape[0]):
+        raise ValueError("weighted must have shape (len(radii), len(units))")
+    _require_finite("points", points)
+    _require_finite("radii", radii)
+    _require_finite("units", units)
+    _require_finite("weighted values", weighted)
+    off_rings = np.ones(units.shape[0], dtype=bool)
+    off_rings[rings.index] = False
+    if np.any(weighted[:, off_rings]):
+        raise ValueError("nodes off the rule's rings must carry zero weighted values")
+
+    x_units = np.zeros(points.shape)
+    norms = np.zeros(points.shape[0])
+    degrees = np.zeros(points.shape[0], dtype=int)
+    for p, x in enumerate(points):
+        x_units[p], norms[p] = _unit_and_norm(x)
+        if norms[p] > 0.0:
+            rho, sets = _stack([radii * norms[p]])
+            _, _, degrees[p] = _certified_degree(
+                n, coeff, rho, sets, tol_abs=0.0, tol_rel=tol_rel, kmax=kmax, min_terms=0
+            )
+
+    if n == 2:
+        return _circle_sums(coeff, points, degrees, radii, rings, weighted), degrees
+    values = np.empty(points.shape[0])
+    streams = degrees > _stream_degree(rings)
+    if not streams.all():
+        values[~streams] = _meridian_sums(
+            coeff, points[~streams], degrees[~streams], radii, units, rings, weighted
+        )
+    if streams.any():
+        values[streams] = _streamed_sums(
+            n, coeff, x_units[streams], norms[streams], degrees[streams], radii, units, weighted
+        )
     return values, degrees
 
 

@@ -34,8 +34,8 @@ numpy's pairwise summation, so results are deterministic for a fixed rule.
 Every shell walk (shell integrals, sup probes, level sets) follows the stop
 rule of `walk_shells`: it stops at the first shell that raises NonConvergent
 and answers on the certified shells before it; any other failure on a shell
-raises EvaluationFailure.  A shell integral or sup probe with no certified
-shell has no answer and raises NonConvergent.
+raises EvaluationFailure.  A shell integral, sup probe or level-set
+integral with no certified shell has no answer and raises NonConvergent.
 """
 
 from __future__ import annotations

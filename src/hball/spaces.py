@@ -284,7 +284,9 @@ def _level_shell_integral(
     weight_exponent: float,
 ) -> tuple[ShellIntegral, tuple[int, ...]]:
     """Weighted level-set measure over the certified shells (see
-    `walk_shells`), with the per-shell in-set node counts."""
+    `walk_shells`), with the per-shell in-set node counts.  When no shell is
+    certified there is no measure and NonConvergent is raised, as
+    `integrate_shells` does."""
 
     def shell_term(j: int) -> tuple[float, int]:
         measures, count = _shell_level_measures(g, grid, j, exponent, epsilon)
@@ -292,7 +294,11 @@ def _level_shell_integral(
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
         return float(wr @ measures), count
 
-    terms, _ = walk_shells(grid, shell_term)
+    terms, stop = walk_shells(grid, shell_term)
+    if not terms:
+        raise NonConvergent(
+            f"level-set integral certified no shell of a depth-{grid.depth} grid"
+        ) from stop
     integral = ShellIntegral.from_increments(inc for inc, _ in terms)
     return integral, tuple(count for _, count in terms)
 
@@ -474,7 +480,8 @@ def level_set(
 
     The weighted magnitude equals (1-|x|^2)^(alpha+t) |D f|, so admissibility
     requires alpha + t > 0.  epsilon must be positive (inf gives the empty
-    set) and weight_exponent finite, or ValueError is raised.
+    set) and weight_exponent finite, or ValueError is raised.  Raises
+    NonConvergent when no shell of the grid is certified.
     """
     if not alpha + pair.t > 0.0:
         raise AdmissibilityError("level sets require alpha + t > 0")
@@ -637,13 +644,14 @@ def _rule_integral(
     q: BallQuadrature, kernel_s: float, x, values: np.ndarray, volume: float, tol_rel: float
 ):
     """(1/volume) times the rule sum of R_s(x, .) against `values` on the
-    rule's product grid: a float for one point x of shape (n,), a (P,)
-    array for a stack of shape (P, n)."""
+    rule's product grid, whose structure the sphere rule's rings give: a
+    float for one point x of shape (n,), a (P,) array for a stack of shape
+    (P, n)."""
     x = np.asarray(x, dtype=float)
     weighted = q.radial_weights[:, None] * values * q.sphere.weights
     sums, _ = eval_coeff_series_rule_sum(
         q.dimension, CoeffProduct.kernel(kernel_s), np.atleast_2d(x), q.radial_nodes,
-        q.units, weighted, tol_rel=tol_rel,
+        q.units, weighted, q.sphere.rings, tol_rel=tol_rel,
     )
     sums = sums / volume
     return float(sums[0]) if x.ndim == 1 else sums
@@ -664,10 +672,12 @@ def reproduce(
 
     `x` is one point of shape (n,), giving a float, or a stack of shape
     (P, n), giving a (P,) array.  Derivative values on the rule's grid are
-    cached per (rule, f, s, t), and the points of a stack share the radial
-    moments of the kernel series (`kernel.eval_coeff_series_rule_sum`), so
-    a stack of probes costs one moment table plus one angular recurrence
-    per point.
+    cached per (rule, f, s, t).  The points of a stack share the radial
+    moments of the kernel series and, by the addition theorem, their
+    angular transform over the rule's rings
+    (`kernel.eval_coeff_series_rule_sum`), so a stack of probes costs one
+    pass over the rule's nodes plus O(K_x^2) work per point; an n = 3 point
+    past the rule's K* streams its own recurrence over the nodes instead.
     """
     gamma = s + t
     if abs(q.gamma - gamma) > 1e-9:

@@ -5,19 +5,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import legendre_p_all
 
 from conftest import points_at_norms, rule_sum_reference
 
 from hball.errors import NonConvergent
 from hball.kernel import (
     _BLOCK_MAX,
+    _SEED_MAX_DEGREE,
+    _SEED_UNSCALE,
     _TABLE_MAX_U,
     CoeffProduct,
+    _AssociatedLegendre,
     _h_step_fractions,
+    _legendre_factors,
     _N2Form,
     _n2_closed_form,
     _series_sum,
     _step_ratio_bound,
+    _stream_degree,
     _ZonalAngular,
     eval_coeff_series_grid,
     eval_coeff_series_points,
@@ -29,6 +35,8 @@ from hball.kernel import (
     log_gamma_coeffs,
     zonal_angular_table,
 )
+from hball.quadrature import shell_decomposition, sphere_rule
+from hball.spaces import reproducing_rule
 from hball.special import dim_spherical_harmonics, log_dim_spherical_harmonics, pochhammer
 
 
@@ -451,83 +459,184 @@ class TestStreamedRecurrence:
             stream.dots(0, weights[:1])
 
 
+class TestAssociatedLegendre:
+    """The rows of `_AssociatedLegendre` satisfy the addition theorem
+        (2k+1) P_k(cos t cos t' + sin t sin t' cos phi)
+            = sum_m (2 - delta_m0) y_k^m(t) y_k^m(t') cos(m phi)
+    against scipy's Legendre polynomials, for every degree up to the K* of
+    the largest rule the rule-sum tests use, with no inf or NaN on the way:
+    at the poles (sin t = 0), at the equator and on the rings next to the
+    poles (sin t ~ 0.02)."""
+
+    @staticmethod
+    def columns():
+        q = reproducing_rule(3, 0.5, 1.0)
+        rings = q.sphere.rings
+        polar = q.units[rings.index[0]] @ rings.a[0]  # the rings' cosines
+        near_pole = polar[np.argmax(np.abs(polar))]
+        t = np.array([1.0, -1.0, 0.0, near_pole, -near_pole, 0.3, -0.77])
+        return int(_stream_degree(rings)), t, np.sqrt((1.0 - t) * (1.0 + t))
+
+    def test_addition_theorem_up_to_the_stream_degree(self):
+        k_star, t, s = self.columns()
+        assert k_star > 2000 and s[3] < 0.021
+        # (first, second, phi): pole with pole, pole with ring, ring pairs
+        pairs = [(0, 0, 0.0), (0, 1, 0.0), (0, 3, 0.4), (1, 4, 2.0), (2, 2, 0.0), (2, 5, 1.1),
+                 (3, 3, 0.0), (3, 3, 0.05), (3, 4, 3.0), (4, 6, 0.7), (5, 6, 2.9)]
+        first, second, phi = (np.array(c) for c in zip(*pairs))
+        u = np.clip(t[first] * t[second] + s[first] * s[second] * np.cos(phi), -1.0, 1.0)
+        want = legendre_p_all(k_star, u)[0]
+        want[:, np.abs(u) == 1.0] = u[np.abs(u) == 1.0] ** np.arange(k_star + 1.0)[:, None]
+        rows = _AssociatedLegendre(t, s, k_star)
+        m2 = np.arange(k_star + 1.0) ** 2
+        for k in range(k_star + 1):
+            a, b = _legendre_factors(k, m2) if k else (None, None)
+            y = rows.step(a, b, t.shape[0]) * _SEED_UNSCALE
+            assert np.all(np.isfinite(y))
+            weight = np.where(np.arange(k + 1) == 0, 1.0, 2.0)[:, None]
+            got = np.sum(weight * y[:, first] * y[:, second] * np.cos(np.outer(np.arange(k + 1), phi)), axis=0)
+            assert np.all(np.abs(got - (2 * k + 1) * want[k]) <= 1e-10 * (2 * k + 1))
+
+    def test_norms_up_to_the_seed_limit(self):
+        # sum_m (2 - delta_m0) (y_k^m)^2 = 2k+1 for every degree K* may
+        # reach on any rule, on the columns whose seeds shrink fastest
+        # (sin t = 1/e) and slowest, next to the pole and at the equator
+        s = np.array([math.exp(-1.0), 0.0198, 0.6, 1.0])
+        t = np.sqrt((1.0 - s) * (1.0 + s))
+        rows = _AssociatedLegendre(t, s, _SEED_MAX_DEGREE)
+        m2 = np.arange(_SEED_MAX_DEGREE + 1.0) ** 2
+        for k in range(_SEED_MAX_DEGREE + 1):
+            a, b = _legendre_factors(k, m2) if k else (None, None)
+            y = rows.step(a, b, s.shape[0]) * _SEED_UNSCALE
+            weight = np.where(np.arange(k + 1) == 0, 1.0, 2.0)[:, None]
+            norm2 = np.sum(weight * y * y, axis=0)
+            assert np.all(np.abs(norm2 - (2 * k + 1)) <= 1e-10 * (2 * k + 1))
+
+
 class TestRuleSum:
-    """Sums against radial moments shared by the points: the same degree as
-    each point's own grid series and the same value within 1e-12 of its
-    mass."""
+    """Sums against radial moments shared by the points, on product sphere
+    rules: the same degree as each point's own grid series, the same value
+    within 1e-12 of its mass, and the value the point gets alone, whichever
+    path (shared transform or streamed recurrence) it takes."""
 
     COEFFS = TestTwoPassSum.COEFFS
 
     @staticmethod
-    def rule(n, seed, m=150, r=12):
+    def rule(n, seed, degree=20, r=12, sphere=None):
+        """Random radii and weighted values on the product rule
+        `sphere_rule(n, degree)`, or on `sphere`."""
         rng = np.random.default_rng(seed)
+        sphere = sphere_rule(n, degree) if sphere is None else sphere
         radii = np.append(np.sort(rng.uniform(0.0, 0.999, r - 1)), 0.999)
-        units = rng.normal(size=(m, n))
-        units /= np.linalg.norm(units, axis=1)[:, None]
-        return rng, radii, units, rng.normal(size=(r, m))
+        return rng, radii, sphere, rng.normal(size=(r, sphere.units.shape[0])) * sphere.weights
 
-    def assert_matches(self, n, coeff, points, radii, units, weighted):
-        values, degrees = eval_coeff_series_rule_sum(
-            n, coeff, points, radii, units, weighted, tol_rel=1e-9
+    @staticmethod
+    def sums(n, coeff, points, radii, sphere, weighted, **kw):
+        return eval_coeff_series_rule_sum(
+            n, coeff, points, radii, sphere.units, weighted, sphere.rings, **kw
         )
+
+    def assert_matches(self, n, coeff, points, radii, sphere, weighted):
+        values, degrees = self.sums(n, coeff, points, radii, sphere, weighted, tol_rel=1e-9)
         assert values.shape == degrees.shape == (points.shape[0],)
         for x, v, k in zip(points, values, degrees):
-            want, mass, k_want = rule_sum_reference(n, coeff, x, radii, units, weighted, 1e-9)
+            want, mass, k_want = rule_sum_reference(n, coeff, x, radii, sphere.units, weighted, 1e-9)
             assert k == k_want
             assert abs(v - want) <= 1e-12 * mass
+            alone, _ = self.sums(n, coeff, x[None, :], radii, sphere, weighted, tol_rel=1e-9)
+            assert alone[0] == v
         return degrees
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @staticmethod
+    def stack(rng, n):
+        """Points at the origin, on the pole axis both ways and at random,
+        over the degrees 0, 63, 191 and 447."""
+        axis = np.eye(n)[-1]
+        points = points_at_norms(rng, n, [0.3, 0.93, 0.0, 0.8, 0.5, 0.93])
+        return np.vstack([points, 0.8 * axis, -0.5 * axis])
+
+    @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("coeff", COEFFS)
     def test_stack_with_the_origin_across_three_degree_blocks(self, n, coeff):
-        rng, radii, units, weighted = self.rule(n, 40 + n)
-        points = points_at_norms(rng, n, [0.3, 0.93, 0.0, 0.8, 0.5, 0.93])
-        degrees = self.assert_matches(n, coeff, points, radii, units, weighted)
+        # 65 azimuths put K* above 447: every point takes the shared path
+        rng, radii, sphere, weighted = self.rule(n, 40 + n, degree=64)
+        if n == 3:
+            assert _stream_degree(sphere.rings) > 447
+        degrees = self.assert_matches(n, coeff, self.stack(rng, n), radii, sphere, weighted)
         assert sorted(set(degrees)) == [0, 63, 191, 447]
+
+    @pytest.mark.parametrize("degree", [21, 22], ids=["even-azimuths", "even-rings"])
+    @pytest.mark.parametrize("coeff", COEFFS)
+    def test_a_stack_straddling_the_stream_degree(self, coeff, degree):
+        # 22 or 23 azimuths put K* between 191 and 447: the deepest points
+        # stream, the others take the shared path
+        rng, radii, sphere, weighted = self.rule(3, 7, degree=degree)
+        k_star = _stream_degree(sphere.rings)
+        degrees = self.assert_matches(3, coeff, self.stack(rng, 3), radii, sphere, weighted)
+        assert min(d for d in degrees if d > 0) <= k_star < max(degrees)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_focused_rules(self, n):
+        # a refined circle (n = 2) and asymmetric rings about a tilted pole
+        # with a zero-weight probe at the pole (n = 3)
+        pole = np.eye(n)[0] + 0.5 * np.eye(n)[1]
+        sphere = shell_decomposition(n, 3, (tuple(pole),)).spheres[-1]
+        rng, radii, sphere, weighted = self.rule(n, 8, sphere=sphere)
+        points = np.vstack([points_at_norms(rng, n, [0.0, 0.5, 0.9]), 0.7 * pole / np.linalg.norm(pole)])
+        self.assert_matches(n, self.COEFFS[0], points, radii, sphere, weighted)
+        weighted[:, -1] = 1.0  # the probe node is off the rings
+        with pytest.raises(ValueError, match="off the rule's rings"):
+            self.sums(n, self.COEFFS[0], points, radii, sphere, weighted, tol_rel=1e-9)
+
+    def test_only_product_rules_of_dimension_2_and_3(self):
+        units = np.eye(4)
+        with pytest.raises(ValueError, match="n in {2, 3}"):
+            eval_coeff_series_rule_sum(4, self.COEFFS[0], np.zeros((1, 4)), np.array([0.5]), units,
+                                       np.ones((1, 4)), None, tol_rel=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_boundary_product_raises_as_the_grid_does(self, n):
-        _, radii, units, weighted = self.rule(n, 9)
+        _, radii, sphere, weighted = self.rule(n, 9)
         radii[-1] = 1.0
         x = np.eye(n)[:2] * np.array([[0.5], [1.0]])
         with pytest.raises(NonConvergent) as want:
-            eval_coeff_series_grid(n, self.COEFFS[0], units, x[1], [radii], tol_rel=1e-9)
+            eval_coeff_series_grid(n, self.COEFFS[0], sphere.units, x[1], [radii], tol_rel=1e-9)
         with pytest.raises(NonConvergent) as got:
-            eval_coeff_series_rule_sum(n, self.COEFFS[0], x, radii, units, weighted, tol_rel=1e-9)
+            self.sums(n, self.COEFFS[0], x, radii, sphere, weighted, tol_rel=1e-9)
         assert str(got.value) == str(want.value)
 
     def test_same_error_at_the_cap(self):
         # a product coefficient: the grid sums its series, so it meets the cap
-        _, radii, units, weighted = self.rule(2, 10)
+        _, radii, sphere, weighted = self.rule(2, 10, degree=149)
         x = np.array([[0.3, 0.0], [0.999, 0.0]])
         with pytest.raises(NonConvergent) as want:
-            eval_coeff_series_grid(2, self.COEFFS[1], units, x[1], [radii], tol_rel=1e-10, kmax=3000)
+            eval_coeff_series_grid(2, self.COEFFS[1], sphere.units, x[1], [radii], tol_rel=1e-10, kmax=3000)
         with pytest.raises(NonConvergent) as got:
-            eval_coeff_series_rule_sum(2, self.COEFFS[1], x, radii, units, weighted, tol_rel=1e-10, kmax=3000)
+            self.sums(2, self.COEFFS[1], x, radii, sphere, weighted, tol_rel=1e-10, kmax=3000)
         assert str(got.value) == str(want.value)
 
     def test_the_plain_n2_kernel_passes_the_cap_in_closed_form(self):
         # the rule sum still meets the cap; the grid is summed in closed form
-        _, radii, units, weighted = self.rule(2, 10)
+        _, radii, sphere, weighted = self.rule(2, 10, degree=149)
         x = np.array([[0.3, 0.0], [0.999, 0.0]])
         with pytest.raises(NonConvergent):
-            eval_coeff_series_rule_sum(2, self.COEFFS[0], x, radii, units, weighted, tol_rel=1e-10, kmax=3000)
-        got = eval_coeff_series_grid(2, self.COEFFS[0], units, x[1], [radii], tol_rel=1e-10, kmax=3000)[0]
-        assert_within_closed_form_bound(got, 0.0, radii * 0.999, units[:, 0])
+            self.sums(2, self.COEFFS[0], x, radii, sphere, weighted, tol_rel=1e-10, kmax=3000)
+        got = eval_coeff_series_grid(2, self.COEFFS[0], sphere.units, x[1], [radii], tol_rel=1e-10, kmax=3000)[0]
+        assert_within_closed_form_bound(got, 0.0, radii * 0.999, np.clip(sphere.units[:, 0], -1.0, 1.0))
 
     def test_non_finite_and_misshapen_inputs(self):
-        _, radii, units, weighted = self.rule(2, 11)
+        _, radii, sphere, weighted = self.rule(2, 11)
         coeff = self.COEFFS[0]
         with pytest.raises(ValueError, match="finite"):
-            eval_coeff_series_rule_sum(2, coeff, np.array([[np.nan, 0.1]]), radii, units, weighted, tol_rel=1e-9)
+            self.sums(2, coeff, np.array([[np.nan, 0.1]]), radii, sphere, weighted, tol_rel=1e-9)
         bad = weighted.copy()
         bad[0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            eval_coeff_series_rule_sum(2, coeff, np.zeros((1, 2)), radii, units, bad, tol_rel=1e-9)
+            self.sums(2, coeff, np.zeros((1, 2)), radii, sphere, bad, tol_rel=1e-9)
         with pytest.raises(ValueError, match="shape"):
-            eval_coeff_series_rule_sum(2, coeff, np.zeros(2), radii, units, weighted, tol_rel=1e-9)
+            self.sums(2, coeff, np.zeros(2), radii, sphere, weighted, tol_rel=1e-9)
         with pytest.raises(ValueError, match="shape"):
-            eval_coeff_series_rule_sum(2, coeff, np.zeros((1, 2)), radii, units, weighted.T, tol_rel=1e-9)
+            self.sums(2, coeff, np.zeros((1, 2)), radii, sphere, weighted.T, tol_rel=1e-9)
 
 
 # The rounding bound the n = 2 closed form states, in units of

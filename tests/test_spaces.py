@@ -173,6 +173,10 @@ class TestNoCertifiedShell:
         with pytest.raises(NonConvergent, match="no shell of a depth-0 grid"):
             distance_estimate(self.ATOM, self.SPEC.alpha, self.SPEC.pair, self.grid())
 
+    def test_level_set_raises(self):
+        with pytest.raises(NonConvergent, match="no shell of a depth-0 grid"):
+            level_set(self.ATOM, self.SPEC.alpha, self.SPEC.pair, 0.1, self.grid(), -2.0)
+
     def test_little_bloch_inconclusive(self):
         assert little_bloch_test(self.ATOM, self.SPEC, self.grid()) == DecayVerdict.INCONCLUSIVE
 
