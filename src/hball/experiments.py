@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
@@ -865,10 +866,65 @@ def _schema() -> dict:
         return json.load(fh)
 
 
-def validate_report(report: dict) -> None:
-    import jsonschema  # lazy: about 30 ms to import, paid only when validating
+# The JSON Schema (draft 7) types as `jsonschema` reads them: a bool is
+# neither an integer nor a number, and a float with an integral value is an
+# integer.
+_SCHEMA_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+}
 
-    jsonschema.validate(report, _schema())
+# The keywords `_check_schema` reads; "$schema" and "title" constrain nothing.
+_SCHEMA_KEYWORDS = frozenset({
+    "$schema", "title", "type", "required", "properties", "additionalProperties",
+    "items", "minimum", "exclusiveMinimum",
+})
+
+
+def _check_schema(value, schema: dict, where: str) -> None:
+    """Raise ValueError, naming the place, unless `value` meets `schema`.
+
+    Reads the keywords the report schema uses: type, required, properties,
+    additionalProperties (false only), items, minimum and exclusiveMinimum,
+    each with its JSON Schema meaning.  Any other keyword is refused, so a
+    schema edit cannot go unchecked."""
+    unknown = set(schema) - _SCHEMA_KEYWORDS
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"unsupported schema at {where}: {sorted(unknown) or schema}")
+    if "type" in schema and not _SCHEMA_TYPES[schema["type"]](value):
+        raise ValueError(f"{where} is not of type {schema['type']}: {value!r}")
+    if _SCHEMA_TYPES["number"](value):
+        # written as the failing comparison, so that NaN passes as it does
+        # in JSON Schema validators
+        if "minimum" in schema and value < schema["minimum"]:
+            raise ValueError(f"{where} is less than {schema['minimum']}: {value!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            raise ValueError(f"{where} is not above {schema['exclusiveMinimum']}: {value!r}")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        missing = [k for k in schema.get("required", ()) if k not in value]
+        if missing:
+            raise ValueError(f"{where} misses required keys {missing}")
+        if "additionalProperties" in schema:
+            extra = sorted(set(value) - set(properties))
+            if extra:
+                raise ValueError(f"{where} has keys the schema does not allow: {extra}")
+        for key, sub in properties.items():
+            if key in value:
+                _check_schema(value[key], sub, f"{where}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check_schema(item, schema["items"], f"{where}[{i}]")
+
+
+def validate_report(report: dict) -> None:
+    """Raise ValueError unless `report` meets `data/report.schema.json`."""
+    _check_schema(report, _schema(), "report")
 
 
 def report_to_json(report: dict) -> str:

@@ -20,9 +20,11 @@ bound certifies, which fixes the last degree K without any angular work.
 The values are then summed against rows of Q_k built once per distinct u
 (`zonal_angular_table`) and gathered back to the directions: at n = 2 the
 rows of each block come directly from products of unit phases, so they are
-summed inside pass 1; at n = 3 pass 2 sums against a Legendre table of
-degrees 0..K; at n >= 4, and in calls with more than _TABLE_MAX_U distinct
-u, the Gegenbauer recurrence streams inside pass 1.
+summed inside pass 1; at n = 3 pass 1 keeps its blocks of c_k rho^k, scaled
+once by (2k+1), and pass 2 sums them against a table of P_k(u) of degrees
+0..K, so no c_k rho^k is computed twice; at n >= 4, and in calls with more
+than _TABLE_MAX_U distinct u, the Gegenbauer recurrence streams inside
+pass 1.
 
 At n = 2 the kernels and their derivative fields have closed forms.
 With z = x conj(pole) the grid values are 2 Re F(z) - 1, F = sum_k c_k z^k.
@@ -345,6 +347,18 @@ def _unit_phases(ks: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(1j * (ks[:, None] * theta[None, :]))
 
 
+def _legendre_table(u: np.ndarray, k_end: int) -> np.ndarray:
+    """P_k(u) for 0 <= k < k_end, shape (k_end, len(u)), from scipy's
+    `legendre_p_all` (DLMF 18.9).  Its recurrence drifts at u = +-1 (by
+    1.4e-9 at k = 98 239), where P_k(u) = u^k exactly, so those columns are
+    set to u^k."""
+    out = legendre_p_all(k_end - 1, u)[0]
+    ends = np.abs(u) == 1.0
+    if ends.any():
+        out[:, ends] = u[ends][None, :] ** np.arange(k_end, dtype=float)[:, None]
+    return out
+
+
 def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
     """The angular factors Q_k(u) for k0 <= k < k0 + size, shape (size, len(u)).
 
@@ -353,7 +367,8 @@ def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
     - n = 2: Q_k = 2 cos k theta (DLMF 18.5) and Q_0 = 1.  Row k0 + s + j is
       2 Re(e^{i (k0+s) theta} e^{i j theta}) over pieces of _PIECE_ROWS rows,
       so any degree block costs one complex product per entry.
-    - n = 3: Q_k = (2k+1) P_k(u) from scipy's `legendre_p_all` (DLMF 18.9).
+    - n = 3: Q_k = (2k+1) P_k(u), (2k+1) times the rows of
+      `_legendre_table`, the Legendre path that pass 2 sums against too.
       It computes every degree from 0, so callers ask from k0 = 0.
     - n >= 4: the Gegenbauer recurrence of `_ZonalAngular`, stepped from
       degree 0.
@@ -382,14 +397,8 @@ def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
             out[0] = 1.0
         return out
     if n == 3:
-        ks = np.arange(k0, k0 + size, dtype=float)
-        out = legendre_p_all(k0 + size - 1, u)[0][k0:]
-        # its recurrence drifts at u = +-1 (by 1.4e-9 at k = 98 239), where
-        # P_k(u) = u^k exactly
-        ends = np.abs(u) == 1.0
-        if ends.any():
-            out[:, ends] = u[ends][None, :] ** ks[:, None]
-        out *= (2.0 * ks + 1.0)[:, None]
+        out = _legendre_table(u, k0 + size)[k0:]
+        out *= (2.0 * np.arange(k0, k0 + size, dtype=float) + 1.0)[:, None]
         return out
     angular = _ZonalAngular(n, u)
     angular.block(0, k0)
@@ -408,10 +417,13 @@ def _degree_blocks(kmax: int):
 
 
 def _powers(log_c: np.ndarray, kf: np.ndarray, log_rho: np.ndarray) -> np.ndarray:
-    """c_k rho^k, shape (len(rho), len(k)), with the k = 0 convention
-    0 * log(0) = 0."""
-    log_pow = np.where(kf[None, :] == 0.0, 0.0, kf[None, :] * log_rho[:, None])
-    return np.exp(log_c[None, :] + log_pow)
+    """c_k rho^k = exp(log c_k + k log rho), shape (len(rho), len(k)), with
+    the k = 0 convention 0 * log(0) = 0.  Built in one buffer; each entry
+    takes the same two roundings and the same exp as the formula."""
+    out = np.multiply.outer(log_rho, kf)
+    out[:, kf == 0.0] = 0.0
+    out += log_c
+    return np.exp(out, out=out)
 
 
 def _log_radii(rho: np.ndarray) -> np.ndarray:
@@ -419,21 +431,19 @@ def _log_radii(rho: np.ndarray) -> np.ndarray:
         return np.log(np.maximum(rho, 0.0))
 
 
-def _legendre_pass(cols, log_c, rho, acc) -> None:
-    """Pass 2 at n = 3: add the terms of degrees 0..K = len(log_c) - 1 to
-    acc (radii x cols), against a Legendre table over `cols` built in column
-    chunks of at most _TABLE_CHUNK_BYTES; c_k rho^k is recomputed per chunk."""
-    log_rho = _log_radii(rho)
-    k_end = log_c.shape[0]
+def _legendre_pass(cols, blocks, acc) -> None:
+    """Pass 2 at n = 3: add the terms of degrees 0..K to acc (radii x cols).
+
+    `blocks` are pass 1's degree blocks (k0, (2k+1) c_k rho^k), the last
+    one ending at K.  They are summed against a table of P_k over `cols`
+    (`_legendre_table`), built in column chunks of at most
+    _TABLE_CHUNK_BYTES, so no degree's c_k rho^k is computed twice."""
+    k_end = blocks[-1][0] + blocks[-1][1].shape[1]
     width = max(1, _TABLE_CHUNK_BYTES // (8 * k_end))
     for c0 in range(0, cols.shape[0], width):
-        c1 = min(c0 + width, cols.shape[0])
-        q = zonal_angular_table(3, cols[c0:c1], 0, k_end)
-        for k0 in range(0, k_end, _BLOCK_MAX):
-            kf = np.arange(k0, min(k0 + _BLOCK_MAX, k_end), dtype=float)
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                p = _powers(log_c[k0 : k0 + kf.shape[0]], kf, log_rho)
-            acc[:, c0:c1] += p @ q[k0 : k0 + kf.shape[0]]
+        table = _legendre_table(cols[c0 : c0 + width], k_end)
+        for k0, p in blocks:
+            acc[:, c0 : c0 + width] += p @ table[k0 : k0 + p.shape[1]]
 
 
 def _stack(rho_sets: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
@@ -460,9 +470,9 @@ def _certified_degree(
     majorant c_k h_k rho^k and stops at the first block after which every
     tail bound meets its tolerance; that block's last degree is K.  `rho`
     is the rho sets stacked (`_stack`) and `sets` their slices.
-    `on_block(k0, size, log_c, p)` sees each block's log c_k and its
-    c_k rho^k, shape (len(rho), size).  Returns (tails, masses, K), one
-    tail and one mass vector per set.
+    `on_block(k0, p)` sees each block's c_k rho^k, shape (len(rho), size),
+    after pass 1 is done with it, so it may keep and scale p in place.
+    Returns (tails, masses, K), one tail and one mass vector per set.
     """
     if tol_abs <= 0.0 and tol_rel <= 0.0:
         raise ValueError("a positive tol_abs or tol_rel is required")
@@ -475,11 +485,13 @@ def _certified_degree(
     masses = [np.zeros(sl.stop - sl.start) for sl in sets]
 
     for k0, size in _degree_blocks(kmax):
-        kf = np.arange(k0, k0 + size, dtype=float)
+        # one degree past the block: log c_k h_k there heads the tail bound
+        kf = np.arange(k0, k0 + size + 1, dtype=float)
         log_c = coeff.log_values(n, kf)
-        h = np.exp(log_dim_spherical_harmonics(n, kf))
+        log_h = log_dim_spherical_harmonics(n, kf)
+        h = np.exp(log_h[:size])
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            p = _powers(log_c, kf, log_rho)  # c_k rho^k, (radii, B)
+            p = _powers(log_c[:size], kf[:size], log_rho)  # c_k rho^k, (radii, B)
             for i, sl in enumerate(sets):
                 masses[i] += p[sl] @ h
         if not all(np.all(np.isfinite(m)) for m in masses):
@@ -489,16 +501,14 @@ def _certified_degree(
                 f"(worst |x||y| = {rho_max})"
             )
         if on_block is not None:
-            on_block(k0, size, log_c, p)
+            on_block(k0, p)
 
         k_used = k0 + size - 1
         if k_used < max(min_terms, 1):
             continue
         k1 = k_used + 1
         ratio = _step_ratio_bound(fracs, k1)
-        log_first = float(coeff.log_values(n, np.array([float(k1)]))[0]) + float(
-            log_dim_spherical_harmonics(n, np.array([k1]))[0]
-        )
+        log_first = float(log_c[size]) + float(log_h[size])
         geo = rho * ratio
         with np.errstate(over="ignore", under="ignore"):
             head = np.exp(log_first + k1 * log_rho)
@@ -534,8 +544,11 @@ def _series_sum(
     and gathered back to the directions at the end:
     - n = 2: `zonal_angular_table` gives the rows of each degree block
       directly, so they are summed inside pass 1 and there is no pass 2;
-    - n = 3: pass 2 runs once K is known, against one Legendre table of
-      degrees 0..K over the distinct u, built in column chunks;
+    - n = 3: pass 1's blocks of c_k rho^k are kept and scaled once by
+      (2k+1), which is len(rho) x K work, and pass 2 sums them against one
+      table of P_k of degrees 0..K over the distinct u, built in column
+      chunks (`_legendre_pass`).  The kept blocks hold len(rho) (K+1) 8
+      bytes, 6.3 MB for 8 radii at K = 98 239;
     - n >= 4: the Gegenbauer recurrence streams inside pass 1.
     A call with more than _TABLE_MAX_U distinct u streams the recurrence
     inside pass 1 over its directions themselves, with no gather.  All rho
@@ -559,21 +572,22 @@ def _series_sum(
         rows = _ZonalAngular(n, cols).block
 
     acc = np.zeros((rho.shape[0], cols.shape[0]))
-    log_cs = []
+    blocks = []  # pass 2's (k0, (2k+1) c_k rho^k)
 
-    def on_block(k0, size, log_c, p):
+    def on_block(k0, p):
         nonlocal acc
         if rows is None:
-            log_cs.append(log_c)
+            p *= 2.0 * np.arange(k0, k0 + p.shape[1], dtype=float) + 1.0
+            blocks.append((k0, p))
         else:
-            acc += p @ rows(k0, size)
+            acc += p @ rows(k0, p.shape[1])
 
     tails, masses, k_used = _certified_degree(
         n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax,
         min_terms=min_terms, on_block=on_block,
     )
     if rows is None:
-        _legendre_pass(cols, np.concatenate(log_cs), rho, acc)
+        _legendre_pass(cols, blocks, acc)
     if gather:
         acc = np.take(acc, inv, axis=1)
     return [acc[sl] for sl in sets], tails, masses, k_used

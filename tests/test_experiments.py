@@ -76,6 +76,12 @@ def small_config(name: str) -> ExperimentConfig:
     raise ValueError(name)
 
 
+@pytest.fixture(scope="module")
+def valid_reports():
+    """A report of every experiment at its small config."""
+    return [run_experiment(name, small_config(name)) for name in EXPERIMENTS]
+
+
 class TestFamily:
     def test_family_is_deterministic(self):
         a = verification_family(3, 1.0, seed=5)
@@ -159,6 +165,58 @@ class TestReports:
         validate_report(rep)
         with pytest.raises(Exception):
             validate_report({"experiment": "x"})
+
+    def test_the_check_agrees_with_jsonschema(self, valid_reports):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(
+            (Path(__file__).parents[1] / "src/hball/data/report.schema.json").read_text()
+        )
+
+        def verdicts(report):
+            ours = theirs = True
+            try:
+                validate_report(report)
+            except ValueError:
+                ours = False
+            try:
+                jsonschema.validate(report, schema)
+            except jsonschema.ValidationError:
+                theirs = False
+            return ours, theirs
+
+        def mutated(report, where, key, value=KeyError):
+            out = json.loads(json.dumps(report))
+            target = out if where is None else out[where]
+            if value is KeyError:
+                del target[key]
+            else:
+                target[key] = value
+            return out
+
+        cases = []
+        for report in valid_reports:
+            cases.append(report)
+            for where, keys in ((None, report), ("config", report["config"]), ("summary", report["summary"])):
+                cases += [mutated(report, where, key) for key in keys]
+                cases.append(mutated(report, where, "extra", 0))
+            cases += [mutated(report, "summary", key, value)
+                      for key in ("disagreements", "inconclusive", "rows")
+                      for value in (-1, 0, 3.0, 2.5, True, None, "1")]
+            cases += [mutated(report, "summary", "pass", value) for value in (False, 1, None)]
+            cases += [mutated(report, "config", "shells", value) for value in (0, 1, 12.0, 1.5, True, "12")]
+            cases += [mutated(report, "config", "tol", value)
+                      for value in (0.0, -1e-9, 1e-300, 1, math.nan, math.inf, False, "1e-6")]
+            cases += [mutated(report, "config", "seed", value) for value in (-3, 2.0, 0.5, None)]
+            cases += [mutated(report, "config", key, value)
+                      for key in ("name", "parameters") for value in (3, [], {}, "x")]
+            cases += [mutated(report, None, "rows", value) for value in ([], [1], [[]], [{}], {})]
+            cases += [mutated(report, None, key, value)
+                      for key in ("experiment", "config", "summary") for value in (3, [], None)]
+        cases += [[], "report", None]
+        for case in cases:
+            ours, theirs = verdicts(case)
+            assert ours == theirs, case
+        assert all(verdicts(report) == (True, True) for report in valid_reports)
 
     def test_byte_stable_across_runs(self):
         cfg = small_config("membership")

@@ -9,18 +9,25 @@ from scipy.special import legendre_p_all
 
 from conftest import points_at_norms, rule_sum_reference
 
+from hball.calculus import KernelAtom, _atom_coeff, apply_D
 from hball.errors import NonConvergent
+from hball.experiments import verification_family
 from hball.kernel import (
     _BLOCK_MAX,
+    _EPS,
     _SEED_MAX_DEGREE,
     _SEED_UNSCALE,
     _TABLE_MAX_U,
     CoeffProduct,
+    KMAX_DEFAULT,
     _AssociatedLegendre,
+    _degree_blocks,
     _h_step_fractions,
     _legendre_factors,
+    _legendre_table,
     _N2Form,
     _n2_closed_form,
+    _powers,
     _series_sum,
     _step_ratio_bound,
     _stream_degree,
@@ -430,6 +437,91 @@ class TestTwoPassSum:
         # where an infinite tail would meet the infinite mass's tolerance
         with pytest.raises(NonConvergent, match="majorant overflows by degree 447"):
             _series_sum(3, CoeffProduct.kernel(3000.0), np.array([0.3, 1.0]), [np.array([0.25, 0.5])], tol_rel=1e-9)
+
+
+def family_coefficients():
+    """(n, c_k) of every series the family's experiments sum: each kernel
+    atom of `verification_family` at n = 2, 3 and alpha = 0, 1, alone and
+    under each operator pair of the family."""
+    out = set()
+    for n in (2, 3):
+        for alpha in (0.0, 1.0):
+            members, designated, _ = verification_family(n, alpha)
+            functions = members + [designated]
+            for _, f, _ in functions:
+                if not isinstance(f.atoms[0], KernelAtom):
+                    continue
+                out.add((n, _atom_coeff(f.atoms[0])))
+                for pair in {pair for _, _, pair in functions}:
+                    out.update((n, _atom_coeff(g)) for g in apply_D(f, pair).atoms)
+    return sorted(out, key=repr)
+
+
+class TestHeldDegreeBlocks:
+    """Pass 2 at n = 3 sums against the degree blocks pass 1 built, so each
+    c_k rho^k is computed once per call, and pass 1 reads the head of its
+    tail bound off a block one degree longer."""
+
+    def test_each_degree_is_computed_once(self, monkeypatch):
+        coeff = CoeffProduct.kernel(-3.0)
+        u = np.concatenate([[-1.0, 1.0], np.random.default_rng(3).uniform(-1.0, 1.0, 14)])
+        rho_sets = [np.array([0.0, 0.6, 0.99]), np.array([0.995])]
+        one = _series_sum(3, coeff, u, rho_sets, tol_rel=1e-10)
+        k_end = one[3] + 1
+        degrees = []
+
+        def counted(log_c, kf, log_rho):
+            degrees.append(kf)
+            return _powers(log_c, kf, log_rho)
+
+        monkeypatch.setattr("hball.kernel._powers", counted)
+        # 5 of the 16 distinct u per chunk: 4 chunks, the last one column wide
+        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 8 * k_end * 5)
+        chunked = _series_sum(3, coeff, u, rho_sets, tol_rel=1e-10)
+        assert np.array_equal(np.concatenate(degrees), np.arange(k_end, dtype=float))
+        assert chunked[3] == one[3]
+        for got, want in zip(chunked[1] + chunked[2], one[1] + one[2]):
+            assert np.array_equal(got, want)
+        # BLAS picks its kernel by the product's shape (a one-column chunk is
+        # a matrix-vector product), so the values may differ by rounding only
+        for got, want, mass in zip(chunked[0], one[0], one[2]):
+            assert np.all(np.abs(got - want) <= 1e-14 * mass[:, None])
+
+    @pytest.mark.parametrize("k0", [0, 4096])
+    def test_powers_are_the_formula_bit_for_bit(self, k0):
+        kf = np.arange(k0, k0 + 300, dtype=float)
+        log_c = CoeffProduct.kernel(-5.5).log_values(3, kf)
+        rho = np.array([0.0, 0.3, 0.9, 1.0 - 2.0**-40])
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            log_rho = np.log(rho)
+            log_pow = np.where(kf[None, :] == 0.0, 0.0, kf[None, :] * log_rho[:, None])
+            want = np.exp(log_c[None, :] + log_pow)
+            got = _powers(log_c, kf, log_rho)
+        assert np.array_equal(got, want)
+        assert np.all(got[0, kf > 0.0] == 0.0)
+        assert np.all(got[:, kf == 0.0] == 1.0)  # 0^0 = 1 at rho = 0 too
+
+    @pytest.mark.parametrize(("n", "coeff"), family_coefficients(), ids=repr)
+    def test_the_tail_head_is_the_scalar_evaluation(self, n, coeff):
+        for k0, size in _degree_blocks(KMAX_DEFAULT):
+            kf = np.arange(k0, k0 + size + 1, dtype=float)
+            log_c = coeff.log_values(n, kf)
+            log_h = log_dim_spherical_harmonics(n, kf)
+            k1 = np.array([float(k0 + size)])
+            assert log_c[size] == coeff.log_values(n, k1)[0]
+            assert log_h[size] == log_dim_spherical_harmonics(n, k1)[0]
+            # and the block itself is what the block alone gives
+            assert np.array_equal(log_c[:size], coeff.log_values(n, kf[:size]))
+            assert np.array_equal(log_h[:size], log_dim_spherical_harmonics(n, kf[:size]))
+
+    def test_one_legendre_path(self):
+        u = np.array([-1.0, -0.3, 0.0, 0.8, 1.0])
+        p = _legendre_table(u, 5000)
+        ks = np.arange(5000, dtype=float)
+        assert np.array_equal(p[:, [0, -1]], np.stack([(-1.0) ** ks, np.ones(5000)], axis=1))
+        assert np.array_equal(p[:, 1:4], legendre_p_all(4999, u[1:4])[0])
+        q = zonal_angular_table(3, u, 0, 5000)
+        assert np.array_equal(q, p * (2.0 * ks + 1.0)[:, None])
 
 
 class TestStreamedRecurrence:
