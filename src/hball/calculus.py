@@ -225,13 +225,15 @@ def evaluate_grid(
 
     Series atoms are certified relative to their own majorant mass, so the
     accuracy is relative to the atom's local size rather than absolute.
+    Each atom's fresh grid is scaled and added in place, so the evaluation
+    holds at most the sum and one atom's grid.
     """
     radii = np.asarray(radii, dtype=float)
     units = np.asarray(units, dtype=float)
-    out = np.zeros((radii.shape[0], units.shape[0]))
+    out = None
     for atom in f.atoms:
         if isinstance(atom, ZonalTerm):
-            out += atom.weight * _zonal_grid(f.dimension, atom.degree, atom.pole, radii, units)
+            vals = _zonal_grid(f.dimension, atom.degree, atom.pole, radii, units)
         else:
             vals = eval_coeff_series_grid(
                 f.dimension,
@@ -242,7 +244,14 @@ def evaluate_grid(
                 tol_rel=tol_rel,
                 tol_abs=tol_abs,
             )[0]
-            out += atom.weight * vals
+        vals *= atom.weight
+        if out is None:
+            out = vals
+            out += 0.0  # as 0 + w v: a -0.0 becomes 0.0
+        else:
+            out += vals
+    if out is None:
+        return np.zeros((radii.shape[0], units.shape[0]))
     return out
 
 

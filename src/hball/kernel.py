@@ -24,7 +24,9 @@ summed inside pass 1; at n = 3 pass 1 keeps its blocks of c_k rho^k, scaled
 once by (2k+1), and pass 2 sums them against a table of P_k(u) of degrees
 0..K, so no c_k rho^k is computed twice; at n >= 4, and in calls with more
 than _TABLE_MAX_U distinct u, the Gegenbauer recurrence streams inside
-pass 1.
+pass 1.  It builds its rows, and their products with c_k rho^k, in pieces
+of at most _TABLE_CHUNK_BYTES, so such a call holds its output grid and a
+few pieces however deep its series goes.
 
 At n = 2 the kernels and their derivative fields have closed forms.
 With z = x conj(pole) the grid values are 2 Re F(z) - 1, F = sum_k c_k z^k.
@@ -53,7 +55,6 @@ moments with one dot product per degree instead.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -84,13 +85,19 @@ _BLOCK_MAX = 4096
 
 # A series call whose directions have more distinct u than this streams the
 # angular recurrence over its columns instead of building rows over the
-# distinct u.  Measured at n = 3 on the identity battery's reproduce calls
-# (29 161 directions, all u distinct, K = 63..447): a table plus the column
-# gather took 32-43 ms per call against 30 ms streamed.  Every call of the
-# other benchmark workloads has fewer than 512 distinct u.
+# distinct u.  The one such call of the benchmark workloads is the identity
+# battery's n = 3 derivative grid on its reproducing rule (62 radii x 29 161
+# directions, all u distinct, K = 63).  Streamed, it took a median of
+# 33-37 ms at a traced peak of 23.8 MB; the table plus the column gather
+# took 46-47 ms at 43.9 MB, since the gather fills a second grid
+# (BENCH_bounded_grids.json).  With the pole at 0.9 (K = 447) the table was
+# faster, 187-194 ms against 216-249 ms, for the same extra grid.  Every
+# call of the other benchmark workloads has fewer than 512 distinct u.
 _TABLE_MAX_U = 2048
 
-# Largest column chunk of the n = 3 Legendre table, in bytes.
+# Largest column chunk of the n = 3 Legendre table, in bytes; also the
+# largest row piece and product of a streamed series sum, and the bound on
+# a rule sum's moment and ring-spectrum chunks.
 _TABLE_CHUNK_BYTES = 4 << 20
 
 # Degrees per chunk of the radial moments of `eval_coeff_series_rule_sum`.
@@ -446,6 +453,19 @@ def _legendre_pass(cols, blocks, acc) -> None:
             acc[:, c0 : c0 + width] += p @ table[k0 : k0 + p.shape[1]]
 
 
+def _streamed_block(angular: _ZonalAngular, k0: int, p: np.ndarray, acc: np.ndarray) -> None:
+    """Add the degree block (k0, p), p = c_k rho^k, to acc (radii x cols)
+    against rows streamed from `angular`: pieces of rows over all columns,
+    each multiplied in column chunks, so that no piece and no product
+    exceeds _TABLE_CHUNK_BYTES."""
+    height = max(1, _TABLE_CHUNK_BYTES // (8 * max(acc.shape[1], 1)))
+    width = max(1, _TABLE_CHUNK_BYTES // (8 * max(acc.shape[0], 1)))
+    for j0 in range(0, p.shape[1], height):
+        piece = angular.block(k0 + j0, min(height, p.shape[1] - j0))
+        for c0 in range(0, acc.shape[1], width):
+            acc[:, c0 : c0 + width] += p[:, j0 : j0 + height] @ piece[:, c0 : c0 + width]
+
+
 def _stack(rho_sets: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
     """The rho sets stacked into one radius vector, and where each set sits."""
     ends = np.cumsum([0] + [r.shape[0] for r in rho_sets])
@@ -552,7 +572,12 @@ def _series_sum(
     - n >= 4: the Gegenbauer recurrence streams inside pass 1.
     A call with more than _TABLE_MAX_U distinct u streams the recurrence
     inside pass 1 over its directions themselves, with no gather.  All rho
-    sets share each degree block's matrix product.
+    sets share each degree block's matrix products.  The streamed path
+    builds its rows and products in pieces of at most _TABLE_CHUNK_BYTES
+    (`_streamed_block`), so beyond its len(rho) x len(u) output it holds
+    a few such pieces, one block of c_k rho^k and O(len(u)) recurrence
+    buffers at any depth; its values differ from one product per block by
+    rounding only.
     """
     u = np.asarray(u, dtype=float)
     rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
@@ -564,32 +589,34 @@ def _series_sum(
         inv = np.searchsorted(cols, u)
     else:
         cols, inv = u, np.arange(u.shape[0])
-    if gather and n == 3:
-        rows = None  # pass 2
-    elif gather and n == 2:
-        rows = functools.partial(zonal_angular_table, 2, cols)
-    else:
-        rows = _ZonalAngular(n, cols).block
+    angular = None if gather and n <= 3 else _ZonalAngular(n, cols)
 
+    # the gathered values, allocated before the series work: callers keep
+    # such grids (shell values are cached), and one allocated last sits
+    # above the freed temporaries on the heap, which raised the peak RSS of
+    # the n = 3 inclusion experiment by 0.3-0.5 MB
+    out = np.empty((rho.shape[0], u.shape[0])) if gather else None
     acc = np.zeros((rho.shape[0], cols.shape[0]))
     blocks = []  # pass 2's (k0, (2k+1) c_k rho^k)
 
     def on_block(k0, p):
         nonlocal acc
-        if rows is None:
+        if angular is not None:
+            _streamed_block(angular, k0, p, acc)
+        elif n == 2:
+            acc += p @ zonal_angular_table(2, cols, k0, p.shape[1])
+        else:
             p *= 2.0 * np.arange(k0, k0 + p.shape[1], dtype=float) + 1.0
             blocks.append((k0, p))
-        else:
-            acc += p @ rows(k0, p.shape[1])
 
     tails, masses, k_used = _certified_degree(
         n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax,
         min_terms=min_terms, on_block=on_block,
     )
-    if rows is None:
+    if blocks:
         _legendre_pass(cols, blocks, acc)
     if gather:
-        acc = np.take(acc, inv, axis=1)
+        acc = np.take(acc, inv, axis=1, out=out)
     return [acc[sl] for sl in sets], tails, masses, k_used
 
 

@@ -10,16 +10,18 @@ boundary.  Level sets of the weighted derivative, integrated against
 that characterize closure membership; the distance functional is estimated by
 bisecting the level threshold on that verdict.
 
-All operations are reentrant.  Values derived on a grid or rule live as
-long as it does (`_memo` holds them weakly under it).  On a shell grid the
-derivative values are keyed by the derivative expansion itself and the shell
-(`_shell_values`), so equal derivatives, whatever function and operator pair
-they come from, are evaluated once per shell; on a ball rule the reproducing
-integral's derivative tables are kept.  Grids belong to the caller; the
-experiments keep theirs for the life of the process.  Each level threshold
-still locates its own level-set boundaries: it bisects every flip of the
-indicator between neighboring nodes along the rings of the shell's sphere
-rule (`quadrature.Rings`), which evaluates the derivative between nodes.
+All operations are reentrant.  Values derived on a shell grid live as
+long as it does (`_memo` holds them weakly under it), keyed by the
+derivative expansion itself and the shell (`_shell_values`), so equal
+derivatives, whatever function and operator pair they come from, are
+evaluated once per shell.  Grids belong to the caller; the experiments keep
+theirs for the life of the process.  A ball rule keeps nothing: its product
+grid holds len(radial_nodes) x len(units) values (14.5 MB on the n = 3
+reproducing rule), so the reproducing integral evaluates its derivative
+grid once per call and releases it.  Each level threshold still locates
+its own level-set boundaries: it bisects every flip of the indicator
+between neighboring nodes along the rings of the shell's sphere rule
+(`quadrature.Rings`), which evaluates the derivative between nodes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
 from .kernel import CoeffProduct, eval_coeff_series_rule_sum
 from .quadrature import (
     BallQuadrature,
-    Rings,
     ShellDecomposition,
     ShellIntegral,
     SupProbe,
@@ -191,17 +192,20 @@ def _bisect_boundaries(
 
     Each bracket is (radius index, lo angle, hi angle) with the indicator
     status at the lo end; the angular parametrization is supplied by
-    `unit_of`.  All brackets advance together, _BISECT_STEPS halvings each.
+    `unit_of`, which maps a parameter per bracket, repeated bracket-wise
+    for each midpoint of the tree, to directions.  All brackets advance
+    together, _BISECT_STEPS halvings each.
 
     A grid evaluation costs a full kernel series sum whatever the number of
     directions, so each of the _BISECT_STEPS // _LOOKAHEAD rounds evaluates
     the dyadic tree of midpoints _LOOKAHEAD levels below every bracket in one
-    call and then replays the _LOOKAHEAD lo/hi decisions on that table.  The
-    tree's midpoints are formed by the same `0.5 * (lo + hi)` as halving one
-    step at a time, and the call keeps the full `shell_nodes` and the one
-    tolerance _BISECT_TOL: the truncation degree depends only on the radii,
-    so every visited midpoint gets the value, and every decision the
-    outcome, of a bisection that evaluates one halving per call.
+    call, on the directions of one `unit_of` call, and then replays the
+    _LOOKAHEAD lo/hi decisions on that table.  The tree's midpoints are
+    formed by the same `0.5 * (lo + hi)` as halving one step at a time, and
+    the call keeps the full `shell_nodes` and the one tolerance _BISECT_TOL:
+    the truncation degree depends only on the radii, so every visited
+    midpoint gets the value, and every decision the outcome, of a bisection
+    that evaluates one halving per call.
     """
     cols = np.arange(len(r_idx))
     weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
@@ -215,7 +219,7 @@ def _bisect_boundaries(
             mid = 0.5 * (a + b)
             mids.append(mid)
             brackets += [(a, mid), (mid, b)]
-        units = np.concatenate([unit_of(mid) for mid in mids])
+        units = unit_of(np.concatenate(mids))
         vals = evaluate_grid(g, shell_nodes, units, tol_rel=_BISECT_TOL)
         # (node, bracket) tables; each bracket keeps the row of its radius
         table = np.stack(mids)
@@ -231,13 +235,6 @@ def _bisect_boundaries(
     return 0.5 * (lo + hi)
 
 
-def _runs_measure(rings: Rings, first_in: bool, cuts: np.ndarray) -> float:
-    """Measure of the in-set on one ring, whose indicator is `first_in` at
-    the start of the ring's span and flips at each of the increasing `cuts`."""
-    edges = np.concatenate([[rings.span[0]], cuts, [rings.span[1]]])
-    return float(rings.measure(edges[:-1], edges[1:])[int(not first_in) :: 2].sum())
-
-
 def _shell_level_measures(
     g: HarmonicExpansion,
     grid: ShellDecomposition,
@@ -251,7 +248,10 @@ def _shell_level_measures(
     Each flip of the indicator between neighboring nodes of a ring (across
     the wrap gap too, on a closed ring) is bisected along the ring to a
     boundary; the measure per radius is the mean over the rings of their
-    in-set runs."""
+    in-set runs.  The runs of every (radius, ring) are measured in one
+    pass: each one's arcs run from the span's start through its boundaries
+    to the span's end, and every other arc, from the first when the ring
+    starts inside, is summed in order by `np.bincount`."""
     vals = _shell_values(g, grid, j)
     shell, rings = grid.shells[j], grid.spheres[j].rings
     weighted = (1.0 - shell.nodes**2) ** exponent
@@ -266,14 +266,17 @@ def _shell_level_measures(
     if r_idx.size:
         bounds = _bisect_boundaries(
             g, shell.nodes, exponent, eps, r_idx, ends[k], ends[k + 1],
-            status[r_idx, ring, k], lambda t: rings.units(ring, t),
+            status[r_idx, ring, k], lambda t: rings.units(np.resize(ring, t.shape), t),
         )
-    per_ring = np.split(bounds, np.cumsum(flips.sum(axis=2).ravel())[:-1])
-    measures = [
-        _runs_measure(rings, first_in, cuts)
-        for first_in, cuts in zip(status[:, :, 0].ravel(), per_ring)
-    ]
-    return np.reshape(measures, status.shape[:2]).mean(axis=1), int(status.sum())
+    cuts = flips.sum(axis=2).ravel()  # boundaries per (radius, ring)
+    before = np.cumsum(cuts) - cuts
+    lo = np.insert(bounds, before, rings.span[0])
+    hi = np.insert(bounds, before + cuts, rings.span[1])
+    cell = np.repeat(np.arange(cuts.size), cuts + 1)
+    arc = np.arange(cell.size) - np.repeat(before + np.arange(cuts.size), cuts + 1)
+    inside = (arc % 2 == 0) == status[:, :, 0].ravel()[cell]
+    measures = np.bincount(cell[inside], rings.measure(lo, hi)[inside], minlength=cuts.size)
+    return measures.reshape(status.shape[:2]).mean(axis=1), int(status.sum())
 
 
 def _level_shell_integral(
@@ -307,8 +310,8 @@ _MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()
 
 
 def _memo(owner, key, make):
-    """`make()`, computed once per `key` and kept while `owner` (the grid or
-    rule the value lives on) is alive."""
+    """`make()`, computed once per `key` and kept while `owner` (the shell
+    grid the value lives on) is alive."""
     per_owner = _MEMO.setdefault(owner, {})
     if key not in per_owner:
         per_owner[key] = make()
@@ -633,11 +636,9 @@ def reproducing_rule(n: int, s: float, t: float) -> BallQuadrature:
 def _rule_derivative(
     f: HarmonicExpansion, s: float, t: float, q: BallQuadrature, tol_rel: float
 ) -> np.ndarray:
-    """D^t_s f on the rule's product grid, memoized under the rule."""
-    return _memo(
-        q, (f, float(s), float(t), tol_rel),
-        lambda: evaluate_grid(apply_D(f, DiffPair(s, t)), q.radial_nodes, q.units, tol_rel=tol_rel),
-    )
+    """D^t_s f on the rule's product grid, a fresh array on every call; it
+    is not kept, so a caller holds it only while it needs it."""
+    return evaluate_grid(apply_D(f, DiffPair(s, t)), q.radial_nodes, q.units, tol_rel=tol_rel)
 
 
 def _rule_integral(
@@ -646,12 +647,14 @@ def _rule_integral(
     """(1/volume) times the rule sum of R_s(x, .) against `values` on the
     rule's product grid, whose structure the sphere rule's rings give: a
     float for one point x of shape (n,), a (P,) array for a stack of shape
-    (P, n)."""
+    (P, n).  `values` is consumed: the radial and sphere weights are
+    applied to it in place, so pass a fresh grid."""
     x = np.asarray(x, dtype=float)
-    weighted = q.radial_weights[:, None] * values * q.sphere.weights
+    values *= q.radial_weights[:, None]
+    values *= q.sphere.weights
     sums, _ = eval_coeff_series_rule_sum(
         q.dimension, CoeffProduct.kernel(kernel_s), np.atleast_2d(x), q.radial_nodes,
-        q.units, weighted, q.sphere.rings, tol_rel=tol_rel,
+        q.units, values, q.sphere.rings, tol_rel=tol_rel,
     )
     sums = sums / volume
     return float(sums[0]) if x.ndim == 1 else sums
@@ -671,22 +674,22 @@ def reproduce(
     with s > alpha - 1 and alpha + t > 0.
 
     `x` is one point of shape (n,), giving a float, or a stack of shape
-    (P, n), giving a (P,) array.  Derivative values on the rule's grid are
-    cached per (rule, f, s, t).  The points of a stack share the radial
-    moments of the kernel series and, by the addition theorem, their
-    angular transform over the rule's rings
-    (`kernel.eval_coeff_series_rule_sum`), so a stack of probes costs one
-    pass over the rule's nodes plus O(K_x^2) work per point; an n = 3 point
-    past the rule's K* streams its own recurrence over the nodes instead.
+    (P, n), giving a (P,) array.  Each call evaluates D f on the rule's
+    grid once, sums it and releases it; nothing is cached, so probes cost
+    least as one stack.  The points of a stack share the radial moments of
+    the kernel series and, by the addition theorem, their angular transform
+    over the rule's rings (`kernel.eval_coeff_series_rule_sum`), so a stack
+    of probes costs one pass over the rule's nodes plus O(K_x^2) work per
+    point; an n = 3 point past the rule's K* streams its own recurrence
+    over the nodes instead.
     """
     gamma = s + t
     if abs(q.gamma - gamma) > 1e-9:
         raise AdmissibilityError(
             f"quadrature weight {q.gamma} does not match s + t = {gamma}"
         )
-    gv = _rule_derivative(f, s, t, q, tol_rel)
     v = weight_constant(f.dimension, gamma).value
-    return _rule_integral(q, s, x, gv, v, tol_rel)
+    return _rule_integral(q, s, x, _rule_derivative(f, s, t, q, tol_rel), v, tol_rel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -723,7 +726,8 @@ def split(
     """Split the reproducing integral along the epsilon level set.
 
     Requires the rule weight to equal s + t and alpha + t > 0.  The level
-    set is resolved node-wise on the rule's grid.
+    set is resolved node-wise on the rule's grid.  D f is evaluated on that
+    grid once; the four parts share it and weight a masked copy per call.
     """
     s, t = pair.s, pair.t
     if not alpha + t > 0.0:

@@ -10,6 +10,7 @@ from hball.calculus import (
     HarmonicExpansion,
     KernelAtom,
     ZonalTerm,
+    _atom_coeff,
     _zonal_grid,
     apply_D,
     apply_I,
@@ -20,7 +21,7 @@ from hball.calculus import (
     expansion_to_json,
     homogeneous_coefficient,
 )
-from hball.kernel import gamma_ratio
+from hball.kernel import CoeffProduct, eval_coeff_series_grid, gamma_ratio
 from hball.special import dim_spherical_harmonics, zonal
 
 
@@ -105,6 +106,30 @@ class TestEvaluate:
                 assert grid[i, j] == pytest.approx(
                     evaluate(f, r * u, tol=1e-12), abs=1e-8
                 )
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_grid_is_the_zero_grid_accumulation_bit_for_bit(self, count):
+        # out = 0, then out += w v atom by atom; the zonal term's negative
+        # weight at radius 0 gives -0.0 products, which 0 + w v makes 0.0
+        atoms = (
+            ZonalTerm(1, ZETA3, -0.7),
+            KernelAtom(0.4, (0.0, 0.6, 0.0), 1.2),
+            GeneralSeriesAtom(CoeffProduct.kernel(0.3).shifted(0.5, 1.0), (0.5, 0.0, 0.0), -0.3),
+        )[:count]
+        radii = np.array([0.0, 0.4, 0.9])
+        rng = np.random.default_rng(2)
+        units = rng.normal(size=(40, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        want = np.zeros((radii.shape[0], units.shape[0]))
+        for atom in atoms:
+            if isinstance(atom, ZonalTerm):
+                vals = _zonal_grid(3, atom.degree, atom.pole, radii, units)
+                assert np.signbit(atom.weight * vals[0]).any()
+            else:
+                vals = eval_coeff_series_grid(3, _atom_coeff(atom), units, atom.pole, [radii], tol_rel=1e-9)[0]
+            want += atom.weight * vals
+        got = evaluate_grid(HarmonicExpansion(3, atoms), radii, units)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestApplyD:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.special import legendre_p_all
 
 from conftest import points_at_norms, rule_sum_reference
 
-from hball.calculus import KernelAtom, _atom_coeff, apply_D
+from hball.calculus import DiffPair, HarmonicExpansion, KernelAtom, _atom_coeff, apply_D
 from hball.errors import NonConvergent
 from hball.experiments import verification_family
 from hball.kernel import (
@@ -17,6 +18,7 @@ from hball.kernel import (
     _EPS,
     _SEED_MAX_DEGREE,
     _SEED_UNSCALE,
+    _TABLE_CHUNK_BYTES,
     _TABLE_MAX_U,
     CoeffProduct,
     KMAX_DEFAULT,
@@ -395,6 +397,14 @@ class TestTwoPassSum:
         u = np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50)
         self.assert_matches(n, self.COEFFS[0], u, [np.array([0.2, 0.7])])
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_streamed_pieces_of_few_rows_and_columns(self, n, monkeypatch):
+        # products of 64 columns for the three radii; pieces of one row over
+        # the 2 098 directions at n = 3, of 11 rows over 17 distinct u at n = 4
+        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 8 * 3 * 64)
+        u = np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50) if n == 3 else repeated_u(np.random.default_rng(7), 60, 17)
+        self.assert_matches(n, self.COEFFS[1], u, [np.array([0.0, 0.5, 0.8])])
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_deep_sums_with_one_column_chunks(self, n, monkeypatch):
         # chunks one column wide, deep enough to span several degree blocks
@@ -414,6 +424,8 @@ class TestTwoPassSum:
         assert grid[0].shape == (2, 0)
         grid = eval_coeff_series_grid(n, coeff, np.eye(n)[[0, 1, 0]], np.eye(n)[0] * 0.5, [[]], tol_rel=1e-9)
         assert grid[0].shape == (0, 3)
+        # the streamed path, with no radius to size its products by
+        self.assert_matches(n, coeff, np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50), [np.zeros(0)])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("grid", [True, False])
@@ -455,6 +467,43 @@ def family_coefficients():
                 for pair in {pair for _, _, pair in functions}:
                     out.update((n, _atom_coeff(g)) for g in apply_D(f, pair).atoms)
     return sorted(out, key=repr)
+
+
+class TestStreamedPieces:
+    """A streamed series sum builds its rows and products in pieces of at
+    most _TABLE_CHUNK_BYTES: beyond its output it holds a few pieces at any
+    depth, and it differs from one product per degree block by rounding
+    only."""
+
+    @pytest.fixture(scope="class")
+    def rule(self):
+        return reproducing_rule(3, 0.5, 1.0)
+
+    @pytest.mark.parametrize(("r", "k_used"), [(0.6, 63), (0.9, 447)])
+    def test_a_wide_n3_grid_holds_its_output_and_a_few_pieces(self, rule, r, k_used, monkeypatch):
+        # D f of the reproducing integral for a kernel atom at r zeta, on the
+        # identity battery's rule of 62 radii x 29 161 directions
+        f = HarmonicExpansion(3, (KernelAtom(0.3, tuple(r * np.array([0.48, 0.6, 0.64]))),))
+        (atom,) = apply_D(f, DiffPair(0.5, 1.0)).atoms
+        pole = np.asarray(atom.pole)
+        u = np.clip(rule.units @ (pole / np.linalg.norm(pole)), -1.0, 1.0)
+        rho = rule.radial_nodes * np.linalg.norm(pole)
+        assert np.unique(u).size > _TABLE_MAX_U
+        tracemalloc.start()
+        try:
+            got = _series_sum(3, atom.coeff, u, [rho], tol_rel=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - got[0][0].nbytes <= 3 * _TABLE_CHUNK_BYTES
+        # pieces as large as the block: one product per degree block
+        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 1 << 62)
+        want = _series_sum(3, atom.coeff, u, [rho], tol_rel=1e-9)
+        assert got[3] == want[3] == k_used
+        assert np.array_equal(got[1][0], want[1][0])
+        assert np.array_equal(got[2][0], want[2][0])
+        # each piece's partial sum is rounded into the output on its own
+        assert np.all(np.abs(got[0][0] - want[0][0]) <= 8 * _EPS * want[2][0][:, None])
 
 
 class TestHeldDegreeBlocks:

@@ -324,6 +324,37 @@ class TestLevelSet:
             got = rep.integral.increments[j]
             assert got == pytest.approx(want, rel=2e-3, abs=1e-12)
 
+    def test_a_ring_of_many_arcs_measures_as_its_runs(self, monkeypatch):
+        # |Z_12(r u, zeta)| = 2 r^12 |cos 12 theta| is above a third of its
+        # largest value on 9 arcs of the circle; the arcs are summed in
+        # order, which from 8 arcs on may round otherwise than np.sum
+        n, j = 2, 2
+        f = HarmonicExpansion(n, (ZonalTerm(12, ZETA2),))
+        grid = shell_decomposition(n, 4)
+        vals = spaces._shell_values(f, grid, j)
+        eps = float(np.abs(vals).max()) / 3.0
+        bounds = []
+        real = spaces._bisect_boundaries
+
+        def record(*args):
+            bounds.append(real(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(spaces, "_bisect_boundaries", record)
+        got, count = spaces._shell_level_measures(f, grid, j, 0.0, eps)
+        rings = grid.spheres[j].rings
+        status = np.abs(vals[:, rings.index]) >= eps
+        flips = status != np.roll(status, -1, axis=2)
+        per_ring = np.split(bounds[0], np.cumsum(flips.sum(axis=2).ravel())[:-1])
+        runs = []
+        for first_in, cuts in zip(status[:, :, 0].ravel(), per_ring):
+            edges = np.concatenate([[rings.span[0]], cuts, [rings.span[1]]])
+            runs.append(rings.measure(edges[:-1], edges[1:])[int(not first_in) :: 2])
+        assert max(r.size for r in runs) >= 8
+        want = np.reshape([r.sum() for r in runs], status.shape[:2]).mean(axis=1)
+        assert count == status.sum()
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
     def shell_walk_failing_from(self, monkeypatch, j_fail, exc):
         """level_set on a constant, with the measure of shells >= j_fail
         raising `exc`."""
@@ -466,6 +497,13 @@ class TestReproduce:
             assert isinstance(one, float) and one == g
             assert one == pytest.approx(evaluate(f, x), abs=1e-6)
 
+    def test_keeps_nothing_under_its_rule(self):
+        n, s, t = 2, 0.5, 1.0
+        q = reproducing_rule(n, s, t)
+        f = HarmonicExpansion(n, (KernelAtom(0.3, (0.0, 0.6)),))
+        reproduce(f, s, t, np.array([[0.1, 0.2], [0.3, -0.4]]), q)
+        assert q not in spaces._MEMO
+
     def test_requires_matching_rule(self):
         q = BallQuadrature.build(2, 0.7, 16)
         with pytest.raises(AdmissibilityError):
@@ -512,6 +550,24 @@ class TestSplit:
         assert res.f1(points) + res.f2(points) == pytest.approx(
             [evaluate(f, x) for x in points], abs=1e-6
         )
+
+    def test_the_four_parts_share_one_derivative_grid(self, monkeypatch):
+        n, alpha, pair = 2, 0.0, DiffPair(1.0, 1.0)
+        f = HarmonicExpansion(n, (KernelAtom(0.3, (0.0, 0.6)),))
+        q = reproducing_rule(n, pair.s, pair.t)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_grid(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "evaluate_grid", counted)
+        res = split(f, alpha, pair, 0.5, q)
+        points = points_at_norms(np.random.default_rng(6), n, [0.2, 0.7])
+        for part in (res.f1, res.f2, res.d_f1, res.d_f2):
+            assert [part(x) for x in points] == list(part(points))
+        assert len(calls) == 1
+        assert q not in spaces._MEMO
 
     def test_critical_atom_residual_shrinks_with_epsilon(self):
         n, alpha = 2, 0.0
