@@ -26,6 +26,7 @@ from .kernel import (
     eval_coeff_series_grid,
     eval_coeff_series_points,
     gamma_ratio,
+    log_coeff_block,
     zonal_angular_table,
 )
 from .special import check_dimension, zonal
@@ -302,7 +303,7 @@ def homogeneous_coefficient(f: HarmonicExpansion, k: int) -> list[tuple[tuple[fl
             if atom.degree == k:
                 out.append((atom.pole, atom.weight))
         else:
-            log_c = _atom_coeff(atom).log_values(f.dimension, np.array([float(k)]))[0]
+            log_c = log_coeff_block(f.dimension, _atom_coeff(atom), k, k + 1)[0]
             out.append((atom.pole, atom.weight * math.exp(float(log_c))))
     return out
 

@@ -24,9 +24,23 @@ summed inside pass 1; at n = 3 pass 1 keeps its blocks of c_k rho^k, scaled
 once by (2k+1), and pass 2 sums them against a table of P_k(u) of degrees
 0..K, so no c_k rho^k is computed twice; at n >= 4, and in calls with more
 than _TABLE_MAX_U distinct u, the Gegenbauer recurrence streams inside
-pass 1.  It builds its rows, and their products with c_k rho^k, in pieces
-of at most _TABLE_CHUNK_BYTES, so such a call holds its output grid and a
-few pieces however deep its series goes.
+pass 1.  The n = 2 rows and the streamed ones, and their products with
+c_k rho^k, are built in pieces of at most _TABLE_CHUNK_BYTES, so such a
+call holds its output grid and a few pieces however deep its series goes.
+
+Every degree block reads log c_k and log h_k from one held table
+(`_LogTables`): series calls in a row mostly share their coefficient, and
+each used to recompute both from degree 0.  The table of log h_k is kept
+per dimension n and that of log c_k for the most recently asked (n, c)
+only, keyed by n and the `CoeffProduct`.  A table grows by the degrees a
+request asks past the held ones, each computed by the elementwise formula
+on exactly those degrees, so every value is bit for bit a fresh
+`CoeffProduct.log_values` or `log_dim_spherical_harmonics`, and no result
+depends on what the table held before; a request starting past the held
+degrees is computed on its own.  A table holds fewer than twice the
+largest degree end it kept, so the tables hold at most 16 (k_c + sum_n
+k_n) bytes, with k_c that end for the current coefficient and k_n that of
+log h_k at n.
 
 At n = 2 the kernels and their derivative fields have closed forms.
 With z = x conj(pole) the grid values are 2 Re F(z) - 1, F = sum_k c_k z^k.
@@ -96,8 +110,8 @@ _BLOCK_MAX = 4096
 _TABLE_MAX_U = 2048
 
 # Largest column chunk of the n = 3 Legendre table, in bytes; also the
-# largest row piece and product of a streamed series sum, and the bound on
-# a rule sum's moment and ring-spectrum chunks.
+# largest row piece and product of an n = 2 or streamed series sum, and the
+# bound on a rule sum's moment and ring-spectrum chunks.
 _TABLE_CHUNK_BYTES = 4 << 20
 
 # Degrees per chunk of the radial moments of `eval_coeff_series_rule_sum`.
@@ -279,6 +293,95 @@ def gamma_ratio(n: int, s: float, t: float, k: int) -> float:
     return float(np.exp(log_r[0]))
 
 
+class _DegreeTable:
+    """Values v(k), k = 0, 1, ..., of one elementwise function of the degree,
+    each computed once and served as read-only slices.
+
+    A request for degrees k0 <= k < k_end grows the table by its degrees
+    past the held ones, computed by v on exactly those degrees, so every
+    served value is bit for bit what v gives on any array holding its
+    degree.  A request that starts past the held degrees is computed on its
+    own and not kept, so the table holds only degrees that requests asked
+    for.  The buffer at least doubles when it grows, so it holds fewer than
+    2 k_end values for the largest k_end of a kept request.  The buffer and
+    its filled length are replaced together, so a reader never sees an
+    unfilled degree."""
+
+    def __init__(self, values_of):
+        self._values_of = values_of
+        self._state = (np.empty(0), 0)  # (buffer, degrees filled)
+
+    @property
+    def nbytes(self) -> int:
+        return self._state[0].nbytes
+
+    def block(self, k0: int, k_end: int) -> np.ndarray:
+        buf, filled = self._state
+        if k0 > filled:
+            out = self._values_of(np.arange(k0, k_end, dtype=float))
+        else:
+            if k_end > filled:
+                if k_end > buf.shape[0]:
+                    grown = np.empty(max(k_end, 2 * buf.shape[0]))
+                    grown[:filled] = buf[:filled]
+                    buf = grown
+                buf[filled:k_end] = self._values_of(np.arange(filled, k_end, dtype=float))
+                self._state = (buf, k_end)
+            out = buf[k0:k_end]
+        out.flags.writeable = False
+        return out
+
+
+class _LogTables:
+    """The log-coefficient tables every degree block reads: log h_k for each
+    dimension n asked, and log c_k for the most recently asked (n, c) only.
+
+    Series calls in a row mostly share their coefficient, and one table per
+    coefficient ever asked would hold every deep walk's degrees; keeping
+    only the latest coefficient bounds the held bytes by 16 (k_c + sum_n
+    k_n), with k_c the largest degree end of a kept request of the current
+    coefficient and k_n that of log h_k at n.  On the n = 3 inclusion
+    benchmark the 108 series calls use 9 coefficients, and 99 of them
+    follow a call with the same one."""
+
+    def __init__(self):
+        self._dims: dict[int, _DegreeTable] = {}
+        self._coeff: tuple = (None, None)  # ((n, c), its table)
+
+    @property
+    def nbytes(self) -> int:
+        held = sum(t.nbytes for t in self._dims.values())
+        return held + (self._coeff[1].nbytes if self._coeff[1] is not None else 0)
+
+    def coeffs(self, n: int, coeff: CoeffProduct) -> _DegreeTable:
+        key, table = self._coeff
+        if key != (n, coeff):
+            table = _DegreeTable(lambda ks: coeff.log_values(n, ks))
+            self._coeff = ((n, coeff), table)
+        return table
+
+    def dims(self, n: int) -> _DegreeTable:
+        table = self._dims.get(n)
+        if table is None:
+            table = self._dims[n] = _DegreeTable(lambda ks: log_dim_spherical_harmonics(n, ks))
+        return table
+
+
+_LOG_TABLES = _LogTables()
+
+
+def log_coeff_block(n: int, coeff: CoeffProduct, k0: int, k_end: int) -> np.ndarray:
+    """log c_k for k0 <= k < k_end, read-only, bit for bit
+    `coeff.log_values(n, ks)`; served from the held table (`_LogTables`)."""
+    return _LOG_TABLES.coeffs(n, coeff).block(k0, k_end)
+
+
+def log_dim_block(n: int, k0: int, k_end: int) -> np.ndarray:
+    """log h_k for k0 <= k < k_end, read-only, bit for bit
+    `log_dim_spherical_harmonics(n, ks)`; served from the held table."""
+    return _LOG_TABLES.dims(n).block(k0, k_end)
+
+
 class _ZonalAngular:
     """Streams the angular factors Q_k(u) with Z_k(x, y) = (|x||y|)^k Q_k(u).
 
@@ -354,6 +457,53 @@ def _unit_phases(ks: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(1j * (ks[:, None] * theta[None, :]))
 
 
+class _CircleRows:
+    """The rows Q_k(u) = 2 cos k theta (DLMF 18.5), Q_0 = 1, of the n = 2
+    table for any degree block, with no recurrence.
+
+    Row k0 + s + j is 2 Re(e^{i (k0+s) theta} e^{i j theta}) over pieces of
+    span rows, so a block costs one complex product per entry.  The phases
+    e^{i j theta}, j < span, are e^{i a theta} e^{i b theta} from two tables
+    of about sqrt(span) phases each; span is the block's size, at most
+    _PIECE_ROWS and at most what takes _TABLE_CHUNK_BYTES as complex
+    numbers.  The phases of the last span are kept, so consecutive blocks
+    of one size build them once."""
+
+    def __init__(self, u: np.ndarray):
+        self._theta = np.arccos(u)
+        self._span, self._re, self._im = 0, None, None  # 2 Re, 2 Im of the phases
+
+    def _phases(self, span: int) -> tuple[np.ndarray, np.ndarray]:
+        if span != self._span:
+            self._re = self._im = None  # released before the next are built
+            step = math.isqrt(span - 1) + 1
+            coarse_j = np.arange(0.0, span, step)
+            fine = (
+                _unit_phases(coarse_j, self._theta)[:, None, :]
+                * _unit_phases(np.arange(float(step)), self._theta)[None, :, :]
+            ).reshape(coarse_j.shape[0] * step, self._theta.shape[0])[:span]
+            self._span, self._re, self._im = span, 2.0 * fine.real, 2.0 * fine.imag
+        return self._re, self._im
+
+    def block(self, k0: int, size: int) -> np.ndarray:
+        """Rows k0 <= k < k0 + size, shape (size, len(u))."""
+        cols = self._theta.shape[0]
+        if size == 0:
+            return np.empty((0, cols))
+        span = min(size, _PIECE_ROWS, max(1, _TABLE_CHUNK_BYTES // (16 * max(cols, 1))))
+        fine_re, fine_im = self._phases(span)
+        out = np.empty((size, cols))
+        for s in range(0, size, span):
+            piece = out[s : s + span]
+            r = piece.shape[0]
+            coarse = np.exp(1j * ((k0 + s) * self._theta))
+            np.multiply(fine_re[:r], coarse.real, out=piece)
+            piece -= fine_im[:r] * coarse.imag
+        if k0 == 0:
+            out[0] = 1.0
+        return out
+
+
 def _legendre_table(u: np.ndarray, k_end: int) -> np.ndarray:
     """P_k(u) for 0 <= k < k_end, shape (k_end, len(u)), from scipy's
     `legendre_p_all` (DLMF 18.9).  Its recurrence drifts at u = +-1 (by
@@ -371,9 +521,9 @@ def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
 
     Z_k(x, y) = (|x||y|)^k Q_k(u), with u the cosine of the angle between x
     and y and |Q_k| <= h_k.
-    - n = 2: Q_k = 2 cos k theta (DLMF 18.5) and Q_0 = 1.  Row k0 + s + j is
-      2 Re(e^{i (k0+s) theta} e^{i j theta}) over pieces of _PIECE_ROWS rows,
-      so any degree block costs one complex product per entry.
+    - n = 2: Q_k = 2 cos k theta and Q_0 = 1, from products of unit phases
+      (`_CircleRows`), so any degree block costs one complex product per
+      entry.
     - n = 3: Q_k = (2k+1) P_k(u), (2k+1) times the rows of
       `_legendre_table`, the Legendre path that pass 2 sums against too.
       It computes every degree from 0, so callers ask from k0 = 0.
@@ -382,27 +532,7 @@ def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     if n == 2:
-        theta = np.arccos(u)
-        out = np.empty((size, u.shape[0]))
-        # e^{i j theta} for j < span as e^{i a theta} e^{i b theta}, from
-        # two tables of about sqrt(span) phases each
-        span = min(size, _PIECE_ROWS)
-        step = math.isqrt(span - 1) + 1 if span else 1
-        coarse_j = np.arange(0.0, span, step)
-        fine = (
-            _unit_phases(coarse_j, theta)[:, None, :]
-            * _unit_phases(np.arange(float(step)), theta)[None, :, :]
-        ).reshape(coarse_j.shape[0] * step, u.shape[0])[:span]
-        fine_re, fine_im = 2.0 * fine.real, 2.0 * fine.imag
-        for s in range(0, size, _PIECE_ROWS):
-            piece = out[s : s + _PIECE_ROWS]
-            r = piece.shape[0]
-            coarse = np.exp(1j * ((k0 + s) * theta))
-            np.multiply(fine_re[:r], coarse.real, out=piece)
-            piece -= fine_im[:r] * coarse.imag
-        if k0 == 0 and size:
-            out[0] = 1.0
-        return out
+        return _CircleRows(u).block(k0, size)
     if n == 3:
         out = _legendre_table(u, k0 + size)[k0:]
         out *= (2.0 * np.arange(k0, k0 + size, dtype=float) + 1.0)[:, None]
@@ -453,17 +583,19 @@ def _legendre_pass(cols, blocks, acc) -> None:
             acc[:, c0 : c0 + width] += p @ table[k0 : k0 + p.shape[1]]
 
 
-def _streamed_block(angular: _ZonalAngular, k0: int, p: np.ndarray, acc: np.ndarray) -> None:
+def _pieced_block(rows_of, k0: int, p: np.ndarray, acc: np.ndarray) -> None:
     """Add the degree block (k0, p), p = c_k rho^k, to acc (radii x cols)
-    against rows streamed from `angular`: pieces of rows over all columns,
-    each multiplied in column chunks, so that no piece and no product
-    exceeds _TABLE_CHUNK_BYTES."""
+    against the angular rows `rows_of(k, size)` gives for degrees k..k+size-1
+    over all columns: pieces of rows, each multiplied in column chunks, so
+    that no piece and no product exceeds _TABLE_CHUNK_BYTES.  Each piece is
+    released before the next is built."""
     height = max(1, _TABLE_CHUNK_BYTES // (8 * max(acc.shape[1], 1)))
     width = max(1, _TABLE_CHUNK_BYTES // (8 * max(acc.shape[0], 1)))
     for j0 in range(0, p.shape[1], height):
-        piece = angular.block(k0 + j0, min(height, p.shape[1] - j0))
+        piece = rows_of(k0 + j0, min(height, p.shape[1] - j0))
         for c0 in range(0, acc.shape[1], width):
             acc[:, c0 : c0 + width] += p[:, j0 : j0 + height] @ piece[:, c0 : c0 + width]
+        del piece
 
 
 def _stack(rho_sets: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
@@ -507,8 +639,8 @@ def _certified_degree(
     for k0, size in _degree_blocks(kmax):
         # one degree past the block: log c_k h_k there heads the tail bound
         kf = np.arange(k0, k0 + size + 1, dtype=float)
-        log_c = coeff.log_values(n, kf)
-        log_h = log_dim_spherical_harmonics(n, kf)
+        log_c = log_coeff_block(n, coeff, k0, k0 + size + 1)
+        log_h = log_dim_block(n, k0, k0 + size + 1)
         h = np.exp(log_h[:size])
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             p = _powers(log_c[:size], kf[:size], log_rho)  # c_k rho^k, (radii, B)
@@ -562,8 +694,8 @@ def _series_sum(
     Pass 1 (`_certified_degree`) fixes K on the majorant.  The values are
     summed against angular rows Q_k over the distinct u (exact `np.unique`)
     and gathered back to the directions at the end:
-    - n = 2: `zonal_angular_table` gives the rows of each degree block
-      directly, so they are summed inside pass 1 and there is no pass 2;
+    - n = 2: `_CircleRows` gives the rows of each degree block directly,
+      so they are summed inside pass 1 and there is no pass 2;
     - n = 3: pass 1's blocks of c_k rho^k are kept and scaled once by
       (2k+1), which is len(rho) x K work, and pass 2 sums them against one
       table of P_k of degrees 0..K over the distinct u, built in column
@@ -572,12 +704,12 @@ def _series_sum(
     - n >= 4: the Gegenbauer recurrence streams inside pass 1.
     A call with more than _TABLE_MAX_U distinct u streams the recurrence
     inside pass 1 over its directions themselves, with no gather.  All rho
-    sets share each degree block's matrix products.  The streamed path
-    builds its rows and products in pieces of at most _TABLE_CHUNK_BYTES
-    (`_streamed_block`), so beyond its len(rho) x len(u) output it holds
-    a few such pieces, one block of c_k rho^k and O(len(u)) recurrence
-    buffers at any depth; its values differ from one product per block by
-    rounding only.
+    sets share each degree block's matrix products.  The n = 2 and the
+    streamed paths build their rows and products in pieces of at most
+    _TABLE_CHUNK_BYTES (`_pieced_block`), so beyond the len(rho) x len(u)
+    output such a call holds a few pieces, one block of c_k rho^k and
+    O(len(u)) recurrence buffers (at n = 2, one piece's phases) at any
+    depth; its values differ from one product per block by rounding only.
     """
     u = np.asarray(u, dtype=float)
     rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
@@ -589,7 +721,10 @@ def _series_sum(
         inv = np.searchsorted(cols, u)
     else:
         cols, inv = u, np.arange(u.shape[0])
-    angular = None if gather and n <= 3 else _ZonalAngular(n, cols)
+    if gather and n <= 3:
+        angular = _CircleRows(cols) if n == 2 else None
+    else:
+        angular = _ZonalAngular(n, cols)
 
     # the gathered values, allocated before the series work: callers keep
     # such grids (shell values are cached), and one allocated last sits
@@ -600,11 +735,8 @@ def _series_sum(
     blocks = []  # pass 2's (k0, (2k+1) c_k rho^k)
 
     def on_block(k0, p):
-        nonlocal acc
         if angular is not None:
-            _streamed_block(angular, k0, p, acc)
-        elif n == 2:
-            acc += p @ zonal_angular_table(2, cols, k0, p.shape[1])
+            _pieced_block(angular.block, k0, p, acc)
         else:
             p *= 2.0 * np.arange(k0, k0 + p.shape[1], dtype=float) + 1.0
             blocks.append((k0, p))
@@ -973,7 +1105,7 @@ def _circle_sums(coeff, points, degrees, radii, rings, weighted) -> np.ndarray:
     for p, k in enumerate(degrees):
         kf = np.arange(k + 1, dtype=float)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            c_x = _powers(coeff.log_values(2, kf), kf, log_x[p : p + 1])[0]
+            c_x = _powers(log_coeff_block(2, coeff, 0, k + 1), kf, log_x[p : p + 1])[0]
         values[p] = _synthesis(phi[p], c_x * c.real[: k + 1], c_x * c.imag[: k + 1])
     return values
 
@@ -1003,11 +1135,13 @@ def _ring_spectra(weighted, index, t):
     x_b - x_{B-b} with -sin, b <= B/2, at the exact phases (m b mod B) / B;
     numpy's FFT took 4x longer at the prime B = 241.  It runs over chunks of
     radii and writes into the table, so that no temporary exceeds
-    _TABLE_CHUNK_BYTES.  When the ring cosines t are symmetric about the
-    equator, ring a of the H = ceil(A/2) kept rings carries the sum and the
-    difference of the spectra of rings a and A-1-a (the equator, for odd A,
-    its own spectrum twice); otherwise H = A and both copies are the ring's
-    own spectrum."""
+    _TABLE_CHUNK_BYTES, and beside the table at most a chunk of values, one
+    half-size part of it and one spectrum are live: 23.0 MB traced with its
+    14.6 MB table on the identity battery's n = 3 rule.  When the ring
+    cosines t are symmetric about the equator, ring a of the H = ceil(A/2)
+    kept rings carries the sum and the difference of the spectra of rings a
+    and A-1-a (the equator, for odd A, its own spectrum twice); otherwise
+    H = A and both copies are the ring's own spectrum."""
     n_az, n_rings = index.shape
     n_bins, pairs = n_az // 2 + 1, (n_az - 1) // 2
     even_b = np.arange(n_bins)  # b = B/2, for even B, has no partner
@@ -1016,23 +1150,33 @@ def _ring_spectra(weighted, index, t):
     symmetric = bool(np.array_equal(t, -t[::-1]))
     half = (n_rings + 1) // 2 if symmetric else n_rings
     table = np.empty((weighted.shape[0], n_bins, 2, 2, half))
-    step, flat = max(1, _TABLE_CHUNK_BYTES // (8 * index.size)), index.ravel()
-    for i0 in range(0, weighted.shape[0], step):
-        x = np.take(weighted[i0 : i0 + step], flat, axis=1).reshape(-1, n_az, n_rings)
+
+    def store(part, j, spectrum):  # spectrum: (radii, bins, A)
+        near = spectrum[..., :half]
+        if symmetric:
+            far = spectrum[..., ::-1][..., :half]
+            np.add(near, far, out=part[:, :, 0, j])
+            np.subtract(near, far, out=part[:, :, 1, j])
+            if n_rings % 2:
+                part[:, :, :, j, -1] = near[:, :, None, -1]
+        else:
+            part[:, :, 0, j] = part[:, :, 1, j] = near
+
+    def transform(part, rows):
+        # each product is formed only when it is stored, and x is released
+        # before the even part's product, so that at most x, one half-size
+        # part of it and one spectrum are live
+        x = np.take(rows, flat, axis=1).reshape(-1, n_az, n_rings)
         up, down = x[:, 1 : pairs + 1], x[:, : n_az - pairs - 1 : -1]
+        store(part, 1, sin @ (up - down))
         even = x[:, :n_bins].copy()
         even[:, 1 : pairs + 1] += down
-        part = table[i0 : i0 + step]
-        for j, spectrum in enumerate((cos @ even, sin @ (up - down))):  # (radii, bins, A)
-            near = spectrum[..., :half]
-            if symmetric:
-                far = spectrum[..., ::-1][..., :half]
-                np.add(near, far, out=part[:, :, 0, j])
-                np.subtract(near, far, out=part[:, :, 1, j])
-                if n_rings % 2:
-                    part[:, :, :, j, -1] = near[:, :, None, -1]
-            else:
-                part[:, :, 0, j] = part[:, :, 1, j] = near
+        del x, up, down
+        store(part, 0, cos @ even)
+
+    step, flat = max(1, _TABLE_CHUNK_BYTES // (8 * index.size)), index.ravel()
+    for i0 in range(0, weighted.shape[0], step):
+        transform(table[i0 : i0 + step], weighted[i0 : i0 + step])
     return table.reshape(weighted.shape[0], -1), half
 
 
@@ -1087,7 +1231,7 @@ def _meridian_sums(coeff, points, degrees, radii, units, rings, weighted) -> np.
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             moments = _powers(np.zeros(rows), kf, log_r).T @ table[:, : bins * 4 * half]
         moments = moments.reshape(rows, bins, 2, 2, half)
-        c_k = np.exp(coeff.log_values(3, kf))
+        c_k = np.exp(log_coeff_block(3, coeff, k0, k0 + rows))
         for k in range(k0, min(k0 + rows, k_max + 1)):
             a, b = _legendre_factors(k, m2) if k else (None, None)
             y = rings_y.step(a, b, half) * _SEED_UNSCALE
@@ -1119,7 +1263,7 @@ def _streamed_sums(n, coeff, x_units, norms, degrees, radii, units, weighted) ->
         kf = np.arange(k0, k0 + rows, dtype=float)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             moments = _powers(np.zeros(rows), kf, log_r).T @ weighted
-            c_x = _powers(coeff.log_values(n, kf), kf, log_x)  # c_k |x|^k, (P, rows)
+            c_x = _powers(log_coeff_block(n, coeff, k0, k0 + rows), kf, log_x)  # c_k |x|^k, (P, rows)
         for p in np.flatnonzero(degrees >= k0):
             if k0 == 0:
                 angular[p] = _ZonalAngular(n, np.clip(units @ x_units[p], -1.0, 1.0))

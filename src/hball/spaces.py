@@ -36,7 +36,7 @@ from scipy.special import betaln
 
 from .calculus import DiffPair, HarmonicExpansion, apply_D, evaluate_grid
 from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
-from .kernel import CoeffProduct, eval_coeff_series_rule_sum
+from .kernel import CoeffProduct, eval_coeff_series_rule_sum, log_coeff_block, log_dim_block
 from .quadrature import (
     BallQuadrature,
     ShellDecomposition,
@@ -49,7 +49,7 @@ from .quadrature import (
     sup_norm_probe,
     walk_shells,
 )
-from .special import log_dim_spherical_harmonics, weight_constant
+from .special import weight_constant
 
 __all__ = [
     "BergmanBesov",
@@ -618,11 +618,10 @@ def reproducing_rule(n: int, s: float, t: float) -> BallQuadrature:
     log_gate = math.log(_ALIAS_TARGET) + math.log(1.0 - _ALIAS_X_MAX)
     k = 16
     while k < 20_000:
-        ks = np.array([float(k)])
         log_radial = math.log(0.5 * n) + betaln(0.5 * n + k, s + t + 1.0)
         log_term = (
-            float(coeff.log_values(n, ks)[0])
-            + float(log_dim_spherical_harmonics(n, ks)[0])
+            float(log_coeff_block(n, coeff, k, k + 1)[0])
+            + float(log_dim_block(n, k, k + 1)[0])
             + k * log_rho
             + log_radial
         )

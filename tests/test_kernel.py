@@ -27,9 +27,12 @@ from hball.kernel import (
     _h_step_fractions,
     _legendre_factors,
     _legendre_table,
+    _LogTables,
+    _meridian_frame,
     _N2Form,
     _n2_closed_form,
     _powers,
+    _ring_spectra,
     _series_sum,
     _step_ratio_bound,
     _stream_degree,
@@ -41,6 +44,7 @@ from hball.kernel import (
     gamma_ratio,
     kernel_eval,
     kernel_growth_exponent_probe,
+    log_coeff_block,
     log_gamma_coeffs,
     zonal_angular_table,
 )
@@ -505,6 +509,51 @@ class TestStreamedPieces:
         # each piece's partial sum is rounded into the output on its own
         assert np.all(np.abs(got[0][0] - want[0][0]) <= 8 * _EPS * want[2][0][:, None])
 
+    def test_a_wide_n2_grid_builds_its_table_in_pieces(self, monkeypatch):
+        # 2 000 distinct u, gathered; near the boundary, so K = 16 319 and
+        # one table per degree block would take up to 65 MB
+        coeff = CoeffProduct.kernel(-3.5).shifted(0.5, 1.0)
+        theta = np.linspace(0.0, np.pi, 2000)
+        units = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        pole, radii = np.array([0.999, 0.0]), np.array([0.5, 0.9, 1.0])
+        u = np.clip(units @ np.array([1.0, 0.0]), -1.0, 1.0)
+        assert np.unique(u).size <= _TABLE_MAX_U
+        monkeypatch.setattr("hball.kernel._LOG_TABLES", _LogTables())
+        tracemalloc.start()
+        try:
+            (values,) = eval_coeff_series_grid(2, coeff, units, pole, [radii], tol_rel=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - values.nbytes <= 3 * _TABLE_CHUNK_BYTES
+        got = _series_sum(2, coeff, u, [radii * 0.999], tol_rel=1e-9)
+        assert np.array_equal(got[0][0], values)
+        # pieces as large as the block: one product per degree block
+        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 1 << 62)
+        want = _series_sum(2, coeff, u, [radii * 0.999], tol_rel=1e-9)
+        assert got[3] == want[3] == 16_319
+        assert np.array_equal(got[1][0], want[1][0])
+        assert np.array_equal(got[2][0], want[2][0])
+        assert np.all(np.abs(got[0][0] - want[0][0]) <= 8 * _EPS * want[2][0][:, None])
+
+    def test_ring_spectra_hold_their_table_and_two_chunks(self, rule, monkeypatch):
+        rings = rule.sphere.rings
+        t = _meridian_frame(rule.units, rings)[3]
+        rng = np.random.default_rng(4)
+        weighted = rng.normal(size=(rule.radial_nodes.shape[0], rule.units.shape[0]))
+        tracemalloc.start()
+        try:
+            table, half = _ring_spectra(weighted, rings.index, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 2 * _TABLE_CHUNK_BYTES
+        # every radius in one chunk: the same products, bit for bit
+        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 1 << 62)
+        want, want_half = _ring_spectra(weighted, rings.index, t)
+        assert half == want_half
+        assert np.array_equal(table.view(np.int64), want.view(np.int64))
+
 
 class TestHeldDegreeBlocks:
     """Pass 2 at n = 3 sums against the degree blocks pass 1 built, so each
@@ -571,6 +620,110 @@ class TestHeldDegreeBlocks:
         assert np.array_equal(p[:, 1:4], legendre_p_all(4999, u[1:4])[0])
         q = zonal_angular_table(3, u, 0, 5000)
         assert np.array_equal(q, p * (2.0 * ks + 1.0)[:, None])
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def coefficient_products():
+    """Products of 1 to 3 factors with exponents +-1, their orders drawn on
+    both branches of every n in {2, 3, 4} and on the branch boundaries."""
+    order = st.one_of(
+        st.floats(-9.0, 5.0, allow_nan=False).map(lambda a: round(a, 3)),
+        st.sampled_from([-2.0, -2.5, -3.0]),
+    )
+    factors = st.lists(st.tuples(order, st.sampled_from([1, -1])), min_size=1, max_size=3)
+    return factors.map(lambda f: CoeffProduct(tuple(f)))
+
+
+class TestLogTables:
+    """The held log-coefficient tables serve every degree block: each value
+    bit for bit the fresh evaluation, whatever the table held before, and
+    the held bytes within 16 (k_c + sum_n k_n)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        coeff=coefficient_products(),
+        requests=st.lists(
+            st.tuples(st.integers(-100, 1500), st.integers(1, 700)), min_size=1, max_size=10
+        ),
+    )
+    def test_served_blocks_are_the_fresh_values_bit_for_bit(self, n, coeff, requests):
+        # each request starts `back` degrees before the end of the degrees
+        # asked so far from 0: re-reads, growth and, for back < 0, gaps
+        tables, asked = _LogTables(), 0
+        for back, size in requests:
+            k0 = max(0, asked - back)
+            if k0 <= asked:
+                asked = max(asked, k0 + size)
+            ks = np.arange(k0, k0 + size, dtype=float)
+            log_c = tables.coeffs(n, coeff).block(k0, k0 + size)
+            log_h = tables.dims(n).block(k0, k0 + size)
+            assert np.array_equal(bits(log_c), bits(coeff.log_values(n, ks)))
+            assert np.array_equal(bits(log_h), bits(log_dim_spherical_harmonics(n, ks)))
+            assert not log_c.flags.writeable and not log_h.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_results_do_not_depend_on_the_held_table(self, n, monkeypatch):
+        coeff = CoeffProduct.kernel(-2.7).shifted(0.4, 1.1)  # no n = 2 closed form
+        rng = np.random.default_rng(20 + n)
+        units = rng.normal(size=(40, n))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        pole = 0.9 * units[0]
+        radii_sets = [np.array([0.0, 0.5, 0.99]), np.array([0.999])]
+        u = np.clip(units @ units[0], -1.0, 1.0)
+        if n in (2, 3):
+            _, radii, sphere, weighted = TestRuleSum.rule(n, n)
+            points = TestRuleSum.stack(rng, n)
+
+        def run():
+            out = list(eval_coeff_series_grid(n, coeff, units, pole, radii_sets, tol_rel=1e-10))
+            values, tails, masses, k_used = _series_sum(
+                n, coeff, u, [r * 0.9 for r in radii_sets], tol_rel=1e-10
+            )
+            out += values + tails + masses + [np.array([k_used])]
+            out += eval_coeff_series_points(n, coeff, pole, 0.7 * units[:5], tol_rel=1e-10)[:2]
+            if n in (2, 3):
+                out += TestRuleSum.sums(n, coeff, points, radii, sphere, weighted, tol_rel=1e-9)
+            return [bits(a) for a in out]
+
+        monkeypatch.setattr("hball.kernel._LOG_TABLES", _LogTables())
+        cold = run()
+        for warm_up in (
+            lambda: None,  # the same coefficient, as deep as the calls
+            lambda: _series_sum(n, coeff, np.ones(1), [np.array([0.999])], tol_rel=1e-10),
+            lambda: _series_sum(n, CoeffProduct.kernel(1.5), np.ones(1), [np.array([0.99])], tol_rel=1e-10),
+        ):
+            warm_up()
+            for got, want in zip(run(), cold, strict=True):
+                assert np.array_equal(got, want)
+
+    def test_held_bytes_keep_the_rule_over_a_walk(self, monkeypatch):
+        tables = _LogTables()
+        monkeypatch.setattr("hball.kernel._LOG_TABLES", tables)
+        # the deep walks come first, so a table kept for an earlier
+        # coefficient would break the rule for the shallow ones after it
+        rhos = np.linspace(0.9995, 0.3, 36)
+        walk = [
+            (2 + i % 3, CoeffProduct.kernel(-4.0 + 0.25 * i).shifted(0.1 * i, 1.0), rho)
+            for i, rho in enumerate(rhos)
+        ]
+        walk += [(n, coeff, 0.5 * rho) for n, coeff, rho in walk[::-5]]  # revisits
+        ends, dims, current = 0, {}, None
+        for n, coeff, rho in walk:
+            for scale in (1.0, 0.5):
+                k = _series_sum(n, coeff, np.array([0.3]), [np.array([scale * rho])], tol_rel=1e-10)[3]
+                end = k + 2  # the head of the tail bound is degree K + 1
+                ends = max(ends, end) if current == (n, coeff) else end
+                current = (n, coeff)
+                dims[n] = max(dims.get(n, 0), end)
+                assert tables.nbytes <= 16 * (ends + sum(dims.values()))
+            # a lookup past the held degrees is served but not kept
+            held = tables.nbytes
+            log_coeff_block(n, coeff, ends + 10, ends + 11)
+            assert tables.nbytes == held
 
 
 class TestStreamedRecurrence:
