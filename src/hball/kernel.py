@@ -16,8 +16,10 @@ Non-finite directions, poles, points and radii are refused with ValueError.
 A series sum runs in two passes.  Z_k(x, pole) = (|x||pole|)^k Q_k(u)
 depends on the direction only through u = <x/|x|, pole/|pole|>.  Pass 1
 sums the majorant c_k h_k rho^k degree block by degree block until the tail
-bound certifies, which fixes the last degree K without any angular work.
-The values are then summed against rows of Q_k built once per distinct u
+bound certifies at a block's end, and then fixes K, the smallest degree
+whose tail bound certifies every rho set, without any angular work; K
+depends on the series alone, not on the blocks.  The values are then
+summed against rows of Q_k built once per distinct u
 (`zonal_angular_table`) and gathered back to the directions: at n = 2 the
 rows of each block come directly from products of unit phases, so they are
 summed inside pass 1; at n = 3 pass 1 keeps its blocks of c_k rho^k, scaled
@@ -101,12 +103,12 @@ _BLOCK_MAX = 4096
 # angular recurrence over its columns instead of building rows over the
 # distinct u.  The one such call of the benchmark workloads is the identity
 # battery's n = 3 derivative grid on its reproducing rule (62 radii x 29 161
-# directions, all u distinct, K = 63).  Streamed, it took a median of
-# 33-37 ms at a traced peak of 23.8 MB; the table plus the column gather
-# took 46-47 ms at 43.9 MB, since the gather fills a second grid
-# (BENCH_bounded_grids.json).  With the pole at 0.9 (K = 447) the table was
-# faster, 187-194 ms against 216-249 ms, for the same extra grid.  Every
-# call of the other benchmark workloads has fewer than 512 distinct u.
+# directions, all u distinct, K = 57).  Streamed, it took a median of
+# 23-31 ms at a traced peak of 23.9 MB; the table plus the column gather
+# took 29-37 ms at 43.9 MB, since the gather fills a second grid.  With the
+# pole at 0.9 (K = 281) the table was faster, 85-95 ms against 92-110 ms,
+# for the same extra grid (BENCH_smallest_degree.json).  Every call of the
+# other benchmark workloads has fewer than 512 distinct u.
 _TABLE_MAX_U = 2048
 
 # Largest column chunk of the n = 3 Legendre table, in bytes; also the
@@ -121,11 +123,11 @@ _MOMENT_ROWS = 64
 # passes K* = _STREAM_FACTOR * M / A for a rule of M nodes on A rings (M / A
 # azimuths).  The shared ring work grows as K^2 A and a streamed point's as
 # K M.  On the identity battery's reproducing rule (241 azimuths, 121
-# rings, K* = 2169), the shared path took one point at K = 1983 1.7x its
-# streamed time and 40 points 0.46x; at K = 4031 one point took 2.8x.  So
+# rings, K* = 2169), the shared path took one point at K = 2000 1.9x its
+# streamed time and 40 points 0.37x; at K = 4000 one point took 3.0x.  So
 # below K* a lone point pays less than twice its streamed time, and stacks
-# gain from about 4 points at K = 447 and 8 at K = 1983
-# (BENCH_addition_rule_sum.json).
+# gain from about 4 points at K = 260 and 8 at K = 2000
+# (BENCH_smallest_degree.json).
 _STREAM_FACTOR = 9.0
 
 # Seed scale of `_AssociatedLegendre`: its values are carried times
@@ -192,7 +194,7 @@ def _step_ratio_bound(fracs, k0: int) -> float:
     """Upper bound, valid for every k >= k0 >= 1, on prod (k+a)/(k+b).
 
     Each factor is monotone in k with limit 1, so it is bounded by
-    max(1, value at k0).
+    max(1, value at k0); the bound does not grow with k0.
     """
     out = 1.0
     for a, b in fracs:
@@ -616,15 +618,23 @@ def _certified_degree(
     min_terms: int,
     on_block=None,
 ):
-    """Pass 1 of a series sum: the last degree K that certifies every rho set.
+    """Pass 1 of a series sum: K, the smallest degree k >= max(min_terms, 1)
+    whose tail bound certifies every rho set.
 
-    Walks the degree blocks (64 rows, doubling to _BLOCK_MAX) on the
-    majorant c_k h_k rho^k and stops at the first block after which every
-    tail bound meets its tolerance; that block's last degree is K.  `rho`
-    is the rho sets stacked (`_stack`) and `sets` their slices.
+    The tail bound past degree k is H_(k+1) / (1 - rho ratio), H_k = c_k
+    h_k rho^k and ratio `_step_ratio_bound` at k+1, and it certifies when
+    it meets tol_abs + tol_rel mass, the mass summed up to k.  Walks the
+    degree blocks (64 rows, doubling to _BLOCK_MAX) on the majorant and
+    tests the bound at each block's end.  The ratio bounds H_(k+1) / H_k
+    for every later k and does not grow with k, so once the bound
+    certifies at k it certifies at every later degree: the first block
+    whose end certifies holds K, and K does not depend on the blocks.  The
+    masses are summed one degree at a time for the same reason.  `rho` is
+    the rho sets stacked (`_stack`) and `sets` their slices.
     `on_block(k0, p)` sees each block's c_k rho^k, shape (len(rho), size),
-    after pass 1 is done with it, so it may keep and scale p in place.
-    Returns (tails, masses, K), one tail and one mass vector per set.
+    the last one cut at K, after pass 1 is done with it, so it may keep
+    and scale p in place.  Returns (tails, masses, K), one tail and one
+    mass vector per set.
     """
     if tol_abs <= 0.0 and tol_rel <= 0.0:
         raise ValueError("a positive tol_abs or tol_rel is required")
@@ -634,43 +644,90 @@ def _certified_degree(
 
     log_rho = _log_radii(rho)
     fracs = coeff.step_fractions(n) + _h_step_fractions(n)
-    masses = [np.zeros(sl.stop - sl.start) for sl in sets]
+    k_min = max(min_terms, 1)
+    mass = np.zeros(rho.shape[0])
 
     for k0, size in _degree_blocks(kmax):
         # one degree past the block: log c_k h_k there heads the tail bound
         kf = np.arange(k0, k0 + size + 1, dtype=float)
         log_c = log_coeff_block(n, coeff, k0, k0 + size + 1)
         log_h = log_dim_block(n, k0, k0 + size + 1)
-        h = np.exp(log_h[:size])
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             p = _powers(log_c[:size], kf[:size], log_rho)  # c_k rho^k, (radii, B)
-            for i, sl in enumerate(sets):
-                masses[i] += p[sl] @ h
-        if not all(np.all(np.isfinite(m)) for m in masses):
+            # the mass up to each degree of the block, (radii, B)
+            masses = p * np.exp(log_h[:size])
+            masses[:, 0] += mass
+            np.cumsum(masses, axis=1, out=masses)
+        mass = masses[:, -1].copy()
+        if not np.all(np.isfinite(mass)):
             # an infinite mass would meet any relative tolerance
             raise NonConvergent(
                 f"series majorant overflows by degree {k0 + size - 1} "
                 f"(worst |x||y| = {rho_max})"
             )
-        if on_block is not None:
-            on_block(k0, p)
+
+        def tail(k):
+            """The tail bound past degree k of the block, per radius."""
+            k1 = k + 1
+            geo = rho * _step_ratio_bound(fracs, k1)
+            log_first = float(log_c[k1 - k0]) + float(log_h[k1 - k0])
+            with np.errstate(over="ignore", under="ignore"):
+                head = np.exp(log_first + k1 * log_rho)
+                return np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
 
         k_used = k0 + size - 1
-        if k_used < max(min_terms, 1):
+        t = tail(k_used) if k_used >= k_min else None
+        if t is None or not np.all(t <= tol_abs + tol_rel * mass):
+            # released before the next block's, which raised the peak RSS
+            # of the n = 3 inclusion experiment by 0.9 MB
+            del masses
+            if on_block is not None:
+                on_block(k0, p)
             continue
-        k1 = k_used + 1
-        ratio = _step_ratio_bound(fracs, k1)
-        log_first = float(log_c[size]) + float(log_h[size])
-        geo = rho * ratio
-        with np.errstate(over="ignore", under="ignore"):
-            head = np.exp(log_first + k1 * log_rho)
-            tail = np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
-        tails = [tail[sl] for sl in sets]
-        if all(np.all(t <= tol_abs + tol_rel * m) for t, m in zip(tails, masses)):
-            return tails, masses, k_used
+        # the smallest degree of the block that certifies: the first degree
+        # that certifies one radius (`_first_certified`, the largest radius
+        # first), checked on every radius by `tail` itself; a radius that
+        # fails there certifies only later, so the search goes on past that
+        # degree on that radius
+        row, k_lo = (int(np.argmax(rho)) if rho.size else None), max(k0, k_min)
+        while k_lo < k_used:
+            k = k_lo if row is None else _first_certified(
+                rho[row], log_rho[row], fracs, log_c + log_h, masses[row], k0, k_lo, k_used,
+                tol_abs, tol_rel,
+            )
+            t_k = tail(k)
+            fails = ~(t_k <= tol_abs + tol_rel * masses[:, k - k0])
+            if not fails.any():
+                k_used, t = k, t_k
+                break
+            row, k_lo = int(np.argmax(fails)), k + 1
+        if on_block is not None:
+            on_block(k0, p[:, : k_used - k0 + 1])
+        m = masses[:, k_used - k0]
+        return [t[sl] for sl in sets], [m[sl].copy() for sl in sets], k_used
     raise NonConvergent(
         f"series not certified within {kmax} terms (worst |x||y| = {rho_max})"
     )
+
+
+def _first_certified(rho, log_rho, fracs, log_ch, masses, k0, k_lo, k_end, tol_abs, tol_rel):
+    """The first degree k_lo <= k < k_end of a block starting at k0 whose
+    tail bound meets its tolerance at the one radius rho, or k_end: the
+    formula of `tail` in `_certified_degree`, on all those degrees at once.
+    `log_ch` holds log c_k h_k and `masses` the mass at rho up to each
+    degree, both from degree k0 on."""
+    k1 = np.arange(k_lo + 1, k_end + 1)
+    kf = k1.astype(float)
+    ratio = np.ones(kf.shape)  # `_step_ratio_bound` at each k1
+    for a, b in fracs:
+        v = (kf + a) / (kf + b)
+        ratio = np.where(v > 1.0, ratio * v, ratio)
+    geo = rho * ratio
+    with np.errstate(over="ignore", under="ignore"):
+        head = np.exp(log_rho * kf + log_ch[k1 - k0])
+        tails = np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
+    ok = tails <= tol_abs + tol_rel * masses[k_lo - k0 : k_end - k0]
+    return k_lo + int(np.argmax(ok)) if ok.any() else k_end
 
 
 def _series_sum(
@@ -689,7 +746,8 @@ def _series_sum(
     Each rho set is a radius vector and its values are the full
     (len(rho), len(u)) product grid.  Returns (values, tails, masses, K) where
     `masses` are the majorant sums sum c_k h_k rho^k used for relative
-    tolerances and K is the last degree included.
+    tolerances and K, the last degree included, is the smallest degree
+    whose tail bound certifies every set.
 
     Pass 1 (`_certified_degree`) fixes K on the majorant.  The values are
     summed against angular rows Q_k over the distinct u (exact `np.unique`)
@@ -699,8 +757,9 @@ def _series_sum(
     - n = 3: pass 1's blocks of c_k rho^k are kept and scaled once by
       (2k+1), which is len(rho) x K work, and pass 2 sums them against one
       table of P_k of degrees 0..K over the distinct u, built in column
-      chunks (`_legendre_pass`).  The kept blocks hold len(rho) (K+1) 8
-      bytes, 6.3 MB for 8 radii at K = 98 239;
+      chunks (`_legendre_pass`).  The kept blocks hold len(rho) 8 bytes
+      per degree up to the end of the block that holds K, the last block
+      being cut at K but kept whole: 6.3 MB for 8 radii at K = 98 140;
     - n >= 4: the Gegenbauer recurrence streams inside pass 1.
     A call with more than _TABLE_MAX_U distinct u streams the recurrence
     inside pass 1 over its directions themselves, with no gather.  All rho
@@ -978,9 +1037,9 @@ def eval_coeff_series_points(
 ):
     """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points.
 
-    Each point is summed as a 1 x 1 grid.  Several points share the degree
-    K that certifies them all (pass 1 on their radii), so every tail is
-    taken at K.  Returns (values, tails, degree_used).
+    Each point is summed as a 1 x 1 grid.  Several points share K, the
+    smallest degree that certifies them all (pass 1 on their radii), so
+    every tail is taken at K.  Returns (values, tails, degree_used).
     """
     pole = np.asarray(pole, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -1297,9 +1356,9 @@ def eval_coeff_series_rule_sum(
     for each point x of a (P, n) stack, on a product sphere rule whose
     nodes `rings` (the rule's `quadrature.Rings`) describes.
 
-    Each point's series is cut at the degree K_x that pass 1 of the series
-    (`_certified_degree`) certifies on the radii |x| radii[i], the degree at
-    which `_series_sum` stops for that grid.  The result is that truncated
+    Each point's series is cut at K_x, the smallest degree whose tail bound
+    certifies every radius |x| radii[i] (`_certified_degree`), the degree
+    at which `_series_sum` stops for that grid.  The result is that truncated
     series on the grid radii x units, summed against `weighted` in another
     order:
 
