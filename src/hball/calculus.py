@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NonConvergent
 from .kernel import (
     CoeffProduct,
-    eval_coeff_series_grid,
+    eval_coeff_series_grids,
     eval_coeff_series_points,
     gamma_ratio,
     log_coeff_block,
@@ -43,6 +43,7 @@ __all__ = [
     "constant",
     "evaluate",
     "evaluate_grid",
+    "evaluate_grids",
     "expansion_from_json",
     "expansion_to_json",
     "homogeneous_coefficient",
@@ -214,6 +215,95 @@ def _zonal_grid(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarray)
     return (radii**degree)[:, None] * vals[None, :]
 
 
+def evaluate_grids(
+    fs,
+    radii: np.ndarray,
+    units: np.ndarray,
+    *,
+    tol_rel: float = 1e-9,
+    tol_abs: float = 0.0,
+) -> list:
+    """Values of each expansion of `fs` on the product grid {r * u}: per
+    expansion, its (len(radii), len(units)) grid, or the NonConvergent of
+    its first series atom that raised one.
+
+    The series atoms are summed in batches, one call each
+    (`eval_coeff_series_grids`), whose n = 3 series share their Legendre
+    table: the i-th atom on a pole of every expansion forms one batch, so a
+    batch holds at most one atom of each expansion.  Series atoms are
+    certified relative to their own majorant mass, so the accuracy is
+    relative to the atom's local size rather than absolute.  Each
+    expansion adds its atoms in their order, each fresh grid scaled and
+    added in place as soon as the atoms before it are added; the batches
+    are summed in the order of their first atoms, so an expansion alone
+    holds at most its sum and one atom's grid, and an expansion after the
+    first may hold grids of a batch until its earlier atoms arrive.  The
+    batches after an expansion's first NonConvergent leave out its atoms.
+    """
+    fs = list(fs)
+    radii = np.asarray(radii, dtype=float)
+    units = np.asarray(units, dtype=float)
+    if len({f.dimension for f in fs}) > 1:
+        raise ValueError("the expansions of one grid evaluation must share their dimension")
+    batches: dict[tuple, list] = {}  # (pole, rank on the pole) -> [(expansion, atom)]
+    for i, f in enumerate(fs):
+        ranks: dict[tuple, int] = {}
+        for a, atom in enumerate(f.atoms):
+            if not isinstance(atom, ZonalTerm):
+                rank = ranks[atom.pole] = ranks.get(atom.pole, -1) + 1
+                batches.setdefault((atom.pole, rank), []).append((i, a))
+
+    totals = [None] * len(fs)
+    added = [0] * len(fs)  # atoms of each expansion added so far
+    arrived: dict[tuple, object] = {}  # (expansion, atom) -> its series grid
+
+    def advance(i: int) -> None:
+        """Add the atoms of expansion i that are ready, in their order."""
+        f = fs[i]
+        while added[i] < len(f.atoms) and not isinstance(totals[i], NonConvergent):
+            atom = f.atoms[added[i]]
+            if isinstance(atom, ZonalTerm):
+                vals = _zonal_grid(f.dimension, atom.degree, atom.pole, radii, units)
+            elif (i, added[i]) in arrived:
+                vals = arrived.pop((i, added[i]))
+                if isinstance(vals, NonConvergent):
+                    totals[i] = vals
+                    for key in [key for key in arrived if key[0] == i]:
+                        del arrived[key]
+                    return
+                (vals,) = vals
+            else:
+                return
+            added[i] += 1
+            vals *= atom.weight
+            if totals[i] is None:
+                totals[i] = vals
+                totals[i] += 0.0  # as 0 + w v: a -0.0 becomes 0.0
+            else:
+                totals[i] += vals
+
+    for i in range(len(fs)):
+        advance(i)
+    for (pole, _), where in batches.items():
+        where = [(i, a) for i, a in where if not isinstance(totals[i], NonConvergent)]
+        if not where:
+            continue
+        values = eval_coeff_series_grids(
+            fs[0].dimension,
+            [_atom_coeff(fs[i].atoms[a]) for i, a in where],
+            units,
+            pole,
+            [radii],
+            tol_rel=tol_rel,
+            tol_abs=tol_abs,
+        )
+        arrived.update(zip(where, values))
+        del values
+        for i in dict.fromkeys(i for i, _ in where):
+            advance(i)
+    return [np.zeros((radii.shape[0], units.shape[0])) if t is None else t for t in totals]
+
+
 def evaluate_grid(
     f: HarmonicExpansion,
     radii: np.ndarray,
@@ -222,38 +312,13 @@ def evaluate_grid(
     tol_rel: float = 1e-9,
     tol_abs: float = 0.0,
 ) -> np.ndarray:
-    """Values of f on the product grid {r * u}, shape (len(radii), len(units)).
-
-    Series atoms are certified relative to their own majorant mass, so the
-    accuracy is relative to the atom's local size rather than absolute.
-    Each atom's fresh grid is scaled and added in place, so the evaluation
-    holds at most the sum and one atom's grid.
-    """
-    radii = np.asarray(radii, dtype=float)
-    units = np.asarray(units, dtype=float)
-    out = None
-    for atom in f.atoms:
-        if isinstance(atom, ZonalTerm):
-            vals = _zonal_grid(f.dimension, atom.degree, atom.pole, radii, units)
-        else:
-            vals = eval_coeff_series_grid(
-                f.dimension,
-                _atom_coeff(atom),
-                units,
-                atom.pole,
-                [radii],
-                tol_rel=tol_rel,
-                tol_abs=tol_abs,
-            )[0]
-        vals *= atom.weight
-        if out is None:
-            out = vals
-            out += 0.0  # as 0 + w v: a -0.0 becomes 0.0
-        else:
-            out += vals
-    if out is None:
-        return np.zeros((radii.shape[0], units.shape[0]))
-    return out
+    """Values of f on the product grid {r * u}, shape (len(radii),
+    len(units)): `evaluate_grids` of the one expansion f, raising the
+    NonConvergent of its first series atom that fails."""
+    (values,) = evaluate_grids([f], radii, units, tol_rel=tol_rel, tol_abs=tol_abs)
+    if isinstance(values, NonConvergent):
+        raise values
+    return values
 
 
 def apply_D(f: HarmonicExpansion, pair: DiffPair) -> HarmonicExpansion:

@@ -54,6 +54,7 @@ from .spaces import (
     besov_norm_shells,
     bloch_norm,
     distance_estimate,
+    fill_shell_values,
     level_set,
     little_bloch_test,
     membership_kernel_atom,
@@ -504,10 +505,19 @@ def run_inclusion_little_bloch(cfg: ExperimentConfig) -> dict:
     decaying weighted derivative; the designated critical atom must not."""
 
     def rows_of(n, alpha, members, designated, grid):
+        family = members + [designated]
+        specs = [BergmanBesov.standard(p, p * alpha - n) for p in cfg.parameters["p_grid"]]
+        # every field the rows walk, under the integral-norm pair for each p
+        # and under the sup-norm pair, filled shell by shell together: each
+        # shell's n = 3 series share one Legendre table
+        fill_shell_values(
+            [(f, spec.pair) for spec in specs for _, f, _ in family]
+            + [(f, pair) for _, f, pair in family],
+            grid,
+        )
         rows = []
-        for p in cfg.parameters["p_grid"]:
-            spec = BergmanBesov.standard(p, p * alpha - n)
-            for label, f, pair in members + [designated]:
+        for p, spec in zip(cfg.parameters["p_grid"], specs):
+            for label, f, pair in family:
                 verdict, norm_est = _shell_norm(f, spec, grid)
                 in_space = verdict == Verdict.FINITE
                 decay = little_bloch_test(f, Bloch(alpha, pair), grid)

@@ -13,47 +13,53 @@ evaluation cap is reached before the tail bound certifies the requested
 accuracy (in particular for |x||y| = 1, where the series need not converge).
 Non-finite directions, poles, points and radii are refused with ValueError.
 
-A series sum runs in two passes.  Z_k(x, pole) = (|x||pole|)^k Q_k(u)
-depends on the direction only through u = <x/|x|, pole/|pole|>.  Pass 1
-sums the majorant c_k h_k rho^k degree block by degree block until the tail
-bound certifies at a block's end, and then fixes K, the smallest degree
-whose tail bound certifies every rho set, without any angular work; K
-depends on the series alone, not on the blocks.  The values are then
-summed against rows of Q_k built once per distinct u
-(`zonal_angular_table`) and gathered back to the directions: at n = 2 the
-rows of each block come directly from products of unit phases, so they are
-summed inside pass 1; at n = 3 pass 1 keeps its blocks of c_k rho^k, scaled
-once by (2k+1), and pass 2 sums them against a table of P_k(u) of degrees
-0..K, so no c_k rho^k is computed twice; at n >= 4, and in calls with more
-than _TABLE_MAX_U distinct u, the Gegenbauer recurrence streams inside
-pass 1.  The n = 2 rows and the streamed ones, and their products with
-c_k rho^k, are built in pieces of at most _TABLE_CHUNK_BYTES, so such a
-call holds its output grid and a few pieces however deep its series goes.
+A series sum runs in two passes, for a batch of coefficients on one grid
+(a single coefficient is the batch of one).  Z_k(x, pole) = (|x||pole|)^k
+Q_k(u) depends on the direction only through u = <x/|x|, pole/|pole|>.
+Pass 1 sums each coefficient's majorant c_k h_k rho^k degree block by
+degree block until the tail bound certifies at a block's end, and then
+fixes K, the smallest degree whose tail bound certifies every rho set,
+without any angular work; K depends on the series alone, not on the blocks
+or the batch.  The values are then summed against rows of Q_k built once
+per distinct u (`zonal_angular_table`) and gathered back to the directions:
+at n = 2 the rows of each block come directly from products of unit
+phases, so they are summed inside pass 1; at n = 3 pass 2 sums the whole
+batch against one table of P_k(u) up to the largest K, in products of
+_TABLE_COLUMNS columns, each term (2k+1) c_k rho^k formed per degree block
+as the radial factor (rho/rho_max)^k, shared by the batch, times the
+coefficient factor (2k+1) c_k rho_max^k that pass 1 computed at the
+largest radius (`_legendre_pass`); at n >= 4, and in calls with more than
+_TABLE_MAX_U distinct u, the Gegenbauer recurrence streams inside pass 1.
+The n = 2 rows and the streamed ones, and their products with c_k rho^k,
+are built in pieces of at most _TABLE_CHUNK_BYTES, so such a call holds
+its output grid and a few pieces however deep its series goes.  A coefficient whose series raises
+NonConvergent leaves the others of its batch summed, and no result of a
+coefficient depends on the others.
 
 Every degree block reads log c_k and log h_k from one held table
-(`_LogTables`): series calls in a row mostly share their coefficient, and
+(`_LogTables`): series calls in a row mostly share their coefficients, and
 each used to recompute both from degree 0.  The table of log h_k is kept
-per dimension n and that of log c_k for the most recently asked (n, c)
-only, keyed by n and the `CoeffProduct`.  A table grows by the degrees a
-request asks past the held ones, each computed by the elementwise formula
-on exactly those degrees, so every value is bit for bit a fresh
-`CoeffProduct.log_values` or `log_dim_spherical_harmonics`, and no result
-depends on what the table held before; a request starting past the held
-degrees is computed on its own.  A table holds fewer than twice the
-largest degree end it kept, so the tables hold at most 16 (k_c + sum_n
-k_n) bytes, with k_c that end for the current coefficient and k_n that of
-log h_k at n.
+per dimension n and those of log c_k for the coefficients of the most
+recent batch only, keyed by n and the `CoeffProduct`.  A table grows by the
+degrees a request asks past the held ones, each computed by the
+elementwise formula on exactly those degrees, so every value is bit for bit
+a fresh `CoeffProduct.log_values` or `log_dim_spherical_harmonics`, and no
+result depends on what the table held before; a request starting past the
+held degrees is computed on its own.  A table holds fewer than twice the
+largest degree end it kept, so the tables hold at most 16 (sum_c k_c +
+sum_n k_n) bytes, with k_c that end for the batch's coefficient c and k_n
+that of log h_k at n.
 
 At n = 2 the kernels and their derivative fields have closed forms.
 With z = x conj(pole) the grid values are 2 Re F(z) - 1, F = sum_k c_k z^k.
 When c_k = P(k) gamma_k(q), P a polynomial that the operator pairs of the
 coefficient contribute, F is the Euler operator P(z d/dz) applied to the
 atom's generating function: (1 - z)^-(2+q) on the upper branch, and
--log(1 - z)/z for q = -2 (`_N2Form`).  `eval_coeff_series_grid` uses it in
-place of the series wherever its stated rounding bound meets the requested
-tolerance (`_n2_closed_form`); the other coefficients (non-integer or
-negative operator orders, other lower-branch atoms), n >= 3, and the point
-and rule-sum modes always sum the series.
+-log(1 - z)/z for q = -2 (`_N2Form`).  `eval_coeff_series_grids` uses it
+in place of the series wherever its stated rounding bound meets the
+requested tolerance (`_n2_closed_form`); the other coefficients
+(non-integer or negative operator orders, other lower-branch atoms),
+n >= 3, and the point and rule-sum modes always sum the series.
 
 A third mode sums the series against a product sphere rule's weighted
 values for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes
@@ -71,6 +77,7 @@ moments with one dot product per degree instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,10 +118,19 @@ _BLOCK_MAX = 4096
 # other benchmark workloads has fewer than 512 distinct u.
 _TABLE_MAX_U = 2048
 
-# Largest column chunk of the n = 3 Legendre table, in bytes; also the
-# largest row piece and product of an n = 2 or streamed series sum, and the
-# bound on a rule sum's moment and ring-spectrum chunks.
+# Largest n = 3 Legendre table of pass 2 wider than _TABLE_COLUMNS, in
+# bytes; also the largest row piece and product of an n = 2 or streamed
+# series sum, and the bound on a rule sum's moment and ring-spectrum chunks.
 _TABLE_CHUNK_BYTES = 4 << 20
+
+# Columns per product of pass 2 at n = 3, fixed so that every product has
+# one shape: OpenBLAS picks its kernel by the shape, so a width set by the
+# call would let a value depend in its last bits on the other directions of
+# its call.  A table holds up to this many columns however deep its series,
+# 8 (K+1) 8 bytes: 6.3 MB at K = 98 140.  Widths of 16 and 32 made the
+# default distance experiment slower, and 4 pass 2 of inclusion-n3
+# (BENCH_shared_legendre.json).
+_TABLE_COLUMNS = 8
 
 # Degrees per chunk of the radial moments of `eval_coeff_series_rule_sum`.
 _MOMENT_ROWS = 64
@@ -336,31 +352,39 @@ class _DegreeTable:
 
 class _LogTables:
     """The log-coefficient tables every degree block reads: log h_k for each
-    dimension n asked, and log c_k for the most recently asked (n, c) only.
+    dimension n asked, and log c_k for the coefficients of the most recent
+    batch only.
 
-    Series calls in a row mostly share their coefficient, and one table per
-    coefficient ever asked would hold every deep walk's degrees; keeping
-    only the latest coefficient bounds the held bytes by 16 (k_c + sum_n
-    k_n), with k_c the largest degree end of a kept request of the current
-    coefficient and k_n that of log h_k at n.  On the n = 3 inclusion
-    benchmark the 108 series calls use 9 coefficients, and 99 of them
-    follow a call with the same one."""
+    A batch is the coefficients one series call sums (`hold`); a lookup
+    of a coefficient outside the batch makes it a batch of one.  Series
+    calls in a row mostly share their batch, and one table per coefficient
+    ever asked would hold every deep walk's degrees; keeping only the
+    latest batch bounds the held bytes by 16 (sum_c k_c + sum_n k_n), with
+    k_c the largest degree end of a kept request of the batch's coefficient
+    c and k_n that of log h_k at n.  On the n = 3 inclusion benchmark the
+    108 series calls are 12 shells of one batch of 9 coefficients."""
 
     def __init__(self):
         self._dims: dict[int, _DegreeTable] = {}
-        self._coeff: tuple = (None, None)  # ((n, c), its table)
+        self._coeffs: dict[tuple, _DegreeTable] = {}  # (n, c) -> its table
 
     @property
     def nbytes(self) -> int:
-        held = sum(t.nbytes for t in self._dims.values())
-        return held + (self._coeff[1].nbytes if self._coeff[1] is not None else 0)
+        return sum(t.nbytes for t in (*self._dims.values(), *self._coeffs.values()))
+
+    def hold(self, n: int, coeffs) -> None:
+        """Make the (n, c), c in `coeffs`, the batch: keep their tables and
+        drop every other coefficient's."""
+        held = self._coeffs
+        self._coeffs = {
+            (n, c): held.get((n, c)) or _DegreeTable(lambda ks, c=c: c.log_values(n, ks))
+            for c in coeffs
+        }
 
     def coeffs(self, n: int, coeff: CoeffProduct) -> _DegreeTable:
-        key, table = self._coeff
-        if key != (n, coeff):
-            table = _DegreeTable(lambda ks: coeff.log_values(n, ks))
-            self._coeff = ((n, coeff), table)
-        return table
+        if (n, coeff) not in self._coeffs:
+            self.hold(n, [coeff])
+        return self._coeffs[(n, coeff)]
 
     def dims(self, n: int) -> _DegreeTable:
         table = self._dims.get(n)
@@ -570,19 +594,85 @@ def _log_radii(rho: np.ndarray) -> np.ndarray:
         return np.log(np.maximum(rho, 0.0))
 
 
-def _legendre_pass(cols, blocks, acc) -> None:
-    """Pass 2 at n = 3: add the terms of degrees 0..K to acc (radii x cols).
+def _legendre_pass(cols: np.ndarray, rho: np.ndarray, terms) -> None:
+    """Pass 2 at n = 3 for a batch of coefficients on one grid: add each
+    coefficient's terms of degrees 0..K to its acc (radii x cols).
 
-    `blocks` are pass 1's degree blocks (k0, (2k+1) c_k rho^k), the last
-    one ending at K.  They are summed against a table of P_k over `cols`
-    (`_legendre_table`), built in column chunks of at most
-    _TABLE_CHUNK_BYTES, so no degree's c_k rho^k is computed twice."""
-    k_end = blocks[-1][0] + blocks[-1][1].shape[1]
-    width = max(1, _TABLE_CHUNK_BYTES // (8 * k_end))
-    for c0 in range(0, cols.shape[0], width):
-        table = _legendre_table(cols[c0 : c0 + width], k_end)
-        for k0, p in blocks:
-            acc[:, c0 : c0 + width] += p @ table[k0 : k0 + p.shape[1]]
+    `terms` holds (acc, factors) per coefficient, its factors (2k+1) c_k
+    rho_ref^k, rho_ref the largest radius, one per degree block of
+    `_degree_blocks`, the last one cut at K.  The degree-k row of a
+    coefficient is the radial factor (rho/rho_ref)^k, shared by the batch,
+    times its factor; the factor is at most c_k h_k rho_ref^k, a term of
+    the majorant that pass 1 summed to a finite mass, so it does not
+    overflow where c_k alone would.  The radial factor of a degree
+    block is (rho/rho_ref)^j (rho/rho_ref)^k0, j below the block size: the
+    block's rows carry the first part and its product is scaled by the
+    second, so no radial factor is held at radii x K.  One table of P_k
+    (`_legendre_table`) over as many columns as _TABLE_CHUNK_BYTES holds,
+    up to the largest K, serves every coefficient; each coefficient's rows
+    are cut at its K and multiplied against each chunk of _TABLE_COLUMNS
+    columns of the table.  Where the columns take several tables, a
+    block's rows are formed once and kept for the later tables if the
+    batch's rows take no more bytes than a table, and formed again per
+    table otherwise.  The chunk width is fixed, and the columns past
+    the table's last whole chunk are copied per degree block into a chunk
+    padded with zeros, so every product has the shape that the degree
+    block and K give, no P_k is computed for the padding, and a value does
+    not depend on the other directions of its call or on the other
+    coefficients of its batch."""
+    rho_ref = float(rho.max())
+    with np.errstate(divide="ignore"):
+        # all radii 0: the radial factors are 1 and the coefficient factors 0^k
+        log_ratio = _log_radii(rho) - math.log(rho_ref) if rho_ref > 0.0 else np.zeros(rho.shape[0])
+    k_end = max(sum(f.shape[0] for f in factors) for _, factors in terms)
+    blocks = list(_degree_blocks(k_end - 1))
+    k0s = np.array([k0 for k0, _ in blocks], dtype=float)
+    span = max(size for _, size in blocks)
+    with np.errstate(under="ignore", invalid="ignore"):
+        steps = _powers(np.zeros(span), np.arange(span, dtype=float), log_ratio)
+        starts = _powers(np.zeros(k0s.shape[0]), k0s, log_ratio)
+    # columns per table, a multiple of _TABLE_COLUMNS: as many as
+    # _TABLE_CHUNK_BYTES holds, at least one chunk
+    width = _TABLE_COLUMNS * max(1, _TABLE_CHUNK_BYTES // (8 * k_end * _TABLE_COLUMNS))
+    # each coefficient's rows of a degree block, kept for the later tables
+    # when there are several and the batch's rows take no more bytes than a
+    # table: forming them once per table cost as much as the products in
+    # calls of one coefficient over many tables
+    rows_bytes = 8 * rho.shape[0] * sum(f.shape[0] for _, factors in terms for f in factors)
+    held = {} if cols.shape[0] > width and rows_bytes <= 8 * k_end * width else None
+
+    def add_products(t0: int, table: np.ndarray) -> None:
+        whole = table.shape[1] - table.shape[1] % _TABLE_COLUMNS
+        for b, (k0, size) in enumerate(blocks):
+            rows = table[k0 : k0 + size]
+            if whole < table.shape[1]:
+                # the last columns, padded with zeros to a whole chunk
+                rest = np.zeros((size, _TABLE_COLUMNS))
+                rest[:, : table.shape[1] - whole] = rows[:, whole:]
+            for c, (acc, factors) in enumerate(terms):
+                if b >= len(factors):
+                    continue
+                cut = factors[b].shape[0]
+                lhs = held.get((c, b)) if held is not None else None
+                if lhs is None:
+                    lhs = steps[:, :cut] * factors[b]
+                    if held is not None:
+                        held[(c, b)] = lhs
+                if whole:
+                    # one product per chunk of _TABLE_COLUMNS columns,
+                    # stacked: (chunk, radius, column)
+                    chunks = rows[:cut, :whole].reshape(cut, -1, _TABLE_COLUMNS)
+                    block = np.matmul(lhs, chunks.transpose(1, 0, 2))
+                    block *= starts[:, b : b + 1]
+                    acc[:, t0 : t0 + whole] += block.transpose(1, 0, 2).reshape(rho.shape[0], whole)
+                if whole < table.shape[1]:
+                    block = lhs @ rest[:cut]
+                    block *= starts[:, b : b + 1]
+                    acc[:, t0 + whole : t0 + table.shape[1]] += block[:, : table.shape[1] - whole]
+
+    for t0 in range(0, cols.shape[0], width):
+        # each table and its views are released before the next is built
+        add_products(t0, _legendre_table(cols[t0 : t0 + width], k_end))
 
 
 def _pieced_block(rows_of, k0: int, p: np.ndarray, acc: np.ndarray) -> None:
@@ -730,9 +820,9 @@ def _first_certified(rho, log_rho, fracs, log_ch, masses, k0, k_lo, k_end, tol_a
     return k_lo + int(np.argmax(ok)) if ok.any() else k_end
 
 
-def _series_sum(
+def _series_sums(
     n: int,
-    coeff: CoeffProduct,
+    coeffs,
     u: np.ndarray,
     rho_sets: list[np.ndarray],
     *,
@@ -740,35 +830,43 @@ def _series_sum(
     tol_rel: float = 0.0,
     kmax: int = KMAX_DEFAULT,
     min_terms: int = 0,
-):
-    """Sum sum_k c_k rho^k Q_k(u) with a certified truncation-error bound.
+) -> list:
+    """Sum sum_k c_k rho^k Q_k(u) with a certified truncation-error bound,
+    for each coefficient c of `coeffs` on one grid.
 
     Each rho set is a radius vector and its values are the full
-    (len(rho), len(u)) product grid.  Returns (values, tails, masses, K) where
-    `masses` are the majorant sums sum c_k h_k rho^k used for relative
-    tolerances and K, the last degree included, is the smallest degree
-    whose tail bound certifies every set.
+    (len(rho), len(u)) product grid.  Returns, per coefficient, (values,
+    tails, masses, K) where `masses` are the majorant sums sum c_k h_k
+    rho^k used for relative tolerances and K, the last degree included, is
+    the smallest degree whose tail bound certifies every set; or the
+    NonConvergent that its series raised, which leaves the others summed.
 
-    Pass 1 (`_certified_degree`) fixes K on the majorant.  The values are
-    summed against angular rows Q_k over the distinct u (exact `np.unique`)
-    and gathered back to the directions at the end:
+    Pass 1 (`_certified_degree`) fixes each coefficient's K on the
+    majorant.  The values are summed against angular rows Q_k over the
+    distinct u (exact `np.unique`) and gathered back to the directions at
+    the end:
     - n = 2: `_CircleRows` gives the rows of each degree block directly,
       so they are summed inside pass 1 and there is no pass 2;
-    - n = 3: pass 1's blocks of c_k rho^k are kept and scaled once by
-      (2k+1), which is len(rho) x K work, and pass 2 sums them against one
-      table of P_k of degrees 0..K over the distinct u, built in column
-      chunks (`_legendre_pass`).  The kept blocks hold len(rho) 8 bytes
-      per degree up to the end of the block that holds K, the last block
-      being cut at K but kept whole: 6.3 MB for 8 radii at K = 98 140;
+    - n = 3: pass 2 sums the whole batch against one table of P_k over the
+      distinct u, built in chunks of _TABLE_COLUMNS columns up to the
+      largest K, each coefficient's rows formed per degree block from a
+      radial factor shared by the batch and the coefficient's own factor
+      (`_legendre_pass`).  The coefficient factors (2k+1) c_k rho_max^k
+      are taken off pass 1's blocks at the largest radius, so no c_k rho^k
+      is computed twice.  Beyond the outputs the call holds those factors,
+      K + 1 values per coefficient, the radial factors of one degree block
+      and one table of at most max(_TABLE_CHUNK_BYTES, 8 (K+1)
+      _TABLE_COLUMNS) bytes, and rows of no more bytes than that table;
     - n >= 4: the Gegenbauer recurrence streams inside pass 1.
     A call with more than _TABLE_MAX_U distinct u streams the recurrence
     inside pass 1 over its directions themselves, with no gather.  All rho
     sets share each degree block's matrix products.  The n = 2 and the
     streamed paths build their rows and products in pieces of at most
     _TABLE_CHUNK_BYTES (`_pieced_block`), so beyond the len(rho) x len(u)
-    output such a call holds a few pieces, one block of c_k rho^k and
+    outputs such a call holds a few pieces, one block of c_k rho^k and
     O(len(u)) recurrence buffers (at n = 2, one piece's phases) at any
     depth; its values differ from one product per block by rounding only.
+    A coefficient's results do not depend on the others of its batch.
     """
     u = np.asarray(u, dtype=float)
     rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
@@ -780,35 +878,64 @@ def _series_sum(
         inv = np.searchsorted(cols, u)
     else:
         cols, inv = u, np.arange(u.shape[0])
-    if gather and n <= 3:
-        angular = _CircleRows(cols) if n == 2 else None
-    else:
-        angular = _ZonalAngular(n, cols)
+    shared = gather and n == 3  # pass 2 sums the batch on one table
 
     # the gathered values, allocated before the series work: callers keep
     # such grids (shell values are cached), and one allocated last sits
     # above the freed temporaries on the heap, which raised the peak RSS of
     # the n = 3 inclusion experiment by 0.3-0.5 MB
-    out = np.empty((rho.shape[0], u.shape[0])) if gather else None
-    acc = np.zeros((rho.shape[0], cols.shape[0]))
-    blocks = []  # pass 2's (k0, (2k+1) c_k rho^k)
+    outs = [np.empty((rho.shape[0], u.shape[0])) if gather else None for _ in coeffs]
+    accs = [np.zeros((rho.shape[0], cols.shape[0])) for _ in coeffs]
+    _LOG_TABLES.hold(n, coeffs)
 
-    def on_block(k0, p):
-        if angular is not None:
-            _pieced_block(angular.block, k0, p, acc)
+    row_ref = int(np.argmax(rho)) if rho.size else None  # the largest radius
+    results, terms = [], []
+    for coeff, acc in zip(coeffs, accs):
+        # pass 2's coefficient factors (2k+1) c_k rho_ref^k, one per degree
+        # block, off the largest radius' row of pass 1's blocks
+        factors = []
+        if not shared:
+            angular = _CircleRows(cols) if gather and n == 2 else _ZonalAngular(n, cols)
+            on_block = functools.partial(_pieced_block, angular.block, acc=acc)
+        elif row_ref is None:
+            on_block = None
         else:
-            p *= 2.0 * np.arange(k0, k0 + p.shape[1], dtype=float) + 1.0
-            blocks.append((k0, p))
 
-    tails, masses, k_used = _certified_degree(
-        n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax,
-        min_terms=min_terms, on_block=on_block,
-    )
-    if blocks:
-        _legendre_pass(cols, blocks, acc)
-    if gather:
-        acc = np.take(acc, inv, axis=1, out=out)
-    return [acc[sl] for sl in sets], tails, masses, k_used
+            def on_block(k0, p, factors=factors):
+                odd = 2.0 * np.arange(k0, k0 + p.shape[1], dtype=float) + 1.0
+                factors.append(p[row_ref] * odd)
+
+        try:
+            tails, masses, k_used = _certified_degree(
+                n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax,
+                min_terms=min_terms, on_block=on_block,
+            )
+        except NonConvergent as exc:
+            results.append(exc)
+            continue
+        if factors:
+            terms.append((acc, factors))
+        results.append((tails, masses, k_used))
+    if terms:
+        _legendre_pass(cols, rho, terms)
+
+    out = []
+    for result, acc, values in zip(results, accs, outs):
+        if not isinstance(result, NonConvergent):
+            if gather:
+                acc = np.take(acc, inv, axis=1, out=values)
+            result = ([acc[sl] for sl in sets], *result)
+        out.append(result)
+    return out
+
+
+def _series_sum(n: int, coeff: CoeffProduct, u: np.ndarray, rho_sets: list[np.ndarray], **kw):
+    """`_series_sums` of the one coefficient `coeff`: (values, tails,
+    masses, K), or the NonConvergent raised."""
+    (result,) = _series_sums(n, [coeff], u, rho_sets, **kw)
+    if isinstance(result, NonConvergent):
+        raise result
+    return result
 
 
 def _require_finite(name: str, *arrays: np.ndarray) -> None:
@@ -979,6 +1106,59 @@ def _n2_closed_form(coeff, u, rho_sets, *, tol_abs: float, tol_rel: float):
     return [values[sl] for sl in sets]
 
 
+def eval_coeff_series_grids(
+    n: int,
+    coeffs,
+    units: np.ndarray,
+    pole,
+    radii_sets,
+    *,
+    tol_abs: float = 0.0,
+    tol_rel: float = 0.0,
+    kmax: int = KMAX_DEFAULT,
+) -> list:
+    """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units for
+    each coefficient c of `coeffs`, all on one pole.
+
+    `units` is an (M, n) array of unit vectors; each entry of `radii_sets`
+    is a radius vector.  Returns, per coefficient, its list of grids, the
+    one of each radius set of shape (m, M), or the NonConvergent its series
+    raised, which leaves the others evaluated.  The radius sets share the
+    angular tables, and at n = 3 the coefficients share them too
+    (`_series_sums`); a coefficient's grids do not depend on the others.
+
+    At n = 2 a coefficient that `_N2Form` covers is summed in closed form
+    where its stated rounding bound meets the tolerance (`_n2_closed_form`);
+    it needs no degree cap, so `kmax` does not limit it.  Every other
+    coefficient sums the certified series.
+    """
+    pole = np.asarray(pole, dtype=float)
+    units = np.asarray(units, dtype=float)
+    radii_sets = [np.asarray(r, dtype=float) for r in radii_sets]
+    _require_finite("units", units)
+    _require_finite("pole", pole)
+    _require_finite("radii", *radii_sets)
+    pole_unit, pole_norm = _unit_and_norm(pole)
+    if pole_norm == 0.0:
+        # only the k = 0 term survives: the sum is identically c_0 = 1
+        return [[np.ones((r.shape[0], units.shape[0])) for r in radii_sets] for _ in coeffs]
+    u = np.clip(units @ pole_unit, -1.0, 1.0)
+    rho_sets = [r * pole_norm for r in radii_sets]
+    results = [None] * len(coeffs)
+    if n == 2:
+        for i, coeff in enumerate(coeffs):
+            results[i] = _n2_closed_form(coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel)
+    series = [i for i, values in enumerate(results) if values is None]
+    if not series:
+        return results
+    sums = _series_sums(
+        n, [coeffs[i] for i in series], u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
+    )
+    for i, result in zip(series, sums):
+        results[i] = result if isinstance(result, NonConvergent) else result[0]
+    return results
+
+
 def eval_coeff_series_grid(
     n: int,
     coeff: CoeffProduct,
@@ -990,37 +1170,20 @@ def eval_coeff_series_grid(
     tol_rel: float = 0.0,
     kmax: int = KMAX_DEFAULT,
 ):
-    """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units.
+    """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units:
+    `eval_coeff_series_grids` of the one coefficient `coeff`, raising its
+    NonConvergent.
 
     `units` is an (M, n) array of unit vectors; each entry of `radii_sets`
     is a radius vector; the corresponding result has shape (m, M).  Sharing
     the angular tables across the radius sets is what makes near-boundary
     sweeps affordable.
-
-    At n = 2 a coefficient that `_N2Form` covers is summed in closed form
-    where its stated rounding bound meets the tolerance (`_n2_closed_form`);
-    it needs no degree cap, so `kmax` does not limit it.  Every other call
-    sums the certified series.
     """
-    pole = np.asarray(pole, dtype=float)
-    units = np.asarray(units, dtype=float)
-    radii_sets = [np.asarray(r, dtype=float) for r in radii_sets]
-    _require_finite("units", units)
-    _require_finite("pole", pole)
-    _require_finite("radii", *radii_sets)
-    pole_unit, pole_norm = _unit_and_norm(pole)
-    if pole_norm == 0.0:
-        # only the k = 0 term survives: the sum is identically c_0 = 1
-        return [np.ones((r.shape[0], units.shape[0])) for r in radii_sets]
-    u = np.clip(units @ pole_unit, -1.0, 1.0)
-    rho_sets = [r * pole_norm for r in radii_sets]
-    if n == 2:
-        values = _n2_closed_form(coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel)
-        if values is not None:
-            return values
-    values, _, _, _ = _series_sum(
-        n, coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
+    (values,) = eval_coeff_series_grids(
+        n, [coeff], units, pole, radii_sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
     )
+    if isinstance(values, NonConvergent):
+        raise values
     return values
 
 

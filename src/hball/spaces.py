@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import betaln
 
-from .calculus import DiffPair, HarmonicExpansion, apply_D, evaluate_grid
+from .calculus import DiffPair, HarmonicExpansion, ZonalTerm, apply_D, evaluate_grid, evaluate_grids
 from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
 from .kernel import CoeffProduct, eval_coeff_series_rule_sum, log_coeff_block, log_dim_block
 from .quadrature import (
@@ -66,6 +66,7 @@ __all__ = [
     "bloch_norm",
     "default_shell_grid",
     "distance_estimate",
+    "fill_shell_values",
     "inclusion_predicate",
     "level_set",
     "little_bloch_test",
@@ -319,12 +320,53 @@ def _memo(owner, key, make):
 
 
 def _shell_values(g: HarmonicExpansion, grid: ShellDecomposition, j: int) -> np.ndarray:
-    """g on shell j's product grid at REL_TOL, memoized under the grid."""
+    """g on shell j's product grid at REL_TOL, memoized under the grid; a
+    NonConvergent is memoized too, and raised again with the same text."""
 
     def eval_shell():
-        return evaluate_grid(g, grid.shells[j].nodes, grid.spheres[j].units, tol_rel=REL_TOL)
+        try:
+            return evaluate_grid(g, grid.shells[j].nodes, grid.spheres[j].units, tol_rel=REL_TOL)
+        except NonConvergent as exc:
+            # kept without its traceback, whose frames would hold the grid
+            # that keys it
+            return exc.with_traceback(None)
 
-    return _memo(grid, (g, j), eval_shell)
+    values = _memo(grid, (g, j), eval_shell)
+    if isinstance(values, NonConvergent):
+        raise NonConvergent(*values.args)
+    return values
+
+
+def _has_series(g: HarmonicExpansion) -> bool:
+    return not all(isinstance(atom, ZonalTerm) for atom in g.atoms)
+
+
+def _shell_field(f: HarmonicExpansion, pair: DiffPair) -> HarmonicExpansion:
+    """The field whose shell values (`_shell_values`) the walks over f
+    under `pair` read, D f of the pair: the key of their memo entries."""
+    return apply_D(f, pair)
+
+
+def fill_shell_values(fields, grid: ShellDecomposition) -> None:
+    """Memoize the shell values of several fields on one grid, each field
+    an (f, pair) whose walks read D f of the pair (`_shell_field`), shell
+    by shell, so that the series of each shell are summed in one call
+    (`evaluate_grids`) and its n = 3 series share one Legendre table.
+
+    A walk over a field asks for its shells in order up to the first that
+    raises NonConvergent (`walk_shells`), so a field is filled up to that
+    shell, its error memoized there: the fill computes exactly the shells
+    that the walks over the fields would, and the walks then read them.  A
+    field without series atoms shares no series call and is left to its
+    walks, so its grids are not held beside the deeper shells' sums."""
+    fields = [g for g in dict.fromkeys(_shell_field(f, pair) for f, pair in fields) if _has_series(g)]
+    memo = _MEMO.setdefault(grid, {})
+    for j in range(grid.depth):
+        todo = [g for g in fields if (g, j) not in memo]
+        values = evaluate_grids(todo, grid.shells[j].nodes, grid.spheres[j].units, tol_rel=REL_TOL)
+        for g, v in zip(todo, values):
+            memo[(g, j)] = v.with_traceback(None) if isinstance(v, NonConvergent) else v
+        fields = [g for g in fields if not isinstance(memo[(g, j)], NonConvergent)]
 
 
 def default_shell_grid(f: HarmonicExpansion, depth: int | None = None) -> ShellDecomposition:
@@ -380,7 +422,7 @@ def besov_norm_shells(
     gamma = spec.alpha + spec.p * spec.pair.t
     if gamma <= -1.0:
         raise AdmissibilityError("alpha + p t must exceed -1")
-    g = apply_D(f, spec.pair)
+    g = _shell_field(f, spec.pair)
     report = integrate_shells(grid, lambda d, j: np.abs(_shell_values(g, d, j)) ** spec.p, gamma)
     va = weight_constant(f.dimension, spec.alpha).value
     scaled = ShellIntegral(
@@ -405,7 +447,7 @@ def bloch_norm(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> f
 
 
 def _bloch_probe(f: HarmonicExpansion, spec: Bloch, grid: ShellDecomposition) -> SupProbe:
-    g = apply_D(f, spec.pair)
+    g = _shell_field(f, spec.pair)
     return sup_norm_probe(lambda d, j: _shell_values(g, d, j), spec.alpha + spec.pair.t, grid)
 
 
@@ -493,7 +535,7 @@ def level_set(
     if not math.isfinite(weight_exponent):
         raise ValueError("the weight exponent must be finite")
     integral, counts = _level_shell_integral(
-        apply_D(f, pair), grid, alpha + pair.t, epsilon, weight_exponent
+        _shell_field(f, pair), grid, alpha + pair.t, epsilon, weight_exponent
     )
     return LevelSetReport(alpha, pair, epsilon, weight_exponent, counts, integral)
 
@@ -530,7 +572,7 @@ def distance_estimate(
     if norm == 0.0:
         return DistanceEstimate(0.0, 0.0, 0.0, 0.0, 0)
     n = f.dimension
-    g = apply_D(f, pair)
+    g = _shell_field(f, pair)
 
     def verdict(eps: float) -> Verdict:
         integral, _ = _level_shell_integral(g, grid, alpha + pair.t, eps, -float(n))

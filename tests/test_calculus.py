@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from hball.calculus import (
     constant,
     evaluate,
     evaluate_grid,
+    evaluate_grids,
     expansion_from_json,
     expansion_to_json,
     homogeneous_coefficient,
 )
+from hball.errors import NonConvergent
 from hball.kernel import CoeffProduct, eval_coeff_series_grid, gamma_ratio
 from hball.special import dim_spherical_harmonics, zonal
 
@@ -130,6 +133,54 @@ class TestEvaluate:
             want += atom.weight * vals
         got = evaluate_grid(HarmonicExpansion(3, atoms), radii, units)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_several_expansions_are_each_one_alone_bit_for_bit(self):
+        # series atoms sharing a pole across expansions, zonal terms between
+        # them, an expansion with no atoms, and one whose series reaches
+        # |x||pole| = 1 on the grid
+        pole = (0.0, 0.6, 0.0)
+        fs = [
+            HarmonicExpansion(3, (ZonalTerm(1, ZETA3, -0.7), KernelAtom(0.4, pole, 1.2))),
+            HarmonicExpansion(3, (KernelAtom(-4.0, pole), GeneralSeriesAtom(CoeffProduct.kernel(0.3).shifted(0.5, 1.0), (0.5, 0.0, 0.0), -0.3))),
+            HarmonicExpansion(3, ()),
+            HarmonicExpansion(3, (KernelAtom(0.4, pole, 2.0), KernelAtom(0.0, ZETA3))),
+        ]
+        radii = np.array([0.0, 0.4, 0.9, 1.0])
+        units = np.random.default_rng(3).normal(size=(30, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        got = evaluate_grids(fs, radii, units, tol_rel=1e-9)
+        for f, values in zip(fs[:3], got[:3], strict=True):
+            want = evaluate_grid(f, radii, units, tol_rel=1e-9)
+            assert values.shape == want.shape and values.tobytes() == want.tobytes()
+        with pytest.raises(NonConvergent) as alone:
+            evaluate_grid(fs[3], radii, units, tol_rel=1e-9)
+        assert isinstance(got[3], NonConvergent) and str(got[3]) == str(alone.value)
+        with pytest.raises(ValueError, match="share their dimension"):
+            evaluate_grids([constant(2), constant(3)], radii, units)
+
+    def test_one_expansion_holds_its_sum_and_one_atom_grid(self):
+        # three series atoms on three poles, on a grid of 62 x 20 000 (9.9 MB)
+        atoms = (
+            KernelAtom(0.4, (0.3, 0.0, 0.0)),
+            KernelAtom(0.4, (0.0, 0.3, 0.0), -1.0),
+            KernelAtom(-0.5, (0.0, 0.0, 0.3), 2.0),
+        )
+        radii = np.linspace(0.0, 0.9, 62)
+        units = np.random.default_rng(5).normal(size=(20_000, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+
+        def peak_of(f):
+            tracemalloc.start()
+            try:
+                values = evaluate_grid(f, radii, units)
+                return values, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = max(peak_of(HarmonicExpansion(3, (atom,)))[1] for atom in atoms)
+        values, peak = peak_of(HarmonicExpansion(3, atoms))
+        # each atom's call runs beside the sum of the atoms before it
+        assert peak <= one + values.nbytes + (1 << 20)
 
 
 class TestApplyD:

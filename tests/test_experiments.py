@@ -116,6 +116,23 @@ class TestRunners:
         assert by_label["atom_critical"]["norm_verdict"] == "divergent"
         assert by_label["atom_in_25"]["decay"] == "decaying"
 
+    def test_inclusion_walks_read_the_filled_shells(self, monkeypatch):
+        # the fill before the walks computes every shell of a series field
+        # that the walks ask for, so no walk sums a series of its own
+        import hball.spaces as spaces
+
+        walk_side = []
+
+        def evaluate(g, *args, **kw):
+            walk_side.append(g)
+            return spaces.evaluate_grids([g], *args, **kw)[0]
+
+        monkeypatch.setattr(spaces, "evaluate_grid", evaluate)
+        monkeypatch.setattr("hball.experiments._GRIDS", {})  # no shell memoized yet
+        rep = run_experiment("inclusion", small_config("inclusion"))
+        assert rep["summary"]["pass"]
+        assert walk_side and not any(spaces._has_series(g) for g in walk_side)
+
     def test_levelset_small(self):
         rep = run_experiment("levelset", small_config("levelset"))
         assert rep["summary"]["pass"]

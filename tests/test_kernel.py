@@ -24,6 +24,7 @@ from hball.kernel import (
     _AssociatedLegendre,
     _certified_degree,
     _degree_blocks,
+    _DegreeTable,
     _legendre_factors,
     _legendre_table,
     _LogTables,
@@ -33,10 +34,12 @@ from hball.kernel import (
     _powers,
     _ring_spectra,
     _series_sum,
+    _series_sums,
     _stack,
     _stream_degree,
     _ZonalAngular,
     eval_coeff_series_grid,
+    eval_coeff_series_grids,
     eval_coeff_series_points,
     eval_coeff_series_rule_sum,
     gamma_coeff,
@@ -489,9 +492,11 @@ class TestStreamedPieces:
 
 
 class TestHeldDegreeBlocks:
-    """Pass 2 at n = 3 sums against the degree blocks pass 1 built, so each
-    c_k rho^k is computed once per call, and pass 1 reads the head of its
-    tail bound off a block one degree longer."""
+    """Pass 1 computes each c_k rho^k once per call, and pass 2 at n = 3
+    holds nothing at radii x K: its rows come from the radial factors of
+    one degree block and the coefficient factors pass 1 computed at the
+    largest radius; pass 1 reads the head of its tail bound off a block one
+    degree longer."""
 
     def test_each_degree_is_computed_once(self, monkeypatch):
         coeff = CoeffProduct.kernel(-3.0)
@@ -499,26 +504,27 @@ class TestHeldDegreeBlocks:
         rho_sets = [np.array([0.0, 0.6, 0.99]), np.array([0.995])]
         one = _series_sum(3, coeff, u, rho_sets, tol_rel=1e-10)
         k_end = one[3] + 1
-        # pass 1 computes the whole block that holds K, pass 2 sums it to K
+        # pass 1 computes the whole block that holds K
         block_end = next(k0 + size for k0, size in _degree_blocks(KMAX_DEFAULT) if k0 + size >= k_end)
-        degrees = []
+        calls = []
 
         def counted(log_c, kf, log_rho):
-            degrees.append(kf)
+            calls.append((kf, log_rho.shape[0]))
             return _powers(log_c, kf, log_rho)
 
         monkeypatch.setattr("hball.kernel._powers", counted)
-        # 5 of the 16 distinct u per chunk: 4 chunks, the last one column wide
-        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 8 * k_end * 5)
-        chunked = _series_sum(3, coeff, u, rho_sets, tol_rel=1e-10)
-        assert np.array_equal(np.concatenate(degrees), np.arange(block_end, dtype=float))
-        assert chunked[3] == one[3]
-        for got, want in zip(chunked[1] + chunked[2], one[1] + one[2]):
-            assert np.array_equal(got, want)
-        # BLAS picks its kernel by the product's shape (a one-column chunk is
-        # a matrix-vector product), so the values may differ by rounding only
-        for got, want, mass in zip(chunked[0], one[0], one[2]):
-            assert np.all(np.abs(got - want) <= 1e-14 * mass[:, None])
+        again = _series_sum(3, coeff, u, rho_sets, tol_rel=1e-10)
+        blocks = [k0 for k0, _ in _degree_blocks(KMAX_DEFAULT) if k0 < block_end]
+        pass_1, (steps, starts) = calls[: len(blocks)], calls[len(blocks) :]
+        assert np.array_equal(np.concatenate([kf for kf, _ in pass_1]), np.arange(block_end, dtype=float))
+        # pass 2 computes only the radial factors (rho/rho_ref)^j within a
+        # block and (rho/rho_ref)^k0 at each block start
+        pass_2 = list(_degree_blocks(k_end - 1))
+        assert np.array_equal(steps[0], np.arange(max(size for _, size in pass_2), dtype=float))
+        assert np.array_equal(starts[0], np.array([k0 for k0, _ in pass_2], dtype=float))
+        assert again[3] == one[3]
+        for got, want in zip(again[0] + again[1] + again[2], one[0] + one[1] + one[2]):
+            assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("k0", [0, 4096])
     def test_powers_are_the_formula_bit_for_bit(self, k0):
@@ -708,6 +714,153 @@ class TestSmallestCertifiedDegree:
             assert abs(v - want) <= 1e-10 * float(mass @ np.abs(weighted).sum(axis=1))
 
 
+def n3_family_coefficients():
+    """The coefficients of the family's n = 3 series (`family_coefficients`)."""
+    return [coeff for n, coeff in family_coefficients() if n == 3]
+
+
+def poisson_lifted(poly, rho, u):
+    """sum_k poly(k) (2k+1) P_k(u) rho^k in 50-digit mpmath, for a
+    polynomial poly given by its coefficients in k (lowest first): poly(D)
+    applied to the Poisson kernel G = (1 - rho^2) / (1 - 2 u rho +
+    rho^2)^(3/2) of the ball in R^3, D = rho d/drho = d/dt at rho = e^t."""
+    with mpmath.workdps(50):
+        r, c = mpmath.mpf(float(rho)), mpmath.mpf(float(u))
+
+        def g(t):
+            x = mpmath.exp(t)
+            return (1 - x**2) / (1 - 2 * c * x + x**2) ** mpmath.mpf(1.5)
+
+        return float(sum(a * mpmath.diff(g, mpmath.log(r), m) for m, a in enumerate(poly)))
+
+
+class TestBatchedSeries:
+    """A batch of n = 3 coefficients on one grid shares its Legendre table,
+    multiplied _TABLE_COLUMNS columns at a time: each coefficient's results
+    are its batch of one, bit for bit, and each value is that of its
+    direction summed alone."""
+
+    U = np.concatenate([[-1.0, 1.0, 0.0], np.random.default_rng(11).uniform(-1.0, 1.0, 14)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.one_of(coefficient_products(), st.sampled_from(n3_family_coefficients())),
+            min_size=1,
+            max_size=9,
+        ),
+        rho_sets=st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.99)), max_size=4).map(
+                lambda r: np.array(r, dtype=float)
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_each_coefficient_is_its_batch_of_one(self, coeffs, rho_sets):
+        kw = dict(tol_rel=1e-10, kmax=3000)
+        batch = _series_sums(3, coeffs, self.U, rho_sets, **kw)
+        for coeff, got in zip(coeffs, batch, strict=True):
+            (want,) = _series_sums(3, [coeff], self.U, rho_sets, **kw)
+            if isinstance(want, NonConvergent):
+                assert isinstance(got, NonConvergent) and str(got) == str(want)
+                continue
+            assert got[3] == want[3]
+            for a, b in zip(got[0] + got[1] + got[2], want[0] + want[1] + want[2], strict=True):
+                assert np.array_equal(bits(a), bits(b))
+
+    def test_a_value_is_its_direction_alone(self):
+        # 2 000 distinct u, gathered: 250 chunks of 8 columns, the picked
+        # directions at the first, second and last position of a chunk
+        u = np.linspace(-1.0, 1.0, 2000)
+        rho_sets = [np.array([0.0, 0.3, 0.9, 0.995]), np.array([0.5])]
+        coeffs = n3_family_coefficients()[:9]
+        assert len(coeffs) == 9
+        wide = _series_sums(3, coeffs, u, rho_sets, tol_rel=1e-10)
+        for i, coeff in enumerate(coeffs):
+            for j in (0, 1, 7, 8, 9, 1000, 1999):
+                (one,) = _series_sums(3, [coeff], u[j : j + 1], rho_sets, tol_rel=1e-10)
+                for a, b in zip(one[0], wide[i][0], strict=True):
+                    assert np.array_equal(bits(a[:, 0]), bits(b[:, j]))
+        # alone over the 2 000 directions, a coefficient's rows take fewer
+        # bytes than a table and are kept over its tables
+        for i, coeff in enumerate(coeffs[:3]):
+            (alone,) = _series_sums(3, [coeff], u, rho_sets, tol_rel=1e-10)
+            for a, b in zip(alone[0], wide[i][0], strict=True):
+                assert np.array_equal(bits(a), bits(b))
+
+    def test_pass_2_holds_one_table_at_a_time(self, monkeypatch):
+        # 200 distinct u at K = 60 885: 25 tables of 8 columns, 3.9 MB each
+        coeff = CoeffProduct.kernel(0.5)
+        u = np.linspace(-0.95, 0.95, 200)
+        rho_sets = [np.array([0.2, 0.5, 0.9995])]
+        _series_sums(3, [coeff], u, rho_sets, tol_rel=1e-10)  # the log tables
+        tracemalloc.start()
+        try:
+            ((values, _, _, k_used),) = _series_sums(3, [coeff], u, rho_sets, tol_rel=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width = 8 * (_TABLE_CHUNK_BYTES // (8 * (k_used + 1) * 8))
+        table = 8 * (k_used + 1) * width
+        assert width == 8 and table > 3 * (1 << 20)
+        # the output and the accumulated grid, one table, the factors and
+        # the kept rows (K+1 values per radius), and pass 1's last block
+        assert peak <= 2 * values[0].nbytes + table + 5 * 8 * (k_used + 1) + (1 << 19)
+
+    def test_a_coefficient_at_the_cap_leaves_the_others(self):
+        # at rho = 0.99 the three series certify at K = 2 899, 8 300 and 1 384
+        coeffs = [CoeffProduct.kernel(0.0), CoeffProduct.kernel(30.0), CoeffProduct.kernel(-4.0)]
+        rho_sets = [np.array([0.2, 0.99])]
+        batch = _series_sums(3, coeffs, self.U, rho_sets, tol_rel=1e-10, kmax=3000)
+        assert isinstance(batch[1], NonConvergent)
+        with pytest.raises(NonConvergent) as alone:
+            _series_sum(3, coeffs[1], self.U, rho_sets, tol_rel=1e-10, kmax=3000)
+        assert str(batch[1]) == str(alone.value)
+        for i in (0, 2):
+            want = _series_sum(3, coeffs[i], self.U, rho_sets, tol_rel=1e-10, kmax=3000)
+            assert batch[i][3] == want[3]
+            for a, b in zip(batch[i][0] + batch[i][1] + batch[i][2], want[0] + want[1] + want[2]):
+                assert np.array_equal(bits(a), bits(b))
+
+    def test_a_coefficient_past_the_float_range(self):
+        # c_k of kernel(1000) passes the float range before K = 600, while
+        # c_k rho^k stays below 1e157 at rho = 0.3; the reference sums the
+        # terms (2k+1) c_k rho^k P_k(u) with c_k rho^k = exp(log c_k + k log
+        # rho), as pass 2 did before it split them into (rho/rho_ref)^k and
+        # (2k+1) c_k rho_ref^k
+        coeff = CoeffProduct.kernel(1000.0)
+        rho = np.array([0.3, 0.24])
+        (values,), _, (mass,), k = _series_sum(3, coeff, self.U, [rho], tol_rel=1e-10)
+        assert np.any(coeff.log_values(3, np.arange(k + 1, dtype=float)) > math.log(np.finfo(float).max))
+        kf = np.arange(k + 1, dtype=float)
+        with np.errstate(under="ignore"):
+            p = _powers(coeff.log_values(3, kf), kf, np.log(rho)) * (2.0 * kf + 1.0)
+        want = p @ _legendre_table(self.U, k + 1)
+        assert np.all(np.isfinite(values))
+        assert np.all(np.abs(values - want) <= 4 * _EPS * mass[:, None])
+
+    def test_a_shell_12_batch_is_within_the_tolerance_of_mpmath(self):
+        # the n = 3 inclusion grid's deepest shell, radii in [1 - 2^-11,
+        # 1 - 2^-12]; c_k = P(k) for each kernel, P(k) = prod_i (1.5+i+k) /
+        # (1.5+i), i <= alpha (upper branch, integer alpha >= -1)
+        grid = shell_decomposition(3, 12, foci=((1.0, 0.0, 0.0),))
+        radii, units = grid.shells[11].nodes, grid.spheres[11].units
+        coeffs = [CoeffProduct.kernel(a) for a in (-1.0, 0.0, 1.0)]
+        coeffs.append(CoeffProduct.kernel(-1.0).shifted(0.0, 1.0))  # (2k+5)/5
+        polys = [[1.0], [1.0, 2.0 / 3.0], [1.0, 16.0 / 15.0, 4.0 / 15.0], [1.0, 2.0 / 5.0]]
+        batch = eval_coeff_series_grids(3, coeffs, units, (1.0, 0.0, 0.0), [radii], tol_rel=1e-10)
+        u = np.clip(units[:, 0], -1.0, 1.0)
+        sums = _series_sums(3, coeffs, u, [radii], tol_rel=1e-10)
+        picks = [int(np.argmax(u))] + list(np.random.default_rng(12).choice(u.shape[0], 4, replace=False))
+        for (values,), (_, _, (mass,), k), poly in zip(batch, sums, polys, strict=True):
+            assert k > 50_000
+            for i in (0, radii.shape[0] // 2, radii.shape[0] - 1):
+                for j in picks:
+                    exact = poisson_lifted(poly, radii[i], u[j])
+                    assert abs(values[i, j] - exact) <= 2e-10 * mass[i]
+
+
 class TestLogTables:
     """The held log-coefficient tables serve every degree block: each value
     bit for bit the fresh evaluation, whatever the table held before, and
@@ -774,27 +927,37 @@ class TestLogTables:
     def test_held_bytes_keep_the_rule_over_a_walk(self, monkeypatch):
         tables = _LogTables()
         monkeypatch.setattr("hball.kernel._LOG_TABLES", tables)
-        # the deep walks come first, so a table kept for an earlier
-        # coefficient would break the rule for the shallow ones after it
-        rhos = np.linspace(0.9995, 0.3, 36)
+        # the largest degree end of the kept requests of each table, as the
+        # calls make them (pass 1 asks up to the end of the block that
+        # holds K, plus one)
+        ends = {}
+        block = _DegreeTable.block
+
+        def recorded(table, k0, k_end):
+            if k0 <= table._state[1]:
+                ends[table] = max(ends.get(table, 0), k_end)
+            return block(table, k0, k_end)
+
+        monkeypatch.setattr(_DegreeTable, "block", recorded)
+        # batches of 1 to 4 coefficients; the deep walks come first, so a
+        # table kept for an earlier batch would break the rule for the
+        # shallow ones after it
+        rhos = np.linspace(0.9995, 0.3, 24)
         walk = [
-            (2 + i % 3, CoeffProduct.kernel(-4.0 + 0.25 * i).shifted(0.1 * i, 1.0), rho)
+            (2 + i % 3, [CoeffProduct.kernel(-4.0 + 0.25 * (i + j)).shifted(0.1 * i, 1.0) for j in range(1 + i % 4)], rho)
             for i, rho in enumerate(rhos)
         ]
-        walk += [(n, coeff, 0.5 * rho) for n, coeff, rho in walk[::-5]]  # revisits
-        ends, dims, current = 0, {}, None
-        for n, coeff, rho in walk:
+        walk += [(n, coeffs, 0.5 * rho) for n, coeffs, rho in walk[::-5]]  # revisits
+        for n, coeffs, rho in walk:
             for scale in (1.0, 0.5):
-                k = _series_sum(n, coeff, np.array([0.3]), [np.array([scale * rho])], tol_rel=1e-10)[3]
-                end = k + 2  # the head of the tail bound is degree K + 1
-                ends = max(ends, end) if current == (n, coeff) else end
-                current = (n, coeff)
-                dims[n] = max(dims.get(n, 0), end)
-                assert tables.nbytes <= 16 * (ends + sum(dims.values()))
+                _series_sums(n, coeffs, np.array([0.3]), [np.array([scale * rho])], tol_rel=1e-10)
+                held = list(tables._coeffs.values()) + list(tables._dims.values())
+                assert tables.nbytes <= 16 * sum(ends[t] for t in held)
             # a lookup past the held degrees is served but not kept
-            held = tables.nbytes
-            log_coeff_block(n, coeff, ends + 10, ends + 11)
-            assert tables.nbytes == held
+            before = tables.nbytes
+            end = ends[tables._coeffs[(n, coeffs[0])]]
+            log_coeff_block(n, coeffs[0], end + 10, end + 11)
+            assert tables.nbytes == before
 
 
 class TestStreamedRecurrence:

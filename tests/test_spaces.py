@@ -17,6 +17,7 @@ from hball.calculus import (
     constant,
     evaluate,
     evaluate_grid,
+    evaluate_grids,
 )
 from hball.errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from hball.experiments import verification_family
@@ -650,6 +651,64 @@ class TestMemo:
         second = bloch_norm(f, Bloch(0.0, DiffPair(3.0, 3.0)), grid)
         assert len(calls) == depth
         assert first == pytest.approx(2.0) and second == pytest.approx(2.0)
+
+
+class TestFillShellValues:
+    """Filling several fields shell by shell computes exactly the shells
+    the walks over them ask for, and the walks read them: the same maxima,
+    verdicts and errors as walks that evaluate their own shells."""
+
+    ZETA = (0.0, 0.0, 1.0)
+    # the sup-norm pair of weight 0; the last atom's majorant overflows on
+    # the grid's deeper shells
+    SPEC = Bloch(0.0, DiffPair(1.0, 1.0))
+    FS = (
+        constant(3),
+        HarmonicExpansion(3, (KernelAtom(-5.5, ZETA),)),
+        HarmonicExpansion(3, (KernelAtom(150.0, ZETA),)),
+    )
+
+    def walks(self, grid):
+        maxima = [spaces._bloch_probe(f, self.SPEC, grid).shell_maxima for f in self.FS]
+        return maxima, [little_bloch_test(f, self.SPEC, grid) for f in self.FS]
+
+    def test_the_walks_read_what_the_fill_computed(self, monkeypatch):
+        fields = [apply_D(f, self.SPEC.pair) for f in self.FS]
+        asked = []
+
+        def counted(g, radii, units, **kw):
+            asked.append(g)
+            return evaluate_grid(g, radii, units, **kw)
+
+        monkeypatch.setattr(spaces, "evaluate_grid", counted)
+        alone = shell_decomposition(3, 9, (self.ZETA,))
+        want_maxima, want_decay = self.walks(alone)
+        failed = len(want_maxima[2])
+        assert 0 < failed < alone.depth and len(want_maxima[1]) == alone.depth
+        with pytest.raises(NonConvergent) as want_error:
+            evaluate_grid(fields[2], alone.shells[failed].nodes, alone.spheres[failed].units, tol_rel=spaces.REL_TOL)
+        # each field up to its first failure, the failure once: a second
+        # walk over a failed field reads the memoized error
+        assert len(asked) == 2 * alone.depth + failed + 1
+
+        filled = []
+
+        def batched(gs, radii, units, **kw):
+            filled.extend(gs)
+            return evaluate_grids(gs, radii, units, **kw)
+
+        monkeypatch.setattr(spaces, "evaluate_grids", batched)
+        asked.clear()
+        grid = shell_decomposition(3, 9, (self.ZETA,))
+        spaces.fill_shell_values([(f, self.SPEC.pair) for f in self.FS + self.FS[1:2]], grid)
+        # the constant's field has no series atom and is left to its walks
+        assert len(filled) == grid.depth + failed + 1 and fields[0] not in filled
+        got_maxima, got_decay = self.walks(grid)
+        assert asked == [fields[0]] * grid.depth
+        assert got_maxima == want_maxima and got_decay == want_decay
+        with pytest.raises(NonConvergent) as got_error:
+            spaces._shell_values(fields[2], grid, failed)
+        assert str(got_error.value) == str(want_error.value)
 
 
 class TestBisectLookahead:
