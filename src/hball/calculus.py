@@ -228,8 +228,8 @@ def evaluate_grids(
     its first series atom that raised one.
 
     The series atoms are summed in batches, one call each
-    (`eval_coeff_series_grids`), whose n = 3 series share their Legendre
-    table: the i-th atom on a pole of every expansion forms one batch, so a
+    (`eval_coeff_series_grids`), whose series share their angular table:
+    the i-th atom on a pole of every expansion forms one batch, so a
     batch holds at most one atom of each expansion.  Series atoms are
     certified relative to their own majorant mass, so the accuracy is
     relative to the atom's local size rather than absolute.  Each

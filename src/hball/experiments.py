@@ -509,7 +509,7 @@ def run_inclusion_little_bloch(cfg: ExperimentConfig) -> dict:
         specs = [BergmanBesov.standard(p, p * alpha - n) for p in cfg.parameters["p_grid"]]
         # every field the rows walk, under the integral-norm pair for each p
         # and under the sup-norm pair, filled shell by shell together: each
-        # shell's n = 3 series share one Legendre table
+        # shell's series share one angular table
         fill_shell_values(
             [(f, spec.pair) for spec in specs for _, f, _ in family]
             + [(f, pair) for _, f, pair in family],

@@ -20,21 +20,23 @@ Pass 1 sums each coefficient's majorant c_k h_k rho^k degree block by
 degree block until the tail bound certifies at a block's end, and then
 fixes K, the smallest degree whose tail bound certifies every rho set,
 without any angular work; K depends on the series alone, not on the blocks
-or the batch.  The values are then summed against rows of Q_k built once
-per distinct u (`zonal_angular_table`) and gathered back to the directions:
-at n = 2 the rows of each block come directly from products of unit
-phases, so they are summed inside pass 1; at n = 3 pass 2 sums the whole
-batch against one table of P_k(u) up to the largest K, in products of
-_TABLE_COLUMNS columns, each term (2k+1) c_k rho^k formed per degree block
-as the radial factor (rho/rho_max)^k, shared by the batch, times the
-coefficient factor (2k+1) c_k rho_max^k that pass 1 computed at the
-largest radius (`_legendre_pass`); at n >= 4, and in calls with more than
-_TABLE_MAX_U distinct u, the Gegenbauer recurrence streams inside pass 1.
-The n = 2 rows and the streamed ones, and their products with c_k rho^k,
-are built in pieces of at most _TABLE_CHUNK_BYTES, so such a call holds
-its output grid and a few pieces however deep its series goes.  A coefficient whose series raises
-NonConvergent leaves the others of its batch summed, and no result of a
-coefficient depends on the others.
+or the batch.  Pass 2 sums the whole batch against one angular table up to
+the largest K, built over the distinct u and gathered back to the
+directions, or over the directions themselves when no u repeats.  The
+table's rows are Q_k / s_k (`_angular_source`): 2 cos k theta from
+products of unit phases at n = 2, P_k(u) with s_k = 2k+1 at n = 3, and the
+Gegenbauer recurrence at n >= 4.  Each term s_k c_k rho^k is formed per
+degree block as the radial factor (rho/rho_max)^k, shared by the batch,
+times the coefficient factor s_k c_k rho_max^k that pass 1 computed at the
+largest radius, and multiplied against _TABLE_COLUMNS columns of the table
+at a time (`_angular_pass`).  The table is built over as many columns at a
+time as keep its held rows (every degree at n = 3, one degree block
+otherwise), and a product of the radii, within _TABLE_CHUNK_BYTES, and at
+least _TABLE_COLUMNS, so a call holds its outputs and a few such pieces
+however deep its series goes.  A coefficient whose series raises
+NonConvergent leaves the others of its batch summed, and no value depends
+on the other coefficients of its batch or on the other directions of its
+call.
 
 Every degree block reads log c_k and log h_k from one held table
 (`_LogTables`): series calls in a row mostly share their coefficients, and
@@ -77,7 +79,6 @@ moments with one dot product per degree instead.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -106,25 +107,13 @@ KMAX_DEFAULT = 200_000
 
 _BLOCK_MAX = 4096
 
-# A series call whose directions have more distinct u than this streams the
-# angular recurrence over its columns instead of building rows over the
-# distinct u.  The one such call of the benchmark workloads is the identity
-# battery's n = 3 derivative grid on its reproducing rule (62 radii x 29 161
-# directions, all u distinct, K = 57).  Streamed, it took a median of
-# 23-31 ms at a traced peak of 23.9 MB; the table plus the column gather
-# took 29-37 ms at 43.9 MB, since the gather fills a second grid.  With the
-# pole at 0.9 (K = 281) the table was faster, 85-95 ms against 92-110 ms,
-# for the same extra grid (BENCH_smallest_degree.json).  Every call of the
-# other benchmark workloads has fewer than 512 distinct u.
-_TABLE_MAX_U = 2048
-
-# Largest n = 3 Legendre table of pass 2 wider than _TABLE_COLUMNS, in
-# bytes; also the largest row piece and product of an n = 2 or streamed
-# series sum, and the bound on a rule sum's moment and ring-spectrum chunks.
+# Largest angular table of pass 2 wider than _TABLE_COLUMNS, and largest
+# product of the radii against such a table, in bytes; also the bound on a
+# rule sum's moment and ring-spectrum chunks.
 _TABLE_CHUNK_BYTES = 4 << 20
 
-# Columns per product of pass 2 at n = 3, fixed so that every product has
-# one shape: OpenBLAS picks its kernel by the shape, so a width set by the
+# Columns per product of pass 2, fixed so that every product has one
+# shape: OpenBLAS picks its kernel by the shape, so a width set by the
 # call would let a value depend in its last bits on the other directions of
 # its call.  A table holds up to this many columns however deep its series,
 # 8 (K+1) 8 bytes: 6.3 MB at K = 98 140.  Widths of 16 and 32 made the
@@ -409,10 +398,9 @@ def log_dim_block(n: int, k0: int, k_end: int) -> np.ndarray:
 
 
 class _ZonalAngular:
-    """Streams the angular factors Q_k(u) with Z_k(x, y) = (|x||y|)^k Q_k(u).
+    """Streams the angular factors Q_k(u) with Z_k(x, y) = (|x||y|)^k Q_k(u)
+    at n >= 3 by the Gegenbauer recurrence with lambda = (n-2)/2.
 
-    n = 2 uses the Chebyshev recurrence (the Gegenbauer lambda -> 0 limit is
-    singular); n >= 3 uses the Gegenbauer recurrence with lambda = (n-2)/2.
     Each degree is one in-place step on three rolling buffers; `block`
     copies the rows out and `dots` folds each row into a dot product.
     """
@@ -438,11 +426,8 @@ class _ZonalAngular:
         if k == 0:
             base.fill(1.0)
         elif k == 1:
-            # u and 2 lam u, exactly
-            np.multiply(0.5 if n == 2 else lam, self._two_u, out=base)
-        elif n == 2:
-            np.multiply(self._two_u, self._p1, out=base)
-            base -= self._p2
+            # 2 lam u, exactly
+            np.multiply(lam, self._two_u, out=base)
         else:
             # (2 u (k+lam-1) p1 - (k+2lam-2) p2) / k, in this operation
             # order; p2 is free after this step
@@ -455,7 +440,7 @@ class _ZonalAngular:
         self.k += 1
         if k == 0:
             return base, 1.0
-        return base, 2.0 if n == 2 else (2.0 * k + n - 2.0) / (n - 2.0)
+        return base, (2.0 * k + n - 2.0) / (n - 2.0)
 
     def block(self, k0: int, size: int) -> np.ndarray:
         """Rows k0 <= k < k0 + size of Q, shape (size, len(u)); the rows
@@ -483,51 +468,43 @@ def _unit_phases(ks: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(1j * (ks[:, None] * theta[None, :]))
 
 
-class _CircleRows:
-    """The rows Q_k(u) = 2 cos k theta (DLMF 18.5), Q_0 = 1, of the n = 2
-    table for any degree block, with no recurrence.
+def _circle_rows(u: np.ndarray, k_end: int):
+    """rows(k0, size): rows k0 <= k < k0 + size <= k_end of Q_k(u) = 2 cos
+    k theta (DLMF 18.5), Q_0 = 1, the n = 2 table, shape (size, len(u)),
+    for any degree block, with no recurrence.
 
-    Row k0 + s + j is 2 Re(e^{i (k0+s) theta} e^{i j theta}) over pieces of
-    span rows, so a block costs one complex product per entry.  The phases
-    e^{i j theta}, j < span, are e^{i a theta} e^{i b theta} from two tables
-    of about sqrt(span) phases each; span is the block's size, at most
-    _PIECE_ROWS and at most what takes _TABLE_CHUNK_BYTES as complex
-    numbers.  The phases of the last span are kept, so consecutive blocks
-    of one size build them once."""
+    Row k0 + s + j is 2 Re(e^{i (k0+s) theta} e^{i j theta}) over pieces
+    of _PIECE_ROWS rows from k0, so a row costs one complex product per
+    entry.  The phases e^{i j theta}, j < min(k_end, _PIECE_ROWS), are
+    built once, each e^{i a theta} e^{i b theta} from two tables of about
+    sqrt(_PIECE_ROWS) phases, a a multiple of the second table's length.
+    Neither the pieces nor the phases of a row depend on the other cosines
+    or, from k0, on size or k_end; the phases take at most twice the bytes
+    of a block of _PIECE_ROWS rows."""
+    theta = np.arccos(u)
+    cols = theta.shape[0]
+    span = min(k_end, _PIECE_ROWS)
+    step = math.isqrt(_PIECE_ROWS - 1) + 1
+    fine = (
+        _unit_phases(np.arange(0.0, span, step), theta)[:, None, :]
+        * _unit_phases(np.arange(float(min(step, span))), theta)[None, :, :]
+    ).reshape(-1, cols)[:span]
+    fine_re, fine_im = 2.0 * fine.real, 2.0 * fine.imag
+    del fine
 
-    def __init__(self, u: np.ndarray):
-        self._theta = np.arccos(u)
-        self._span, self._re, self._im = 0, None, None  # 2 Re, 2 Im of the phases
-
-    def _phases(self, span: int) -> tuple[np.ndarray, np.ndarray]:
-        if span != self._span:
-            self._re = self._im = None  # released before the next are built
-            step = math.isqrt(span - 1) + 1
-            coarse_j = np.arange(0.0, span, step)
-            fine = (
-                _unit_phases(coarse_j, self._theta)[:, None, :]
-                * _unit_phases(np.arange(float(step)), self._theta)[None, :, :]
-            ).reshape(coarse_j.shape[0] * step, self._theta.shape[0])[:span]
-            self._span, self._re, self._im = span, 2.0 * fine.real, 2.0 * fine.imag
-        return self._re, self._im
-
-    def block(self, k0: int, size: int) -> np.ndarray:
-        """Rows k0 <= k < k0 + size, shape (size, len(u))."""
-        cols = self._theta.shape[0]
-        if size == 0:
-            return np.empty((0, cols))
-        span = min(size, _PIECE_ROWS, max(1, _TABLE_CHUNK_BYTES // (16 * max(cols, 1))))
-        fine_re, fine_im = self._phases(span)
+    def rows(k0: int, size: int) -> np.ndarray:
         out = np.empty((size, cols))
-        for s in range(0, size, span):
-            piece = out[s : s + span]
-            r = piece.shape[0]
-            coarse = np.exp(1j * ((k0 + s) * self._theta))
-            np.multiply(fine_re[:r], coarse.real, out=piece)
-            piece -= fine_im[:r] * coarse.imag
-        if k0 == 0:
+        # e^{i (k0+s) theta} at the start s of each piece
+        coarse = np.exp(1j * (np.arange(k0, k0 + size, _PIECE_ROWS)[:, None] * theta[None, :]))
+        for s, start in zip(range(0, size, _PIECE_ROWS), coarse):
+            piece = out[s : s + _PIECE_ROWS]
+            np.multiply(fine_re[: piece.shape[0]], start.real, out=piece)
+            piece -= fine_im[: piece.shape[0]] * start.imag
+        if k0 == 0 and size:
             out[0] = 1.0
         return out
+
+    return rows
 
 
 def _legendre_table(u: np.ndarray, k_end: int) -> np.ndarray:
@@ -542,30 +519,52 @@ def _legendre_table(u: np.ndarray, k_end: int) -> np.ndarray:
     return out
 
 
+def _angular_source(n: int, u: np.ndarray, k_end: int):
+    """rows(k0, size): rows k0 <= k < k0 + size <= k_end of the angular
+    table over the cosines u, shape (size, len(u)), asked in degree order;
+    each row is Q_k(u) / s_k (`_table_scale`).  The one source of pass 2
+    and of `zonal_angular_table`.
+    - n = 2: Q_k = 2 cos k theta and Q_0 = 1, from products of unit phases
+      (`_circle_rows`), so any degree block costs one complex product per
+      entry.
+    - n = 3: P_k(u), slices of one `_legendre_table` up to k_end, which
+      computes every degree from 0.
+    - n >= 4: Q_k(u) by the Gegenbauer recurrence of `_ZonalAngular`,
+      stepped from degree 0 block by block.
+    """
+    if n == 2:
+        return _circle_rows(u, k_end)
+    if n == 3:
+        table = _legendre_table(u, k_end)
+        return lambda k0, size: table[k0 : k0 + size]
+    return _ZonalAngular(n, u).block
+
+
+def _table_scale(n: int, k0: int, size: int) -> np.ndarray:
+    """s_k for k0 <= k < k0 + size, Q_k = s_k times the rows of
+    `_angular_source`: 2k+1 at n = 3, 1 otherwise."""
+    if n == 3:
+        return 2.0 * np.arange(k0, k0 + size, dtype=float) + 1.0
+    return np.ones(size)
+
+
 def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
     """The angular factors Q_k(u) for k0 <= k < k0 + size, shape (size, len(u)).
 
     Z_k(x, y) = (|x||y|)^k Q_k(u), with u the cosine of the angle between x
-    and y and |Q_k| <= h_k.
-    - n = 2: Q_k = 2 cos k theta and Q_0 = 1, from products of unit phases
-      (`_CircleRows`), so any degree block costs one complex product per
-      entry.
-    - n = 3: Q_k = (2k+1) P_k(u), (2k+1) times the rows of
-      `_legendre_table`, the Legendre path that pass 2 sums against too.
-      It computes every degree from 0, so callers ask from k0 = 0.
-    - n >= 4: the Gegenbauer recurrence of `_ZonalAngular`, stepped from
-      degree 0.
+    and y and |Q_k| <= h_k.  The rows of `_angular_source`, which pass 2
+    sums against, times s_k: at n = 2 any degree block costs one complex
+    product per entry, at n >= 3 every degree from 0 is computed, so
+    callers ask from k0 = 0.
     """
     u = np.asarray(u, dtype=float)
-    if n == 2:
-        return _CircleRows(u).block(k0, size)
+    rows = _angular_source(n, u, k0 + size)
+    if n > 3:
+        rows(0, k0)  # the recurrence steps from degree 0
+    out = rows(k0, size)
     if n == 3:
-        out = _legendre_table(u, k0 + size)[k0:]
-        out *= (2.0 * np.arange(k0, k0 + size, dtype=float) + 1.0)[:, None]
-        return out
-    angular = _ZonalAngular(n, u)
-    angular.block(0, k0)
-    return angular.block(k0, size)
+        out *= _table_scale(n, k0, size)[:, None]
+    return out
 
 
 def _degree_blocks(kmax: int):
@@ -594,32 +593,34 @@ def _log_radii(rho: np.ndarray) -> np.ndarray:
         return np.log(np.maximum(rho, 0.0))
 
 
-def _legendre_pass(cols: np.ndarray, rho: np.ndarray, terms) -> None:
-    """Pass 2 at n = 3 for a batch of coefficients on one grid: add each
+def _angular_pass(n: int, cols: np.ndarray, rho: np.ndarray, terms) -> None:
+    """Pass 2 for a batch of coefficients on one grid: add each
     coefficient's terms of degrees 0..K to its acc (radii x cols).
 
-    `terms` holds (acc, factors) per coefficient, its factors (2k+1) c_k
-    rho_ref^k, rho_ref the largest radius, one per degree block of
-    `_degree_blocks`, the last one cut at K.  The degree-k row of a
-    coefficient is the radial factor (rho/rho_ref)^k, shared by the batch,
-    times its factor; the factor is at most c_k h_k rho_ref^k, a term of
-    the majorant that pass 1 summed to a finite mass, so it does not
-    overflow where c_k alone would.  The radial factor of a degree
+    `terms` holds (acc, factors) per coefficient, its factors s_k c_k
+    rho_ref^k (`_table_scale`), rho_ref the largest radius, one per degree
+    block of `_degree_blocks`, the last one cut at K.  The degree-k row of
+    a coefficient is the radial factor (rho/rho_ref)^k, shared by the
+    batch, times its factor; the factor is at most c_k h_k rho_ref^k, a
+    term of the majorant that pass 1 summed to a finite mass, so it does
+    not overflow where c_k alone would.  The radial factor of a degree
     block is (rho/rho_ref)^j (rho/rho_ref)^k0, j below the block size: the
     block's rows carry the first part and its product is scaled by the
-    second, so no radial factor is held at radii x K.  One table of P_k
-    (`_legendre_table`) over as many columns as _TABLE_CHUNK_BYTES holds,
-    up to the largest K, serves every coefficient; each coefficient's rows
-    are cut at its K and multiplied against each chunk of _TABLE_COLUMNS
-    columns of the table.  Where the columns take several tables, a
-    block's rows are formed once and kept for the later tables if the
-    batch's rows take no more bytes than a table, and formed again per
-    table otherwise.  The chunk width is fixed, and the columns past
-    the table's last whole chunk are copied per degree block into a chunk
-    padded with zeros, so every product has the shape that the degree
-    block and K give, no P_k is computed for the padding, and a value does
-    not depend on the other directions of its call or on the other
-    coefficients of its batch."""
+    second, so no radial factor is held at radii x K.  One table of
+    `_angular_source` up to the largest K serves every coefficient, read
+    block by block over as many columns at a time as keep the rows it
+    holds (every degree at n = 3, one degree block otherwise) and a
+    product of the radii within _TABLE_CHUNK_BYTES, at least
+    _TABLE_COLUMNS.  Each coefficient's rows are cut at its K and
+    multiplied against each chunk of _TABLE_COLUMNS columns of the table.
+    Where the columns take several passes, a block's rows are formed once
+    and kept for the later passes if the batch's rows take no more bytes
+    than the held table rows, and formed again per pass otherwise.  The
+    chunk width is fixed, and the columns past the last whole chunk are
+    copied per degree block into a chunk padded with zeros, so every
+    product has the shape that the degree block and K give, no table row
+    is computed for the padding, and a value does not depend on the other
+    directions of its call or on the other coefficients of its batch."""
     rho_ref = float(rho.max())
     with np.errstate(divide="ignore"):
         # all radii 0: the radial factors are 1 and the coefficient factors 0^k
@@ -631,63 +632,60 @@ def _legendre_pass(cols: np.ndarray, rho: np.ndarray, terms) -> None:
     with np.errstate(under="ignore", invalid="ignore"):
         steps = _powers(np.zeros(span), np.arange(span, dtype=float), log_ratio)
         starts = _powers(np.zeros(k0s.shape[0]), k0s, log_ratio)
-    # columns per table, a multiple of _TABLE_COLUMNS: as many as
-    # _TABLE_CHUNK_BYTES holds, at least one chunk
-    width = _TABLE_COLUMNS * max(1, _TABLE_CHUNK_BYTES // (8 * k_end * _TABLE_COLUMNS))
+    # the rows a table holds at once: every degree at n = 3, whose Legendre
+    # table is computed from degree 0, one degree block otherwise
+    held_rows = k_end if n == 3 else span
+    # columns per table, a multiple of _TABLE_COLUMNS: as many as keep the
+    # held rows and a product of the radii within _TABLE_CHUNK_BYTES, at
+    # least one chunk
+    width = _TABLE_COLUMNS * max(
+        1, _TABLE_CHUNK_BYTES // (8 * max(held_rows, rho.shape[0]) * _TABLE_COLUMNS)
+    )
     # each coefficient's rows of a degree block, kept for the later tables
-    # when there are several and the batch's rows take no more bytes than a
-    # table: forming them once per table cost as much as the products in
-    # calls of one coefficient over many tables
+    # when there are several and the batch's rows take no more bytes than
+    # the held table rows: forming them once per table cost as much as the
+    # products in calls of one coefficient over many tables
     rows_bytes = 8 * rho.shape[0] * sum(f.shape[0] for _, factors in terms for f in factors)
-    held = {} if cols.shape[0] > width and rows_bytes <= 8 * k_end * width else None
+    held = {} if cols.shape[0] > width and rows_bytes <= 8 * held_rows * width else None
 
-    def add_products(t0: int, table: np.ndarray) -> None:
-        whole = table.shape[1] - table.shape[1] % _TABLE_COLUMNS
-        for b, (k0, size) in enumerate(blocks):
-            rows = table[k0 : k0 + size]
-            if whole < table.shape[1]:
-                # the last columns, padded with zeros to a whole chunk
-                rest = np.zeros((size, _TABLE_COLUMNS))
-                rest[:, : table.shape[1] - whole] = rows[:, whole:]
-            for c, (acc, factors) in enumerate(terms):
-                if b >= len(factors):
-                    continue
-                cut = factors[b].shape[0]
-                lhs = held.get((c, b)) if held is not None else None
-                if lhs is None:
-                    lhs = steps[:, :cut] * factors[b]
-                    if held is not None:
-                        held[(c, b)] = lhs
-                if whole:
-                    # one product per chunk of _TABLE_COLUMNS columns,
-                    # stacked: (chunk, radius, column)
-                    chunks = rows[:cut, :whole].reshape(cut, -1, _TABLE_COLUMNS)
-                    block = np.matmul(lhs, chunks.transpose(1, 0, 2))
-                    block *= starts[:, b : b + 1]
-                    acc[:, t0 : t0 + whole] += block.transpose(1, 0, 2).reshape(rho.shape[0], whole)
-                if whole < table.shape[1]:
-                    block = lhs @ rest[:cut]
-                    block *= starts[:, b : b + 1]
-                    acc[:, t0 + whole : t0 + table.shape[1]] += block[:, : table.shape[1] - whole]
+    def add_block(t0: int, b: int, rows: np.ndarray) -> None:
+        """Add degree block b, its rows over the columns from t0."""
+        size, w = rows.shape
+        whole = w - w % _TABLE_COLUMNS
+        if whole < w:
+            # the last columns, padded with zeros to a whole chunk
+            rest = np.zeros((size, _TABLE_COLUMNS))
+            rest[:, : w - whole] = rows[:, whole:]
+        for c, (acc, factors) in enumerate(terms):
+            if b >= len(factors):
+                continue
+            cut = factors[b].shape[0]
+            lhs = held.get((c, b)) if held is not None else None
+            if lhs is None:
+                lhs = steps[:, :cut] * factors[b]
+                if held is not None:
+                    held[(c, b)] = lhs
+            if whole:
+                # one product per chunk of _TABLE_COLUMNS columns, written
+                # as (radius, chunk, column), so that the block adds to acc
+                # with no copy
+                chunks = rows[:cut, :whole].reshape(cut, -1, _TABLE_COLUMNS)
+                block = np.empty((rho.shape[0], chunks.shape[1], _TABLE_COLUMNS))
+                np.matmul(lhs, chunks.transpose(1, 0, 2), out=block.transpose(1, 0, 2))
+                block *= starts[:, b : b + 1, None]
+                acc[:, t0 : t0 + whole] += block.reshape(rho.shape[0], whole)
+            if whole < w:
+                block = lhs @ rest[:cut]
+                block *= starts[:, b : b + 1]
+                acc[:, t0 + whole : t0 + w] += block[:, : w - whole]
 
     for t0 in range(0, cols.shape[0], width):
-        # each table and its views are released before the next is built
-        add_products(t0, _legendre_table(cols[t0 : t0 + width], k_end))
-
-
-def _pieced_block(rows_of, k0: int, p: np.ndarray, acc: np.ndarray) -> None:
-    """Add the degree block (k0, p), p = c_k rho^k, to acc (radii x cols)
-    against the angular rows `rows_of(k, size)` gives for degrees k..k+size-1
-    over all columns: pieces of rows, each multiplied in column chunks, so
-    that no piece and no product exceeds _TABLE_CHUNK_BYTES.  Each piece is
-    released before the next is built."""
-    height = max(1, _TABLE_CHUNK_BYTES // (8 * max(acc.shape[1], 1)))
-    width = max(1, _TABLE_CHUNK_BYTES // (8 * max(acc.shape[0], 1)))
-    for j0 in range(0, p.shape[1], height):
-        piece = rows_of(k0 + j0, min(height, p.shape[1] - j0))
-        for c0 in range(0, acc.shape[1], width):
-            acc[:, c0 : c0 + width] += p[:, j0 : j0 + height] @ piece[:, c0 : c0 + width]
-        del piece
+        # each table, and each block's rows, are released before the next
+        # are built
+        rows_of = _angular_source(n, cols[t0 : t0 + width], k_end)
+        for b, (k0, size) in enumerate(blocks):
+            add_block(t0, b, rows_of(k0, size))
+        del rows_of
 
 
 def _stack(rho_sets: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
@@ -842,43 +840,37 @@ def _series_sums(
     NonConvergent that its series raised, which leaves the others summed.
 
     Pass 1 (`_certified_degree`) fixes each coefficient's K on the
-    majorant.  The values are summed against angular rows Q_k over the
-    distinct u (exact `np.unique`) and gathered back to the directions at
-    the end:
-    - n = 2: `_CircleRows` gives the rows of each degree block directly,
-      so they are summed inside pass 1 and there is no pass 2;
-    - n = 3: pass 2 sums the whole batch against one table of P_k over the
-      distinct u, built in chunks of _TABLE_COLUMNS columns up to the
-      largest K, each coefficient's rows formed per degree block from a
-      radial factor shared by the batch and the coefficient's own factor
-      (`_legendre_pass`).  The coefficient factors (2k+1) c_k rho_max^k
-      are taken off pass 1's blocks at the largest radius, so no c_k rho^k
-      is computed twice.  Beyond the outputs the call holds those factors,
-      K + 1 values per coefficient, the radial factors of one degree block
-      and one table of at most max(_TABLE_CHUNK_BYTES, 8 (K+1)
-      _TABLE_COLUMNS) bytes, and rows of no more bytes than that table;
-    - n >= 4: the Gegenbauer recurrence streams inside pass 1.
-    A call with more than _TABLE_MAX_U distinct u streams the recurrence
-    inside pass 1 over its directions themselves, with no gather.  All rho
-    sets share each degree block's matrix products.  The n = 2 and the
-    streamed paths build their rows and products in pieces of at most
-    _TABLE_CHUNK_BYTES (`_pieced_block`), so beyond the len(rho) x len(u)
-    outputs such a call holds a few pieces, one block of c_k rho^k and
-    O(len(u)) recurrence buffers (at n = 2, one piece's phases) at any
-    depth; its values differ from one product per block by rounding only.
-    A coefficient's results do not depend on the others of its batch.
+    majorant.  Pass 2 (`_angular_pass`) then sums the whole batch against
+    one angular table (`_angular_source`) up to the largest K, at every n.
+    The table is built over the distinct u (exact `np.unique`) and the
+    values are gathered back to the directions at the end; when no u
+    repeats it is built over u itself, so that no second grid is held.
+    Each coefficient's rows are formed per degree block from a radial
+    factor shared by the batch and the coefficient's own factors s_k c_k
+    rho_max^k, taken off pass 1's blocks at the largest radius, so no c_k
+    rho^k is computed twice.  All rho sets share each product.  Beyond the
+    outputs (and the gathered values) a call holds those factors, K + 1
+    values per coefficient, the radial factors of one degree block, the
+    held rows of the table and a product of the radii against them, each
+    of at most max(_TABLE_CHUNK_BYTES, 8 (K+1) _TABLE_COLUMNS, 8 len(rho)
+    _TABLE_COLUMNS) bytes, rows of no more bytes than the held table rows
+    and, at n = 2, the phases of `_circle_rows`, at most _PIECE_ROWS
+    complex values per column.  A
+    coefficient's results do not depend on the others of its batch, and a
+    value does not depend on the other directions of the call.
     """
     u = np.asarray(u, dtype=float)
     rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
 
-    # the columns the angular rows are built on, and each u's column
+    # the columns the angular table is built on: the distinct u, each
+    # direction's value gathered from its column, or u itself when no
+    # value repeats
     cols = np.unique(u)
-    gather = cols.shape[0] <= _TABLE_MAX_U
+    gather = cols.shape[0] < u.shape[0]
     if gather:
         inv = np.searchsorted(cols, u)
     else:
-        cols, inv = u, np.arange(u.shape[0])
-    shared = gather and n == 3  # pass 2 sums the batch on one table
+        cols = u
 
     # the gathered values, allocated before the series work: callers keep
     # such grids (shell values are cached), and one allocated last sits
@@ -891,24 +883,17 @@ def _series_sums(
     row_ref = int(np.argmax(rho)) if rho.size else None  # the largest radius
     results, terms = [], []
     for coeff, acc in zip(coeffs, accs):
-        # pass 2's coefficient factors (2k+1) c_k rho_ref^k, one per degree
+        # pass 2's coefficient factors s_k c_k rho_ref^k, one per degree
         # block, off the largest radius' row of pass 1's blocks
         factors = []
-        if not shared:
-            angular = _CircleRows(cols) if gather and n == 2 else _ZonalAngular(n, cols)
-            on_block = functools.partial(_pieced_block, angular.block, acc=acc)
-        elif row_ref is None:
-            on_block = None
-        else:
 
-            def on_block(k0, p, factors=factors):
-                odd = 2.0 * np.arange(k0, k0 + p.shape[1], dtype=float) + 1.0
-                factors.append(p[row_ref] * odd)
+        def on_block(k0, p, factors=factors):
+            factors.append(p[row_ref] * _table_scale(n, k0, p.shape[1]))
 
         try:
             tails, masses, k_used = _certified_degree(
                 n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax,
-                min_terms=min_terms, on_block=on_block,
+                min_terms=min_terms, on_block=None if row_ref is None else on_block,
             )
         except NonConvergent as exc:
             results.append(exc)
@@ -917,7 +902,7 @@ def _series_sums(
             terms.append((acc, factors))
         results.append((tails, masses, k_used))
     if terms:
-        _legendre_pass(cols, rho, terms)
+        _angular_pass(n, cols, rho, terms)
 
     out = []
     for result, acc, values in zip(results, accs, outs):
@@ -1123,9 +1108,9 @@ def eval_coeff_series_grids(
     `units` is an (M, n) array of unit vectors; each entry of `radii_sets`
     is a radius vector.  Returns, per coefficient, its list of grids, the
     one of each radius set of shape (m, M), or the NonConvergent its series
-    raised, which leaves the others evaluated.  The radius sets share the
-    angular tables, and at n = 3 the coefficients share them too
-    (`_series_sums`); a coefficient's grids do not depend on the others.
+    raised, which leaves the others evaluated.  The radius sets and the
+    coefficients share one angular table (`_series_sums`); a coefficient's
+    grids do not depend on the others.
 
     At n = 2 a coefficient that `_N2Form` covers is summed in closed form
     where its stated rounding bound meets the tolerance (`_n2_closed_form`);
@@ -1646,13 +1631,8 @@ def kernel_growth_exponent_probe(n, alpha, zeta, radii, *, tol_rel=1e-10):
     unit, norm = _unit_and_norm(zeta)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("zeta must be a unit vector")
-    values, _, _, _ = _series_sum(
-        n,
-        CoeffProduct.kernel(alpha),
-        np.array([1.0]),
-        [radii],
-        tol_rel=tol_rel,
-        tol_abs=1e-300,
+    (values,) = eval_coeff_series_grid(
+        n, CoeffProduct.kernel(alpha), unit[None, :], unit, [radii], tol_rel=tol_rel
     )
-    mags = np.abs(values[0][:, 0])
+    mags = np.abs(values[:, 0])
     return [(float(r), float(v)) for r, v in zip(radii, mags)]

@@ -351,7 +351,7 @@ def fill_shell_values(fields, grid: ShellDecomposition) -> None:
     """Memoize the shell values of several fields on one grid, each field
     an (f, pair) whose walks read D f of the pair (`_shell_field`), shell
     by shell, so that the series of each shell are summed in one call
-    (`evaluate_grids`) and its n = 3 series share one Legendre table.
+    (`evaluate_grids`) and its series share one angular table.
 
     A walk over a field asks for its shells in order up to the first that
     raises NonConvergent (`walk_shells`), so a field is filled up to that

@@ -18,7 +18,6 @@ from hball.kernel import (
     _SEED_MAX_DEGREE,
     _SEED_UNSCALE,
     _TABLE_CHUNK_BYTES,
-    _TABLE_MAX_U,
     CoeffProduct,
     KMAX_DEFAULT,
     _AssociatedLegendre,
@@ -278,7 +277,8 @@ def repeated_u(rng, m, distinct):
 
 class TestTwoPassSum:
     """The majorant pass stops at the degree the streamed recurrence stopped
-    at, and the angular rows over the distinct u give its values."""
+    at, and the angular table over the distinct u, or over u itself when no
+    u repeats, gives its values."""
 
     COEFFS = (CoeffProduct.kernel(0.0), CoeffProduct.kernel(-2.7).shifted(0.4, 1.1))
 
@@ -333,15 +333,16 @@ class TestTwoPassSum:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_wide_call_streams_the_columns(self, n):
-        u = np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50)
+        # 2 098 directions, no u repeated: the table is built over u itself
+        u = np.linspace(-1.0, 1.0, 2098)
         self.assert_matches(n, self.COEFFS[0], u, [np.array([0.2, 0.7])])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_streamed_pieces_of_few_rows_and_columns(self, n, monkeypatch):
-        # products of 64 columns for the three radii; pieces of one row over
-        # the 2 098 directions at n = 3, of 11 rows over 17 distinct u at n = 4
+        # tables of one 8-column chunk, over the 2 098 directions at n = 3
+        # and the 17 distinct u at n = 4
         monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 8 * 3 * 64)
-        u = np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50) if n == 3 else repeated_u(np.random.default_rng(7), 60, 17)
+        u = np.linspace(-1.0, 1.0, 2098) if n == 3 else repeated_u(np.random.default_rng(7), 60, 17)
         self.assert_matches(n, self.COEFFS[1], u, [np.array([0.0, 0.5, 0.8])])
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -363,8 +364,8 @@ class TestTwoPassSum:
         assert grid[0].shape == (2, 0)
         grid = eval_coeff_series_grid(n, coeff, np.eye(n)[[0, 1, 0]], np.eye(n)[0] * 0.5, [[]], tol_rel=1e-9)
         assert grid[0].shape == (0, 3)
-        # the streamed path, with no radius to size its products by
-        self.assert_matches(n, coeff, np.linspace(-1.0, 1.0, _TABLE_MAX_U + 50), [np.zeros(0)])
+        # no u repeated, and no radius to size the products by
+        self.assert_matches(n, coeff, np.linspace(-1.0, 1.0, 2098), [np.zeros(0)])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("grid", [True, False])
@@ -409,10 +410,10 @@ def family_coefficients():
 
 
 class TestStreamedPieces:
-    """A streamed series sum builds its rows and products in pieces of at
-    most _TABLE_CHUNK_BYTES: beyond its output it holds a few pieces at any
-    depth, and it differs from one product per degree block by rounding
-    only."""
+    """A series sum builds its tables and products in pieces of at most
+    _TABLE_CHUNK_BYTES: beyond its output it holds a few pieces at any
+    depth, and its values differ from those of other piece sizes by
+    rounding only."""
 
     @pytest.fixture(scope="class")
     def rule(self):
@@ -427,7 +428,7 @@ class TestStreamedPieces:
         pole = np.asarray(atom.pole)
         u = np.clip(rule.units @ (pole / np.linalg.norm(pole)), -1.0, 1.0)
         rho = rule.radial_nodes * np.linalg.norm(pole)
-        assert np.unique(u).size > _TABLE_MAX_U
+        assert np.unique(u).size == u.size  # summed on u itself
         tracemalloc.start()
         try:
             got = _series_sum(3, atom.coeff, u, [rho], tol_rel=1e-9)
@@ -435,7 +436,7 @@ class TestStreamedPieces:
         finally:
             tracemalloc.stop()
         assert peak - got[0][0].nbytes <= 3 * _TABLE_CHUNK_BYTES
-        # pieces as large as the block: one product per degree block
+        # pieces as large as the call: one table over all the columns
         monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 1 << 62)
         want = _series_sum(3, atom.coeff, u, [rho], tol_rel=1e-9)
         assert got[3] == want[3] == k_used
@@ -446,14 +447,14 @@ class TestStreamedPieces:
         assert np.all(np.abs(got[0][0] - want[0][0]) <= 8 * _EPS * want[2][0][:, None])
 
     def test_a_wide_n2_grid_builds_its_table_in_pieces(self, monkeypatch):
-        # 2 000 distinct u, gathered; near the boundary, so K = 13 136 and
-        # one table per degree block would take up to 65 MB
+        # 2 000 distinct u, summed on u itself; near the boundary, so
+        # K = 13 136
         coeff = CoeffProduct.kernel(-3.5).shifted(0.5, 1.0)
         theta = np.linspace(0.0, np.pi, 2000)
         units = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         pole, radii = np.array([0.999, 0.0]), np.array([0.5, 0.9, 1.0])
         u = np.clip(units @ np.array([1.0, 0.0]), -1.0, 1.0)
-        assert np.unique(u).size <= _TABLE_MAX_U
+        assert np.unique(u).size == u.size
         monkeypatch.setattr("hball.kernel._LOG_TABLES", _LogTables())
         tracemalloc.start()
         try:
@@ -464,8 +465,9 @@ class TestStreamedPieces:
         assert peak - values.nbytes <= 3 * _TABLE_CHUNK_BYTES
         got = _series_sum(2, coeff, u, [radii * 0.999], tol_rel=1e-9)
         assert np.array_equal(got[0][0], values)
-        # pieces as large as the block: one product per degree block
-        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 1 << 62)
+        # tables of one 8-column chunk (rows over all the columns would take
+        # 65 MB per degree block)
+        monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 1 << 12)
         want = _series_sum(2, coeff, u, [radii * 0.999], tol_rel=1e-9)
         assert got[3] == want[3] == 13_136
         assert np.array_equal(got[1][0], want[1][0])
@@ -735,13 +737,14 @@ def poisson_lifted(poly, rho, u):
 
 
 class TestBatchedSeries:
-    """A batch of n = 3 coefficients on one grid shares its Legendre table,
+    """A batch of coefficients on one grid shares its angular table,
     multiplied _TABLE_COLUMNS columns at a time: each coefficient's results
     are its batch of one, bit for bit, and each value is that of its
     direction summed alone."""
 
     U = np.concatenate([[-1.0, 1.0, 0.0], np.random.default_rng(11).uniform(-1.0, 1.0, 14)])
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @settings(max_examples=40, deadline=None)
     @given(
         coeffs=st.lists(
@@ -757,11 +760,11 @@ class TestBatchedSeries:
             max_size=3,
         ),
     )
-    def test_each_coefficient_is_its_batch_of_one(self, coeffs, rho_sets):
+    def test_each_coefficient_is_its_batch_of_one(self, n, coeffs, rho_sets):
         kw = dict(tol_rel=1e-10, kmax=3000)
-        batch = _series_sums(3, coeffs, self.U, rho_sets, **kw)
+        batch = _series_sums(n, coeffs, self.U, rho_sets, **kw)
         for coeff, got in zip(coeffs, batch, strict=True):
-            (want,) = _series_sums(3, [coeff], self.U, rho_sets, **kw)
+            (want,) = _series_sums(n, [coeff], self.U, rho_sets, **kw)
             if isinstance(want, NonConvergent):
                 assert isinstance(got, NonConvergent) and str(got) == str(want)
                 continue
@@ -769,23 +772,25 @@ class TestBatchedSeries:
             for a, b in zip(got[0] + got[1] + got[2], want[0] + want[1] + want[2], strict=True):
                 assert np.array_equal(bits(a), bits(b))
 
-    def test_a_value_is_its_direction_alone(self):
-        # 2 000 distinct u, gathered: 250 chunks of 8 columns, the picked
-        # directions at the first, second and last position of a chunk
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_value_is_its_direction_alone(self, n):
+        # 2 000 distinct u, summed on u itself: 250 chunks of 8 columns,
+        # the picked directions at the first, second and last position of a
+        # chunk
         u = np.linspace(-1.0, 1.0, 2000)
         rho_sets = [np.array([0.0, 0.3, 0.9, 0.995]), np.array([0.5])]
         coeffs = n3_family_coefficients()[:9]
         assert len(coeffs) == 9
-        wide = _series_sums(3, coeffs, u, rho_sets, tol_rel=1e-10)
+        wide = _series_sums(n, coeffs, u, rho_sets, tol_rel=1e-10)
         for i, coeff in enumerate(coeffs):
             for j in (0, 1, 7, 8, 9, 1000, 1999):
-                (one,) = _series_sums(3, [coeff], u[j : j + 1], rho_sets, tol_rel=1e-10)
+                (one,) = _series_sums(n, [coeff], u[j : j + 1], rho_sets, tol_rel=1e-10)
                 for a, b in zip(one[0], wide[i][0], strict=True):
                     assert np.array_equal(bits(a[:, 0]), bits(b[:, j]))
         # alone over the 2 000 directions, a coefficient's rows take fewer
         # bytes than a table and are kept over its tables
         for i, coeff in enumerate(coeffs[:3]):
-            (alone,) = _series_sums(3, [coeff], u, rho_sets, tol_rel=1e-10)
+            (alone,) = _series_sums(n, [coeff], u, rho_sets, tol_rel=1e-10)
             for a, b in zip(alone[0], wide[i][0], strict=True):
                 assert np.array_equal(bits(a), bits(b))
 
@@ -808,17 +813,20 @@ class TestBatchedSeries:
         # the kept rows (K+1 values per radius), and pass 1's last block
         assert peak <= 2 * values[0].nbytes + table + 5 * 8 * (k_used + 1) + (1 << 19)
 
-    def test_a_coefficient_at_the_cap_leaves_the_others(self):
-        # at rho = 0.99 the three series certify at K = 2 899, 8 300 and 1 384
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_coefficient_at_the_cap_leaves_the_others(self, n):
+        # at rho = 0.99 the three series certify at K = 2 623, 8 149 and 906
+        # at n = 2, 2 899, 8 300 and 1 384 at n = 3, 3 153, 8 453 and 1 880
+        # at n = 4
         coeffs = [CoeffProduct.kernel(0.0), CoeffProduct.kernel(30.0), CoeffProduct.kernel(-4.0)]
         rho_sets = [np.array([0.2, 0.99])]
-        batch = _series_sums(3, coeffs, self.U, rho_sets, tol_rel=1e-10, kmax=3000)
+        batch = _series_sums(n, coeffs, self.U, rho_sets, tol_rel=1e-10, kmax=4000)
         assert isinstance(batch[1], NonConvergent)
         with pytest.raises(NonConvergent) as alone:
-            _series_sum(3, coeffs[1], self.U, rho_sets, tol_rel=1e-10, kmax=3000)
+            _series_sum(n, coeffs[1], self.U, rho_sets, tol_rel=1e-10, kmax=4000)
         assert str(batch[1]) == str(alone.value)
         for i in (0, 2):
-            want = _series_sum(3, coeffs[i], self.U, rho_sets, tol_rel=1e-10, kmax=3000)
+            want = _series_sum(n, coeffs[i], self.U, rho_sets, tol_rel=1e-10, kmax=4000)
             assert batch[i][3] == want[3]
             for a, b in zip(batch[i][0] + batch[i][1] + batch[i][2], want[0] + want[1] + want[2]):
                 assert np.array_equal(bits(a), bits(b))
@@ -964,7 +972,7 @@ class TestStreamedRecurrence:
     """`_ZonalAngular` steps in place on rolling buffers; its rows are the
     per-degree loop's bit for bit, and `dots` folds the same rows."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [3, 4])
     def test_rows_equal_the_loop(self, n):
         rng = np.random.default_rng(20 + n)
         u = repeated_u(rng, 300, 280)
@@ -972,7 +980,7 @@ class TestStreamedRecurrence:
         for k0, size in [(0, 1), (1, 1), (2, 64), (66, 200)]:
             assert np.array_equal(stream.block(k0, size), recurrence_rows(n, u, k0, size, state))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [3, 4])
     def test_dots_fold_the_rows(self, n):
         rng = np.random.default_rng(30 + n)
         u = repeated_u(rng, 300, 280)
