@@ -20,23 +20,24 @@ Pass 1 sums each coefficient's majorant c_k h_k rho^k degree block by
 degree block until the tail bound certifies at a block's end, and then
 fixes K, the smallest degree whose tail bound certifies every rho set,
 without any angular work; K depends on the series alone, not on the blocks
-or the batch.  Pass 2 sums the whole batch against one angular table up to
-the largest K, built over the distinct u and gathered back to the
-directions, or over the directions themselves when no u repeats.  The
-table's rows are Q_k / s_k (`_angular_source`): 2 cos k theta from
-products of unit phases at n = 2, P_k(u) with s_k = 2k+1 at n = 3, and the
-Gegenbauer recurrence at n >= 4.  Each term s_k c_k rho^k is formed per
-degree block as the radial factor (rho/rho_max)^k, shared by the batch,
-times the coefficient factor s_k c_k rho_max^k that pass 1 computed at the
-largest radius, and multiplied against _TABLE_COLUMNS columns of the table
-at a time (`_angular_pass`).  The table is built over as many columns at a
-time as keep its held rows (every degree at n = 3, one degree block
-otherwise), and a product of the radii, within _TABLE_CHUNK_BYTES, and at
-least _TABLE_COLUMNS, so a call holds its outputs and a few such pieces
-however deep its series goes.  A coefficient whose series raises
-NonConvergent leaves the others of its batch summed, and no value depends
-on the other coefficients of its batch or on the other directions of its
-call.
+or the batch.  Pass 1 returns all it computes that pass 2 reads, so its
+result depends on its arguments alone (`_certified_degree`).  Pass 2 sums
+the whole batch against one angular table up to the largest K, built over
+the distinct u and gathered back to the directions, or over the directions
+themselves when no u repeats.  The table's rows are Q_k / s_k
+(`_angular_source`): 2 cos k theta from products of unit phases at n = 2,
+P_k(u) with s_k = 2k+1 at n = 3, and the Gegenbauer recurrence at n >= 4.
+Each term s_k c_k rho^k is formed per degree block as the radial factor
+(rho/rho_max)^k, shared by the batch, times the coefficient factor s_k c_k
+rho_max^k that pass 1 computed at the largest radius, and multiplied
+against _TABLE_COLUMNS columns of the table at a time (`_angular_pass`).
+The table is built over as many columns at a time as keep its held rows
+(every degree at n = 3, one degree block otherwise), and a product of the
+radii, within _TABLE_CHUNK_BYTES, and at least _TABLE_COLUMNS, so a call
+holds its outputs and a few such pieces however deep its series goes.  A
+coefficient whose series raises NonConvergent leaves the others of its
+batch summed, and no value depends on the other coefficients of its batch
+or on the other directions of its call.
 
 Every degree block reads log c_k and log h_k from one held table
 (`_LogTables`): series calls in a row mostly share their coefficients, and
@@ -703,11 +704,9 @@ def _certified_degree(
     tol_abs: float,
     tol_rel: float,
     kmax: int,
-    min_terms: int,
-    on_block=None,
 ):
-    """Pass 1 of a series sum: K, the smallest degree k >= max(min_terms, 1)
-    whose tail bound certifies every rho set.
+    """Pass 1 of a series sum: K, the smallest degree k >= 1 whose tail
+    bound certifies every rho set, and pass 2's coefficient factors.
 
     The tail bound past degree k is H_(k+1) / (1 - rho ratio), H_k = c_k
     h_k rho^k and ratio `_step_ratio_bound` at k+1, and it certifies when
@@ -718,11 +717,12 @@ def _certified_degree(
     certifies at k it certifies at every later degree: the first block
     whose end certifies holds K, and K does not depend on the blocks.  The
     masses are summed one degree at a time for the same reason.  `rho` is
-    the rho sets stacked (`_stack`) and `sets` their slices.
-    `on_block(k0, p)` sees each block's c_k rho^k, shape (len(rho), size),
-    the last one cut at K, after pass 1 is done with it, so it may keep
-    and scale p in place.  Returns (tails, masses, K), one tail and one
-    mass vector per set.
+    the rho sets stacked (`_stack`) and `sets` their slices.  Returns
+    (tails, masses, K, factors): one tail and one mass vector per set, and
+    per degree block the factors s_k c_k rho_max^k of pass 2
+    (`_angular_pass`, `_table_scale`), off the block's c_k rho^k at the
+    largest radius, the last block cut at K; no factors when rho is empty.
+    The result depends on the arguments alone, not on the held log tables.
     """
     if tol_abs <= 0.0 and tol_rel <= 0.0:
         raise ValueError("a positive tol_abs or tol_rel is required")
@@ -732,8 +732,9 @@ def _certified_degree(
 
     log_rho = _log_radii(rho)
     fracs = coeff.step_fractions(n) + _h_step_fractions(n)
-    k_min = max(min_terms, 1)
+    ref = int(np.argmax(rho)) if rho.size else None  # the largest radius
     mass = np.zeros(rho.shape[0])
+    factors = []
 
     for k0, size in _degree_blocks(kmax):
         # one degree past the block: log c_k h_k there heads the tail bound
@@ -764,20 +765,20 @@ def _certified_degree(
                 return np.where(geo < 1.0, head / np.maximum(1.0 - geo, 1e-300), np.inf)
 
         k_used = k0 + size - 1
-        t = tail(k_used) if k_used >= k_min else None
+        t = tail(k_used) if k_used >= 1 else None
         if t is None or not np.all(t <= tol_abs + tol_rel * mass):
             # released before the next block's, which raised the peak RSS
             # of the n = 3 inclusion experiment by 0.9 MB
             del masses
-            if on_block is not None:
-                on_block(k0, p)
+            if ref is not None:
+                factors.append(p[ref] * _table_scale(n, k0, size))
             continue
         # the smallest degree of the block that certifies: the first degree
         # that certifies one radius (`_first_certified`, the largest radius
         # first), checked on every radius by `tail` itself; a radius that
         # fails there certifies only later, so the search goes on past that
         # degree on that radius
-        row, k_lo = (int(np.argmax(rho)) if rho.size else None), max(k0, k_min)
+        row, k_lo = ref, max(k0, 1)
         while k_lo < k_used:
             k = k_lo if row is None else _first_certified(
                 rho[row], log_rho[row], fracs, log_c + log_h, masses[row], k0, k_lo, k_used,
@@ -789,10 +790,10 @@ def _certified_degree(
                 k_used, t = k, t_k
                 break
             row, k_lo = int(np.argmax(fails)), k + 1
-        if on_block is not None:
-            on_block(k0, p[:, : k_used - k0 + 1])
+        if ref is not None:
+            factors.append(p[ref, : k_used - k0 + 1] * _table_scale(n, k0, k_used - k0 + 1))
         m = masses[:, k_used - k0]
-        return [t[sl] for sl in sets], [m[sl].copy() for sl in sets], k_used
+        return [t[sl] for sl in sets], [m[sl].copy() for sl in sets], k_used, factors
     raise NonConvergent(
         f"series not certified within {kmax} terms (worst |x||y| = {rho_max})"
     )
@@ -827,7 +828,6 @@ def _series_sums(
     tol_abs: float = 0.0,
     tol_rel: float = 0.0,
     kmax: int = KMAX_DEFAULT,
-    min_terms: int = 0,
 ) -> list:
     """Sum sum_k c_k rho^k Q_k(u) with a certified truncation-error bound,
     for each coefficient c of `coeffs` on one grid.
@@ -840,22 +840,22 @@ def _series_sums(
     NonConvergent that its series raised, which leaves the others summed.
 
     Pass 1 (`_certified_degree`) fixes each coefficient's K on the
-    majorant.  Pass 2 (`_angular_pass`) then sums the whole batch against
-    one angular table (`_angular_source`) up to the largest K, at every n.
-    The table is built over the distinct u (exact `np.unique`) and the
-    values are gathered back to the directions at the end; when no u
-    repeats it is built over u itself, so that no second grid is held.
-    Each coefficient's rows are formed per degree block from a radial
-    factor shared by the batch and the coefficient's own factors s_k c_k
-    rho_max^k, taken off pass 1's blocks at the largest radius, so no c_k
-    rho^k is computed twice.  All rho sets share each product.  Beyond the
-    outputs (and the gathered values) a call holds those factors, K + 1
-    values per coefficient, the radial factors of one degree block, the
-    held rows of the table and a product of the radii against them, each
-    of at most max(_TABLE_CHUNK_BYTES, 8 (K+1) _TABLE_COLUMNS, 8 len(rho)
-    _TABLE_COLUMNS) bytes, rows of no more bytes than the held table rows
-    and, at n = 2, the phases of `_circle_rows`, at most _PIECE_ROWS
-    complex values per column.  A
+    majorant and returns its pass-2 factors.  Pass 2 (`_angular_pass`) then
+    sums the whole batch against one angular table (`_angular_source`) up
+    to the largest K, at every n.  The table is built over the distinct u
+    (exact `np.unique`) and the values are gathered back to the directions
+    at the end; when no u repeats it is built over u itself, so that no
+    second grid is held.  Each coefficient's rows are formed per degree
+    block from a radial factor shared by the batch and the coefficient's
+    own factors s_k c_k rho_max^k, which pass 1 returns off its blocks at
+    the largest radius, so no c_k rho^k is computed twice.  All rho sets
+    share each product.  Beyond the outputs (and the gathered values) a
+    call holds those factors, K + 1 values per coefficient, the radial
+    factors of one degree block, the held rows of the table and a product
+    of the radii against them, each of at most max(_TABLE_CHUNK_BYTES, 8
+    (K+1) _TABLE_COLUMNS, 8 len(rho) _TABLE_COLUMNS) bytes, rows of no more
+    bytes than the held table rows and, at n = 2, the phases of
+    `_circle_rows`, at most _PIECE_ROWS complex values per column.  A
     coefficient's results do not depend on the others of its batch, and a
     value does not depend on the other directions of the call.
     """
@@ -880,20 +880,11 @@ def _series_sums(
     accs = [np.zeros((rho.shape[0], cols.shape[0])) for _ in coeffs]
     _LOG_TABLES.hold(n, coeffs)
 
-    row_ref = int(np.argmax(rho)) if rho.size else None  # the largest radius
     results, terms = [], []
     for coeff, acc in zip(coeffs, accs):
-        # pass 2's coefficient factors s_k c_k rho_ref^k, one per degree
-        # block, off the largest radius' row of pass 1's blocks
-        factors = []
-
-        def on_block(k0, p, factors=factors):
-            factors.append(p[row_ref] * _table_scale(n, k0, p.shape[1]))
-
         try:
-            tails, masses, k_used = _certified_degree(
-                n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax,
-                min_terms=min_terms, on_block=None if row_ref is None else on_block,
+            tails, masses, k_used, factors = _certified_degree(
+                n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
             )
         except NonConvergent as exc:
             results.append(exc)
@@ -1181,13 +1172,12 @@ def eval_coeff_series_points(
     tol_abs: float = 0.0,
     tol_rel: float = 0.0,
     kmax: int = KMAX_DEFAULT,
-    min_terms: int = 0,
 ):
     """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points.
 
-    Each point is summed as a 1 x 1 grid.  Several points share K, the
-    smallest degree that certifies them all (pass 1 on their radii), so
-    every tail is taken at K.  Returns (values, tails, degree_used).
+    Each point is summed as its own 1 x 1 grid, cut at its own K, so a
+    value does not depend on the other points.  Returns (values, tails,
+    degree_used), degree_used the largest K (0 when no series is summed).
     """
     pole = np.asarray(pole, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -1201,16 +1191,11 @@ def eval_coeff_series_points(
         u = points @ pole_unit / np.where(norms > 0.0, norms, 1.0)
     u = np.clip(np.where(norms > 0.0, u, 1.0), -1.0, 1.0)
     rho = norms * pole_norm
-    tol = dict(tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax)
-    if rho.shape[0] != 1:
-        _, _, min_terms = _certified_degree(
-            n, coeff, rho, [slice(0, rho.shape[0])], min_terms=min_terms, **tol
-        )
     values, tails = np.empty(rho.shape[0]), np.empty(rho.shape[0])
-    k_used = min_terms
+    k_used = 0
     for i in range(rho.shape[0]):
         v, t, _, k = _series_sum(
-            n, coeff, u[i : i + 1], [rho[i : i + 1]], min_terms=min_terms, **tol
+            n, coeff, u[i : i + 1], [rho[i : i + 1]], tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
         )
         values[i], tails[i], k_used = v[0][0, 0], t[0][0], max(k_used, k)
     return values, tails, k_used
@@ -1553,9 +1538,9 @@ def eval_coeff_series_rule_sum(
         x_units[p], norms[p] = _unit_and_norm(x)
         if norms[p] > 0.0:
             rho, sets = _stack([radii * norms[p]])
-            _, _, degrees[p] = _certified_degree(
-                n, coeff, rho, sets, tol_abs=0.0, tol_rel=tol_rel, kmax=kmax, min_terms=0
-            )
+            degrees[p] = _certified_degree(
+                n, coeff, rho, sets, tol_abs=0.0, tol_rel=tol_rel, kmax=kmax
+            )[2]
 
     if n == 2:
         return _circle_sums(coeff, points, degrees, radii, rings, weighted), degrees
@@ -1589,9 +1574,9 @@ def kernel_eval(
     tol: float,
     *,
     kmax: int = KMAX_DEFAULT,
-    min_terms: int = 0,
 ) -> KernelEval:
-    """R_alpha(x, y) summed until the tail bound drops below `tol`.
+    """R_alpha(x, y) summed up to K, the smallest degree whose tail bound
+    is at most `tol`; `degree_used` is K and `tail_bound` that bound.
 
     Requires |x||y| < 1 (one argument may lie on the sphere when the other is
     interior); raises NonConvergent at |x||y| = 1 or when the cap `kmax` is
@@ -1603,13 +1588,7 @@ def kernel_eval(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     values, tails, k_used = eval_coeff_series_points(
-        n,
-        CoeffProduct.kernel(alpha),
-        y,
-        x[None, :],
-        tol_abs=tol,
-        kmax=kmax,
-        min_terms=min_terms,
+        n, CoeffProduct.kernel(alpha), y, x[None, :], tol_abs=tol, kmax=kmax
     )
     return KernelEval(float(values[0]), int(k_used), float(tails[0]))
 

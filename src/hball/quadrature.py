@@ -34,8 +34,8 @@ numpy's pairwise summation, so results are deterministic for a fixed rule.
 Every shell walk (shell integrals, sup probes, level sets) follows the stop
 rule of `walk_shells`: it stops at the first shell that raises NonConvergent
 and answers on the certified shells before it; any other failure on a shell
-raises EvaluationFailure.  A shell integral, sup probe or level-set
-integral with no certified shell has no answer and raises NonConvergent.
+raises EvaluationFailure.  A walk with no certified shell has no answer, and
+`walk_shells` raises NonConvergent for it.
 """
 
 from __future__ import annotations
@@ -297,12 +297,16 @@ def shell_decomposition(
 
     n = 2 supports any number of focus directions (exact circle partition);
     n = 3 refines the polar angle toward the first focus only, which covers
-    expansions with a single boundary kernel pole.
+    expansions with a single boundary kernel pole.  Only a focus' direction
+    counts; a NaN, inf or zero focus is refused with ValueError.
     """
     n = check_dimension(n)
     if n not in (2, 3):
         raise ValueError("shell decompositions are implemented for n in {2, 3}")
     foci = tuple(tuple(float(c) for c in f) for f in foci)
+    # a NaN or inf focus would give NaN directions, a zero one no direction
+    if not all(all(map(math.isfinite, f)) and any(f) for f in foci):
+        raise ValueError(f"foci must be finite and nonzero, got {foci}")
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(radial_per_shell)
     shells = []
     spheres = []
@@ -354,6 +358,8 @@ class BallQuadrature:
     ) -> "BallQuadrature":
         """Rule exact (to roundoff) on (1-|x|^2)^gamma * {total degree <= degree}."""
         n = check_dimension(n)
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         if gamma <= -1.0:
             raise ValueError("the radial weight exponent must exceed -1")
         m = radial_count if radial_count is not None else max(8, degree // 4 + 2)
@@ -392,9 +398,6 @@ class BallQuadrature:
     @property
     def units(self) -> np.ndarray:
         return self.sphere.units
-
-    def node_count(self) -> int:
-        return self.radial_nodes.shape[0] * self.sphere.units.shape[0]
 
 
 def _grid_shaped(vals, radii: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -484,27 +487,32 @@ class ShellIntegral:
         }
 
 
-def walk_shells(d: ShellDecomposition, shell_fn) -> tuple[list, NonConvergent | None]:
+def walk_shells(d: ShellDecomposition, shell_fn, what: str) -> list:
     """`shell_fn(j)` for the shells j = 0, 1, ... of `d` up to the first that
-    raises NonConvergent: returns those results and that error (None when
-    every shell was certified).  Any other exception is wrapped in an
-    EvaluationFailure naming the shell."""
-    results = []
+    raises NonConvergent: returns the results of the shells before it.  When
+    no shell is certified the walk has no answer, and NonConvergent is
+    raised naming `what`, the walk's result, from the first shell's error.
+    Any other exception is wrapped in an EvaluationFailure naming the
+    shell."""
+    results, stop = [], None
     for j in range(d.depth):
         try:
             results.append(shell_fn(j))
         except NonConvergent as exc:
-            return results, exc
+            stop = exc
+            break
         except Exception as exc:  # noqa: BLE001 - contract: surface shell failures
             raise EvaluationFailure(f"shell evaluation failed on shell {j}: {exc}") from exc
-    return results, None
+    if not results:
+        raise NonConvergent(f"{what} certified no shell of a depth-{d.depth} grid") from stop
+    return results
 
 
 def integrate_shells(d: ShellDecomposition, g, weight_exponent: float) -> ShellIntegral:
     """Shell-wise integral of g(x) (1-|x|^2)^weight_exponent dnu, g >= 0,
-    over the certified shells (see `walk_shells`); `g(d, j)` gives the
-    values on shell j.  When no shell is certified there is no estimate and
-    NonConvergent is raised."""
+    over the certified shells (see `walk_shells`, which raises
+    NonConvergent when there are none); `g(d, j)` gives the values on shell
+    j."""
 
     def increment(j: int) -> float:
         shell, sph = d.shells[j], d.spheres[j]
@@ -512,12 +520,7 @@ def integrate_shells(d: ShellDecomposition, g, weight_exponent: float) -> ShellI
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
         return float(wr @ vals @ sph.weights)
 
-    increments, stop = walk_shells(d, increment)
-    if not increments:
-        raise NonConvergent(
-            f"shell integral certified no shell of a depth-{d.depth} grid"
-        ) from stop
-    return ShellIntegral.from_increments(increments)
+    return ShellIntegral.from_increments(walk_shells(d, increment, "shell integral"))
 
 
 @dataclass(frozen=True)
@@ -541,8 +544,8 @@ def sup_norm_probe(f_like, alpha_plus_t: float, grid: ShellDecomposition) -> Sup
     `f_like(grid, j)` gives the values on shell j.  The caller guarantees
     alpha + t > 0 (checked upstream); zero-weight probe nodes participate,
     so distinguished directions are sampled exactly.
-    The maxima cover the certified shells (see `walk_shells`); when no shell
-    is certified there is no supremum and NonConvergent is raised.
+    The maxima cover the certified shells (see `walk_shells`, which raises
+    NonConvergent when there are none).
     """
 
     def shell_max(j: int) -> float:
@@ -551,9 +554,4 @@ def sup_norm_probe(f_like, alpha_plus_t: float, grid: ShellDecomposition) -> Sup
         weighted = (1.0 - shell.nodes**2) ** alpha_plus_t
         return float(np.max(weighted[:, None] * np.abs(vals)))
 
-    maxima, stop = walk_shells(grid, shell_max)
-    if not maxima:
-        raise NonConvergent(
-            f"sup probe certified no shell of a depth-{grid.depth} grid"
-        ) from stop
-    return SupProbe(tuple(maxima))
+    return SupProbe(tuple(walk_shells(grid, shell_max, "sup probe")))

@@ -288,9 +288,8 @@ def _level_shell_integral(
     weight_exponent: float,
 ) -> tuple[ShellIntegral, tuple[int, ...]]:
     """Weighted level-set measure over the certified shells (see
-    `walk_shells`), with the per-shell in-set node counts.  When no shell is
-    certified there is no measure and NonConvergent is raised, as
-    `integrate_shells` does."""
+    `walk_shells`, which raises NonConvergent when there are none), with
+    the per-shell in-set node counts."""
 
     def shell_term(j: int) -> tuple[float, int]:
         measures, count = _shell_level_measures(g, grid, j, exponent, epsilon)
@@ -298,11 +297,7 @@ def _level_shell_integral(
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
         return float(wr @ measures), count
 
-    terms, stop = walk_shells(grid, shell_term)
-    if not terms:
-        raise NonConvergent(
-            f"level-set integral certified no shell of a depth-{grid.depth} grid"
-        ) from stop
+    terms = walk_shells(grid, shell_term, "level-set integral")
     integral = ShellIntegral.from_increments(inc for inc, _ in terms)
     return integral, tuple(count for _, count in terms)
 

@@ -166,8 +166,11 @@ class WeightConstant:
 
 def weight_constant(n: int, alpha: float) -> WeightConstant:
     """V_alpha = (n/2) B(n/2, alpha+1) for alpha > -1 (so that the weighted
-    measure has total mass V_alpha under normalized nu); 1 for alpha <= -1."""
+    measure has total mass V_alpha under normalized nu); 1 for alpha <= -1.
+    A non-finite alpha is refused with ValueError."""
     n = check_dimension(n)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha <= -1.0:
         return WeightConstant(alpha, 1.0)
     value = math.exp(math.log(0.5 * n) + betaln(0.5 * n, alpha + 1.0))

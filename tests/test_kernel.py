@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import legendre_p_all
 
@@ -129,11 +129,29 @@ class TestRatios:
         st.floats(min_value=-3, max_value=3),
         st.integers(min_value=0, max_value=500),
     )
+    # (s + t) - t rounds to -2 + 4.4e-16, on the upper branch, where
+    # gamma_1 = 4.4e-16 against 1/2 at s = -2 (`test_the_n2_branch_boundary_is_a_jump`)
+    @example(s=-2.0, t=-2.499546017286051, k=1)
     @settings(max_examples=60, deadline=None)
     def test_inverse_pair_property(self, s, t, k):
         forward = gamma_ratio(2, s, t, k)
         backward = gamma_ratio(2, s + t, -t, k)
-        assert forward * backward == pytest.approx(1.0, rel=1e-11)
+        back = (s + t) - t  # where the backward ratio lands
+        if back == s:
+            assert forward * backward == pytest.approx(1.0, rel=1e-11)
+        else:
+            # the pair is gamma_k(back) / gamma_k(s), not 1
+            want = gamma_coeff(2, back, k).value / gamma_coeff(2, s, k).value
+            assert forward * backward == pytest.approx(want, rel=1e-11)
+
+    def test_the_n2_branch_boundary_is_a_jump(self):
+        # alpha = -2 is on the lower branch, gamma_1 = (1)_1^2 / ((2)_1 (1)_1)
+        # = 1/2; just above it, on the upper branch, gamma_1 = 2 + alpha,
+        # which tends to 0
+        above = np.nextafter(-2.0, 0.0)
+        assert gamma_coeff(2, -2.0, 1).value == pytest.approx(0.5, rel=1e-15)
+        assert gamma_coeff(2, above, 1).value == pytest.approx(2.0 + above, rel=1e-12)
+        assert gamma_ratio(2, -2.0, above + 2.0, 1) < 1e-15
 
 
 def partial_sum_oracle(n, alpha, x, y, degree):
@@ -179,7 +197,8 @@ class TestKernelEval:
         x = np.array([0.7, 0.1])
         y = np.array([-0.6, 0.5])
         ke = kernel_eval(2, 1.2, x, y, 1e-8)
-        deeper = kernel_eval(2, 1.2, x, y, 1e-8, min_terms=2 * ke.degree_used)
+        deeper = kernel_eval(2, 1.2, x, y, 1e-15)
+        assert deeper.degree_used > ke.degree_used
         assert abs(deeper.value - ke.value) <= ke.tail_bound
 
     def test_rejects_boundary_product(self):
@@ -306,14 +325,23 @@ class TestTwoPassSum:
         return pole, points, np.clip(np.where(norms > 0.0, cos, 1.0), -1.0, 1.0), norms
 
     def assert_points_match(self, n, coeff, u, rho):
-        """Point evaluation, a grid diagonal, against the streamed paired sum."""
+        """Point evaluation against the streamed sum of each point alone;
+        the degree used is the largest point's K."""
         pole, points, u_pts, rho_pts = self.paired_points(n, u, rho)
         values, tails, k_used = eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10)
-        want = streamed_reference(n, coeff, u_pts, [rho_pts], tol_rel=1e-10, matmul=False)
-        assert k_used == want[3]
-        assert values.shape == want[0][0].shape
-        assert np.array_equal(tails, want[1][0])
-        assert np.all(np.abs(values - want[0][0]) <= 1e-12 * want[2][0])
+        assert values.shape == tails.shape == rho_pts.shape
+        degrees, refs = [], {}  # the reference of each distinct point
+        for i in range(rho_pts.shape[0]):
+            key = (u_pts[i], rho_pts[i])
+            if key not in refs:
+                refs[key] = streamed_reference(
+                    n, coeff, u_pts[i : i + 1], [rho_pts[i : i + 1]], tol_rel=1e-10, matmul=False
+                )
+            (want,), (tail,), (mass,), k = refs[key]
+            assert tails[i] == tail[0]
+            assert abs(values[i] - want[0]) <= 1e-12 * mass[0]
+            degrees.append(k)
+        assert k_used == max(degrees, default=0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("coeff", COEFFS)
@@ -620,12 +648,11 @@ class TestSmallestCertifiedDegree:
             min_size=1,
             max_size=3,
         ),
-        min_terms=st.sampled_from([0, 0, 1, 7, 40, 130]),
         tol=st.sampled_from([(0.0, 1e-10), (1e-8, 0.0), (1e-12, 1e-6)]),
     )
-    def test_the_degree_does_not_depend_on_the_blocks(self, n, coeff, rho_sets, min_terms, tol):
+    def test_the_degree_does_not_depend_on_the_blocks(self, n, coeff, rho_sets, tol):
         rho, sets = _stack(rho_sets)
-        kw = dict(tol_abs=tol[0], tol_rel=tol[1], kmax=KMAX_DEFAULT, min_terms=min_terms)
+        kw = dict(tol_abs=tol[0], tol_rel=tol[1], kmax=KMAX_DEFAULT)
         try:
             want = _certified_degree(n, coeff, rho, sets, **kw)
         except NonConvergent:
@@ -641,6 +668,10 @@ class TestSmallestCertifiedDegree:
         assert got[2] == k
         for a, b in zip(got[0] + got[1], want[0] + want[1]):
             assert np.array_equal(bits(a), bits(b))
+        if rho.size:
+            factors = [np.concatenate(r[3]) for r in (got, want)]
+            assert factors[0].shape == (k + 1,)
+            assert np.array_equal(bits(factors[0]), bits(factors[1]))
 
         def holds(degree):
             """The reference test at `degree` alone: (tails, masses) or None."""
@@ -656,30 +687,70 @@ class TestSmallestCertifiedDegree:
         assert ref is not None
         for a, b in zip(ref[0] + ref[1], want[0] + want[1]):
             assert np.array_equal(bits(a), bits(b))
-        if k > max(min_terms, 1):
+        if k > 1:
             assert holds(k - 1) is None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_an_all_zero_set_stops_at_the_first_degree_allowed(self, n):
         coeff = CoeffProduct.kernel(0.0)
         u = np.array([-1.0, 0.2, 1.0])
-        for min_terms, want in ((0, 1), (5, 5), (100, 100)):
-            values, tails, masses, k = _series_sum(n, coeff, u, [np.zeros(3)], tol_rel=1e-9, min_terms=min_terms)
-            assert k == want
-            assert np.all(values[0] == 1.0) and np.all(tails[0] == 0.0) and np.all(masses[0] == 1.0)
+        values, tails, masses, k = _series_sum(n, coeff, u, [np.zeros(3)], tol_rel=1e-9)
+        assert k == 1
+        assert np.all(values[0] == 1.0) and np.all(tails[0] == 0.0) and np.all(masses[0] == 1.0)
         values, tails, k = eval_coeff_series_points(n, coeff, 0.5 * np.eye(n)[0], np.zeros((2, n)), tol_rel=1e-9)
         assert k == 1 and np.all(values == 1.0)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_points_share_the_degree_that_certifies_them_all(self, n):
+    def test_each_point_is_the_point_alone(self, n):
         coeff, pole = TestTwoPassSum.COEFFS[1], 0.9 * np.eye(n)[0]
         points = points_at_norms(np.random.default_rng(n), n, [0.1, 0.5, 0.95])
         values, tails, k = eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10)
         alone = [eval_coeff_series_points(n, coeff, pole, x[None, :], tol_rel=1e-10) for x in points]
+        # each point stops at its own degree; the call reports the largest
         assert k == max(a[2] for a in alone) > min(a[2] for a in alone)
-        for x, v, t in zip(points, values, tails):
-            one = eval_coeff_series_points(n, coeff, pole, x[None, :], tol_rel=1e-10, min_terms=k)
-            assert one[2] == k and one[0][0] == v and one[1][0] == t
+        for v, t, (one_v, one_t, _) in zip(values, tails, alone):
+            assert bits(v) == bits(one_v[0]) and bits(t) == bits(one_t[0])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_factors_are_the_terms_at_the_largest_radius(self, n):
+        # s_k c_k rho_max^k up to K, whatever the sets; K at rho_max = 0.99
+        # spans several degree blocks
+        kw = dict(tol_abs=0.0, tol_rel=1e-10, kmax=KMAX_DEFAULT)
+        for coeff in TestTwoPassSum.COEFFS:
+            for rho_sets in ([np.array([0.3, 0.99, 0.0])], [np.array([0.5]), np.array([0.2, 0.9])]):
+                rho, sets = _stack(rho_sets)
+                _, _, k, factors = _certified_degree(n, coeff, rho, sets, **kw)
+                ks = np.arange(k + 1, dtype=float)
+                scale = 2.0 * ks + 1.0 if n == 3 else 1.0
+                want = np.exp(coeff.log_values(n, ks) + ks * math.log(rho.max())) * scale
+                assert [f.shape[0] for f in factors] == [size for _, size in _degree_blocks(k)]
+                assert np.array_equal(bits(np.concatenate(factors)), bits(want))
+        _, _, k, factors = _certified_degree(n, coeff, np.zeros(0), [slice(0, 0)], **kw)
+        assert k == 1 and factors == []
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pass_one_is_a_function_of_its_arguments(self, n, monkeypatch):
+        # the same (tails, masses, K, factors) from cold and warm log tables,
+        # and after calls that grow or replace them
+        coeff = TestTwoPassSum.COEFFS[1]
+        rho, sets = _stack([np.array([0.2, 0.95]), np.array([0.0, 0.7])])
+
+        def run():
+            tails, masses, k, factors = _certified_degree(
+                n, coeff, rho, sets, tol_abs=1e-12, tol_rel=1e-9, kmax=KMAX_DEFAULT
+            )
+            return [bits(a) for a in (*tails, *masses, np.array([k]), *factors)]
+
+        monkeypatch.setattr("hball.kernel._LOG_TABLES", _LogTables())
+        cold = run()
+        for warm_up in (
+            lambda: None,  # the tables as the first call left them
+            lambda: _series_sum(n, coeff, np.ones(1), [np.array([0.999])], tol_rel=1e-10),
+            lambda: _series_sum(n, CoeffProduct.kernel(1.5), np.ones(1), [np.array([0.99])], tol_rel=1e-10),
+        ):
+            warm_up()
+            for got, want in zip(run(), cold, strict=True):
+                assert np.array_equal(got, want)
 
     def test_grids_near_the_boundary_are_within_the_tolerance_of_mpmath(self):
         # n = 2 through the series path (the grid itself takes the closed

@@ -33,6 +33,8 @@ WALKS = {
     "integrate_shells": lambda d, g: integrate_shells(d, g, 0.0),
     "sup_norm_probe": lambda d, g: sup_norm_probe(g, 1.0, d),
 }
+# what each walk's refusal names when it certifies no shell
+WALK_RESULTS = {"integrate_shells": "shell integral", "sup_norm_probe": "sup probe"}
 
 
 # values that miss an (m, M) product grid, which must not broadcast
@@ -78,6 +80,11 @@ class TestRadialRule:
     def test_rejects_nonintegrable_weight(self):
         with pytest.raises(ValueError):
             BallQuadrature.build(2, -1.0, 8)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_rejects_a_non_finite_weight_exponent(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            BallQuadrature.build(2, gamma, 8)
 
 
 class TestSphereRules:
@@ -205,6 +212,15 @@ class TestIntegrateBall:
 
 
 class TestShellIntegrals:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_rejects_a_non_finite_or_zero_focus(self, n, bad):
+        focus = (bad,) * n
+        with pytest.raises(ValueError, match="foci must be finite and nonzero"):
+            shell_decomposition(n, 4, ((1.0,) + (0.0,) * (n - 1), focus))
+        with pytest.raises(ValueError, match="foci must be finite and nonzero"):
+            shell_decomposition(n, 4, (focus,))
+
     def test_compactly_supported_indicator(self):
         d = shell_decomposition(2, 10)
         ind = lambda pts: ((pts**2).sum(axis=1) <= 0.25).astype(float)  # noqa: E731
@@ -261,11 +277,13 @@ class TestSupProbe:
         result = walk(d, failing_from_shell(3, NonConvergent("deep shell")))
         assert result.shells_used == 3
 
-    @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
-    def test_no_certified_shell_raises(self, walk):
+    @pytest.mark.parametrize("name", list(WALKS))
+    def test_no_certified_shell_raises(self, name):
         d = shell_decomposition(2, 10)
-        with pytest.raises(NonConvergent, match="no shell of a depth-10 grid"):
-            walk(d, failing_from_shell(0, NonConvergent("first shell")))
+        with pytest.raises(NonConvergent) as err:
+            WALKS[name](d, failing_from_shell(0, NonConvergent("first shell")))
+        assert str(err.value) == f"{WALK_RESULTS[name]} certified no shell of a depth-10 grid"
+        assert str(err.value.__cause__) == "first shell"
 
     @pytest.mark.parametrize("walk", list(WALKS.values()), ids=list(WALKS))
     def test_other_errors_name_the_shell(self, walk):

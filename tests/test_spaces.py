@@ -175,7 +175,7 @@ class TestNoCertifiedShell:
             distance_estimate(self.ATOM, self.SPEC.alpha, self.SPEC.pair, self.grid())
 
     def test_level_set_raises(self):
-        with pytest.raises(NonConvergent, match="no shell of a depth-0 grid"):
+        with pytest.raises(NonConvergent, match="^level-set integral certified no shell of a depth-0 grid$"):
             level_set(self.ATOM, self.SPEC.alpha, self.SPEC.pair, 0.1, self.grid(), -2.0)
 
     def test_little_bloch_inconclusive(self):

@@ -150,6 +150,11 @@ class TestWeightConstant:
         assert weight_constant(5, -3.0).value == 1.0
         assert weight_constant(2, -1.0).value == 1.0
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_weight(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            weight_constant(2, alpha)
+
     def test_matches_radial_quadrature(self):
         # n int_0^1 r^(n-1) (1-r^2)^alpha dr by adaptive quadrature
         from scipy.integrate import quad
