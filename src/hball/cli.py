@@ -1,9 +1,9 @@
 """Command-line harness: run named verifications, emit JSON/CSV tables.
 
 Exit codes: 0 when every check passes, 1 on a hard disagreement or a refused
-config (one for another experiment, a shell depth below 1 or a tolerance that
-is not finite and positive), 2 when the only failures are inconclusive
-verdicts.
+config (one for another experiment, a seed, shell depth or tolerance not of
+its report schema type, a shell depth below 1 or a tolerance that is not
+finite and positive), 2 when the only failures are inconclusive verdicts.
 """
 
 from __future__ import annotations
@@ -36,7 +36,11 @@ def _exit_code(report: dict) -> int:
 
 def _load_config(name: str, config_path: str | None, shells: int | None, tol: float | None) -> ExperimentConfig:
     if config_path is not None:
-        cfg = ExperimentConfig.from_json_dict(json.loads(Path(config_path).read_text()))
+        raw = json.loads(Path(config_path).read_text())
+        try:
+            cfg = ExperimentConfig.from_json_dict(raw)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
         if cfg.name != name:
             raise click.ClickException(
                 f"config is for experiment {cfg.name!r}, not {name!r}"

@@ -106,6 +106,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
+        """The config of a JSON object; raises ValueError, naming the key,
+        when seed, shells or tol is not of its report schema type, so that
+        no value is coerced (12.9 or true to a shell depth, "1e-6" to a
+        tolerance).  Integral floats such as 12.0 are integers there."""
+        for key, kind in (("seed", "integer"), ("shells", "integer"), ("tol", "number")):
+            if key in d and not _SCHEMA_TYPES[kind](d[key]):
+                raise ValueError(f"{key} must be of type {kind}, not {d[key]!r}")
         return ExperimentConfig(
             name=d["name"],
             parameters=dict(d.get("parameters", {})),

@@ -73,9 +73,9 @@ n = 2; at n = 3, the DFT over each ring's equispaced azimuths followed by
 one associated-Legendre recurrence over the rings (`_AssociatedLegendre`).
 A point then costs O(K) at n = 2 and O(K^2) at n = 3, not O(K M) over the
 rule's M directions.  Past a degree K* read off the rule's shape
-(`_stream_degree`), where the shared ring work, which grows as K^2, would
-cost more, an n = 3 point streams the Gegenbauer recurrence through the
-moments with one dot product per degree instead.
+(`_shared_degree`), where the shared ring work, which grows as K^2, would
+cost more, an n = 3 point sums its own grid series on the rule's nodes
+(`_series_sum`) and weights it, the same finite sum in another order.
 """
 
 from __future__ import annotations
@@ -125,16 +125,20 @@ _TABLE_COLUMNS = 8
 # Degrees per chunk of the radial moments of `eval_coeff_series_rule_sum`.
 _MOMENT_ROWS = 64
 
-# A point of an n = 3 rule sum streams its own recurrence once its K_x
-# passes K* = _STREAM_FACTOR * M / A for a rule of M nodes on A rings (M / A
-# azimuths).  The shared ring work grows as K^2 A and a streamed point's as
-# K M.  On the identity battery's reproducing rule (241 azimuths, 121
-# rings, K* = 2169), the shared path took one point at K = 2000 1.9x its
-# streamed time and 40 points 0.37x; at K = 4000 one point took 3.0x.  So
-# below K* a lone point pays less than twice its streamed time, and stacks
-# gain from about 4 points at K = 260 and 8 at K = 2000
-# (BENCH_smallest_degree.json).
-_STREAM_FACTOR = 9.0
+# A point of an n = 3 rule sum sums its own grid series once its K_x passes
+# K* = _SHARED_FACTOR * M / A for a rule of M nodes on A rings (M / A
+# azimuths): the shared ring work grows as K^2 A and a grid series' as K M.
+# K* was tuned against a streamed Gegenbauer recurrence per point, since
+# deleted: on the identity battery's reproducing rule (241 azimuths, 121
+# rings, K* = 2169), the shared path took one point at K = 2000 1.9x that
+# recurrence's time and 40 points 0.37x (BENCH_smallest_degree.json).  The
+# grid series is faster per point than the recurrence was: at K = 1774 one
+# point took 0.59-0.68 s against 0.97-1.26 s streamed and 1.7-2.5 s on the
+# shared path.  So a lone point below K* may now pay up to about 4x its
+# grid series' time, while stacks still gain: 40 points at K <= 124 took
+# 0.08-0.11 s shared against 0.88-1.17 s as 40 grids
+# (BENCH_rule_sum_grid.json).
+_SHARED_FACTOR = 9.0
 
 # Seed scale of `_AssociatedLegendre`: its values are carried times
 # 2^_SEED_EXP, so that sectoral seeds down to 2^-1982 stay normal numbers.
@@ -402,8 +406,8 @@ class _ZonalAngular:
     """Streams the angular factors Q_k(u) with Z_k(x, y) = (|x||y|)^k Q_k(u)
     at n >= 3 by the Gegenbauer recurrence with lambda = (n-2)/2.
 
-    Each degree is one in-place step on three rolling buffers; `block`
-    copies the rows out and `dots` folds each row into a dot product.
+    Each degree is one in-place step on three rolling buffers, which
+    `block` copies out row by row.
     """
 
     def __init__(self, n: int, u: np.ndarray):
@@ -415,52 +419,32 @@ class _ZonalAngular:
         self._p2 = np.empty(m)  # degree k-2
         self._free = np.empty(m)  # receives degree k
 
-    def _start(self, k0: int) -> None:
-        if k0 != self.k:
-            raise ValueError(f"the recurrence is at degree {self.k}, not {k0}")
-
-    def _step(self) -> tuple[np.ndarray, float]:
-        """Advance one degree k: (base, scale) with Q_k(u) = scale * base."""
-        n, k = self.n, self.k
-        lam = 0.5 * (n - 2)
-        base = self._free
-        if k == 0:
-            base.fill(1.0)
-        elif k == 1:
-            # 2 lam u, exactly
-            np.multiply(lam, self._two_u, out=base)
-        else:
-            # (2 u (k+lam-1) p1 - (k+2lam-2) p2) / k, in this operation
-            # order; p2 is free after this step
-            np.multiply(self._two_u, k + lam - 1.0, out=base)
-            base *= self._p1
-            self._p2 *= k + 2.0 * lam - 2.0
-            base -= self._p2
-            base /= k
-        self._free, self._p2, self._p1 = self._p2, self._p1, base
-        self.k += 1
-        if k == 0:
-            return base, 1.0
-        return base, (2.0 * k + n - 2.0) / (n - 2.0)
-
     def block(self, k0: int, size: int) -> np.ndarray:
         """Rows k0 <= k < k0 + size of Q, shape (size, len(u)); the rows
         stream, so k0 is where the previous block ended."""
-        self._start(k0)
+        if k0 != self.k:
+            raise ValueError(f"the recurrence is at degree {self.k}, not {k0}")
+        n, lam = self.n, 0.5 * (self.n - 2)
         out = np.empty((size, self._two_u.shape[0]))
         for row in out:
-            base, scale = self._step()
-            np.multiply(scale, base, out=row)
-        return out
-
-    def dots(self, k0: int, weights: np.ndarray) -> np.ndarray:
-        """sum_j Q_k(u_j) weights[k - k0, j] for the degrees k0 <= k <
-        k0 + len(weights), stepping the same stream as `block`."""
-        self._start(k0)
-        out = np.empty(weights.shape[0])
-        for i, row in enumerate(weights):
-            base, scale = self._step()
-            out[i] = scale * (base @ row)
+            k, base = self.k, self._free
+            if k == 0:
+                base.fill(1.0)
+            elif k == 1:
+                # 2 lam u, exactly
+                np.multiply(lam, self._two_u, out=base)
+            else:
+                # (2 u (k+lam-1) p1 - (k+2lam-2) p2) / k, in this operation
+                # order; p2 is free after this step
+                np.multiply(self._two_u, k + lam - 1.0, out=base)
+                base *= self._p1
+                self._p2 *= k + 2.0 * lam - 2.0
+                base -= self._p2
+                base /= k
+            self._free, self._p2, self._p1 = self._p2, self._p1, base
+            self.k += 1
+            # Q_k = (2k + n - 2) / (n - 2) times the base polynomial, Q_0 = 1
+            np.multiply(1.0 if k == 0 else (2.0 * k + n - 2.0) / (n - 2.0), base, out=row)
         return out
 
 
@@ -1237,7 +1221,7 @@ class _AssociatedLegendre:
     seeds that matter stay normal on every column while k < (_SEED_EXP +
     1022) e / log2(e) = 3734 (worst at s = 1/e).  Past that, a seed can
     stick at the smallest subnormal while the true one keeps shrinking, and
-    the rows blow up; `_stream_degree` keeps to _SEED_MAX_DEGREE.  Three
+    the rows blow up; `_shared_degree` keeps to _SEED_MAX_DEGREE.  Three
     rolling (kmax+1) x columns buffers hold degrees k, k-1, k-2; rows above
     a buffer's degree stay zero.
     """
@@ -1443,34 +1427,12 @@ def _meridian_sums(coeff, points, degrees, radii, units, rings, weighted) -> np.
     return values
 
 
-def _streamed_sums(n, coeff, x_units, norms, degrees, radii, units, weighted) -> np.ndarray:
-    """Rule sums with each point streaming its own angular recurrence
-    through the moment chunks, one dot product per degree; the recurrence
-    is started at degree 0 and released after K_x."""
-    log_r, log_x = _log_radii(radii), _log_radii(norms)
-    rows = _moment_rows(units.shape[0])
-    angular = [None] * x_units.shape[0]
-    values = np.zeros(x_units.shape[0])
-    for k0 in range(0, degrees.max(initial=0) + 1, rows):
-        kf = np.arange(k0, k0 + rows, dtype=float)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            moments = _powers(np.zeros(rows), kf, log_r).T @ weighted
-            c_x = _powers(log_coeff_block(n, coeff, k0, k0 + rows), kf, log_x)  # c_k |x|^k, (P, rows)
-        for p in np.flatnonzero(degrees >= k0):
-            if k0 == 0:
-                angular[p] = _ZonalAngular(n, np.clip(units @ x_units[p], -1.0, 1.0))
-            m = min(rows, degrees[p] - k0 + 1)
-            values[p] += c_x[p, :m] @ angular[p].dots(k0, moments[:m])
-            if degrees[p] < k0 + rows:
-                angular[p] = None  # past K_x: release its buffers
-    return values
-
-
-def _stream_degree(rings) -> float:
-    """K*: an n = 3 point with K_x above it streams (`_streamed_sums`).  It
-    is _STREAM_FACTOR M / A for M nodes on A rings, and never more than
-    _SEED_MAX_DEGREE, where the shared path's seeds would stop being exact."""
-    return min(_STREAM_FACTOR * rings.index.size / rings.index.shape[1], _SEED_MAX_DEGREE)
+def _shared_degree(rings) -> float:
+    """K*: an n = 3 point with K_x above it sums its own grid series instead
+    of sharing the ring transform (`_meridian_sums`).  It is _SHARED_FACTOR
+    M / A for M nodes on A rings, and never more than _SEED_MAX_DEGREE,
+    where the shared path's seeds would stop being exact."""
+    return min(_SHARED_FACTOR * rings.index.size / rings.index.shape[1], _SEED_MAX_DEGREE)
 
 
 def eval_coeff_series_rule_sum(
@@ -1505,11 +1467,13 @@ def eval_coeff_series_rule_sum(
     done once per call, built _MOMENT_ROWS degrees at a time (fewer when a
     chunk would pass _TABLE_CHUNK_BYTES), so no (K+1) x M table is held;
     then a point costs O(K_x) at n = 2 and O(K_x^2) at n = 3.  An n = 3
-    point with K_x above K* (`_stream_degree`) streams its own recurrence
-    over the directions instead (`_streamed_sums`).  The path is chosen
-    from K_x alone, and neither path lets a point's value depend on the
-    other points.  A point at the origin keeps only the k = 0 term.
-    Nodes off the rings must carry zero weighted values.  Returns (values,
+    point with K_x above K* (`_shared_degree`) sums its own grid series
+    over radii |x| radii and the cosines u_j instead (`_series_sum`, the
+    same K_x), and that grid against `weighted` with no second grid-sized
+    temporary.  The path is chosen from K_x alone, and neither path lets a
+    point's value depend on the other points.  A point at the origin keeps
+    only the k = 0 term.  Nodes off the rings must carry zero weighted
+    values.  Returns (values,
     degrees), each of shape (P,).
     """
     points = np.asarray(points, dtype=float)
@@ -1545,15 +1509,15 @@ def eval_coeff_series_rule_sum(
     if n == 2:
         return _circle_sums(coeff, points, degrees, radii, rings, weighted), degrees
     values = np.empty(points.shape[0])
-    streams = degrees > _stream_degree(rings)
-    if not streams.all():
-        values[~streams] = _meridian_sums(
-            coeff, points[~streams], degrees[~streams], radii, units, rings, weighted
+    deep = degrees > _shared_degree(rings)
+    if not deep.all():
+        values[~deep] = _meridian_sums(
+            coeff, points[~deep], degrees[~deep], radii, units, rings, weighted
         )
-    if streams.any():
-        values[streams] = _streamed_sums(
-            n, coeff, x_units[streams], norms[streams], degrees[streams], radii, units, weighted
-        )
+    for p in np.flatnonzero(deep):
+        u = np.clip(units @ x_units[p], -1.0, 1.0)
+        (grid,), *_ = _series_sum(n, coeff, u, [radii * norms[p]], tol_rel=tol_rel, kmax=kmax)
+        values[p] = np.vdot(grid, weighted)
     return values, degrees
 
 

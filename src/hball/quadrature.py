@@ -298,12 +298,15 @@ def shell_decomposition(
     n = 2 supports any number of focus directions (exact circle partition);
     n = 3 refines the polar angle toward the first focus only, which covers
     expansions with a single boundary kernel pole.  Only a focus' direction
-    counts; a NaN, inf or zero focus is refused with ValueError.
+    counts; a focus without n components, or a NaN, inf or zero one, is
+    refused with ValueError.
     """
     n = check_dimension(n)
     if n not in (2, 3):
         raise ValueError("shell decompositions are implemented for n in {2, 3}")
     foci = tuple(tuple(float(c) for c in f) for f in foci)
+    if any(len(f) != n for f in foci):
+        raise ValueError(f"foci must have {n} components each, got {foci}")
     # a NaN or inf focus would give NaN directions, a zero one no direction
     if not all(all(map(math.isfinite, f)) and any(f) for f in foci):
         raise ValueError(f"foci must be finite and nonzero, got {foci}")
@@ -383,8 +386,10 @@ class BallQuadrature:
         """Shell-based ball rule for integrands concentrated near the boundary.
 
         The boundary weight (1-r^2)^gamma is evaluated explicitly at the
-        piecewise Gauss-Legendre nodes, so gamma may be any real.
+        piecewise Gauss-Legendre nodes, so gamma may be any finite real.
         """
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         d = shell_decomposition(
             n, depth, foci, radial_per_shell=radial_per_shell, base_angular=sphere_degree
         )

@@ -716,8 +716,8 @@ def reproduce(
     the kernel series and, by the addition theorem, their angular transform
     over the rule's rings (`kernel.eval_coeff_series_rule_sum`), so a stack
     of probes costs one pass over the rule's nodes plus O(K_x^2) work per
-    point; an n = 3 point past the rule's K* streams its own recurrence
-    over the nodes instead.
+    point; an n = 3 point past the rule's K* sums its own grid series over
+    the nodes instead.
     """
     gamma = s + t
     if abs(q.gamma - gamma) > 1e-9:

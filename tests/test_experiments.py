@@ -348,6 +348,25 @@ class TestCli:
         assert json.loads(out.read_text())["config"]["shells"] == 8
 
     @pytest.mark.parametrize(
+        "key, value", [("shells", 12.9), ("shells", True), ("seed", 1.7), ("seed", "1"), ("tol", "1e-6")]
+    )
+    def test_config_values_of_the_wrong_type_are_refused(self, key, value, tmp_path):
+        d = dict(small_config("membership").to_json_dict(), **{key: value})
+        with pytest.raises(ValueError, match=f"{key} must be of type"):
+            ExperimentConfig.from_json_dict(d)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        result = CliRunner().invoke(main, ["membership", "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert f"Error: {key} must be of type" in result.output
+
+    def test_integral_floats_are_integers(self):
+        d = dict(small_config("membership").to_json_dict(), shells=5.0, seed=2.0, tol=1)
+        cfg = ExperimentConfig.from_json_dict(d)
+        assert (cfg.shells, cfg.seed, cfg.tol) == (5, 2, 1.0)
+        assert type(cfg.shells) is int and type(cfg.seed) is int and type(cfg.tol) is float
+
+    @pytest.mark.parametrize(
         "option, value", [("shells", "0"), ("shells", "-2"), ("tol", "0"), ("tol", "nan"), ("tol", "inf")]
     )
     def test_invalid_shells_or_tol_refused_before_any_work(self, option, value, tmp_path, monkeypatch):

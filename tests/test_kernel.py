@@ -35,7 +35,7 @@ from hball.kernel import (
     _series_sum,
     _series_sums,
     _stack,
-    _stream_degree,
+    _shared_degree,
     _ZonalAngular,
     eval_coeff_series_grid,
     eval_coeff_series_grids,
@@ -1041,7 +1041,7 @@ class TestLogTables:
 
 class TestStreamedRecurrence:
     """`_ZonalAngular` steps in place on rolling buffers; its rows are the
-    per-degree loop's bit for bit, and `dots` folds the same rows."""
+    per-degree loop's bit for bit."""
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_rows_equal_the_loop(self, n):
@@ -1050,20 +1050,8 @@ class TestStreamedRecurrence:
         stream, state = _ZonalAngular(n, u), [None, None]
         for k0, size in [(0, 1), (1, 1), (2, 64), (66, 200)]:
             assert np.array_equal(stream.block(k0, size), recurrence_rows(n, u, k0, size, state))
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_dots_fold_the_rows(self, n):
-        rng = np.random.default_rng(30 + n)
-        u = repeated_u(rng, 300, 280)
-        weights = rng.normal(size=(130, u.shape[0]))
-        rows = _ZonalAngular(n, u).block(0, 130)
-        stream = _ZonalAngular(n, u)
-        got = np.concatenate([stream.dots(0, weights[:64]), stream.dots(64, weights[64:])])
-        want = np.einsum("kj,kj->k", rows, weights)
-        scale = np.abs(rows) @ np.abs(weights).T
-        assert np.all(np.abs(got - want) <= 1e-13 * np.diagonal(scale))
-        with pytest.raises(ValueError, match="at degree 130"):
-            stream.dots(0, weights[:1])
+        with pytest.raises(ValueError, match="at degree 266"):
+            stream.block(0, 1)
 
 
 class TestAssociatedLegendre:
@@ -1082,9 +1070,9 @@ class TestAssociatedLegendre:
         polar = q.units[rings.index[0]] @ rings.a[0]  # the rings' cosines
         near_pole = polar[np.argmax(np.abs(polar))]
         t = np.array([1.0, -1.0, 0.0, near_pole, -near_pole, 0.3, -0.77])
-        return int(_stream_degree(rings)), t, np.sqrt((1.0 - t) * (1.0 + t))
+        return int(_shared_degree(rings)), t, np.sqrt((1.0 - t) * (1.0 + t))
 
-    def test_addition_theorem_up_to_the_stream_degree(self):
+    def test_addition_theorem_up_to_the_shared_degree(self):
         k_star, t, s = self.columns()
         assert k_star > 2000 and s[3] < 0.021
         # (first, second, phi): pole with pole, pole with ring, ring pairs
@@ -1124,7 +1112,7 @@ class TestRuleSum:
     """Sums against radial moments shared by the points, on product sphere
     rules: the same degree as each point's own grid series, the same value
     within 1e-12 of its mass, and the value the point gets alone, whichever
-    path (shared transform or streamed recurrence) it takes."""
+    path (shared transform or its own grid series) it takes."""
 
     COEFFS = TestTwoPassSum.COEFFS
 
@@ -1178,19 +1166,30 @@ class TestRuleSum:
         # point takes the shared path
         rng, radii, sphere, weighted = self.rule(n, 40 + n, degree=64)
         if n == 3:
-            assert _stream_degree(sphere.rings) > 447
+            assert _shared_degree(sphere.rings) > 447
         degrees = self.assert_matches(n, coeff, self.stack(rng, n), radii, sphere, weighted)
         assert sorted(set(degrees)) == self.STACK_DEGREES[n, coeff]
 
     @pytest.mark.parametrize("degree", [21, 22], ids=["even-azimuths", "even-rings"])
     @pytest.mark.parametrize("coeff", COEFFS)
-    def test_a_stack_straddling_the_stream_degree(self, coeff, degree):
+    def test_a_stack_straddling_the_shared_degree(self, coeff, degree):
         # 22 or 23 azimuths put K* between 191 and 447: the deepest points
-        # stream, the others take the shared path
+        # sum their own grid series, the others take the shared path
         rng, radii, sphere, weighted = self.rule(3, 7, degree=degree)
-        k_star = _stream_degree(sphere.rings)
+        k_star = _shared_degree(sphere.rings)
         degrees = self.assert_matches(3, coeff, self.stack(rng, 3), radii, sphere, weighted)
         assert min(d for d in degrees if d > 0) <= k_star < max(degrees)
+
+    @pytest.mark.parametrize("coeff", COEFFS)
+    def test_points_past_the_seed_limit_sum_their_own_grid(self, coeff):
+        # K_x above _SEED_MAX_DEGREE, where the shared path would be inexact,
+        # on a rule of 45 nodes: on the pole axis (repeated cosines), at
+        # random, and a shallow point that takes the shared path beside them
+        rng, radii, sphere, weighted = self.rule(3, 12, degree=8)
+        axis = np.eye(3)[-1]
+        points = np.vstack([0.995 * axis, points_at_norms(rng, 3, [0.995, 0.5])])
+        degrees = self.assert_matches(3, coeff, points, radii, sphere, weighted)
+        assert min(degrees[:2]) > _SEED_MAX_DEGREE and degrees[2] <= _shared_degree(sphere.rings)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_focused_rules(self, n):

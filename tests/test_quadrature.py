@@ -210,6 +210,12 @@ class TestIntegrateBall:
         q = BallQuadrature.shell_composite(2, 1.0, depth=20)
         assert integrate_ball(q, ONE_BALL) == pytest.approx(0.5, rel=1e-9)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_shell_composite_refuses_a_non_finite_weight_exponent(self, gamma):
+        # unchecked, a NaN gamma gives NaN weights and an infinite one zero weights
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            BallQuadrature.shell_composite(2, gamma, depth=4)
+
 
 class TestShellIntegrals:
     @pytest.mark.parametrize("n", [2, 3])
@@ -220,6 +226,15 @@ class TestShellIntegrals:
             shell_decomposition(n, 4, ((1.0,) + (0.0,) * (n - 1), focus))
         with pytest.raises(ValueError, match="foci must be finite and nonzero"):
             shell_decomposition(n, 4, (focus,))
+
+    @pytest.mark.parametrize("n, focus", [(2, (1.0, 0.0, 5.0)), (2, (1.0,)), (3, (1.0, 0.0)), (3, (1.0, 0.0, 0.0, 1.0))])
+    def test_rejects_a_focus_of_another_dimension(self, n, focus):
+        # unchecked, a 3-component focus at n = 2 gives a rule from its first
+        # two components, and a 2-component one at n = 3 fails inside numpy
+        with pytest.raises(ValueError, match=f"foci must have {n} components"):
+            shell_decomposition(n, 3, (focus,))
+        with pytest.raises(ValueError, match=f"foci must have {n} components"):
+            shell_decomposition(n, 3, ((1.0,) + (0.0,) * (n - 1), focus))
 
     def test_compactly_supported_indicator(self):
         d = shell_decomposition(2, 10)
