@@ -221,7 +221,6 @@ def evaluate_grids(
     units: np.ndarray,
     *,
     tol_rel: float = 1e-9,
-    tol_abs: float = 0.0,
 ) -> list:
     """Values of each expansion of `fs` on the product grid {r * u}: per
     expansion, its (len(radii), len(units)) grid, or the NonConvergent of
@@ -295,7 +294,6 @@ def evaluate_grids(
             pole,
             [radii],
             tol_rel=tol_rel,
-            tol_abs=tol_abs,
         )
         arrived.update(zip(where, values))
         del values
@@ -310,12 +308,11 @@ def evaluate_grid(
     units: np.ndarray,
     *,
     tol_rel: float = 1e-9,
-    tol_abs: float = 0.0,
 ) -> np.ndarray:
     """Values of f on the product grid {r * u}, shape (len(radii),
     len(units)): `evaluate_grids` of the one expansion f, raising the
     NonConvergent of its first series atom that fails."""
-    (values,) = evaluate_grids([f], radii, units, tol_rel=tol_rel, tol_abs=tol_abs)
+    (values,) = evaluate_grids([f], radii, units, tol_rel=tol_rel)
     if isinstance(values, NonConvergent):
         raise values
     return values

@@ -110,9 +110,7 @@ class ExperimentConfig:
         when seed, shells or tol is not of its report schema type, so that
         no value is coerced (12.9 or true to a shell depth, "1e-6" to a
         tolerance).  Integral floats such as 12.0 are integers there."""
-        for key, kind in (("seed", "integer"), ("shells", "integer"), ("tol", "number")):
-            if key in d and not _SCHEMA_TYPES[kind](d[key]):
-                raise ValueError(f"{key} must be of type {kind}, not {d[key]!r}")
+        _check_config_types(d)
         return ExperimentConfig(
             name=d["name"],
             parameters=dict(d.get("parameters", {})),
@@ -858,9 +856,10 @@ EXPERIMENTS = {
 def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
     """Run experiment `name` on `cfg` (its default config when None).
 
-    Raises ValueError, before any work, for an unknown name, a shell depth
-    that is not an integer >= 1 or a tolerance that is not finite and
-    positive; the runners raise it for parameters they refuse.
+    Raises ValueError, before any work, for an unknown name, a seed, shell
+    depth or tolerance not of its report schema type, a shell depth that is
+    not an integer >= 1 or a tolerance that is not finite and positive; the
+    runners raise it for parameters they refuse.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -870,12 +869,22 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
 
 
 def _check_config(cfg: ExperimentConfig) -> None:
-    """Raise ValueError unless the shell depth is an integer >= 1 and the
-    tolerance is finite and positive."""
+    """Raise ValueError unless seed, shells and tol are of their report
+    schema types, the shell depth is an integer >= 1 and the tolerance is
+    finite and positive."""
+    _check_config_types(vars(cfg))
     if not isinstance(cfg.shells, int) or cfg.shells < 1:
         raise ValueError(f"shells must be an integer >= 1, not {cfg.shells!r}")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         raise ValueError(f"tol must be finite and positive, not {cfg.tol!r}")
+
+
+def _check_config_types(values: dict) -> None:
+    """Raise ValueError, naming the key, unless the seed, shells and tol of
+    `values` that it holds are of their report schema types."""
+    for key, kind in (("seed", "integer"), ("shells", "integer"), ("tol", "number")):
+        if key in values and not _SCHEMA_TYPES[kind](values[key]):
+            raise ValueError(f"{key} must be of type {kind}, not {values[key]!r}")
 
 
 def _schema() -> dict:
@@ -893,7 +902,7 @@ _SCHEMA_TYPES = {
     "boolean": lambda v: isinstance(v, bool),
     "integer": lambda v: not isinstance(v, bool)
     and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
-    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real),
 }
 
 # The keywords `_check_schema` reads; "$schema" and "title" constrain nothing.

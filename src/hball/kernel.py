@@ -9,9 +9,12 @@ derived from |Z_k(x, y)| <= h_k (|x||y|)^k together with a certified bound on
 the growth ratio of gamma_k h_k.
 
 Series are summed adaptively and a `NonConvergent` error is raised when the
-evaluation cap is reached before the tail bound certifies the requested
-accuracy (in particular for |x||y| = 1, where the series need not converge).
-Non-finite directions, poles, points and radii are refused with ValueError.
+degree cap, the module constant KMAX_DEFAULT, is reached before the tail
+bound certifies the requested accuracy (in particular for |x||y| = 1, where
+the series need not converge).  Grids and rule sums are certified to a
+tolerance relative to the majorant mass, points to an absolute one.
+Non-finite directions, poles, points and radii, and NaN, infinite or
+negative tolerances, are refused with ValueError.
 
 A series sum runs in two passes, for a batch of coefficients on one grid
 (a single coefficient is the batch of one).  Z_k(x, pole) = (|x||pole|)^k
@@ -102,9 +105,11 @@ __all__ = [
     "zonal_angular_table",
 ]
 
-# Hard cap on the truncation degree; beyond it evaluation is refused rather
-# than returning an uncertified value.
+# Hard cap on the truncation degree of every series; beyond it evaluation is
+# refused rather than returning an uncertified value.
 KMAX_DEFAULT = 200_000
+
+_PROBE_TOL = 1e-10  # relative tolerance of `kernel_growth_exponent_probe`
 
 _BLOCK_MAX = 4096
 
@@ -687,7 +692,6 @@ def _certified_degree(
     *,
     tol_abs: float,
     tol_rel: float,
-    kmax: int,
 ):
     """Pass 1 of a series sum: K, the smallest degree k >= 1 whose tail
     bound certifies every rho set, and pass 2's coefficient factors.
@@ -695,9 +699,9 @@ def _certified_degree(
     The tail bound past degree k is H_(k+1) / (1 - rho ratio), H_k = c_k
     h_k rho^k and ratio `_step_ratio_bound` at k+1, and it certifies when
     it meets tol_abs + tol_rel mass, the mass summed up to k.  Walks the
-    degree blocks (64 rows, doubling to _BLOCK_MAX) on the majorant and
-    tests the bound at each block's end.  The ratio bounds H_(k+1) / H_k
-    for every later k and does not grow with k, so once the bound
+    degree blocks (64 rows, doubling to _BLOCK_MAX) up to KMAX_DEFAULT on
+    the majorant and tests the bound at each block's end.  The ratio bounds
+    H_(k+1) / H_k for every later k and does not grow with k, so once the bound
     certifies at k it certifies at every later degree: the first block
     whose end certifies holds K, and K does not depend on the blocks.  The
     masses are summed one degree at a time for the same reason.  `rho` is
@@ -708,8 +712,6 @@ def _certified_degree(
     largest radius, the last block cut at K; no factors when rho is empty.
     The result depends on the arguments alone, not on the held log tables.
     """
-    if tol_abs <= 0.0 and tol_rel <= 0.0:
-        raise ValueError("a positive tol_abs or tol_rel is required")
     rho_max = float(rho.max()) if rho.size else 0.0
     if rho_max >= 1.0:
         raise NonConvergent(f"series evaluated at |x||y| = {rho_max} >= 1")
@@ -720,7 +722,7 @@ def _certified_degree(
     mass = np.zeros(rho.shape[0])
     factors = []
 
-    for k0, size in _degree_blocks(kmax):
+    for k0, size in _degree_blocks(KMAX_DEFAULT):
         # one degree past the block: log c_k h_k there heads the tail bound
         kf = np.arange(k0, k0 + size + 1, dtype=float)
         log_c = log_coeff_block(n, coeff, k0, k0 + size + 1)
@@ -779,7 +781,7 @@ def _certified_degree(
         m = masses[:, k_used - k0]
         return [t[sl] for sl in sets], [m[sl].copy() for sl in sets], k_used, factors
     raise NonConvergent(
-        f"series not certified within {kmax} terms (worst |x||y| = {rho_max})"
+        f"series not certified within {KMAX_DEFAULT} terms (worst |x||y| = {rho_max})"
     )
 
 
@@ -811,7 +813,6 @@ def _series_sums(
     *,
     tol_abs: float = 0.0,
     tol_rel: float = 0.0,
-    kmax: int = KMAX_DEFAULT,
 ) -> list:
     """Sum sum_k c_k rho^k Q_k(u) with a certified truncation-error bound,
     for each coefficient c of `coeffs` on one grid.
@@ -868,7 +869,7 @@ def _series_sums(
     for coeff, acc in zip(coeffs, accs):
         try:
             tails, masses, k_used, factors = _certified_degree(
-                n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
+                n, coeff, rho, sets, tol_abs=tol_abs, tol_rel=tol_rel
             )
         except NonConvergent as exc:
             results.append(exc)
@@ -903,6 +904,16 @@ def _require_finite(name: str, *arrays: np.ndarray) -> None:
     would give NaN values and a NaN radius would never certify."""
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError(f"{name} must be finite")
+
+
+def _require_tolerances(**tols: float) -> None:
+    """Refuse NaN, infinite and negative tolerances, and all zero, before
+    any series work: NaN runs to the cap and inf certifies at degree 1."""
+    for name, tol in tols.items():
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"the tolerance {name} must be finite and >= 0, got {tol!r}")
+    if not any(tol > 0.0 for tol in tols.values()):
+        raise ValueError(f"a positive tolerance {' or '.join(tols)} is required")
 
 
 def _unit_and_norm(p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -1023,7 +1034,7 @@ class _N2Form:
         return y * poly + self.log_coef * log_term
 
 
-def _n2_closed_form(coeff, u, rho_sets, *, tol_abs: float, tol_rel: float):
+def _n2_closed_form(coeff, u, rho_sets, *, tol_rel: float):
     """sum_k c_k Z_k(x, pole) at n = 2 in closed form (`_N2Form`), on the
     product grids rho x u of `rho_sets`; None where the form is not used.
 
@@ -1035,7 +1046,7 @@ def _n2_closed_form(coeff, u, rho_sets, *, tol_abs: float, tol_rel: float):
     (1 + B (1 + |log|w||)) mass with B = `order` and mass = 2 F(rho) - 1,
     the majorant; since 1 - rho <= |w| <= 1 + rho, |log|w|| <= -log(1 - rho)
     bounds it per radius.  The form is used only when that bound meets
-    tol_abs + tol_rel mass at every radius and every value is finite;
+    tol_rel mass at every radius and every value is finite;
     otherwise (and for rho outside [0, 1)) the caller sums the series, whose
     tail bound stays as it is.
     """
@@ -1049,7 +1060,7 @@ def _n2_closed_form(coeff, u, rho_sets, *, tol_abs: float, tol_rel: float):
         log_gap = np.log1p(-rho)
         mass = 2.0 * form(rho, 1.0 - rho, log_gap) - 1.0
         bound = _CLOSED_FORM_ROUNDING * _EPS * (1.0 + form.order * (1.0 - log_gap)) * mass
-        if not (np.all(np.isfinite(mass)) and np.all(bound <= tol_abs + tol_rel * mass)):
+        if not (np.all(np.isfinite(mass)) and np.all(bound <= tol_rel * mass)):
             return None
         rho, sin = rho[:, None], np.sqrt((1.0 - u) * (1.0 + u))[None, :]
         w = ((1.0 - rho) + rho * (1.0 - u)[None, :]) - 1j * (rho * sin)
@@ -1073,12 +1084,11 @@ def eval_coeff_series_grids(
     pole,
     radii_sets,
     *,
-    tol_abs: float = 0.0,
-    tol_rel: float = 0.0,
-    kmax: int = KMAX_DEFAULT,
+    tol_rel: float,
 ) -> list:
     """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units for
-    each coefficient c of `coeffs`, all on one pole.
+    each coefficient c of `coeffs`, all on one pole, each value certified
+    to tol_rel times the majorant mass at its radius.
 
     `units` is an (M, n) array of unit vectors; each entry of `radii_sets`
     is a radius vector.  Returns, per coefficient, its list of grids, the
@@ -1089,9 +1099,10 @@ def eval_coeff_series_grids(
 
     At n = 2 a coefficient that `_N2Form` covers is summed in closed form
     where its stated rounding bound meets the tolerance (`_n2_closed_form`);
-    it needs no degree cap, so `kmax` does not limit it.  Every other
+    it needs no degree cap, so KMAX_DEFAULT does not limit it.  Every other
     coefficient sums the certified series.
     """
+    _require_tolerances(tol_rel=tol_rel)
     pole = np.asarray(pole, dtype=float)
     units = np.asarray(units, dtype=float)
     radii_sets = [np.asarray(r, dtype=float) for r in radii_sets]
@@ -1107,13 +1118,11 @@ def eval_coeff_series_grids(
     results = [None] * len(coeffs)
     if n == 2:
         for i, coeff in enumerate(coeffs):
-            results[i] = _n2_closed_form(coeff, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel)
+            results[i] = _n2_closed_form(coeff, u, rho_sets, tol_rel=tol_rel)
     series = [i for i, values in enumerate(results) if values is None]
     if not series:
         return results
-    sums = _series_sums(
-        n, [coeffs[i] for i in series], u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
-    )
+    sums = _series_sums(n, [coeffs[i] for i in series], u, rho_sets, tol_rel=tol_rel)
     for i, result in zip(series, sums):
         results[i] = result if isinstance(result, NonConvergent) else result[0]
     return results
@@ -1126,9 +1135,7 @@ def eval_coeff_series_grid(
     pole,
     radii_sets,
     *,
-    tol_abs: float = 0.0,
-    tol_rel: float = 0.0,
-    kmax: int = KMAX_DEFAULT,
+    tol_rel: float,
 ):
     """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units:
     `eval_coeff_series_grids` of the one coefficient `coeff`, raising its
@@ -1139,9 +1146,7 @@ def eval_coeff_series_grid(
     the angular tables across the radius sets is what makes near-boundary
     sweeps affordable.
     """
-    (values,) = eval_coeff_series_grids(
-        n, [coeff], units, pole, radii_sets, tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
-    )
+    (values,) = eval_coeff_series_grids(n, [coeff], units, pole, radii_sets, tol_rel=tol_rel)
     if isinstance(values, NonConvergent):
         raise values
     return values
@@ -1155,14 +1160,15 @@ def eval_coeff_series_points(
     *,
     tol_abs: float = 0.0,
     tol_rel: float = 0.0,
-    kmax: int = KMAX_DEFAULT,
 ):
-    """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points.
+    """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points,
+    each value certified to tol_abs + tol_rel times its majorant mass.
 
     Each point is summed as its own 1 x 1 grid, cut at its own K, so a
     value does not depend on the other points.  Returns (values, tails,
     degree_used), degree_used the largest K (0 when no series is summed).
     """
+    _require_tolerances(tol_abs=tol_abs, tol_rel=tol_rel)
     pole = np.asarray(pole, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _require_finite("pole", pole)
@@ -1179,7 +1185,7 @@ def eval_coeff_series_points(
     k_used = 0
     for i in range(rho.shape[0]):
         v, t, _, k = _series_sum(
-            n, coeff, u[i : i + 1], [rho[i : i + 1]], tol_abs=tol_abs, tol_rel=tol_rel, kmax=kmax
+            n, coeff, u[i : i + 1], [rho[i : i + 1]], tol_abs=tol_abs, tol_rel=tol_rel
         )
         values[i], tails[i], k_used = v[0][0, 0], t[0][0], max(k_used, k)
     return values, tails, k_used
@@ -1445,7 +1451,6 @@ def eval_coeff_series_rule_sum(
     rings,
     *,
     tol_rel: float,
-    kmax: int = KMAX_DEFAULT,
 ):
     """Rule sums sum_ij weighted[i, j] sum_k c_k Z_k(x, radii[i] units[j])
     for each point x of a (P, n) stack, on a product sphere rule whose
@@ -1480,6 +1485,7 @@ def eval_coeff_series_rule_sum(
     radii = np.asarray(radii, dtype=float)
     units = np.asarray(units, dtype=float)
     weighted = np.asarray(weighted, dtype=float)
+    _require_tolerances(tol_rel=tol_rel)
     if n not in (2, 3):
         raise ValueError("rule sums are implemented for n in {2, 3}")
     if points.ndim != 2 or points.shape[1] != units.shape[1]:
@@ -1502,9 +1508,7 @@ def eval_coeff_series_rule_sum(
         x_units[p], norms[p] = _unit_and_norm(x)
         if norms[p] > 0.0:
             rho, sets = _stack([radii * norms[p]])
-            degrees[p] = _certified_degree(
-                n, coeff, rho, sets, tol_abs=0.0, tol_rel=tol_rel, kmax=kmax
-            )[2]
+            degrees[p] = _certified_degree(n, coeff, rho, sets, tol_abs=0.0, tol_rel=tol_rel)[2]
 
     if n == 2:
         return _circle_sums(coeff, points, degrees, radii, rings, weighted), degrees
@@ -1516,7 +1520,7 @@ def eval_coeff_series_rule_sum(
         )
     for p in np.flatnonzero(deep):
         u = np.clip(units @ x_units[p], -1.0, 1.0)
-        (grid,), *_ = _series_sum(n, coeff, u, [radii * norms[p]], tol_rel=tol_rel, kmax=kmax)
+        (grid,), *_ = _series_sum(n, coeff, u, [radii * norms[p]], tol_rel=tol_rel)
         values[p] = np.vdot(grid, weighted)
     return values, degrees
 
@@ -1530,35 +1534,28 @@ class KernelEval:
     tail_bound: float
 
 
-def kernel_eval(
-    n: int,
-    alpha: float,
-    x,
-    y,
-    tol: float,
-    *,
-    kmax: int = KMAX_DEFAULT,
-) -> KernelEval:
+def kernel_eval(n: int, alpha: float, x, y, tol: float) -> KernelEval:
     """R_alpha(x, y) summed up to K, the smallest degree whose tail bound
-    is at most `tol`; `degree_used` is K and `tail_bound` that bound.
+    is at most the absolute tolerance `tol`; `degree_used` is K and
+    `tail_bound` that bound.
 
     Requires |x||y| < 1 (one argument may lie on the sphere when the other is
-    interior); raises NonConvergent at |x||y| = 1 or when the cap `kmax` is
-    reached first.
+    interior); raises NonConvergent at |x||y| = 1 or when the degree cap
+    KMAX_DEFAULT is reached first, and ValueError unless `tol` is finite and
+    positive.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     n = check_dimension(n)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     values, tails, k_used = eval_coeff_series_points(
-        n, CoeffProduct.kernel(alpha), y, x[None, :], tol_abs=tol, kmax=kmax
+        n, CoeffProduct.kernel(alpha), y, x[None, :], tol_abs=tol
     )
     return KernelEval(float(values[0]), int(k_used), float(tails[0]))
 
 
-def kernel_growth_exponent_probe(n, alpha, zeta, radii, *, tol_rel=1e-10):
-    """|R_alpha(r zeta, zeta)| along the radial ray toward the kernel pole.
+def kernel_growth_exponent_probe(n, alpha, zeta, radii):
+    """|R_alpha(r zeta, zeta)| along the radial ray toward the kernel pole,
+    certified to _PROBE_TOL relative to the majorant mass.
 
     `radii` must be strictly increasing inside [0, 1).  Returns a list of
     (r, |R_alpha(r zeta, zeta)|) pairs.
@@ -1575,7 +1572,7 @@ def kernel_growth_exponent_probe(n, alpha, zeta, radii, *, tol_rel=1e-10):
     if abs(norm - 1.0) > 1e-9:
         raise ValueError("zeta must be a unit vector")
     (values,) = eval_coeff_series_grid(
-        n, CoeffProduct.kernel(alpha), unit[None, :], unit, [radii], tol_rel=tol_rel
+        n, CoeffProduct.kernel(alpha), unit[None, :], unit, [radii], tol_rel=_PROBE_TOL
     )
     mags = np.abs(values[:, 0])
     return [(float(r), float(v)) for r, v in zip(radii, mags)]

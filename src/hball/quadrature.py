@@ -351,54 +351,43 @@ class BallQuadrature:
     degree: int
 
     @staticmethod
-    def build(
-        n: int,
-        gamma: float,
-        degree: int,
-        *,
-        radial_count: int | None = None,
-        sphere_degree: int | None = None,
-    ) -> "BallQuadrature":
-        """Rule exact (to roundoff) on (1-|x|^2)^gamma * {total degree <= degree}."""
+    def build(n: int, gamma: float, degree: int) -> "BallQuadrature":
+        """Rule exact (to roundoff) on (1-|x|^2)^gamma * {total degree <= degree}:
+        max(8, degree // 4 + 2) Gauss-Jacobi radii times the sphere rule of
+        `degree`."""
         n = check_dimension(n)
         if not math.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
         if gamma <= -1.0:
             raise ValueError("the radial weight exponent must exceed -1")
-        m = radial_count if radial_count is not None else max(8, degree // 4 + 2)
+        m = max(8, degree // 4 + 2)
         x, w = roots_jacobi(m, gamma, 0.5 * n - 1.0)
         u = 0.5 * (x + 1.0)
         radial_nodes = np.sqrt(u)
         radial_weights = 0.5 * n * (2.0 ** -(0.5 * n + gamma)) * w
-        sph = sphere_rule(n, sphere_degree if sphere_degree is not None else degree)
+        sph = sphere_rule(n, degree)
         return BallQuadrature(n, float(gamma), radial_nodes, radial_weights, sph, degree)
 
     @staticmethod
     def shell_composite(
-        n: int,
-        gamma: float,
-        depth: int = 12,
-        *,
-        radial_per_shell: int = 12,
-        sphere_degree: int = 64,
-        foci: tuple = (),
+        n: int, gamma: float, depth: int = 12, *, foci: tuple = ()
     ) -> "BallQuadrature":
-        """Shell-based ball rule for integrands concentrated near the boundary.
+        """Shell-based ball rule for integrands concentrated near the boundary:
+        12 Gauss-Legendre radii per dyadic shell times the sphere rule of
+        degree 64, or the deepest shell's rule refined toward `foci`
+        (`shell_decomposition`).
 
         The boundary weight (1-r^2)^gamma is evaluated explicitly at the
         piecewise Gauss-Legendre nodes, so gamma may be any finite real.
         """
         if not math.isfinite(gamma):
             raise ValueError(f"gamma must be finite, got {gamma}")
-        d = shell_decomposition(
-            n, depth, foci, radial_per_shell=radial_per_shell, base_angular=sphere_degree
-        )
+        d = shell_decomposition(n, depth, foci, radial_per_shell=12, base_angular=64)
         nodes = np.concatenate([s.nodes for s in d.shells])
         weights = np.concatenate(
             [s.weights * (1.0 - s.nodes**2) ** gamma for s in d.shells]
         )
-        sph = d.spheres[-1] if foci else sphere_rule(n, sphere_degree)
-        return BallQuadrature(n, float(gamma), nodes, weights, sph, 0)
+        return BallQuadrature(n, float(gamma), nodes, weights, d.spheres[-1], 0)
 
     @property
     def units(self) -> np.ndarray:

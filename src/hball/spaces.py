@@ -78,6 +78,10 @@ __all__ = [
 
 REL_TOL = 1e-7
 
+# Relative tolerance of the reproducing integrals, `reproduce` and `split`:
+# of D f on the rule's grid and of the kernel series summed against it.
+_RULE_TOL = 1e-9
+
 # The settings of `little_bloch_test`, `distance_estimate` and
 # `reproducing_rule`; each docstring says how they are used.
 _DECAY_WINDOW = 5
@@ -669,17 +673,13 @@ def reproducing_rule(n: int, s: float, t: float) -> BallQuadrature:
     return BallQuadrature.build(n, s + t, degree)
 
 
-def _rule_derivative(
-    f: HarmonicExpansion, s: float, t: float, q: BallQuadrature, tol_rel: float
-) -> np.ndarray:
+def _rule_derivative(f: HarmonicExpansion, s: float, t: float, q: BallQuadrature) -> np.ndarray:
     """D^t_s f on the rule's product grid, a fresh array on every call; it
     is not kept, so a caller holds it only while it needs it."""
-    return evaluate_grid(apply_D(f, DiffPair(s, t)), q.radial_nodes, q.units, tol_rel=tol_rel)
+    return evaluate_grid(apply_D(f, DiffPair(s, t)), q.radial_nodes, q.units, tol_rel=_RULE_TOL)
 
 
-def _rule_integral(
-    q: BallQuadrature, kernel_s: float, x, values: np.ndarray, volume: float, tol_rel: float
-):
+def _rule_integral(q: BallQuadrature, kernel_s: float, x, values: np.ndarray, volume: float):
     """(1/volume) times the rule sum of R_s(x, .) against `values` on the
     rule's product grid, whose structure the sphere rule's rings give: a
     float for one point x of shape (n,), a (P,) array for a stack of shape
@@ -690,24 +690,17 @@ def _rule_integral(
     values *= q.sphere.weights
     sums, _ = eval_coeff_series_rule_sum(
         q.dimension, CoeffProduct.kernel(kernel_s), np.atleast_2d(x), q.radial_nodes,
-        q.units, values, q.sphere.rings, tol_rel=tol_rel,
+        q.units, values, q.sphere.rings, tol_rel=_RULE_TOL,
     )
     sums = sums / volume
     return float(sums[0]) if x.ndim == 1 else sums
 
 
-def reproduce(
-    f: HarmonicExpansion,
-    s: float,
-    t: float,
-    x,
-    q: BallQuadrature,
-    *,
-    tol_rel: float = 1e-9,
-):
+def reproduce(f: HarmonicExpansion, s: float, t: float, x, q: BallQuadrature):
     """Integral representation (1/V_{s+t}) int R_s(x, y) (1-|y|^2)^{s+t}
     (D f)(y) dnu(y); equals f(x) for f in a sup-norm space of weight alpha
-    with s > alpha - 1 and alpha + t > 0.
+    with s > alpha - 1 and alpha + t > 0.  Both series, of D f and of the
+    kernel, are certified to _RULE_TOL relative to their majorant mass.
 
     `x` is one point of shape (n,), giving a float, or a stack of shape
     (P, n), giving a (P,) array.  Each call evaluates D f on the rule's
@@ -725,7 +718,7 @@ def reproduce(
             f"quadrature weight {q.gamma} does not match s + t = {gamma}"
         )
     v = weight_constant(f.dimension, gamma).value
-    return _rule_integral(q, s, x, _rule_derivative(f, s, t, q, tol_rel), v, tol_rel)
+    return _rule_integral(q, s, x, _rule_derivative(f, s, t, q), v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -757,13 +750,13 @@ def split(
     q: BallQuadrature,
     *,
     probes: np.ndarray | None = None,
-    tol_rel: float = 1e-9,
 ) -> SplitResult:
     """Split the reproducing integral along the epsilon level set.
 
     Requires the rule weight to equal s + t and alpha + t > 0.  The level
     set is resolved node-wise on the rule's grid.  D f is evaluated on that
     grid once; the four parts share it and weight a masked copy per call.
+    The series are certified as in `reproduce`, to _RULE_TOL.
     """
     s, t = pair.s, pair.t
     if not alpha + t > 0.0:
@@ -771,13 +764,13 @@ def split(
     if abs(q.gamma - (s + t)) > 1e-9:
         raise AdmissibilityError("quadrature weight must equal s + t")
     n = f.dimension
-    gv = _rule_derivative(f, s, t, q, tol_rel)
+    gv = _rule_derivative(f, s, t, q)
     w_boundary = (1.0 - q.radial_nodes**2) ** (alpha + t)
     mask = (w_boundary[:, None] * np.abs(gv)) >= epsilon
     v = weight_constant(n, s + t).value
 
     def _integral(x, kernel_s: float, masked: np.ndarray):
-        return _rule_integral(q, kernel_s, x, gv * masked, v, tol_rel)
+        return _rule_integral(q, kernel_s, x, gv * masked, v)
 
     f1 = lambda x: _integral(x, s, mask)  # noqa: E731
     f2 = lambda x: _integral(x, s, ~mask)  # noqa: E731

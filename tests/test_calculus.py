@@ -97,6 +97,17 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(constant(2), [1.2, 0.0])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_non_finite_and_negative_tolerances_refused(self, n, tol):
+        # without the check a NaN tolerance runs to the degree cap and an
+        # infinite one certifies at degree 1
+        f = HarmonicExpansion(n, (KernelAtom(0.0, (1.0,) + (0.0,) * (n - 1)),))
+        with pytest.raises(ValueError, match="tolerance tol_abs must be finite"):
+            evaluate(f, [0.5] + [0.0] * (n - 1), tol=tol)
+        with pytest.raises(ValueError, match="tolerance tol_rel must be finite"):
+            evaluate_grid(f, np.array([0.5]), np.eye(n), tol_rel=tol)
+
     def test_grid_matches_pointwise(self):
         f = HarmonicExpansion(
             3, (KernelAtom(0.4, ZETA3, 1.2), ZonalTerm(2, (1.0, 0.0, 0.0), -0.5))

@@ -360,6 +360,25 @@ class TestCli:
         assert result.exit_code == 1
         assert f"Error: {key} must be of type" in result.output
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("shells", True), ("tol", True), ("seed", True), ("seed", 1.5), ("tol", "1e-6"), ("tol", 1j)],
+    )
+    def test_config_values_of_the_wrong_type_are_refused_before_any_work(self, key, value, monkeypatch):
+        # through the Python API such a value used to run the experiment and
+        # fail only in `validate_report`
+        import hball.kernel as kernel
+
+        calls = []
+        for name in ("_certified_degree", "_n2_closed_form"):
+            orig = getattr(kernel, name)
+            monkeypatch.setattr(kernel, name, lambda *a, _orig=orig, **kw: calls.append(1) or _orig(*a, **kw))
+        cfg = small_config("membership")
+        setattr(cfg, key, value)
+        with pytest.raises(ValueError, match=f"{key} must be of type"):
+            run_experiment("membership", cfg)
+        assert calls == []
+
     def test_integral_floats_are_integers(self):
         d = dict(small_config("membership").to_json_dict(), shells=5.0, seed=2.0, tol=1)
         cfg = ExperimentConfig.from_json_dict(d)

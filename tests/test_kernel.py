@@ -206,10 +206,11 @@ class TestKernelEval:
         with pytest.raises(NonConvergent):
             kernel_eval(2, 0.0, zeta, zeta, 1e-6)
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("hball.kernel.KMAX_DEFAULT", 5000)
         zeta = np.array([1.0, 0.0])
-        with pytest.raises(NonConvergent):
-            kernel_eval(2, 0.0, 0.9999999 * zeta, zeta, 1e-10, kmax=5000)
+        with pytest.raises(NonConvergent, match="within 5000 terms"):
+            kernel_eval(2, 0.0, 0.9999999 * zeta, zeta, 1e-10)
 
     def test_harmonicity_by_central_differences(self):
         h = 1e-3
@@ -397,8 +398,9 @@ class TestTwoPassSum:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("grid", [True, False])
-    def test_same_error_at_the_cap(self, n, grid):
+    def test_same_error_at_the_cap(self, n, grid, monkeypatch):
         # grid: one product grid; otherwise the points u_i, rho_i paired off
+        monkeypatch.setattr("hball.kernel.KMAX_DEFAULT", 3000)
         coeff, u, rho = self.COEFFS[0], np.array([0.3, 0.3, 1.0]), np.array([0.5, 0.9999, 0.2])
         if not grid:
             pole, points, u, rho = self.paired_points(n, u, rho)
@@ -406,9 +408,9 @@ class TestTwoPassSum:
             streamed_reference(n, coeff, u, [rho], tol_rel=1e-10, kmax=3000, matmul=grid)
         with pytest.raises(NonConvergent) as got:
             if grid:
-                _series_sum(n, coeff, u, [rho], tol_rel=1e-10, kmax=3000)
+                _series_sum(n, coeff, u, [rho], tol_rel=1e-10)
             else:
-                eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10, kmax=3000)
+                eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10)
         assert str(got.value) == str(want.value)
 
 
@@ -652,7 +654,7 @@ class TestSmallestCertifiedDegree:
     )
     def test_the_degree_does_not_depend_on_the_blocks(self, n, coeff, rho_sets, tol):
         rho, sets = _stack(rho_sets)
-        kw = dict(tol_abs=tol[0], tol_rel=tol[1], kmax=KMAX_DEFAULT)
+        kw = dict(tol_abs=tol[0], tol_rel=tol[1])
         try:
             want = _certified_degree(n, coeff, rho, sets, **kw)
         except NonConvergent:
@@ -715,7 +717,7 @@ class TestSmallestCertifiedDegree:
     def test_the_factors_are_the_terms_at_the_largest_radius(self, n):
         # s_k c_k rho_max^k up to K, whatever the sets; K at rho_max = 0.99
         # spans several degree blocks
-        kw = dict(tol_abs=0.0, tol_rel=1e-10, kmax=KMAX_DEFAULT)
+        kw = dict(tol_abs=0.0, tol_rel=1e-10)
         for coeff in TestTwoPassSum.COEFFS:
             for rho_sets in ([np.array([0.3, 0.99, 0.0])], [np.array([0.5]), np.array([0.2, 0.9])]):
                 rho, sets = _stack(rho_sets)
@@ -737,7 +739,7 @@ class TestSmallestCertifiedDegree:
 
         def run():
             tails, masses, k, factors = _certified_degree(
-                n, coeff, rho, sets, tol_abs=1e-12, tol_rel=1e-9, kmax=KMAX_DEFAULT
+                n, coeff, rho, sets, tol_abs=1e-12, tol_rel=1e-9
             )
             return [bits(a) for a in (*tails, *masses, np.array([k]), *factors)]
 
@@ -832,10 +834,11 @@ class TestBatchedSeries:
         ),
     )
     def test_each_coefficient_is_its_batch_of_one(self, n, coeffs, rho_sets):
-        kw = dict(tol_rel=1e-10, kmax=3000)
-        batch = _series_sums(n, coeffs, self.U, rho_sets, **kw)
-        for coeff, got in zip(coeffs, batch, strict=True):
-            (want,) = _series_sums(n, [coeff], self.U, rho_sets, **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("hball.kernel.KMAX_DEFAULT", 3000)
+            batch = _series_sums(n, coeffs, self.U, rho_sets, tol_rel=1e-10)
+            alone = [_series_sums(n, [coeff], self.U, rho_sets, tol_rel=1e-10)[0] for coeff in coeffs]
+        for got, want in zip(batch, alone, strict=True):
             if isinstance(want, NonConvergent):
                 assert isinstance(got, NonConvergent) and str(got) == str(want)
                 continue
@@ -885,19 +888,20 @@ class TestBatchedSeries:
         assert peak <= 2 * values[0].nbytes + table + 5 * 8 * (k_used + 1) + (1 << 19)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_a_coefficient_at_the_cap_leaves_the_others(self, n):
+    def test_a_coefficient_at_the_cap_leaves_the_others(self, n, monkeypatch):
         # at rho = 0.99 the three series certify at K = 2 623, 8 149 and 906
         # at n = 2, 2 899, 8 300 and 1 384 at n = 3, 3 153, 8 453 and 1 880
         # at n = 4
         coeffs = [CoeffProduct.kernel(0.0), CoeffProduct.kernel(30.0), CoeffProduct.kernel(-4.0)]
         rho_sets = [np.array([0.2, 0.99])]
-        batch = _series_sums(n, coeffs, self.U, rho_sets, tol_rel=1e-10, kmax=4000)
+        monkeypatch.setattr("hball.kernel.KMAX_DEFAULT", 4000)
+        batch = _series_sums(n, coeffs, self.U, rho_sets, tol_rel=1e-10)
         assert isinstance(batch[1], NonConvergent)
         with pytest.raises(NonConvergent) as alone:
-            _series_sum(n, coeffs[1], self.U, rho_sets, tol_rel=1e-10, kmax=4000)
+            _series_sum(n, coeffs[1], self.U, rho_sets, tol_rel=1e-10)
         assert str(batch[1]) == str(alone.value)
         for i in (0, 2):
-            want = _series_sum(n, coeffs[i], self.U, rho_sets, tol_rel=1e-10, kmax=4000)
+            want = _series_sum(n, coeffs[i], self.U, rho_sets, tol_rel=1e-10)
             assert batch[i][3] == want[3]
             for a, b in zip(batch[i][0] + batch[i][1] + batch[i][2], want[0] + want[1] + want[2]):
                 assert np.array_equal(bits(a), bits(b))
@@ -1221,23 +1225,25 @@ class TestRuleSum:
             self.sums(n, self.COEFFS[0], x, radii, sphere, weighted, tol_rel=1e-9)
         assert str(got.value) == str(want.value)
 
-    def test_same_error_at_the_cap(self):
+    def test_same_error_at_the_cap(self, monkeypatch):
         # a product coefficient: the grid sums its series, so it meets the cap
+        monkeypatch.setattr("hball.kernel.KMAX_DEFAULT", 3000)
         _, radii, sphere, weighted = self.rule(2, 10, degree=149)
         x = np.array([[0.3, 0.0], [0.999, 0.0]])
         with pytest.raises(NonConvergent) as want:
-            eval_coeff_series_grid(2, self.COEFFS[1], sphere.units, x[1], [radii], tol_rel=1e-10, kmax=3000)
+            eval_coeff_series_grid(2, self.COEFFS[1], sphere.units, x[1], [radii], tol_rel=1e-10)
         with pytest.raises(NonConvergent) as got:
-            self.sums(2, self.COEFFS[1], x, radii, sphere, weighted, tol_rel=1e-10, kmax=3000)
+            self.sums(2, self.COEFFS[1], x, radii, sphere, weighted, tol_rel=1e-10)
         assert str(got.value) == str(want.value)
 
-    def test_the_plain_n2_kernel_passes_the_cap_in_closed_form(self):
+    def test_the_plain_n2_kernel_passes_the_cap_in_closed_form(self, monkeypatch):
         # the rule sum still meets the cap; the grid is summed in closed form
+        monkeypatch.setattr("hball.kernel.KMAX_DEFAULT", 3000)
         _, radii, sphere, weighted = self.rule(2, 10, degree=149)
         x = np.array([[0.3, 0.0], [0.999, 0.0]])
         with pytest.raises(NonConvergent):
-            self.sums(2, self.COEFFS[0], x, radii, sphere, weighted, tol_rel=1e-10, kmax=3000)
-        got = eval_coeff_series_grid(2, self.COEFFS[0], sphere.units, x[1], [radii], tol_rel=1e-10, kmax=3000)[0]
+            self.sums(2, self.COEFFS[0], x, radii, sphere, weighted, tol_rel=1e-10)
+        got = eval_coeff_series_grid(2, self.COEFFS[0], sphere.units, x[1], [radii], tol_rel=1e-10)[0]
         assert_within_closed_form_bound(got, 0.0, radii * 0.999, np.clip(sphere.units[:, 0], -1.0, 1.0))
 
     def test_non_finite_and_misshapen_inputs(self):
@@ -1320,23 +1326,25 @@ class TestPlainN2ClosedForm:
     def test_beyond_the_cap_it_is_within_the_bound_of_mpmath(self, alpha, depth, seed):
         rho, u, units = self.grid(seed, 1.0 - 2.0**-depth, m=6)
         coeff = CoeffProduct.kernel(alpha)
-        with pytest.raises(NonConvergent, match="not certified"):
-            _series_sum(2, coeff, u, [rho], tol_rel=1e-10, kmax=3000)
-        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10, kmax=3000)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("hball.kernel.KMAX_DEFAULT", 3000)
+            with pytest.raises(NonConvergent, match="not certified"):
+                _series_sum(2, coeff, u, [rho], tol_rel=1e-10)
+            got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
         assert_within_closed_form_bound(got, alpha, rho, np.clip(units[:, 0], -1.0, 1.0))
 
     def test_a_tolerance_below_the_bound_sums_the_series(self):
         rho, u, units = self.grid(1, 0.6)
         coeff = CoeffProduct.kernel(0.5)
-        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is not None
-        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-16) is None
+        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-10) is not None
+        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-16) is None
         got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-16)[0]
         want = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-16)[0][0]
         assert np.array_equal(got, want)
 
     def test_an_overflowing_mass_sums_the_series(self):
         rho, u, _ = self.grid(2, 0.9)
-        assert _n2_closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
+        assert _n2_closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_rel=1e-10) is None
 
     def test_plain_kernels_keep_the_plain_form_bit_for_bit(self):
         rho, u, units = self.grid(5, 0.999)
@@ -1364,7 +1372,7 @@ class TestPlainN2ClosedForm:
         rho, u, units = self.grid(3, 0.9)
         units = np.pad(units, ((0, 0), (0, n - 2)))
         if n == 2:
-            assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is None
+            assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-10) is None
         got = eval_coeff_series_grid(n, coeff, units, np.eye(n)[0], [rho], tol_rel=1e-10)[0]
         want = _series_sum(n, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)[0][0]
         assert np.array_equal(got, want)
@@ -1462,7 +1470,7 @@ class TestLiftedN2ClosedForm:
     def test_inside_the_cap_it_agrees_with_the_series(self, name, seed):
         coeff = LIFTED[name][0]
         rho, u, units = self.grid(seed, 0.99)
-        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-10) is not None
+        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-10) is not None
         got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
         want, _, masses, _ = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)
         assert np.all(np.abs(got - want[0]) <= 1e-10 * masses[0][:, None])
@@ -1476,9 +1484,11 @@ class TestLiftedN2ClosedForm:
     def test_beyond_the_cap_it_is_within_the_bound_of_mpmath(self, name, depth, seed):
         coeff, q, offsets = LIFTED[name]
         rho, u, units = self.grid(seed, 1.0 - 2.0**-depth, m=6)
-        with pytest.raises(NonConvergent, match="not certified"):
-            _series_sum(2, coeff, u, [rho], tol_rel=1e-10, kmax=3000)
-        got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10, kmax=3000)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("hball.kernel.KMAX_DEFAULT", 3000)
+            with pytest.raises(NonConvergent, match="not certified"):
+                _series_sum(2, coeff, u, [rho], tol_rel=1e-10)
+            got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
         want, moduli, mass = lifted_reference(q, offsets, rho, np.clip(units[:, 0], -1.0, 1.0))
         order = len(offsets) + (1.0 if q == -2.0 else 2.0 + q)
         bound = STATED_ROUNDING * np.finfo(float).eps * (1.0 + order * (1.0 + np.abs(np.log(moduli))))
@@ -1487,7 +1497,7 @@ class TestLiftedN2ClosedForm:
     def test_a_tolerance_below_the_bound_sums_the_series(self):
         coeff = LIFTED["critical_alpha0"][0]
         rho, u, units = self.grid(6, 0.6)
-        assert _n2_closed_form(coeff, u, [rho], tol_abs=0.0, tol_rel=1e-16) is None
+        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-16) is None
         got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-16)[0]
         want = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-16)[0][0]
         assert np.array_equal(got, want)
@@ -1552,3 +1562,49 @@ class TestNonFiniteInputs:
             eval_coeff_series_points(2, self.coeff, (0.5, 0.0), np.array([[0.1, np.inf]]), tol_abs=1e-9)
         with pytest.raises(ValueError, match="finite"):
             kernel_eval(2, 0.0, np.array([np.nan, 0.0]), np.array([0.5, 0.0]), 1e-9)
+
+
+class TestTolerances:
+    """A NaN, infinite or negative tolerance, or none positive, is refused
+    with a ValueError naming it before any series work, on every entry and
+    at n = 2 (closed form) as at n = 3."""
+
+    coeff = CoeffProduct.kernel(0.0)
+
+    @pytest.fixture(autouse=True)
+    def no_series_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr("hball.kernel._certified_degree", never)
+        monkeypatch.setattr("hball.kernel._n2_closed_form", never)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_kernel_eval(self, tol):
+        with pytest.raises(ValueError, match="tolerance tol_abs must be finite and >= 0"):
+            kernel_eval(3, 0.0, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0], tol)
+
+    def test_a_zero_tolerance(self):
+        with pytest.raises(ValueError, match="a positive tolerance tol_abs or tol_rel"):
+            kernel_eval(2, 0.0, [0.5, 0.0], [1.0, 0.0], 0.0)
+        with pytest.raises(ValueError, match="a positive tolerance tol_rel"):
+            eval_coeff_series_grid(2, self.coeff, np.eye(2), (0.5, 0.0), [[0.5]], tol_rel=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_grids(self, n, tol):
+        with pytest.raises(ValueError, match="tolerance tol_rel must be finite and >= 0"):
+            eval_coeff_series_grid(n, self.coeff, np.eye(n), 0.5 * np.eye(n)[0], [[0.5]], tol_rel=tol)
+
+    @pytest.mark.parametrize("key", ["tol_abs", "tol_rel"])
+    def test_points(self, key):
+        with pytest.raises(ValueError, match=f"tolerance {key} must be finite"):
+            eval_coeff_series_points(3, self.coeff, (0.5, 0.0, 0.0), np.eye(3) * 0.5, **{key: math.nan})
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rule_sums(self, n):
+        sphere = sphere_rule(n, 8)
+        weighted = np.ones((2, sphere.units.shape[0])) * sphere.weights
+        with pytest.raises(ValueError, match="tolerance tol_rel must be finite"):
+            eval_coeff_series_rule_sum(n, self.coeff, 0.5 * np.eye(n)[:1], np.array([0.3, 0.6]),
+                                       sphere.units, weighted, sphere.rings, tol_rel=math.nan)

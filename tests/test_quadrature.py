@@ -63,7 +63,8 @@ class TestRadialRule:
     def test_beta_moments_exact(self):
         for n in (2, 3):
             for gamma in (0.0, 1.0, 2.5, -0.5):
-                q = BallQuadrature.build(n, gamma, 24, radial_count=12)
+                q = BallQuadrature.build(n, gamma, 40)
+                assert q.radial_nodes.shape == (12,)  # 40 // 4 + 2
                 for j in range(0, 2 * 12 - 1, 4):
                     got = float(q.radial_weights @ q.radial_nodes ** (2 * j))
                     want = radial_moment(n, gamma, j)
@@ -184,10 +185,8 @@ class TestIntegrateBall:
 
         for n in (2, 3):
             q1 = BallQuadrature.build(n, 0.5, 20)
-            q2 = BallQuadrature.build(
-                n, 0.5, 20,
-                radial_count=2 * q1.radial_nodes.shape[0], sphere_degree=41,
-            )
+            q2 = BallQuadrature.build(n, 0.5, 56)  # 16 radii against 8, degree 56 against 20
+            assert q2.radial_nodes.shape[0] == 2 * q1.radial_nodes.shape[0]
             g_grid = grid_integrand(g)
             assert abs(integrate_ball(q1, g_grid) - integrate_ball(q2, g_grid)) < 1e-8
 

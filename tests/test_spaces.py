@@ -476,7 +476,7 @@ class TestReproduce:
         for x, g in zip(points, got):
             want, mass, k = rule_sum_reference(
                 q.dimension, CoeffProduct.kernel(kernel_s), x, q.radial_nodes, q.units,
-                weighted, 1e-9,
+                weighted, spaces._RULE_TOL,
             )
             assert abs(g - want / v) <= 1e-12 * mass / v
             degrees.append(k)
@@ -491,7 +491,7 @@ class TestReproduce:
         points = points_at_norms(np.random.default_rng(n), n, [0.0, 0.3, 0.8, 0.9])
         got = reproduce(f, s, t, points, q)
         assert got.shape == (4,)
-        gv = spaces._rule_derivative(f, s, t, q, 1e-9)
+        gv = spaces._rule_derivative(f, s, t, q)
         want = {2: [0, 20, 112, 238], 3: [0, 22, 124, 262]}[n]
         assert self.assert_rule_sums(q, s, points, gv, got) == want
         for x, g in zip(points, got):
@@ -537,7 +537,7 @@ class TestSplit:
         n, alpha, pair = 2, 0.0, DiffPair(1.0, 1.0)
         f = HarmonicExpansion(n, (KernelAtom(0.3, (0.0, 0.6)),))
         q = reproducing_rule(n, pair.s, pair.t)
-        gv = spaces._rule_derivative(f, pair.s, pair.t, q, 1e-9)
+        gv = spaces._rule_derivative(f, pair.s, pair.t, q)
         mask = (1.0 - q.radial_nodes**2)[:, None] ** (alpha + pair.t) * np.abs(gv) >= 0.5
         assert 0 < mask.sum() < mask.size
         res = split(f, alpha, pair, 0.5, q)
