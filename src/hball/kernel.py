@@ -77,8 +77,9 @@ one associated-Legendre recurrence over the rings (`_AssociatedLegendre`).
 A point then costs O(K) at n = 2 and O(K^2) at n = 3, not O(K M) over the
 rule's M directions.  Past a degree K* read off the rule's shape
 (`_shared_degree`), where the shared ring work, which grows as K^2, would
-cost more, an n = 3 point sums its own grid series on the rule's nodes
-(`_series_sum`) and weights it, the same finite sum in another order.
+cost more, an n = 3 point sums its own grid series on the distinct
+cosines of the rule's nodes (`_series_sum`) and weights it, the same finite
+sum in another order.
 """
 
 from __future__ import annotations
@@ -159,12 +160,14 @@ _SEED_MAX_DEGREE = 3000
 _PIECE_ROWS = 512
 
 # Multiple of eps in the rounding bound of the n = 2 closed form, in units
-# of eps (1 + B (1 + |log|w||)) mass.  Against 40- to 50-digit mpmath, with
-# rho up to 1 - 2^-40 and u = +-1 among the cosines, the largest error was
-# 1.98 for plain kernels with b = 2 + alpha in (0, 20] (B = b, worst at
-# b = 0.01; the b term is the rounding of w raised to the power -b) and 1.75
-# for the lifted fields (B = `_N2Form.order` up to 22, the family's fields
-# below 1).
+# of eps (1 + B (1 + |log|w||)) mass.  For plain kernels with b = 2 + alpha
+# in [0.01, 20] (B = b; the b term is the rounding of w^-b), 4 000 points
+# against 50-digit mpmath, with rho up to 1 - 2^-40 and u = +-1 and near 1,
+# gave at most 2.10 in real arithmetic, exp(-b log|w|) cos(b arg w), and
+# 2.12 for the complex power w**-b it replaced, both worst at b = 0.01; a
+# second sweep of 4 000 points gave 2.05 for both.
+# Against 40- to 50-digit mpmath the lifted fields gave at most 1.75
+# (B = `_N2Form.order` up to 22, the family's fields below 1).
 _CLOSED_FORM_ROUNDING = 4.0
 _EPS = float(np.finfo(float).eps)
 
@@ -827,42 +830,25 @@ def _series_sums(
     Pass 1 (`_certified_degree`) fixes each coefficient's K on the
     majorant and returns its pass-2 factors.  Pass 2 (`_angular_pass`) then
     sums the whole batch against one angular table (`_angular_source`) up
-    to the largest K, at every n.  The table is built over the distinct u
-    (exact `np.unique`) and the values are gathered back to the directions
-    at the end; when no u repeats it is built over u itself, so that no
-    second grid is held.  Each coefficient's rows are formed per degree
-    block from a radial factor shared by the batch and the coefficient's
-    own factors s_k c_k rho_max^k, which pass 1 returns off its blocks at
-    the largest radius, so no c_k rho^k is computed twice.  All rho sets
-    share each product.  Beyond the outputs (and the gathered values) a
-    call holds those factors, K + 1 values per coefficient, the radial
-    factors of one degree block, the held rows of the table and a product
-    of the radii against them, each of at most max(_TABLE_CHUNK_BYTES, 8
-    (K+1) _TABLE_COLUMNS, 8 len(rho) _TABLE_COLUMNS) bytes, rows of no more
-    bytes than the held table rows and, at n = 2, the phases of
-    `_circle_rows`, at most _PIECE_ROWS complex values per column.  A
-    coefficient's results do not depend on the others of its batch, and a
-    value does not depend on the other directions of the call.
+    to the largest K, at every n, over the cosines u as given: a caller
+    whose cosines repeat passes the distinct ones (`_distinct`).  Each
+    coefficient's rows are formed per degree block from a radial factor
+    shared by the batch and the coefficient's own factors s_k c_k
+    rho_max^k, which pass 1 returns off its blocks at the largest radius,
+    so no c_k rho^k is computed twice.  All rho sets share each product.
+    Beyond the outputs a call holds those factors, K + 1 values per
+    coefficient, the radial factors of one degree block, the held rows of
+    the table and a product of the radii against them, each of at most
+    max(_TABLE_CHUNK_BYTES, 8 (K+1) _TABLE_COLUMNS, 8 len(rho)
+    _TABLE_COLUMNS) bytes, rows of no more bytes than the held table rows
+    and, at n = 2, the phases of `_circle_rows`, at most _PIECE_ROWS
+    complex values per column.  A coefficient's results do not depend on
+    the others of its batch, and a value does not depend on the other
+    cosines of the call.
     """
     u = np.asarray(u, dtype=float)
     rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
-
-    # the columns the angular table is built on: the distinct u, each
-    # direction's value gathered from its column, or u itself when no
-    # value repeats
-    cols = np.unique(u)
-    gather = cols.shape[0] < u.shape[0]
-    if gather:
-        inv = np.searchsorted(cols, u)
-    else:
-        cols = u
-
-    # the gathered values, allocated before the series work: callers keep
-    # such grids (shell values are cached), and one allocated last sits
-    # above the freed temporaries on the heap, which raised the peak RSS of
-    # the n = 3 inclusion experiment by 0.3-0.5 MB
-    outs = [np.empty((rho.shape[0], u.shape[0])) if gather else None for _ in coeffs]
-    accs = [np.zeros((rho.shape[0], cols.shape[0])) for _ in coeffs]
+    accs = [np.zeros((rho.shape[0], u.shape[0])) for _ in coeffs]
     _LOG_TABLES.hold(n, coeffs)
 
     results, terms = [], []
@@ -876,18 +862,10 @@ def _series_sums(
             continue
         if factors:
             terms.append((acc, factors))
-        results.append((tails, masses, k_used))
+        results.append(([acc[sl] for sl in sets], tails, masses, k_used))
     if terms:
-        _angular_pass(n, cols, rho, terms)
-
-    out = []
-    for result, acc, values in zip(results, accs, outs):
-        if not isinstance(result, NonConvergent):
-            if gather:
-                acc = np.take(acc, inv, axis=1, out=values)
-            result = ([acc[sl] for sl in sets], *result)
-        out.append(result)
-    return out
+        _angular_pass(n, u, rho, terms)
+    return results
 
 
 def _series_sum(n: int, coeff: CoeffProduct, u: np.ndarray, rho_sets: list[np.ndarray], **kw):
@@ -1016,22 +994,32 @@ class _N2Form:
 
     @property
     def plain(self) -> bool:
-        """P = 1 on the upper branch: F = w^-b reads neither z nor log w."""
+        """P = 1 on the upper branch: F = w^-b reads neither z nor w."""
         return not self.lower and len(self.coefs) == 1
 
-    def __call__(self, z, w, log_w):
-        """F at z, given w = 1 - z and log w (real or complex arrays)."""
-        if self.plain:
-            return w**-self.b
+    def __call__(self, z, w, log_abs, arg):
+        """Re F at z, given w = 1 - z, log |w| and arg w.
+
+        The upper forms take w^-b = exp(-b log|w|) e^{-i b arg w} on the
+        principal branch (DLMF 4.2), in real arithmetic, for every b: the
+        plain form is exp(-b log|w|) cos(b arg w) and reads neither z nor
+        w.  The others read z / w, or 1 / w and log w = log|w| + i arg w
+        at q = -2 (real or complex arrays)."""
+        if not self.lower:
+            mag = np.exp(-self.b * log_abs)
+            phase = self.b * arg
+            if self.plain:
+                return mag * np.cos(phase)
         y = 1.0 / w if self.lower else z / w
         poly = self.coefs[-1] if self.coefs else 0.0
         for c in self.coefs[-2::-1]:
             poly = poly * y + c
         if not self.lower:
-            return w**-self.b * poly
+            # Re((cos - i sin)(b arg w) poly)
+            return mag * (np.cos(phase) * np.real(poly) + np.sin(phase) * np.imag(poly))
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_term = np.where(z == 0.0, 1.0, -log_w / z)
-        return y * poly + self.log_coef * log_term
+            log_term = np.where(z == 0.0, 1.0, -(log_abs + 1j * arg) / z)
+        return np.real(y * poly + self.log_coef * log_term)
 
 
 def _n2_closed_form(coeff, u, rho_sets, *, tol_rel: float):
@@ -1040,15 +1028,19 @@ def _n2_closed_form(coeff, u, rho_sets, *, tol_rel: float):
 
     z = rho e^{i theta} with cos theta = u, and 1 - z is formed without
     cancellation as w = (1 - rho) + rho (1 - u) - i rho sqrt((1 - u)(1 + u));
-    the sign of Im w does not change Re F.  For q = -2, log |w| is
-    log1p(rho (rho - 2u)) / 2 where |w|^2 >= 1/2 and log(abs(w)) below, and
-    arg w is atan2.  The rounding error is at most _CLOSED_FORM_ROUNDING eps
-    (1 + B (1 + |log|w||)) mass with B = `order` and mass = 2 F(rho) - 1,
-    the majorant; since 1 - rho <= |w| <= 1 + rho, |log|w|| <= -log(1 - rho)
-    bounds it per radius.  The form is used only when that bound meets
-    tol_rel mass at every radius and every value is finite;
-    otherwise (and for rho outside [0, 1)) the caller sums the series, whose
-    tail bound stays as it is.
+    the sign of Im w does not change Re F.  Re w, Im w, log |w| and arg w
+    are formed once, in real arithmetic, for every form: log |w| is
+    log1p(gap) / 2 with gap = rho (rho - 2u) = |w|^2 - 1 where gap > -1/2
+    and log(Re^2 + Im^2) / 2 below, and arg w is atan2.  The complex z and
+    w are formed only for the forms with P != 1.  Each value is elementwise
+    in its radius and cosine, so repeated cosines get bit-identical values
+    and a caller may pass the distinct ones (`_distinct`).  The rounding
+    error is at most _CLOSED_FORM_ROUNDING eps (1 + B (1 + |log|w||)) mass
+    with B = `order` and mass = 2 F(rho) - 1, the majorant; since 1 - rho
+    <= |w| <= 1 + rho, |log|w|| <= -log(1 - rho) bounds it per radius.  The
+    form is used only when that bound meets tol_rel mass at every radius
+    and every value is finite; otherwise (and for rho outside [0, 1)) the
+    caller sums the series, whose tail bound stays as it is.
     """
     form = _N2Form.of(coeff)
     if form is None:
@@ -1058,23 +1050,40 @@ def _n2_closed_form(coeff, u, rho_sets, *, tol_rel: float):
         return None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log_gap = np.log1p(-rho)
-        mass = 2.0 * form(rho, 1.0 - rho, log_gap) - 1.0
+        mass = 2.0 * form(rho, 1.0 - rho, log_gap, 0.0) - 1.0
         bound = _CLOSED_FORM_ROUNDING * _EPS * (1.0 + form.order * (1.0 - log_gap)) * mass
         if not (np.all(np.isfinite(mass)) and np.all(bound <= tol_rel * mass)):
             return None
-        rho, sin = rho[:, None], np.sqrt((1.0 - u) * (1.0 + u))[None, :]
-        w = ((1.0 - rho) + rho * (1.0 - u)[None, :]) - 1j * (rho * sin)
-        z = log_w = None
+        rho, u = rho[:, None], u[None, :]
+        sin = np.sqrt((1.0 - u) * (1.0 + u))
+        re_w = (1.0 - rho) + rho * (1.0 - u)
+        im_w = rho * -sin
+        gap = rho - 2.0 * u
+        gap *= rho  # |w|^2 - 1
+        log_abs = np.log1p(gap)
+        low = gap <= -0.5
+        if low.any():
+            log_abs[low] = np.log(np.square(re_w[low]) + np.square(im_w[low]))
+        log_abs *= 0.5
+        arg = np.arctan2(im_w, re_w)
+        z = w = None
         if not form.plain:
-            z = rho * (u[None, :] + 1j * sin)
-        if form.lower:
-            gap = rho * (rho - 2.0 * u[None, :])  # |w|^2 - 1
-            log_abs = np.where(gap > -0.5, 0.5 * np.log1p(gap), np.log(np.abs(w)))
-            log_w = log_abs + 1j * np.arctan2(w.imag, w.real)
-        values = 2.0 * np.real(form(z, w, log_w)) - 1.0
+            w = re_w + 1j * im_w
+            z = rho * (u + 1j * sin)
+        values = 2.0 * form(z, w, log_abs, arg) - 1.0
     if not np.all(np.isfinite(values)):
         return None
     return [values[sl] for sl in sets]
+
+
+def _distinct(u: np.ndarray):
+    """(cols, inv): the distinct cosines, by exact `np.unique`, and each
+    direction's column among them; (u, None) when no cosine repeats, so
+    that no second grid is gathered."""
+    cols = np.unique(u)
+    if cols.shape[0] == u.shape[0]:
+        return u, None
+    return cols, np.searchsorted(cols, u)
 
 
 def eval_coeff_series_grids(
@@ -1097,34 +1106,52 @@ def eval_coeff_series_grids(
     coefficients share one angular table (`_series_sums`); a coefficient's
     grids do not depend on the others.
 
-    At n = 2 a coefficient that `_N2Form` covers is summed in closed form
-    where its stated rounding bound meets the tolerance (`_n2_closed_form`);
-    it needs no degree cap, so KMAX_DEFAULT does not limit it.  Every other
+    Every value depends on its radius and its cosine u = <unit, pole/|pole|>
+    alone, so the call finds the distinct cosines once (`_distinct`, exact
+    `np.unique`), evaluates on them, and gathers each coefficient's grids
+    back to the directions into outputs allocated before the work; when no
+    cosine repeats it evaluates on the directions themselves.  At n = 2 a
+    coefficient that `_N2Form` covers is evaluated in closed form where its
+    stated rounding bound meets the tolerance (`_n2_closed_form`); it needs
+    no degree cap, so KMAX_DEFAULT does not limit it.  Every other
     coefficient sums the certified series.
     """
     _require_tolerances(tol_rel=tol_rel)
     pole = np.asarray(pole, dtype=float)
     units = np.asarray(units, dtype=float)
-    radii_sets = [np.asarray(r, dtype=float) for r in radii_sets]
+    radii, sets = _stack([np.asarray(r, dtype=float) for r in radii_sets])
     _require_finite("units", units)
     _require_finite("pole", pole)
-    _require_finite("radii", *radii_sets)
+    _require_finite("radii", radii)
     pole_unit, pole_norm = _unit_and_norm(pole)
     if pole_norm == 0.0:
         # only the k = 0 term survives: the sum is identically c_0 = 1
-        return [[np.ones((r.shape[0], units.shape[0])) for r in radii_sets] for _ in coeffs]
-    u = np.clip(units @ pole_unit, -1.0, 1.0)
-    rho_sets = [r * pole_norm for r in radii_sets]
+        return [[np.ones((sl.stop - sl.start, units.shape[0])) for sl in sets] for _ in coeffs]
+    cols, inv = _distinct(np.clip(units @ pole_unit, -1.0, 1.0))
+    rho = radii * pole_norm
+    rho_sets = [rho[sl] for sl in sets]
+    # the gathered grids, allocated before the work: callers keep such
+    # grids (shell values are cached), and one allocated last sits above
+    # the freed temporaries on the heap, which raised the peak RSS of the
+    # n = 3 inclusion experiment by 0.3-0.5 MB
+    outs = [None if inv is None else np.empty((rho.shape[0], inv.shape[0])) for _ in coeffs]
+
+    def gathered(i, grids):
+        """Coefficient i's grids on the directions, written into its output
+        (mode "clip" writes with no buffer: the indices are in range)."""
+        if inv is None or grids is None or isinstance(grids, NonConvergent):
+            return grids
+        return [np.take(g, inv, axis=1, out=outs[i][sl], mode="clip") for g, sl in zip(grids, sets)]
+
     results = [None] * len(coeffs)
     if n == 2:
         for i, coeff in enumerate(coeffs):
-            results[i] = _n2_closed_form(coeff, u, rho_sets, tol_rel=tol_rel)
+            results[i] = gathered(i, _n2_closed_form(coeff, cols, rho_sets, tol_rel=tol_rel))
     series = [i for i, values in enumerate(results) if values is None]
-    if not series:
-        return results
-    sums = _series_sums(n, [coeffs[i] for i in series], u, rho_sets, tol_rel=tol_rel)
-    for i, result in zip(series, sums):
-        results[i] = result if isinstance(result, NonConvergent) else result[0]
+    if series:
+        sums = _series_sums(n, [coeffs[i] for i in series], cols, rho_sets, tol_rel=tol_rel)
+        for i, result in zip(series, sums):
+            results[i] = gathered(i, result if isinstance(result, NonConvergent) else result[0])
     return results
 
 
@@ -1158,17 +1185,16 @@ def eval_coeff_series_points(
     pole,
     points: np.ndarray,
     *,
-    tol_abs: float = 0.0,
-    tol_rel: float = 0.0,
+    tol_abs: float,
 ):
     """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points,
-    each value certified to tol_abs + tol_rel times its majorant mass.
+    each value certified to the absolute tolerance tol_abs.
 
     Each point is summed as its own 1 x 1 grid, cut at its own K, so a
     value does not depend on the other points.  Returns (values, tails,
     degree_used), degree_used the largest K (0 when no series is summed).
     """
-    _require_tolerances(tol_abs=tol_abs, tol_rel=tol_rel)
+    _require_tolerances(tol_abs=tol_abs)
     pole = np.asarray(pole, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _require_finite("pole", pole)
@@ -1184,9 +1210,7 @@ def eval_coeff_series_points(
     values, tails = np.empty(rho.shape[0]), np.empty(rho.shape[0])
     k_used = 0
     for i in range(rho.shape[0]):
-        v, t, _, k = _series_sum(
-            n, coeff, u[i : i + 1], [rho[i : i + 1]], tol_abs=tol_abs, tol_rel=tol_rel
-        )
+        v, t, _, k = _series_sum(n, coeff, u[i : i + 1], [rho[i : i + 1]], tol_abs=tol_abs)
         values[i], tails[i], k_used = v[0][0, 0], t[0][0], max(k_used, k)
     return values, tails, k_used
 
@@ -1473,9 +1497,10 @@ def eval_coeff_series_rule_sum(
     chunk would pass _TABLE_CHUNK_BYTES), so no (K+1) x M table is held;
     then a point costs O(K_x) at n = 2 and O(K_x^2) at n = 3.  An n = 3
     point with K_x above K* (`_shared_degree`) sums its own grid series
-    over radii |x| radii and the cosines u_j instead (`_series_sum`, the
-    same K_x), and that grid against `weighted` with no second grid-sized
-    temporary.  The path is chosen from K_x alone, and neither path lets a
+    instead (`_series_sum`, the same K_x), over radii |x| radii and the
+    distinct cosines u_j (`_distinct`), and that grid against `weighted`
+    folded onto them by a per-radius `np.bincount`, so beside `weighted` it
+    holds no radii x nodes grid.  The path is chosen from K_x alone, and neither path lets a
     point's value depend on the other points.  A point at the origin keeps
     only the k = 0 term.  Nodes off the rings must carry zero weighted
     values.  Returns (values,
@@ -1519,9 +1544,15 @@ def eval_coeff_series_rule_sum(
             coeff, points[~deep], degrees[~deep], radii, units, rings, weighted
         )
     for p in np.flatnonzero(deep):
-        u = np.clip(units @ x_units[p], -1.0, 1.0)
-        (grid,), *_ = _series_sum(n, coeff, u, [radii * norms[p]], tol_rel=tol_rel)
-        values[p] = np.vdot(grid, weighted)
+        cols, inv = _distinct(np.clip(units @ x_units[p], -1.0, 1.0))
+        (grid,), *_ = _series_sum(n, coeff, cols, [radii * norms[p]], tol_rel=tol_rel)
+        folded = weighted
+        if inv is not None:
+            # the weighted values summed per distinct cosine, radius by radius
+            folded = np.empty(grid.shape)
+            for row, w in zip(folded, weighted):
+                row[:] = np.bincount(inv, weights=w, minlength=cols.shape[0])
+        values[p] = np.vdot(grid, folded)
     return values, degrees
 
 

@@ -106,12 +106,14 @@ def recurrence_rows(n, u, k0, size, state):
     return out
 
 
-def streamed_reference(n, coeff, u, rho_sets, *, tol_rel, kmax=200_000, matmul=True):
+def streamed_reference(n, coeff, u, rho_sets, *, tol_rel=0.0, tol_abs=0.0, kmax=200_000, matmul=True):
     """The sum that streams the recurrence over every column up to the
     degree `certified_degree_reference` finds: the reference for the stop
     degree, the tails, the masses, the values and the error at the cap."""
     u = np.asarray(u, dtype=float)
-    tails, masses, k_used = certified_degree_reference(n, coeff, rho_sets, tol_rel=tol_rel, kmax=kmax)
+    tails, masses, k_used = certified_degree_reference(
+        n, coeff, rho_sets, tol_rel=tol_rel, tol_abs=tol_abs, kmax=kmax
+    )
     with np.errstate(divide="ignore"):
         log_rhos = [np.log(np.maximum(r, 0.0)) for r in rho_sets]
     state = [None, None]

@@ -297,8 +297,8 @@ def repeated_u(rng, m, distinct):
 
 class TestTwoPassSum:
     """The majorant pass stops at the degree the streamed recurrence stopped
-    at, and the angular table over the distinct u, or over u itself when no
-    u repeats, gives its values."""
+    at, and the angular table over the cosines given, repeated or not,
+    gives its values."""
 
     COEFFS = (CoeffProduct.kernel(0.0), CoeffProduct.kernel(-2.7).shifted(0.4, 1.1))
 
@@ -327,16 +327,18 @@ class TestTwoPassSum:
 
     def assert_points_match(self, n, coeff, u, rho):
         """Point evaluation against the streamed sum of each point alone;
-        the degree used is the largest point's K."""
+        the degree used is the largest point's K.  The absolute tolerance
+        1e-10 certifies at least as much as 1e-10 of the mass, which is at
+        least c_0 = 1."""
         pole, points, u_pts, rho_pts = self.paired_points(n, u, rho)
-        values, tails, k_used = eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10)
+        values, tails, k_used = eval_coeff_series_points(n, coeff, pole, points, tol_abs=1e-10)
         assert values.shape == tails.shape == rho_pts.shape
         degrees, refs = [], {}  # the reference of each distinct point
         for i in range(rho_pts.shape[0]):
             key = (u_pts[i], rho_pts[i])
             if key not in refs:
                 refs[key] = streamed_reference(
-                    n, coeff, u_pts[i : i + 1], [rho_pts[i : i + 1]], tol_rel=1e-10, matmul=False
+                    n, coeff, u_pts[i : i + 1], [rho_pts[i : i + 1]], tol_abs=1e-10, matmul=False
                 )
             (want,), (tail,), (mass,), k = refs[key]
             assert tails[i] == tail[0]
@@ -369,7 +371,7 @@ class TestTwoPassSum:
     @pytest.mark.parametrize("n", [3, 4])
     def test_streamed_pieces_of_few_rows_and_columns(self, n, monkeypatch):
         # tables of one 8-column chunk, over the 2 098 directions at n = 3
-        # and the 17 distinct u at n = 4
+        # and the 60 directions (17 distinct u) at n = 4
         monkeypatch.setattr("hball.kernel._TABLE_CHUNK_BYTES", 8 * 3 * 64)
         u = np.linspace(-1.0, 1.0, 2098) if n == 3 else repeated_u(np.random.default_rng(7), 60, 17)
         self.assert_matches(n, self.COEFFS[1], u, [np.array([0.0, 0.5, 0.8])])
@@ -402,15 +404,17 @@ class TestTwoPassSum:
         # grid: one product grid; otherwise the points u_i, rho_i paired off
         monkeypatch.setattr("hball.kernel.KMAX_DEFAULT", 3000)
         coeff, u, rho = self.COEFFS[0], np.array([0.3, 0.3, 1.0]), np.array([0.5, 0.9999, 0.2])
+        # grids take a tolerance relative to the mass, points an absolute one
+        tol = {"tol_rel": 1e-10} if grid else {"tol_abs": 1e-10}
         if not grid:
             pole, points, u, rho = self.paired_points(n, u, rho)
         with pytest.raises(NonConvergent) as want:
-            streamed_reference(n, coeff, u, [rho], tol_rel=1e-10, kmax=3000, matmul=grid)
+            streamed_reference(n, coeff, u, [rho], kmax=3000, matmul=grid, **tol)
         with pytest.raises(NonConvergent) as got:
             if grid:
-                _series_sum(n, coeff, u, [rho], tol_rel=1e-10)
+                _series_sum(n, coeff, u, [rho], **tol)
             else:
-                eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10)
+                eval_coeff_series_points(n, coeff, pole, points, **tol)
         assert str(got.value) == str(want.value)
 
 
@@ -699,15 +703,15 @@ class TestSmallestCertifiedDegree:
         values, tails, masses, k = _series_sum(n, coeff, u, [np.zeros(3)], tol_rel=1e-9)
         assert k == 1
         assert np.all(values[0] == 1.0) and np.all(tails[0] == 0.0) and np.all(masses[0] == 1.0)
-        values, tails, k = eval_coeff_series_points(n, coeff, 0.5 * np.eye(n)[0], np.zeros((2, n)), tol_rel=1e-9)
+        values, tails, k = eval_coeff_series_points(n, coeff, 0.5 * np.eye(n)[0], np.zeros((2, n)), tol_abs=1e-9)
         assert k == 1 and np.all(values == 1.0)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_each_point_is_the_point_alone(self, n):
         coeff, pole = TestTwoPassSum.COEFFS[1], 0.9 * np.eye(n)[0]
         points = points_at_norms(np.random.default_rng(n), n, [0.1, 0.5, 0.95])
-        values, tails, k = eval_coeff_series_points(n, coeff, pole, points, tol_rel=1e-10)
-        alone = [eval_coeff_series_points(n, coeff, pole, x[None, :], tol_rel=1e-10) for x in points]
+        values, tails, k = eval_coeff_series_points(n, coeff, pole, points, tol_abs=1e-10)
+        alone = [eval_coeff_series_points(n, coeff, pole, x[None, :], tol_abs=1e-10) for x in points]
         # each point stops at its own degree; the call reports the largest
         assert k == max(a[2] for a in alone) > min(a[2] for a in alone)
         for v, t, (one_v, one_t, _) in zip(values, tails, alone):
@@ -991,7 +995,7 @@ class TestLogTables:
                 n, coeff, u, [r * 0.9 for r in radii_sets], tol_rel=1e-10
             )
             out += values + tails + masses + [np.array([k_used])]
-            out += eval_coeff_series_points(n, coeff, pole, 0.7 * units[:5], tol_rel=1e-10)[:2]
+            out += eval_coeff_series_points(n, coeff, pole, 0.7 * units[:5], tol_abs=1e-10)[:2]
             if n in (2, 3):
                 out += TestRuleSum.sums(n, coeff, points, radii, sphere, weighted, tol_rel=1e-9)
             return [bits(a) for a in out]
@@ -1195,6 +1199,28 @@ class TestRuleSum:
         degrees = self.assert_matches(3, coeff, points, radii, sphere, weighted)
         assert min(degrees[:2]) > _SEED_MAX_DEGREE and degrees[2] <= _shared_degree(sphere.rings)
 
+    def test_a_deep_point_on_the_pole_axis_holds_no_second_grid(self):
+        # 64 radii x 861 nodes on 21 cosines: the point sums its grid series
+        # on the distinct cosines and folds `weighted` onto them, so beyond
+        # that series it holds 64 x 21 values, not a 64 x 861 grid
+        rng, radii, sphere, weighted = self.rule(3, 12, degree=40, r=64)
+        axis, coeff = np.eye(3)[-1], self.COEFFS[0]
+        cols = np.unique(np.clip(sphere.units @ axis, -1.0, 1.0))
+        assert cols.size == 21
+        want, degrees = self.sums(3, coeff, 0.995 * axis[None, :], radii, sphere, weighted, tol_rel=1e-9)
+        assert degrees[0] > _shared_degree(sphere.rings)
+        tracemalloc.start()
+        try:
+            _series_sum(3, coeff, cols, [radii * 0.995], tol_rel=1e-9)
+            series = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            got, _ = self.sums(3, coeff, 0.995 * axis[None, :], radii, sphere, weighted, tol_rel=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] == want[0]
+        assert peak - series < weighted.nbytes / 4
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_focused_rules(self, n):
         # a refined circle (n = 2) and asymmetric rings about a tilted pole
@@ -1347,13 +1373,38 @@ class TestPlainN2ClosedForm:
         assert _n2_closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_rel=1e-10) is None
 
     def test_plain_kernels_keep_the_plain_form_bit_for_bit(self):
+        # 2 exp(-b log|w|) cos(b arg w) - 1 in real arithmetic, at integer
+        # and non-integer b alike; u = 1 at rho = 0.999 takes log|w| off
+        # Re^2 + Im^2
         rho, u, units = self.grid(5, 0.999)
-        w = ((1.0 - rho)[:, None] + rho[:, None] * (1.0 - u)[None, :]) - 1j * (
-            rho[:, None] * np.sqrt((1.0 - u) * (1.0 + u))[None, :]
-        )
+        rho, u = rho[:, None], u[None, :]
+        re_w = (1.0 - rho) + rho * (1.0 - u)
+        im_w = -(rho * np.sqrt((1.0 - u) * (1.0 + u)))
+        gap = rho * (rho - 2.0 * u)
+        assert np.any(gap <= -0.5) and np.any(gap > -0.5)
+        with np.errstate(invalid="ignore"):
+            log_abs = 0.5 * np.where(gap > -0.5, np.log1p(gap), np.log(re_w**2 + im_w**2))
+        arg = np.arctan2(im_w, re_w)
         for alpha in (-1.999, -1.5, -0.5, 0.0, 0.7, 3.0):
-            got = eval_coeff_series_grid(2, CoeffProduct.kernel(alpha), units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
-            assert np.array_equal(got, 2.0 * np.real(w ** -(2.0 + alpha)) - 1.0)
+            b = 2.0 + alpha
+            got = eval_coeff_series_grid(2, CoeffProduct.kernel(alpha), units, np.eye(2)[0], [rho[:, 0]], tol_rel=1e-10)[0]
+            assert np.array_equal(got, 2.0 * (np.exp(-b * log_abs) * np.cos(b * arg)) - 1.0)
+
+    # The worst points of a sweep of 4 000 points (b in [0.01, 20], rho up
+    # to 1 - 2^-40, u = +-1 and near 1) against 50-digit mpmath, both at
+    # b = 0.01 exactly: 2.12 units of the stated bound for the complex
+    # power at both, 0.22 and 2.12 for the real form.  The kernel of order
+    # 0.01 - 2 has b = 2 + (0.01 - 2), a few ulps above 0.01, where both
+    # forms read 2.00 and 2.14 units.
+    SWEEP_WORST = ((0.7810980312010538, 0.9999997518295967), (0.7206029622167199, 0.5783683117134981))
+
+    def test_the_worst_points_of_the_sweep_are_within_the_bound_of_mpmath(self):
+        alpha = 0.01 - 2.0
+        for rho, u in self.SWEEP_WORST:
+            units = np.array([[u, math.sqrt((1.0 - u) * (1.0 + u))]])
+            got = eval_coeff_series_grid(2, CoeffProduct.kernel(alpha), units, np.eye(2)[0], [[rho]], tol_rel=1e-10)[0]
+            assert _n2_closed_form(CoeffProduct.kernel(alpha), np.array([u]), [np.array([rho])], tol_rel=1e-10) is not None
+            assert_within_closed_form_bound(got, alpha, np.array([rho]), np.array([u]))
 
     @pytest.mark.parametrize(
         "n,coeff",
@@ -1503,6 +1554,58 @@ class TestLiftedN2ClosedForm:
         assert np.array_equal(got, want)
 
 
+# One coefficient of each evaluation that reads the cosines, as (n,
+# coefficient): the plain form at integer and at non-integer b, a lifted
+# upper form, the lower form at q = -2, and an n = 3 series.
+EVALUATION_KINDS = {
+    "plain_integer_b": (2, CoeffProduct.kernel(0.0)),
+    "plain": (2, CoeffProduct.kernel(0.7)),
+    "lifted_upper": (2, LIFTED["upper_shift"][0]),
+    "lower": (2, LIFTED["lower_atom"][0]),
+    "series_n3": (3, CoeffProduct.kernel(0.0)),
+}
+
+
+class TestRepeatedCosines:
+    """A grid evaluates its distinct cosines once and gathers them back to
+    the directions: each form and the series give repeated cosines, bit for
+    bit, the values of the distinct cosines evaluated alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(list(EVALUATION_KINDS)),
+        theta=st.lists(st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, np.pi)), min_size=1, max_size=6),
+        azimuth=st.floats(0.0, 2.0 * np.pi),
+        rho=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4),
+        pole_norm=st.floats(0.5, 1.0),
+    )
+    def test_mirror_pairs_are_the_distinct_cosines_alone(self, kind, theta, azimuth, rho, pole_norm):
+        n, coeff = EVALUATION_KINDS[kind]
+        theta = np.array(theta)
+        distinct = np.unique(theta)
+
+        def units(t, sign):
+            # directions at angle t from the pole e1, mirrored about it by sign
+            out = np.zeros((t.shape[0], n))
+            out[:, 0] = np.cos(t)
+            out[:, 1] = sign * np.sin(t) * np.cos(azimuth)
+            if n == 3:
+                out[:, 2] = sign * np.sin(t) * np.sin(azimuth)
+            return out
+
+        # each angle both ways about the pole, interleaved
+        pairs = np.stack([units(theta, 1.0), units(theta, -1.0)], axis=1).reshape(-1, n)
+        pole, radii = pole_norm * np.eye(n)[0], [np.array(rho), np.array(rho[:1])]
+        got = eval_coeff_series_grid(n, coeff, pairs, pole, radii, tol_rel=1e-10)
+        alone = eval_coeff_series_grid(n, coeff, units(distinct, 1.0), pole, radii, tol_rel=1e-10)
+        if n == 2:
+            u = np.clip(np.cos(distinct), -1.0, 1.0)
+            assert _n2_closed_form(coeff, u, [r * pole_norm for r in radii], tol_rel=1e-10) is not None
+        column = np.repeat(np.searchsorted(distinct, theta), 2)
+        for g, a in zip(got, alone, strict=True):
+            assert np.array_equal(bits(g), bits(a[:, column]))
+
+
 class TestAngularTable:
     """The angular rows against mpmath at high degree, relative to the bound
     |Q_k| <= h_k that the tail bounds rest on."""
@@ -1585,7 +1688,7 @@ class TestTolerances:
             kernel_eval(3, 0.0, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0], tol)
 
     def test_a_zero_tolerance(self):
-        with pytest.raises(ValueError, match="a positive tolerance tol_abs or tol_rel"):
+        with pytest.raises(ValueError, match="a positive tolerance tol_abs is required"):
             kernel_eval(2, 0.0, [0.5, 0.0], [1.0, 0.0], 0.0)
         with pytest.raises(ValueError, match="a positive tolerance tol_rel"):
             eval_coeff_series_grid(2, self.coeff, np.eye(2), (0.5, 0.0), [[0.5]], tol_rel=0.0)
@@ -1596,10 +1699,10 @@ class TestTolerances:
         with pytest.raises(ValueError, match="tolerance tol_rel must be finite and >= 0"):
             eval_coeff_series_grid(n, self.coeff, np.eye(n), 0.5 * np.eye(n)[0], [[0.5]], tol_rel=tol)
 
-    @pytest.mark.parametrize("key", ["tol_abs", "tol_rel"])
-    def test_points(self, key):
-        with pytest.raises(ValueError, match=f"tolerance {key} must be finite"):
-            eval_coeff_series_points(3, self.coeff, (0.5, 0.0, 0.0), np.eye(3) * 0.5, **{key: math.nan})
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_points(self, tol):
+        with pytest.raises(ValueError, match="tolerance tol_abs must be finite and >= 0"):
+            eval_coeff_series_points(3, self.coeff, (0.5, 0.0, 0.0), np.eye(3) * 0.5, tol_abs=tol)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_rule_sums(self, n):
