@@ -2,8 +2,9 @@
 
 Exit codes: 0 when every check passes, 1 on a hard disagreement or a refused
 config (one for another experiment, a seed, shell depth or tolerance not of
-its report schema type, a shell depth below 1 or a tolerance that is not
-finite and positive), 2 when the only failures are inconclusive verdicts.
+its report schema type, a shell depth below 1, a tolerance that is not
+finite and positive, or kernel-growth parameters it cannot fit), 2 when the
+only failures are inconclusive verdicts.
 """
 
 from __future__ import annotations

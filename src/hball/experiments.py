@@ -36,7 +36,7 @@ from .calculus import (
 from .errors import NonConvergent
 from .kernel import (
     CoeffProduct,
-    eval_coeff_series_grid,
+    eval_coeff_series_grids,
     kernel_growth_exponent_probe,
     log_gamma_coeffs,
 )
@@ -362,37 +362,62 @@ def default_config(name: str) -> ExperimentConfig:
     raise ValueError(f"unknown experiment {name!r}")
 
 
-def _growth_integral_curves(
-    n: int, alpha: float, weights, j_radii, depth: int, tol: float
-):
-    """I(r) = int |R_alpha(r e1, y)|^p (1-|y|^2)^d dnu(y) along dyadic radii,
-    one curve per (p, d) of `weights`.  The kernel values depend only on
-    (n, alpha), so each shell's values are computed once and reweighted."""
+def _growth_integral_curves(n: int, combos, radii: np.ndarray, depth: int, tol: float) -> list:
+    """I(r) = int |R_alpha(r e1, y)|^p (1-|y|^2)^d dnu(y) at the radii r,
+    one curve per combo of the dimension n, or the NonConvergent of its
+    alpha.
+
+    Per shell, the kernels of every distinct alpha are evaluated in one grid
+    call (`eval_coeff_series_grids`), which shares the radius sets, the
+    Legendre table at n = 3 and the closed forms' geometry at n = 2.  A
+    kernel value depends on its radius and its cosine u = <y/|y|, e1>
+    alone, so the call gets one direction per distinct cosine (exact
+    `np.unique` of the dot products, the cosines the kernel finds) and the
+    sphere weights are folded onto those cosines: a curve adds wr |v|^p
+    folded per shell.  An alpha whose series raises keeps its first
+    NonConvergent and leaves the later shells' calls."""
     e1 = (1.0,) + (0.0,) * (n - 1)
+    pole = np.asarray(e1)
     grid = _grid(n, depth, (e1,), azimuth=8)
-    radii = np.array([1.0 - 2.0 ** (-j) for j in j_radii])
-    coeff = CoeffProduct.kernel(alpha)
-    totals = np.zeros((len(weights), len(radii)))
-    for j in range(grid.depth):
-        shell, sph = grid.shells[j], grid.spheres[j]
-        vals = eval_coeff_series_grid(
-            n, coeff, sph.units, np.asarray(e1),
+    alphas = list(dict.fromkeys(combo["alpha"] for combo in combos))
+    totals = np.zeros((len(combos), len(radii)))
+    failed: dict = {}
+    for shell, sph in zip(grid.shells, grid.spheres):
+        live = [alpha for alpha in alphas if alpha not in failed]
+        if not live:
+            break
+        _, first, inv = np.unique(sph.units @ pole, return_index=True, return_inverse=True)
+        folded = np.bincount(inv, weights=sph.weights)
+        results = eval_coeff_series_grids(
+            n, [CoeffProduct.kernel(alpha) for alpha in live], sph.units[first], pole,
             [shell.nodes * r for r in radii], tol_rel=min(tol, 1e-8),
         )
-        for c, (p, d) in enumerate(weights):
-            wr = shell.weights * (1.0 - shell.nodes**2) ** d
-            for i, v in enumerate(vals):
-                totals[c, i] += float(wr @ np.abs(v) ** p @ sph.weights)
-    return radii, totals
+        vals = {}
+        for alpha, result in zip(live, results):
+            if isinstance(result, NonConvergent):
+                failed[alpha] = result
+            else:
+                vals[alpha] = result
+        for c, combo in enumerate(combos):
+            if combo["alpha"] not in vals:
+                continue
+            wr = shell.weights * (1.0 - shell.nodes**2) ** combo["d"]
+            for i, v in enumerate(vals[combo["alpha"]]):
+                totals[c, i] += float(wr @ np.abs(v) ** combo["p"] @ folded)
+    return [failed.get(combo["alpha"], row) for combo, row in zip(combos, totals)]
+
+
+# The regime fit reads the last this many radii.
+_FIT_RADII = 5
 
 
 def _fit_regime(radii: np.ndarray, values: np.ndarray, w: float) -> RegimeFit:
-    big_l = np.log(1.0 / (1.0 - radii**2))
-    log_i = np.log(values)
-    slope, intercept = np.polyfit(big_l[-5:], log_i[-5:], 1)
+    big_l = np.log(1.0 / (1.0 - radii[-_FIT_RADII:] ** 2))
+    log_i = np.log(values[-_FIT_RADII:])
+    slope, intercept = np.polyfit(big_l, log_i, 1)
     diffs = np.diff(values)
     ratio_d = float(np.mean(diffs[-3:]) / np.mean(diffs[:3]))
-    resid_pow = float(np.sqrt(np.mean((log_i[-5:] - (slope * big_l[-5:] + intercept)) ** 2)))
+    resid_pow = float(np.sqrt(np.mean((log_i - (slope * big_l + intercept)) ** 2)))
     if ratio_d >= 2.0:
         return RegimeFit(w, float(slope), resid_pow, RegimeVerdict.POWER)
     if ratio_d <= 0.45:
@@ -406,21 +431,20 @@ def run_kernel_growth(cfg: ExperimentConfig) -> dict:
     """Fit the growth regime of the weighted kernel integrals and compare
     against the sign of w = p(n+alpha) - (n+d)."""
     combos = cfg.parameters["combos"]
-    j_radii = cfg.parameters["j_radii"]
-
-    for combo in combos:
-        if combo["d"] <= -1.0:
-            raise ValueError("the boundary weight d must exceed -1")
-    # the combos of one (n, alpha) share their kernel values
-    groups: dict[tuple, list[int]] = {}
+    radii = np.array([1.0 - 2.0 ** (-j) for j in cfg.parameters["j_radii"]])
+    # the combos of one dimension share one grid call per shell
+    dims: dict[int, list[int]] = {}
     for i, combo in enumerate(combos):
-        groups.setdefault((combo["n"], combo["alpha"]), []).append(i)
+        dims.setdefault(combo["n"], []).append(i)
     curves = [None] * len(combos)
-    for (n, alpha), members in groups.items():
-        weights = [(combos[i]["p"], combos[i]["d"]) for i in members]
-        radii, totals = _growth_integral_curves(n, alpha, weights, j_radii, cfg.shells, cfg.tol)
-        for i, values in zip(members, totals):
-            curves[i] = (radii, values)
+    for n, members in dims.items():
+        results = _growth_integral_curves(n, [combos[i] for i in members], radii, cfg.shells, cfg.tol)
+        for i, values in zip(members, results):
+            curves[i] = values
+    # the series failure of the first combo that has one
+    for values in curves:
+        if isinstance(values, NonConvergent):
+            raise values
 
     def one(combo, radii, values):
         n, p, alpha, d = combo["n"], combo["p"], combo["alpha"], combo["d"]
@@ -444,7 +468,7 @@ def run_kernel_growth(cfg: ExperimentConfig) -> dict:
             "agree": bool(fit.verdict == expected and slope_ok),
         }
 
-    rows = [one(combo, *curve) for combo, curve in zip(combos, curves)]
+    rows = [one(combo, radii, values) for combo, values in zip(combos, curves)]
     inconclusive = sum(r["verdict"] == "inconclusive" for r in rows)
     disagreements = sum((not r["agree"]) and r["verdict"] != "inconclusive" for r in rows)
     return _report("kernel-growth", cfg, rows, disagreements, inconclusive)
@@ -858,8 +882,9 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
 
     Raises ValueError, before any work, for an unknown name, a seed, shell
     depth or tolerance not of its report schema type, a shell depth that is
-    not an integer >= 1 or a tolerance that is not finite and positive; the
-    runners raise it for parameters they refuse.
+    not an integer >= 1, a tolerance that is not finite and positive or
+    kernel-growth parameters it cannot fit; the other runners raise it for
+    parameters they refuse.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -870,13 +895,52 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
 
 def _check_config(cfg: ExperimentConfig) -> None:
     """Raise ValueError unless seed, shells and tol are of their report
-    schema types, the shell depth is an integer >= 1 and the tolerance is
-    finite and positive."""
+    schema types, the shell depth is an integer >= 1, the tolerance is
+    finite and positive and, for kernel-growth, the parameters are ones it
+    can fit (`_check_growth_parameters`)."""
     _check_config_types(vars(cfg))
     if not isinstance(cfg.shells, int) or cfg.shells < 1:
         raise ValueError(f"shells must be an integer >= 1, not {cfg.shells!r}")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         raise ValueError(f"tol must be finite and positive, not {cfg.tol!r}")
+    if cfg.name == "kernel-growth":
+        _check_growth_parameters(cfg.parameters)
+
+
+def _finite_number(value) -> bool:
+    return _SCHEMA_TYPES["number"](value) and math.isfinite(value)
+
+
+def _check_growth_parameters(parameters: dict) -> None:
+    """Raise ValueError, naming the key, unless the kernel-growth combos
+    are a nonempty list, each with n in {2, 3}, finite p > 0, finite alpha
+    and finite d > -1, and j_radii holds at least _FIT_RADII finite values
+    j >= 0, strictly increasing, whose radii 1 - 2^-j are distinct and
+    below 1.0 as doubles: the fit reads the last _FIT_RADII of them, and
+    a radius of 1.0 divides by zero."""
+    combos = parameters.get("combos")
+    if not isinstance(combos, list) or not combos:
+        raise ValueError(f"combos must be a nonempty list, not {combos!r}")
+    for i, combo in enumerate(combos):
+        if not isinstance(combo, dict):
+            raise ValueError(f"combos[{i}] must be an object, not {combo!r}")
+        n, p, alpha, d = (combo.get(key) for key in ("n", "p", "alpha", "d"))
+        if isinstance(n, bool) or not isinstance(n, int) or n not in (2, 3):
+            raise ValueError(f"combos[{i}].n must be 2 or 3, not {n!r}")
+        if not (_finite_number(p) and p > 0.0):
+            raise ValueError(f"combos[{i}].p must be finite and > 0, not {p!r}")
+        if not _finite_number(alpha):
+            raise ValueError(f"combos[{i}].alpha must be finite, not {alpha!r}")
+        if not (_finite_number(d) and d > -1.0):
+            raise ValueError(f"combos[{i}].d, the boundary weight, must be finite and > -1, not {d!r}")
+    j_radii = parameters.get("j_radii")
+    if not (isinstance(j_radii, list) and len(j_radii) >= _FIT_RADII and all(map(_finite_number, j_radii))):
+        raise ValueError(f"j_radii must hold at least {_FIT_RADII} finite numbers, not {j_radii!r}")
+    if j_radii[0] < 0 or any(b <= a for a, b in zip(j_radii, j_radii[1:])):
+        raise ValueError(f"j_radii must be >= 0 and strictly increasing, not {j_radii!r}")
+    radii = [1.0 - 2.0**-j for j in j_radii]
+    if radii[-1] >= 1.0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"j_radii must give distinct radii 1 - 2^-j below 1.0, not {j_radii!r}")
 
 
 def _check_config_types(values: dict) -> None:

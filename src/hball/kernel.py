@@ -84,6 +84,7 @@ sum in another order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -1022,54 +1023,75 @@ class _N2Form:
         return np.real(y * poly + self.log_coef * log_term)
 
 
-def _n2_closed_form(coeff, u, rho_sets, *, tol_rel: float):
-    """sum_k c_k Z_k(x, pole) at n = 2 in closed form (`_N2Form`), on the
-    product grids rho x u of `rho_sets`; None where the form is not used.
+class _N2Geometry:
+    """w = 1 - z on the grid rho x u of one grid call at n = 2, formed once
+    for every closed form of the call (`_n2_closed_form`).
 
     z = rho e^{i theta} with cos theta = u, and 1 - z is formed without
     cancellation as w = (1 - rho) + rho (1 - u) - i rho sqrt((1 - u)(1 + u));
-    the sign of Im w does not change Re F.  Re w, Im w, log |w| and arg w
-    are formed once, in real arithmetic, for every form: log |w| is
-    log1p(gap) / 2 with gap = rho (rho - 2u) = |w|^2 - 1 where gap > -1/2
-    and log(Re^2 + Im^2) / 2 below, and arg w is atan2.  The complex z and
-    w are formed only for the forms with P != 1.  Each value is elementwise
-    in its radius and cosine, so repeated cosines get bit-identical values
-    and a caller may pass the distinct ones (`_distinct`).  The rounding
-    error is at most _CLOSED_FORM_ROUNDING eps (1 + B (1 + |log|w||)) mass
-    with B = `order` and mass = 2 F(rho) - 1, the majorant; since 1 - rho
-    <= |w| <= 1 + rho, |log|w|| <= -log(1 - rho) bounds it per radius.  The
-    form is used only when that bound meets tol_rel mass at every radius
-    and every value is finite; otherwise (and for rho outside [0, 1)) the
-    caller sums the series, whose tail bound stays as it is.
+    the sign of Im w does not change Re F.  `rho` is the stacked radii, all
+    in [0, 1), and `log_gap` = log(1 - rho) reads the masses and bounds.
+    `parts` forms sin theta, Re w, Im w, log |w| and arg w on first use, in
+    real arithmetic: log |w| is log1p(gap) / 2 with gap = rho (rho - 2u) =
+    |w|^2 - 1 where gap > -1/2 and log(Re^2 + Im^2) / 2 below, and arg w is
+    atan2.  `complex` forms z and w as complex arrays on first use, for the
+    forms with P != 1.  A call whose forms all fail their gates forms
+    neither.
     """
-    form = _N2Form.of(coeff)
-    if form is None:
-        return None
-    rho, sets = _stack(rho_sets)
-    if rho.size == 0 or rho.min() < 0.0 or rho.max() >= 1.0:
-        return None
+
+    def __init__(self, rho: np.ndarray, u: np.ndarray):
+        self.rho, self.u = rho, u
+        self.log_gap = np.log1p(-rho)
+
+    @functools.cached_property
+    def parts(self):
+        """(sin theta, Re w, Im w, log |w|, arg w), each (len(rho), len(u))."""
+        rho, u = self.rho[:, None], self.u[None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sin = np.sqrt((1.0 - u) * (1.0 + u))
+            re_w = (1.0 - rho) + rho * (1.0 - u)
+            im_w = rho * -sin
+            gap = rho - 2.0 * u
+            gap *= rho  # |w|^2 - 1
+            log_abs = np.log1p(gap)
+            low = gap <= -0.5
+            if low.any():
+                log_abs[low] = np.log(np.square(re_w[low]) + np.square(im_w[low]))
+            log_abs *= 0.5
+            arg = np.arctan2(im_w, re_w)
+        return sin, re_w, im_w, log_abs, arg
+
+    @functools.cached_property
+    def complex(self):
+        """(z, w) as complex arrays on the grid."""
+        sin, re_w, im_w, _, _ = self.parts
+        return self.rho[:, None] * (self.u[None, :] + 1j * sin), re_w + 1j * im_w
+
+
+def _n2_closed_form(form: _N2Form, geometry: _N2Geometry, sets: list[slice], *, tol_rel: float):
+    """sum_k c_k Z_k(x, pole) at n = 2 in the closed form `form`, on the
+    product grid rho x u of `geometry`, split into the rho sets of `sets`;
+    None where the form is not used.
+
+    The rounding error is at most _CLOSED_FORM_ROUNDING eps (1 + B (1 +
+    |log|w||)) mass with B = `order` and mass = 2 F(rho) - 1, the majorant;
+    since 1 - rho <= |w| <= 1 + rho, |log|w|| <= -log(1 - rho) bounds it
+    per radius.  The form is used only when that bound meets tol_rel mass
+    at every radius and every value is finite; otherwise the caller sums the
+    series, whose tail bound stays as it is.  The gate reads the radii
+    alone, so the grid's geometry is formed only for a form that passes it.
+    Each value is elementwise in its radius and cosine, so repeated cosines
+    get bit-identical values and a caller may pass the distinct ones
+    (`_distinct`).
+    """
+    rho, log_gap = geometry.rho, geometry.log_gap
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_gap = np.log1p(-rho)
         mass = 2.0 * form(rho, 1.0 - rho, log_gap, 0.0) - 1.0
         bound = _CLOSED_FORM_ROUNDING * _EPS * (1.0 + form.order * (1.0 - log_gap)) * mass
         if not (np.all(np.isfinite(mass)) and np.all(bound <= tol_rel * mass)):
             return None
-        rho, u = rho[:, None], u[None, :]
-        sin = np.sqrt((1.0 - u) * (1.0 + u))
-        re_w = (1.0 - rho) + rho * (1.0 - u)
-        im_w = rho * -sin
-        gap = rho - 2.0 * u
-        gap *= rho  # |w|^2 - 1
-        log_abs = np.log1p(gap)
-        low = gap <= -0.5
-        if low.any():
-            log_abs[low] = np.log(np.square(re_w[low]) + np.square(im_w[low]))
-        log_abs *= 0.5
-        arg = np.arctan2(im_w, re_w)
-        z = w = None
-        if not form.plain:
-            w = re_w + 1j * im_w
-            z = rho * (u + 1j * sin)
+        _, _, _, log_abs, arg = geometry.parts
+        z, w = (None, None) if form.plain else geometry.complex
         values = 2.0 * form(z, w, log_abs, arg) - 1.0
     if not np.all(np.isfinite(values)):
         return None
@@ -1110,11 +1132,15 @@ def eval_coeff_series_grids(
     alone, so the call finds the distinct cosines once (`_distinct`, exact
     `np.unique`), evaluates on them, and gathers each coefficient's grids
     back to the directions into outputs allocated before the work; when no
-    cosine repeats it evaluates on the directions themselves.  At n = 2 a
-    coefficient that `_N2Form` covers is evaluated in closed form where its
-    stated rounding bound meets the tolerance (`_n2_closed_form`); it needs
-    no degree cap, so KMAX_DEFAULT does not limit it.  Every other
-    coefficient sums the certified series.
+    cosine repeats it evaluates on the directions themselves.  At n = 2,
+    for radii in [0, 1), a coefficient that `_N2Form` covers is evaluated in
+    closed form where its stated rounding bound meets the tolerance
+    (`_n2_closed_form`); it needs no degree cap, so KMAX_DEFAULT does not
+    limit it.  Each coefficient passes its own gate, and the closed forms of
+    the call all read one geometry (`_N2Geometry`: w = 1 - z, log |w| and
+    arg w over the stacked radii and the distinct cosines), formed when the
+    first of them passes, so a call with one coefficient does the work of
+    one.  Every other coefficient sums the certified series.
     """
     _require_tolerances(tol_rel=tol_rel)
     pole = np.asarray(pole, dtype=float)
@@ -1144,9 +1170,12 @@ def eval_coeff_series_grids(
         return [np.take(g, inv, axis=1, out=outs[i][sl], mode="clip") for g, sl in zip(grids, sets)]
 
     results = [None] * len(coeffs)
-    if n == 2:
+    if n == 2 and rho.size and rho.min() >= 0.0 and rho.max() < 1.0:
+        geometry = _N2Geometry(rho, cols)
         for i, coeff in enumerate(coeffs):
-            results[i] = gathered(i, _n2_closed_form(coeff, cols, rho_sets, tol_rel=tol_rel))
+            form = _N2Form.of(coeff)
+            if form is not None:
+                results[i] = gathered(i, _n2_closed_form(form, geometry, sets, tol_rel=tol_rel))
     series = [i for i, values in enumerate(results) if values is None]
     if series:
         sums = _series_sums(n, [coeffs[i] for i in series], cols, rho_sets, tol_rel=tol_rel)

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import critical_atom_verdicts
@@ -12,6 +14,7 @@ from hball.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     _at_report_precision,
+    _growth_integral_curves,
     _report,
     default_config,
     report_to_csv,
@@ -20,7 +23,8 @@ from hball.experiments import (
     validate_report,
     verification_family,
 )
-from hball.quadrature import Verdict
+from hball.kernel import CoeffProduct, eval_coeff_series_grid
+from hball.quadrature import Verdict, shell_decomposition
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -174,6 +178,158 @@ class TestRunners:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             run_experiment("nope")
+
+
+class TestKernelGrowthBatch:
+    """kernel-growth evaluates the kernels of one dimension in one grid call
+    per shell, on one direction per distinct cosine with the sphere weights
+    folded onto them."""
+
+    COMBOS = [
+        {"n": 2, "p": 2.0, "alpha": 0.0, "d": 0.0},
+        {"n": 3, "p": 1.0, "alpha": 0.0, "d": 0.0},
+        {"n": 2, "p": 1.0, "alpha": -0.5, "d": 1.0},
+        {"n": 3, "p": 2.0, "alpha": -1.0, "d": 0.5},
+        {"n": 2, "p": 1.0, "alpha": 0.0, "d": 0.5},
+        {"n": 2, "p": 2.0, "alpha": 1.0, "d": 0.0},
+    ]
+    RADII = 1.0 - 2.0 ** -np.arange(3.0, 8.0)
+    DEPTH = 10
+
+    def combos(self, n):
+        return [c for c in self.COMBOS if c["n"] == n]
+
+    def test_one_grid_call_per_shell_per_dimension(self, monkeypatch):
+        import hball.experiments as experiments
+
+        calls = []
+        orig = experiments.eval_coeff_series_grids
+
+        def counted(n, coeffs, units, *args, **kw):
+            calls.append((n, [c.single_kernel_parameter() for c in coeffs], units @ np.eye(n)[0]))
+            return orig(n, coeffs, units, *args, **kw)
+
+        monkeypatch.setattr(experiments, "eval_coeff_series_grids", counted)
+        for n in (2, 3):
+            calls.clear()
+            _growth_integral_curves(n, self.combos(n), self.RADII, self.DEPTH, 1e-6)
+            assert len(calls) == self.DEPTH
+            alphas = list(dict.fromkeys(c["alpha"] for c in self.combos(n)))
+            for dim, called, u in calls:
+                assert dim == n and called == alphas
+                assert np.unique(u).shape == u.shape  # one direction per cosine
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_curves_are_the_per_alpha_sums_over_all_directions(self, n):
+        got = _growth_integral_curves(n, self.combos(n), self.RADII, self.DEPTH, 1e-6)
+        e1 = (1.0,) + (0.0,) * (n - 1)
+        grid = shell_decomposition(n, self.DEPTH, (e1,), azimuth=8)
+        for combo, curve in zip(self.combos(n), got, strict=True):
+            want = np.zeros(len(self.RADII))
+            for shell, sph in zip(grid.shells, grid.spheres):
+                vals = eval_coeff_series_grid(
+                    n, CoeffProduct.kernel(combo["alpha"]), sph.units, e1,
+                    [shell.nodes * r for r in self.RADII], tol_rel=1e-8,
+                )
+                wr = shell.weights * (1.0 - shell.nodes**2) ** combo["d"]
+                want += [wr @ np.abs(v) ** combo["p"] @ sph.weights for v in vals]
+            assert np.allclose(curve, want, rtol=1e-13, atol=0.0)
+
+    def test_the_first_failing_combo_raises(self, monkeypatch):
+        # alpha -1 (n = 3) fails at the last shell, alpha -0.5 (n = 2) at the
+        # first: the n = 2 call runs first, but combo 1 comes first
+        import hball.experiments as experiments
+
+        orig = experiments.eval_coeff_series_grids
+        shells = {2: 0, 3: 0}
+
+        def failing(n, coeffs, *args, **kw):
+            shells[n] += 1
+            results = orig(n, coeffs, *args, **kw)
+            fails = {2: (-0.5, 1), 3: (-1.0, self.DEPTH)}[n]
+            return [
+                NonConvergent(f"alpha {alpha} at shell {shells[n]}")
+                if (alpha, shells[n]) == fails else result
+                for alpha, result in zip((c.single_kernel_parameter() for c in coeffs), results)
+            ]
+
+        monkeypatch.setattr(experiments, "eval_coeff_series_grids", failing)
+        cfg = ExperimentConfig(
+            "kernel-growth",
+            parameters={"combos": [self.COMBOS[0], self.COMBOS[3], self.COMBOS[2]], "j_radii": [3, 4, 5, 6, 7]},
+            shells=self.DEPTH,
+        )
+        with pytest.raises(NonConvergent, match=f"alpha -1.0 at shell {self.DEPTH}"):
+            run_experiment("kernel-growth", cfg)
+
+
+def _combo(i=0, **changes):
+    """The small kernel-growth parameters with combo i changed."""
+    params = small_config("kernel-growth").parameters
+    params["combos"] = [dict(c) for c in params["combos"]]
+    params["combos"][i].update(changes)
+    return params
+
+
+def _radii(j_radii):
+    return dict(small_config("kernel-growth").parameters, j_radii=j_radii)
+
+
+# Parameters kernel-growth cannot fit, each with the key its refusal names.
+GROWTH_REFUSALS = {
+    "no_combos": (r"combos must be", dict(_radii([3, 4, 5, 6, 7]), combos=[])),
+    "n_2.5": (r"combos\[1\]\.n must be", _combo(1, n=2.5)),
+    "n_4": (r"combos\[0\]\.n must be", _combo(n=4)),
+    "p_0": (r"combos\[0\]\.p must be", _combo(p=0.0)),
+    "p_inf": (r"combos\[2\]\.p must be", _combo(2, p=math.inf)),
+    "alpha_nan": (r"combos\[0\]\.alpha must be", _combo(alpha=math.nan)),
+    "d_-1": (r"combos\[0\]\.d, the boundary weight, must be", _combo(d=-1.0)),
+    "d_nan": (r"combos\[1\]\.d, the boundary weight, must be", _combo(1, d=math.nan)),
+    "unsorted": (r"j_radii must be", _radii([5, 4, 3, 6, 7, 8])),
+    "two": (r"j_radii must hold", _radii([3, 4])),
+    "one": (r"j_radii must hold", _radii([3])),
+    "none": (r"j_radii must hold", _radii([])),
+    "j_60": (r"j_radii must give", _radii([3, 4, 5, 6, 60])),
+}
+
+
+class TestKernelGrowthConfig:
+    """kernel-growth refuses parameters it cannot fit before any work, with
+    a ValueError naming the key and, through the CLI, an error and exit 1."""
+
+    @pytest.mark.parametrize("case", list(GROWTH_REFUSALS))
+    def test_refused_before_any_work(self, case, monkeypatch):
+        import hball.kernel as kernel
+
+        calls = []
+        for name in ("_certified_degree", "_n2_closed_form"):
+            orig = getattr(kernel, name)
+            monkeypatch.setattr(kernel, name, lambda *a, _orig=orig, **kw: calls.append(1) or _orig(*a, **kw))
+        match, parameters = GROWTH_REFUSALS[case]
+        cfg = ExperimentConfig("kernel-growth", parameters=parameters, shells=16)
+        with pytest.raises(ValueError, match=match):
+            run_experiment("kernel-growth", cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", list(GROWTH_REFUSALS))
+    def test_the_cli_refuses_with_an_error(self, case, tmp_path):
+        match, parameters = GROWTH_REFUSALS[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(ExperimentConfig("kernel-growth", parameters=parameters, shells=16).to_json_dict()))
+        out = tmp_path / "r.json"
+        result = CliRunner().invoke(main, ["kernel-growth", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: " in result.output
+        assert re.search(match, result.output)
+        assert not out.exists()
+
+    def test_five_radii_are_fitted(self):
+        # the fit reads the last five radii; whether five resolve the
+        # regime is the classifier's question, not the config's
+        rep = run_experiment("kernel-growth", ExperimentConfig("kernel-growth", parameters=_radii([3, 4, 5, 6, 7]), shells=16))
+        validate_report(rep)
+        assert rep["summary"]["rows"] == 3
 
 
 class TestReports:

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from hball.kernel import (
     _LogTables,
     _meridian_frame,
     _N2Form,
+    _N2Geometry,
     _n2_closed_form,
     _powers,
     _ring_spectra,
@@ -1316,6 +1318,16 @@ def assert_within_closed_form_bound(got, alpha, rho, u):
     assert np.all(np.abs(got - want) <= bound)
 
 
+def closed_form(coeff, u, rho_sets, *, tol_rel):
+    """`_n2_closed_form` of `coeff` on the grids rho x u of `rho_sets`, as a
+    grid call at n = 2 runs it; None where the form is not used."""
+    form = _N2Form.of(coeff)
+    if form is None:
+        return None
+    rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
+    return _n2_closed_form(form, _N2Geometry(rho, np.asarray(u, dtype=float)), sets, tol_rel=tol_rel)
+
+
 class TestPlainN2ClosedForm:
     """Plain upper-branch kernels at n = 2 are summed as 2 Re (1 - z)^-b - 1:
     within the certified series' tolerance inside the cap, within the stated
@@ -1362,15 +1374,15 @@ class TestPlainN2ClosedForm:
     def test_a_tolerance_below_the_bound_sums_the_series(self):
         rho, u, units = self.grid(1, 0.6)
         coeff = CoeffProduct.kernel(0.5)
-        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-10) is not None
-        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-16) is None
+        assert closed_form(coeff, u, [rho], tol_rel=1e-10) is not None
+        assert closed_form(coeff, u, [rho], tol_rel=1e-16) is None
         got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-16)[0]
         want = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-16)[0][0]
         assert np.array_equal(got, want)
 
     def test_an_overflowing_mass_sums_the_series(self):
         rho, u, _ = self.grid(2, 0.9)
-        assert _n2_closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_rel=1e-10) is None
+        assert closed_form(CoeffProduct.kernel(800.0), u, [rho], tol_rel=1e-10) is None
 
     def test_plain_kernels_keep_the_plain_form_bit_for_bit(self):
         # 2 exp(-b log|w|) cos(b arg w) - 1 in real arithmetic, at integer
@@ -1403,7 +1415,7 @@ class TestPlainN2ClosedForm:
         for rho, u in self.SWEEP_WORST:
             units = np.array([[u, math.sqrt((1.0 - u) * (1.0 + u))]])
             got = eval_coeff_series_grid(2, CoeffProduct.kernel(alpha), units, np.eye(2)[0], [[rho]], tol_rel=1e-10)[0]
-            assert _n2_closed_form(CoeffProduct.kernel(alpha), np.array([u]), [np.array([rho])], tol_rel=1e-10) is not None
+            assert closed_form(CoeffProduct.kernel(alpha), np.array([u]), [np.array([rho])], tol_rel=1e-10) is not None
             assert_within_closed_form_bound(got, alpha, np.array([rho]), np.array([u]))
 
     @pytest.mark.parametrize(
@@ -1423,7 +1435,7 @@ class TestPlainN2ClosedForm:
         rho, u, units = self.grid(3, 0.9)
         units = np.pad(units, ((0, 0), (0, n - 2)))
         if n == 2:
-            assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-10) is None
+            assert closed_form(coeff, u, [rho], tol_rel=1e-10) is None
         got = eval_coeff_series_grid(n, coeff, units, np.eye(n)[0], [rho], tol_rel=1e-10)[0]
         want = _series_sum(n, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)[0][0]
         assert np.array_equal(got, want)
@@ -1521,7 +1533,7 @@ class TestLiftedN2ClosedForm:
     def test_inside_the_cap_it_agrees_with_the_series(self, name, seed):
         coeff = LIFTED[name][0]
         rho, u, units = self.grid(seed, 0.99)
-        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-10) is not None
+        assert closed_form(coeff, u, [rho], tol_rel=1e-10) is not None
         got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-10)[0]
         want, _, masses, _ = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-10)
         assert np.all(np.abs(got - want[0]) <= 1e-10 * masses[0][:, None])
@@ -1548,7 +1560,7 @@ class TestLiftedN2ClosedForm:
     def test_a_tolerance_below_the_bound_sums_the_series(self):
         coeff = LIFTED["critical_alpha0"][0]
         rho, u, units = self.grid(6, 0.6)
-        assert _n2_closed_form(coeff, u, [rho], tol_rel=1e-16) is None
+        assert closed_form(coeff, u, [rho], tol_rel=1e-16) is None
         got = eval_coeff_series_grid(2, coeff, units, np.eye(2)[0], [rho], tol_rel=1e-16)[0]
         want = _series_sum(2, coeff, np.clip(units[:, 0], -1.0, 1.0), [rho], tol_rel=1e-16)[0][0]
         assert np.array_equal(got, want)
@@ -1600,10 +1612,65 @@ class TestRepeatedCosines:
         alone = eval_coeff_series_grid(n, coeff, units(distinct, 1.0), pole, radii, tol_rel=1e-10)
         if n == 2:
             u = np.clip(np.cos(distinct), -1.0, 1.0)
-            assert _n2_closed_form(coeff, u, [r * pole_norm for r in radii], tol_rel=1e-10) is not None
+            assert closed_form(coeff, u, [r * pole_norm for r in radii], tol_rel=1e-10) is not None
         column = np.repeat(np.searchsorted(distinct, theta), 2)
         for g, a in zip(got, alone, strict=True):
             assert np.array_equal(bits(g), bits(a[:, column]))
+
+
+class TestBatchedClosedForms:
+    """At n = 2 the closed forms of one grid call read one geometry, formed
+    when the first form passes its gate: each coefficient of a mixed batch
+    gets, bit for bit, the grids of its call alone."""
+
+    # the plain form at integer and non-integer b, a lifted upper form, the
+    # lower form at q = -2 and a coefficient with no closed form
+    BATCH = [
+        CoeffProduct.kernel(0.0),
+        CoeffProduct.kernel(0.7),
+        LIFTED["upper_shift"][0],
+        LIFTED["lower_atom"][0],
+        CoeffProduct.kernel(-2.5),
+    ]
+    THETA = np.array([0.0, 0.3, np.pi, 1.1, -0.3, 2.0, 0.0, -1.1])  # repeated cosines
+    UNITS = np.stack([np.cos(THETA), np.sin(THETA)], axis=1)
+    POLE = np.array([0.9, 0.0])
+    RADII = [np.array([0.0, 0.4, 0.93]), np.array([0.7])]
+
+    @pytest.fixture
+    def geometries(self, monkeypatch):
+        """The geometries a call forms, counted where `parts` computes."""
+        formed = []
+        parts = _N2Geometry.parts.func
+
+        def counted(self):
+            formed.append(self)
+            return parts(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(_N2Geometry, "parts")
+        monkeypatch.setattr(_N2Geometry, "parts", prop)
+        return formed
+
+    def test_each_coefficient_is_its_call_alone(self, geometries):
+        rho = [r * 0.9 for r in self.RADII]
+        u = np.unique(np.clip(self.UNITS[:, 0], -1.0, 1.0))
+        assert len(u) < len(self.THETA)
+        used = [closed_form(coeff, u, rho, tol_rel=1e-10) is not None for coeff in self.BATCH]
+        assert used == [True, True, True, True, False]
+        geometries.clear()
+        batch = eval_coeff_series_grids(2, self.BATCH, self.UNITS, self.POLE, self.RADII, tol_rel=1e-10)
+        assert len(geometries) == 1
+        for coeff, got in zip(self.BATCH, batch, strict=True):
+            (alone,) = eval_coeff_series_grids(2, [coeff], self.UNITS, self.POLE, self.RADII, tol_rel=1e-10)
+            for a, b in zip(got, alone, strict=True):
+                assert a.shape == (b.shape[0], len(self.THETA))
+                assert np.array_equal(bits(a), bits(b))
+
+    def test_no_geometry_when_every_gate_fails(self, geometries):
+        # below the rounding bound every coefficient sums its series
+        eval_coeff_series_grids(2, self.BATCH[:4], self.UNITS, self.POLE, self.RADII, tol_rel=1e-16)
+        assert geometries == []
 
 
 class TestAngularTable:
