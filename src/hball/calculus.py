@@ -8,6 +8,13 @@ the action is exact at the coefficient level.  Applying it to a kernel atom
 with a mismatched base parameter yields a general coefficient-product atom,
 evaluated by the same certified truncation machinery as the kernels.
 
+An expansion is evaluated at points (`evaluate`), on product grids of
+radii x directions (`evaluate_grid(s)`), and at pairs of grid entries, one
+radius per direction, over several grids at once (`evaluate_pairs`): there
+zonal terms and the n = 2 closed forms compute only the pairs, while a
+series atom sums each grid and reads its pairs off it, so every pair is bit
+for bit its grid's entry.
+
 Expansions are immutable after construction; everything here is reentrant.
 """
 
@@ -24,6 +31,7 @@ from .errors import NonConvergent
 from .kernel import (
     CoeffProduct,
     eval_coeff_series_grids,
+    eval_coeff_series_pairs,
     eval_coeff_series_points,
     gamma_ratio,
     log_coeff_block,
@@ -44,6 +52,7 @@ __all__ = [
     "evaluate",
     "evaluate_grid",
     "evaluate_grids",
+    "evaluate_pairs",
     "expansion_from_json",
     "expansion_to_json",
     "homogeneous_coefficient",
@@ -201,18 +210,24 @@ def evaluate(f: HarmonicExpansion, x, tol: float = 1e-9) -> float:
     return total
 
 
-def _zonal_grid(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Z_degree(r u, pole) = (r |u| |pole|)^degree Q_degree(cos angle) on a
-    product grid, computed exactly; `special.zonal` is the scalar form."""
+def _zonal_factors(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarray):
+    """(r^degree per radius, (|u| |pole|)^degree Q_degree(cos angle) per
+    direction), whose products are Z_degree(r u, pole), computed exactly;
+    `special.zonal` is the scalar form."""
     pole = np.asarray(pole, dtype=float)
     if degree == 0:
-        return np.ones((radii.shape[0], units.shape[0]))
+        return np.ones(radii.shape[0]), np.ones(units.shape[0])
     scale = np.linalg.norm(units, axis=1) * float(np.linalg.norm(pole))
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.clip(units @ pole / scale, -1.0, 1.0)
     q = zonal_angular_table(n, np.where(scale > 0.0, cos, 1.0), degree, 1)[0]
-    vals = np.where(scale > 0.0, scale**degree * q, 0.0)
-    return (radii**degree)[:, None] * vals[None, :]
+    return radii**degree, np.where(scale > 0.0, scale**degree * q, 0.0)
+
+
+def _zonal_grid(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Z_degree on the product grid radii x units (`_zonal_factors`)."""
+    radial, angular = _zonal_factors(n, degree, pole, radii, units)
+    return radial[:, None] * angular[None, :]
 
 
 def evaluate_grids(
@@ -316,6 +331,57 @@ def evaluate_grid(
     if isinstance(values, NonConvergent):
         raise values
     return values
+
+
+def evaluate_pairs(
+    f: HarmonicExpansion,
+    grids,
+    *,
+    tol_rel: float = 1e-9,
+) -> list:
+    """Values of f at pairs of points of several product grids: per grid
+    (radii, units, rows), the values at radii[rows[i]] * units[i], each bit
+    for bit the entry (rows[i], i) of `evaluate_grid(f, radii, units)`, or
+    the NonConvergent of f's first series atom that raised one on that
+    grid.
+
+    Only the pairs are computed where an atom allows it: a zonal term is
+    its radial factor at the pair's radius times its angular factor at the
+    pair's direction (`_zonal_factors`), and each series atom makes one
+    `eval_coeff_series_pairs` call over all the grids, which evaluates the
+    n = 2 closed forms on the pairs alone and sums every other series on
+    its grid, one call per grid as `evaluate_grid` makes it.  Each grid adds
+    f's atoms in their order, as `evaluate_grids` does, and leaves out the
+    atoms after its first NonConvergent.
+    """
+    grids = [
+        (np.asarray(radii, dtype=float), np.asarray(units, dtype=float), np.asarray(rows, dtype=np.intp))
+        for radii, units, rows in grids
+    ]
+    totals: list = [None] * len(grids)
+    for atom in f.atoms:
+        live = [i for i, total in enumerate(totals) if not isinstance(total, NonConvergent)]
+        if isinstance(atom, ZonalTerm):
+            values = []
+            for i in live:
+                radii, units, rows = grids[i]
+                radial, angular = _zonal_factors(f.dimension, atom.degree, atom.pole, radii, units)
+                values.append(radial[rows] * angular)
+        else:
+            values = eval_coeff_series_pairs(
+                f.dimension, _atom_coeff(atom), atom.pole, [grids[i] for i in live], tol_rel=tol_rel
+            )
+        for i, vals in zip(live, values):
+            if isinstance(vals, NonConvergent):
+                totals[i] = vals
+                continue
+            vals *= atom.weight
+            if totals[i] is None:
+                totals[i] = vals
+                totals[i] += 0.0  # as 0 + w v: a -0.0 becomes 0.0
+            else:
+                totals[i] += vals
+    return [np.zeros(rows.shape[0]) if t is None else t for t, (_, _, rows) in zip(totals, grids)]
 
 
 def apply_D(f: HarmonicExpansion, pair: DiffPair) -> HarmonicExpansion:

@@ -373,8 +373,9 @@ def _growth_integral_curves(n: int, combos, radii: np.ndarray, depth: int, tol: 
     kernel value depends on its radius and its cosine u = <y/|y|, e1>
     alone, so the call gets one direction per distinct cosine (exact
     `np.unique` of the dot products, the cosines the kernel finds) and the
-    sphere weights are folded onto those cosines: a curve adds wr |v|^p
-    folded per shell.  An alpha whose series raises keeps its first
+    sphere weights are folded onto those cosines: a curve adds wr |V|^p
+    folded per shell, over the radius sets stacked into V in one product
+    per combo.  An alpha whose series raises keeps its first
     NonConvergent and leaves the later shells' calls."""
     e1 = (1.0,) + (0.0,) * (n - 1)
     pole = np.asarray(e1)
@@ -397,13 +398,12 @@ def _growth_integral_curves(n: int, combos, radii: np.ndarray, depth: int, tol: 
             if isinstance(result, NonConvergent):
                 failed[alpha] = result
             else:
-                vals[alpha] = result
+                vals[alpha] = np.abs(np.stack(result))  # (radius set, node, cosine)
         for c, combo in enumerate(combos):
             if combo["alpha"] not in vals:
                 continue
             wr = shell.weights * (1.0 - shell.nodes**2) ** combo["d"]
-            for i, v in enumerate(vals[combo["alpha"]]):
-                totals[c, i] += float(wr @ np.abs(v) ** combo["p"] @ folded)
+            totals[c] += np.matmul(wr, vals[combo["alpha"]] ** combo["p"]) @ folded
     return [failed.get(combo["alpha"], row) for combo, row in zip(combos, totals)]
 
 

@@ -67,6 +67,14 @@ requested tolerance (`_n2_closed_form`); the other coefficients
 (non-integer or negative operator orders, other lower-branch atoms),
 n >= 3, and the point and rule-sum modes always sum the series.
 
+A paired mode evaluates one coefficient at chosen entries of several
+grids, one radius per direction (`eval_coeff_series_pairs`), each value
+bit for bit its grid's entry.  A closed form is elementwise in radius and
+cosine, so at n = 2 it passes its gate per grid, on all the grid's radii,
+and is evaluated on the pairs alone, over all the grids in one geometry;
+a series is summed over whole grids whatever the number of directions,
+so every other grid sums its grid series and reads its pairs off it.
+
 A third mode sums the series against a product sphere rule's weighted
 values for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes
 each point's K as above.  The radial moments sum_i r_i^k weighted[i, j]
@@ -171,6 +179,7 @@ _PIECE_ROWS = 512
 # (B = `_N2Form.order` up to 22, the family's fields below 1).
 _CLOSED_FORM_ROUNDING = 4.0
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _is_upper_branch(n: int, alpha: float) -> bool:
@@ -261,10 +270,6 @@ class CoeffProduct:
         if len(self.factors) == 1 and self.factors[0][1] == 1:
             return self.factors[0][0]
         return None
-
-    def growth_exponent(self) -> float:
-        """g with c_k ~ const * k^g."""
-        return sum(e * (a + 1.0) for a, e in self.factors)
 
     def log_values(self, n: int, ks) -> np.ndarray:
         ks = np.asarray(ks, dtype=float)
@@ -1005,7 +1010,10 @@ class _N2Form:
         principal branch (DLMF 4.2), in real arithmetic, for every b: the
         plain form is exp(-b log|w|) cos(b arg w) and reads neither z nor
         w.  The others read z / w, or 1 / w and log w = log|w| + i arg w
-        at q = -2 (real or complex arrays)."""
+        at q = -2 (real or complex arrays).  There -log(w) / z is taken
+        as its z -> 0 limit 1 wherever |z| is below the smallest normal
+        double: the division overflows at a subnormal z, and the limit is
+        exact to rounding, the next term being z / 2."""
         if not self.lower:
             mag = np.exp(-self.b * log_abs)
             phase = self.b * arg
@@ -1019,34 +1027,36 @@ class _N2Form:
             # Re((cos - i sin)(b arg w) poly)
             return mag * (np.cos(phase) * np.real(poly) + np.sin(phase) * np.imag(poly))
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_term = np.where(z == 0.0, 1.0, -(log_abs + 1j * arg) / z)
+            log_term = np.where(np.abs(z) < _TINY, 1.0, -(log_abs + 1j * arg) / z)
         return np.real(y * poly + self.log_coef * log_term)
 
 
 class _N2Geometry:
-    """w = 1 - z on the grid rho x u of one grid call at n = 2, formed once
-    for every closed form of the call (`_n2_closed_form`).
+    """w = 1 - z at the points of one evaluation at n = 2, formed once for
+    every closed form of the evaluation (`_n2_values`).
 
     z = rho e^{i theta} with cos theta = u, and 1 - z is formed without
     cancellation as w = (1 - rho) + rho (1 - u) - i rho sqrt((1 - u)(1 + u));
-    the sign of Im w does not change Re F.  `rho` is the stacked radii, all
-    in [0, 1), and `log_gap` = log(1 - rho) reads the masses and bounds.
-    `parts` forms sin theta, Re w, Im w, log |w| and arg w on first use, in
-    real arithmetic: log |w| is log1p(gap) / 2 with gap = rho (rho - 2u) =
-    |w|^2 - 1 where gap > -1/2 and log(Re^2 + Im^2) / 2 below, and arg w is
-    atan2.  `complex` forms z and w as complex arrays on first use, for the
-    forms with P != 1.  A call whose forms all fail their gates forms
-    neither.
+    the sign of Im w does not change Re F.  `rho` and `u` broadcast to the
+    points: a column of radii and a row of cosines for a grid, or one radius
+    per cosine for pairs; the radii lie in [0, 1).  Every part is
+    elementwise in its radius and cosine, so a point gets the same value
+    on a grid and as a pair.  `parts` forms sin theta, Re w, Im w, log |w|
+    and arg w on first use, in real arithmetic: log |w| is log1p(gap) / 2
+    with gap = rho (rho - 2u) = |w|^2 - 1 where gap > -1/2 and log(Re^2 +
+    Im^2) / 2 below, and arg w is atan2.  `complex` forms z and w as
+    complex arrays on first use, for the forms with P != 1.  An evaluation
+    whose forms all fail their gates forms neither.
     """
 
     def __init__(self, rho: np.ndarray, u: np.ndarray):
         self.rho, self.u = rho, u
-        self.log_gap = np.log1p(-rho)
 
     @functools.cached_property
     def parts(self):
-        """(sin theta, Re w, Im w, log |w|, arg w), each (len(rho), len(u))."""
-        rho, u = self.rho[:, None], self.u[None, :]
+        """(sin theta, Re w, Im w, log |w|, arg w), each of the points'
+        shape but sin theta, which has the cosines' shape."""
+        rho, u = self.rho, self.u
         with np.errstate(invalid="ignore", divide="ignore"):
             sin = np.sqrt((1.0 - u) * (1.0 + u))
             re_w = (1.0 - rho) + rho * (1.0 - u)
@@ -1063,36 +1073,51 @@ class _N2Geometry:
 
     @functools.cached_property
     def complex(self):
-        """(z, w) as complex arrays on the grid."""
+        """(z, w) as complex arrays at the points."""
         sin, re_w, im_w, _, _ = self.parts
-        return self.rho[:, None] * (self.u[None, :] + 1j * sin), re_w + 1j * im_w
+        return self.rho * (self.u + 1j * sin), re_w + 1j * im_w
 
 
-def _n2_closed_form(form: _N2Form, geometry: _N2Geometry, sets: list[slice], *, tol_rel: float):
-    """sum_k c_k Z_k(x, pole) at n = 2 in the closed form `form`, on the
-    product grid rho x u of `geometry`, split into the rho sets of `sets`;
-    None where the form is not used.
+def _n2_gate(form: _N2Form, rho: np.ndarray, *, tol_rel: float) -> np.ndarray:
+    """Per radius of `rho` (in [0, 1)), whether the rounding bound of the
+    closed form `form` meets tol_rel times its mass there, the mass finite.
 
     The rounding error is at most _CLOSED_FORM_ROUNDING eps (1 + B (1 +
     |log|w||)) mass with B = `order` and mass = 2 F(rho) - 1, the majorant;
     since 1 - rho <= |w| <= 1 + rho, |log|w|| <= -log(1 - rho) bounds it
-    per radius.  The form is used only when that bound meets tol_rel mass
-    at every radius and every value is finite; otherwise the caller sums the
-    series, whose tail bound stays as it is.  The gate reads the radii
-    alone, so the grid's geometry is formed only for a form that passes it.
-    Each value is elementwise in its radius and cosine, so repeated cosines
-    get bit-identical values and a caller may pass the distinct ones
-    (`_distinct`).
-    """
-    rho, log_gap = geometry.rho, geometry.log_gap
+    per radius.  Elementwise in the radius, so radii may be stacked."""
+    log_gap = np.log1p(-rho)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mass = 2.0 * form(rho, 1.0 - rho, log_gap, 0.0) - 1.0
         bound = _CLOSED_FORM_ROUNDING * _EPS * (1.0 + form.order * (1.0 - log_gap)) * mass
-        if not (np.all(np.isfinite(mass)) and np.all(bound <= tol_rel * mass)):
-            return None
-        _, _, _, log_abs, arg = geometry.parts
-        z, w = (None, None) if form.plain else geometry.complex
-        values = 2.0 * form(z, w, log_abs, arg) - 1.0
+        return np.isfinite(mass) & (bound <= tol_rel * mass)
+
+
+def _n2_values(form: _N2Form, geometry: _N2Geometry) -> np.ndarray:
+    """2 Re F - 1 in the closed form `form` at the points of `geometry`."""
+    _, _, _, log_abs, arg = geometry.parts
+    z, w = (None, None) if form.plain else geometry.complex
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return 2.0 * form(z, w, log_abs, arg) - 1.0
+
+
+def _n2_closed_form(form: _N2Form, geometry: _N2Geometry, sets: list[slice], *, tol_rel: float):
+    """sum_k c_k Z_k(x, pole) at n = 2 in the closed form `form`, on the
+    product grid rho x u of `geometry` (a column of radii, a row of
+    cosines), split into the rho sets of `sets`; None where the form is not
+    used.
+
+    The form is used only when its gate (`_n2_gate`) passes at every radius
+    and every value is finite; otherwise the caller sums the series, whose
+    tail bound stays as it is.  The gate reads the radii alone, so the
+    grid's geometry is formed only for a form that passes it.  Each value is
+    elementwise in its radius and cosine, so repeated cosines get
+    bit-identical values and a caller may pass the distinct ones
+    (`_distinct`).
+    """
+    if not _n2_gate(form, geometry.rho, tol_rel=tol_rel).all():
+        return None
+    values = _n2_values(form, geometry)
     if not np.all(np.isfinite(values)):
         return None
     return [values[sl] for sl in sets]
@@ -1171,7 +1196,7 @@ def eval_coeff_series_grids(
 
     results = [None] * len(coeffs)
     if n == 2 and rho.size and rho.min() >= 0.0 and rho.max() < 1.0:
-        geometry = _N2Geometry(rho, cols)
+        geometry = _N2Geometry(rho[:, None], cols[None, :])
         for i, coeff in enumerate(coeffs):
             form = _N2Form.of(coeff)
             if form is not None:
@@ -1206,6 +1231,82 @@ def eval_coeff_series_grid(
     if isinstance(values, NonConvergent):
         raise values
     return values
+
+
+def eval_coeff_series_pairs(
+    n: int,
+    coeff: CoeffProduct,
+    pole,
+    grids,
+    *,
+    tol_rel: float,
+) -> list:
+    """Evaluate sum_k c_k Z_k(x, pole) at pairs of points of several
+    product grids, each value the entry of its grid.
+
+    Each grid is (radii, units, rows): value i is the one at x = radii[rows[i]]
+    units[i], bit for bit the entry (rows[i], i) of
+    `eval_coeff_series_grids(n, [coeff], units, pole, [radii])`, certified
+    to tol_rel times the majorant mass at its radius.  Returns per grid its
+    values, of shape (len(units),), or the NonConvergent its series raised
+    on that grid, which leaves the other grids evaluated.
+
+    At n = 2 a coefficient that `_N2Form` covers passes its gate
+    (`_n2_gate`) per grid on all the grid's radii, as the grid call does,
+    with the radii of every grid stacked into one gate, and is evaluated
+    in closed form elementwise on the pairs of every grid that passes, with
+    one geometry (`_N2Geometry`) over those pairs: no other entry of the
+    grids is computed.  A grid keeps the closed form when its pair values
+    are finite (the grid call checks all its values).  Every other grid,
+    and every grid at n >= 3, makes the grid call's series sum on its radii
+    and on the distinct cosines of its units (`_series_sums`), and reads its
+    pairs off that grid, so a series keeps its values and its cost.
+    """
+    _require_tolerances(tol_rel=tol_rel)
+    pole = np.asarray(pole, dtype=float)
+    grids = [
+        (np.asarray(radii, dtype=float), np.asarray(units, dtype=float), np.asarray(rows, dtype=np.intp))
+        for radii, units, rows in grids
+    ]
+    _require_finite("pole", pole)
+    for radii, units, _ in grids:
+        _require_finite("units", units)
+        _require_finite("radii", radii)
+    pole_unit, pole_norm = _unit_and_norm(pole)
+    if pole_norm == 0.0:
+        # only the k = 0 term survives: the sum is identically c_0 = 1
+        return [np.ones(units.shape[0]) for _, units, _ in grids]
+    rhos = [radii * pole_norm for radii, _, _ in grids]
+    us = [np.clip(units @ pole_unit, -1.0, 1.0) for _, units, _ in grids]
+    results: list = [None] * len(grids)
+    form = _N2Form.of(coeff) if n == 2 else None
+    inside = [] if form is None else [
+        i for i, rho in enumerate(rhos) if rho.size and rho.min() >= 0.0 and rho.max() < 1.0
+    ]
+    if inside:
+        rho, sets = _stack([rhos[i] for i in inside])
+        gate = _n2_gate(form, rho, tol_rel=tol_rel)
+        used = [i for i, sl in zip(inside, sets) if gate[sl].all()]
+        if used:
+            geometry = _N2Geometry(
+                np.concatenate([rhos[i][grids[i][2]] for i in used]), np.concatenate([us[i] for i in used])
+            )
+            values = _n2_values(form, geometry)
+            ends = np.cumsum([us[i].shape[0] for i in used])[:-1]
+            for i, v in zip(used, np.split(values, ends)):
+                if np.all(np.isfinite(v)):
+                    results[i] = v
+    for i, result in enumerate(results):
+        if result is not None:
+            continue
+        cols, inv = _distinct(us[i])
+        (summed,) = _series_sums(n, [coeff], cols, [rhos[i]], tol_rel=tol_rel)
+        if isinstance(summed, NonConvergent):
+            results[i] = summed
+        else:
+            rows = grids[i][2]
+            results[i] = summed[0][0][rows, np.arange(rows.shape[0]) if inv is None else inv]
+    return results
 
 
 def eval_coeff_series_points(

@@ -21,7 +21,12 @@ reproducing rule), so the reproducing integral evaluates its derivative
 grid once per call and releases it.  Each level threshold still locates
 its own level-set boundaries: it bisects every flip of the indicator
 between neighboring nodes along the rings of the shell's sphere rule
-(`quadrature.Rings`), which evaluates the derivative between nodes.
+(`quadrature.Rings`), which evaluates the derivative between nodes.  A
+level-set walk does so in two phases: it walks the shells for their
+indicators and brackets up to the first shell whose values raise
+NonConvergent, then bisects the brackets of all those shells together,
+each round in one paired call (`calculus.evaluate_pairs`) that gives every
+midpoint the value at its own bracket's radius.
 """
 
 from __future__ import annotations
@@ -34,11 +39,20 @@ from enum import Enum
 import numpy as np
 from scipy.special import betaln
 
-from .calculus import DiffPair, HarmonicExpansion, ZonalTerm, apply_D, evaluate_grid, evaluate_grids
-from .errors import AdmissibilityError, NonConvergent, UnsupportedPair
+from .calculus import (
+    DiffPair,
+    HarmonicExpansion,
+    ZonalTerm,
+    apply_D,
+    evaluate_grid,
+    evaluate_grids,
+    evaluate_pairs,
+)
+from .errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from .kernel import CoeffProduct, eval_coeff_series_rule_sum, log_coeff_block, log_dim_block
 from .quadrature import (
     BallQuadrature,
+    Rings,
     ShellDecomposition,
     ShellIntegral,
     SupProbe,
@@ -172,9 +186,9 @@ class LittleBloch(Bloch):
     """Boundary-vanishing subspace of the sup-norm space (same admissibility)."""
 
 
-# Bisection steps per level-set boundary, and how many of them one series
-# call resolves: each call evaluates every midpoint the next _LOOKAHEAD steps
-# can visit, so _BISECT_STEPS // _LOOKAHEAD calls make all the steps.
+# Bisection steps per level-set boundary, and how many of them one round
+# resolves: each round evaluates every midpoint the next _LOOKAHEAD steps
+# can visit, so _BISECT_STEPS // _LOOKAHEAD rounds make all the steps.
 _BISECT_STEPS = 8
 _LOOKAHEAD = 4
 # Boundary location tolerates a much looser series tolerance than the shell
@@ -182,39 +196,49 @@ _LOOKAHEAD = 4
 _BISECT_TOL = 1e-5
 
 
-def _bisect_boundaries(
-    g: HarmonicExpansion,
-    shell_nodes: np.ndarray,
-    exponent: float,
-    eps: float,
-    r_idx: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    lo_in: np.ndarray,
-    unit_of,
-) -> np.ndarray:
-    """Locate indicator boundaries between bracketing directions.
+def _bisect_boundaries(g: HarmonicExpansion, exponent: float, eps: float, shells: list):
+    """Locate indicator boundaries between bracketing directions, on the
+    shells of a level-set walk all together.
 
-    Each bracket is (radius index, lo angle, hi angle) with the indicator
+    `shells` holds per shell (shell_nodes, r_idx, lo, hi, lo_in, unit_of):
+    each bracket is (radius index, lo angle, hi angle) with the indicator
     status at the lo end; the angular parametrization is supplied by
     `unit_of`, which maps a parameter per bracket, repeated bracket-wise
-    for each midpoint of the tree, to directions.  All brackets advance
-    together, _BISECT_STEPS halvings each.
+    for each midpoint of the tree, to directions.  All brackets of all
+    shells advance together, _BISECT_STEPS halvings each.
 
-    A grid evaluation costs a full kernel series sum whatever the number of
-    directions, so each of the _BISECT_STEPS // _LOOKAHEAD rounds evaluates
-    the dyadic tree of midpoints _LOOKAHEAD levels below every bracket in one
-    call, on the directions of one `unit_of` call, and then replays the
-    _LOOKAHEAD lo/hi decisions on that table.  The tree's midpoints are
-    formed by the same `0.5 * (lo + hi)` as halving one step at a time, and
-    the call keeps the full `shell_nodes` and the one tolerance _BISECT_TOL:
-    the truncation degree depends only on the radii, so every visited
-    midpoint gets the value, and every decision the outcome, of a bisection
-    that evaluates one halving per call.
+    A call costs about the same whatever its number of directions, so each
+    of the _BISECT_STEPS // _LOOKAHEAD rounds evaluates the dyadic tree of
+    midpoints _LOOKAHEAD levels below every bracket of every shell in one
+    paired call (`evaluate_pairs`), each shell's midpoints on the
+    directions of one `unit_of` call and each at its own bracket's radius,
+    and then replays the _LOOKAHEAD lo/hi decisions on that table.  The tree's
+    midpoints are formed by the same `0.5 * (lo + hi)` as halving one step
+    at a time, and a pair's value is bit for bit that of the grid of the
+    full `shell_nodes` and the one tolerance _BISECT_TOL at its radius: the
+    truncation degree depends only on the radii, so every visited midpoint
+    gets the value, and every decision the outcome, of a bisection that
+    evaluates one halving per grid call.  A shell without brackets takes no
+    part in the calls.
+
+    Returns (boundaries, stop): the boundaries per shell, up to the first
+    shell on which a round's series raised NonConvergent, and that error,
+    or None when every shell is bisected.
     """
-    cols = np.arange(len(r_idx))
-    weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
+    shells = list(shells)
+    sizes = [len(r_idx) for _, r_idx, *_ in shells]
+    ends = np.cumsum([0] + sizes)
+    r_idx, lo, hi, lo_in = (
+        np.concatenate([shell[i] for shell in shells] + [np.empty(0, dtype=dtype)])
+        for i, dtype in ((1, np.intp), (2, float), (3, float), (4, bool))
+    )
+    weight = np.concatenate(
+        [(1.0 - nodes[rows] ** 2) ** exponent for nodes, rows, *_ in shells] + [np.empty(0)]
+    )
+    stop = None
     for _ in range(_BISECT_STEPS // _LOOKAHEAD):
+        if not lo.size:
+            break
         # heap order: node i halves its bracket, whose lower and upper halves
         # are brackets of nodes 2i+1 and 2i+2
         brackets = [(lo, hi)]
@@ -224,56 +248,90 @@ def _bisect_boundaries(
             mid = 0.5 * (a + b)
             mids.append(mid)
             brackets += [(a, mid), (mid, b)]
-        units = unit_of(np.concatenate(mids))
-        vals = evaluate_grid(g, shell_nodes, units, tol_rel=_BISECT_TOL)
-        # (node, bracket) tables; each bracket keeps the row of its radius
+        # (node, bracket) table; each bracket keeps the value at its radius
         table = np.stack(mids)
-        diag = vals[r_idx, np.arange(units.shape[0]).reshape(table.shape)]
-        inside = weight * np.abs(diag) >= eps
-        node = np.zeros(len(r_idx), dtype=int)
+        live = [j for j, size in enumerate(sizes) if size]
+        grids = []
+        for j in live:
+            nodes, rows, *_, unit_of = shells[j]
+            # the shell's midpoints node by node, each pair at its radius
+            units = unit_of(table[:, ends[j] : ends[j + 1]].ravel())
+            grids.append((nodes, units, np.tile(rows, table.shape[0])))
+        values = evaluate_pairs(g, grids, tol_rel=_BISECT_TOL)
+        failed = next((k for k, v in enumerate(values) if isinstance(v, NonConvergent)), None)
+        if failed is not None:
+            # the walk stops at that shell, as at a shell whose values failed
+            stop, keep = values[failed], live[failed]
+            shells, sizes, ends, values = shells[:keep], sizes[:keep], ends[: keep + 1], values[:failed]
+            r_idx, lo, hi, lo_in, weight, table = (
+                a[..., : ends[-1]] for a in (r_idx, lo, hi, lo_in, weight, table)
+            )
+        vals = np.concatenate([v.reshape(table.shape[0], -1) for v in values] + [table[:, :0]], axis=1)
+        inside = weight * np.abs(vals) >= eps
+        cols = np.arange(lo.shape[0])
+        node = np.zeros(lo.shape[0], dtype=int)
         for _ in range(_LOOKAHEAD):
             mid = table[node, cols]
             take_lo = inside[node, cols] == lo_in
             lo = np.where(take_lo, mid, lo)
             hi = np.where(take_lo, hi, mid)
             node = 2 * node + np.where(take_lo, 2, 1)
-    return 0.5 * (lo + hi)
+    bounds = 0.5 * (lo + hi)
+    return [bounds[a:b] for a, b in zip(ends[:-1], ends[1:])], stop
 
 
-def _shell_level_measures(
-    g: HarmonicExpansion,
-    grid: ShellDecomposition,
-    j: int,
-    exponent: float,
-    eps: float,
-) -> tuple[np.ndarray, int]:
-    """Per-radius spherical measure of the level set on shell j, plus the
-    count of in-set grid nodes (the node-wise indicator samples).
+@dataclass(frozen=True, eq=False)
+class _LevelShell:
+    """Phase 1 of a level-set walk on one shell: the indicator on the
+    shell's nodes and the brackets of its flips.
 
-    Each flip of the indicator between neighboring nodes of a ring (across
-    the wrap gap too, on a closed ring) is bisected along the ring to a
-    boundary; the measure per radius is the mean over the rings of their
-    in-set runs.  The runs of every (radius, ring) are measured in one
-    pass: each one's arcs run from the span's start through its boundaries
-    to the span's end, and every other arc, from the first when the ring
-    starts inside, is summed in order by `np.bincount`."""
+    `status` is the indicator per (radius, ring, position) and `flips`
+    marks a flip between a position and the next along the ring (across
+    the wrap gap too, on a closed ring).  `brackets` are the flips as
+    `_bisect_boundaries` takes a shell's: (shell_nodes, r_idx, lo, hi,
+    lo_in, unit_of)."""
+
+    rings: Rings
+    status: np.ndarray
+    flips: np.ndarray
+    brackets: tuple
+
+
+def _level_shell(
+    g: HarmonicExpansion, grid: ShellDecomposition, j: int, exponent: float, eps: float
+) -> _LevelShell:
+    """The indicator and the brackets of shell j (`_LevelShell`), from the
+    shell's values (`_shell_values`, which raises their NonConvergent)."""
     vals = _shell_values(g, grid, j)
     shell, rings = grid.shells[j], grid.spheres[j].rings
     weighted = (1.0 - shell.nodes**2) ** exponent
-    # indicator per (radius, ring, position)
     status = weighted[:, None, None] * np.abs(vals[:, rings.index]) >= eps
     flips = status != np.roll(status, -1, axis=2)
     if not rings.closed:
         flips[:, :, -1] = False
     r_idx, ring, k = np.nonzero(flips)
     ends = np.append(rings.param, rings.span[1])
-    bounds = np.empty(0)
-    if r_idx.size:
-        bounds = _bisect_boundaries(
-            g, shell.nodes, exponent, eps, r_idx, ends[k], ends[k + 1],
-            status[r_idx, ring, k], lambda t: rings.units(np.resize(ring, t.shape), t),
-        )
-    cuts = flips.sum(axis=2).ravel()  # boundaries per (radius, ring)
+    brackets = (
+        shell.nodes, r_idx, ends[k], ends[k + 1], status[r_idx, ring, k],
+        lambda t: rings.units(np.resize(ring, t.shape), t),
+    )
+    return _LevelShell(rings, status, flips, brackets)
+
+
+def _shell_level_measures(level: _LevelShell, bounds: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per-radius spherical measure of the level set on one shell, from its
+    indicator and its boundaries (`_bisect_boundaries`), plus the count of
+    in-set grid nodes (the node-wise indicator samples).
+
+    Each flip of the indicator between neighboring nodes of a ring has
+    been bisected along the ring to a boundary; the measure per radius is
+    the mean over the rings of their in-set runs.  The runs of every
+    (radius, ring) are measured in one pass: each one's arcs run from the
+    span's start through its boundaries to the span's end, and every other
+    arc, from the first when the ring starts inside, is summed in order by
+    `np.bincount`."""
+    rings, status = level.rings, level.status
+    cuts = level.flips.sum(axis=2).ravel()  # boundaries per (radius, ring)
     before = np.cumsum(cuts) - cuts
     lo = np.insert(bounds, before, rings.span[0])
     hi = np.insert(bounds, before + cuts, rings.span[1])
@@ -293,10 +351,28 @@ def _level_shell_integral(
 ) -> tuple[ShellIntegral, tuple[int, ...]]:
     """Weighted level-set measure over the certified shells (see
     `walk_shells`, which raises NonConvergent when there are none), with
-    the per-shell in-set node counts."""
+    the per-shell in-set node counts.
+
+    The walk has two phases.  The first walks the shells for their
+    indicators and brackets (`_level_shell`), up to the first shell whose
+    values raise NonConvergent.  The second bisects the brackets of all
+    those shells together (`_bisect_boundaries`), whose rounds make one
+    paired call each over all the shells, and measures each shell from its
+    boundaries; it stops at the first shell whose bisection raised
+    NonConvergent, as the first phase does.  Any other error is raised as
+    an EvaluationFailure that names its shell (`walk_shells`), or the
+    shells of the bisection."""
+    levels = walk_shells(grid, lambda j: _level_shell(g, grid, j, exponent, epsilon), "level-set integral")
+    try:
+        bounds, stop = _bisect_boundaries(g, exponent, epsilon, [level.brackets for level in levels])
+    except Exception as exc:  # noqa: BLE001 - as `walk_shells` does, name the shells
+        raise EvaluationFailure(f"level-set bisection failed on shells 0-{len(levels) - 1}: {exc}") from exc
 
     def shell_term(j: int) -> tuple[float, int]:
-        measures, count = _shell_level_measures(g, grid, j, exponent, epsilon)
+        if j == len(bounds):
+            # past the shells both phases certified
+            raise stop or NonConvergent(f"level-set shell {j} is not certified")
+        measures, count = _shell_level_measures(levels[j], bounds[j])
         shell = grid.shells[j]
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
         return float(wr @ measures), count

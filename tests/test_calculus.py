@@ -19,6 +19,7 @@ from hball.calculus import (
     evaluate,
     evaluate_grid,
     evaluate_grids,
+    evaluate_pairs,
     expansion_from_json,
     expansion_to_json,
     homogeneous_coefficient,
@@ -192,6 +193,42 @@ class TestEvaluate:
         values, peak = peak_of(HarmonicExpansion(3, atoms))
         # each atom's call runs beside the sum of the atoms before it
         assert peak <= one + values.nbytes + (1 << 20)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairs_are_the_entries_of_their_grids_bit_for_bit(self, n):
+        # a zonal term whose negative weight gives -0.0 at radius 0, series
+        # atoms on two poles (at n = 2 a plain, a lifted and a lower-branch
+        # closed form, and a series with none), and a grid whose radii reach
+        # |x||pole| = 1 for the atom on the sphere
+        e = np.eye(n)
+        pole = tuple(0.6 * e[1])
+        f = HarmonicExpansion(n, (
+            ZonalTerm(2, tuple(e[0]), -0.7),
+            KernelAtom(0.4, pole, 1.2),
+            GeneralSeriesAtom(CoeffProduct.kernel(0.3).shifted(0.5, 1.0), pole, -0.3),
+            KernelAtom(-2.5, pole, 0.8),
+            KernelAtom(-2.0, tuple(e[0]), 0.5),
+        ))
+        rng = np.random.default_rng(n)
+        units = rng.normal(size=(24, n))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        units = np.concatenate([units, units[:6]])  # repeated cosines
+        grids = [
+            (np.array([0.0, 0.4, 0.9]), units, rng.integers(0, 3, units.shape[0])),
+            (np.array([0.5, 1.0]), units[:10], rng.integers(0, 2, 10)),
+            (np.array([0.95]), units[5:], np.zeros(units.shape[0] - 5, dtype=int)),
+        ]
+        got = evaluate_pairs(f, grids, tol_rel=1e-9)
+        for (radii, units, rows), values in zip(grids, got, strict=True):
+            try:
+                want = evaluate_grid(f, radii, units, tol_rel=1e-9)[rows, np.arange(rows.shape[0])]
+            except NonConvergent as exc:
+                assert isinstance(values, NonConvergent) and str(values) == str(exc)
+                continue
+            assert values.tobytes() == want.tobytes()
+        assert isinstance(got[1], NonConvergent)
+        zero = evaluate_pairs(HarmonicExpansion(n, ()), grids[:1])
+        assert zero[0].tobytes() == np.zeros(grids[0][2].shape[0]).tobytes()
 
 
 class TestApplyD:

@@ -41,6 +41,7 @@ from hball.kernel import (
     _ZonalAngular,
     eval_coeff_series_grid,
     eval_coeff_series_grids,
+    eval_coeff_series_pairs,
     eval_coeff_series_points,
     eval_coeff_series_rule_sum,
     gamma_coeff,
@@ -278,7 +279,6 @@ class TestCoeffProduct:
     def test_mismatched_shift_keeps_factors(self):
         cp = CoeffProduct.kernel(0.3).shifted(0.5, 1.2)
         assert cp.single_kernel_parameter() is None
-        assert cp.growth_exponent() == pytest.approx(0.3 + 1 + 1.2)
 
     def test_log_values_match_composition(self):
         ks = np.arange(0, 50, dtype=float)
@@ -1325,7 +1325,8 @@ def closed_form(coeff, u, rho_sets, *, tol_rel):
     if form is None:
         return None
     rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
-    return _n2_closed_form(form, _N2Geometry(rho, np.asarray(u, dtype=float)), sets, tol_rel=tol_rel)
+    geometry = _N2Geometry(rho[:, None], np.asarray(u, dtype=float)[None, :])
+    return _n2_closed_form(form, geometry, sets, tol_rel=tol_rel)
 
 
 class TestPlainN2ClosedForm:
@@ -1463,7 +1464,8 @@ def lifted_reference(q, offsets, rho, u):
     """2 Re F - 1, |1 - z| and the mass 2 F(rho) - 1 on the grid rho x u, in
     50-digit mpmath, for F = P(theta) G_q with theta = z d/dz: P expanded in
     monomials, theta^m = sum_j S(m, j) z^j (d/dz)^j, and the derivatives of
-    G_q = (1 - z)^-(2+q) or -log(1 - z)/z (q = -2, by Leibniz' rule)."""
+    G_q = (1 - z)^-(2+q) or -log(1 - z)/z (q = -2, by Leibniz' rule, with
+    log1p, which holds its digits at subnormal z)."""
     with mpmath.workdps(50):
         poly = [mpmath.mpf(1)]
         for c in offsets:
@@ -1477,7 +1479,7 @@ def lifted_reference(q, offsets, rho, u):
                 return mpmath.rf(2 + mpmath.mpf(q), j) * w ** (-(2 + mpmath.mpf(q)) - j)
             return sum(
                 mpmath.binomial(j, i)
-                * (-mpmath.log(w) if i == 0 else mpmath.factorial(i - 1) * w**-i)
+                * (-mpmath.log1p(-z) if i == 0 else mpmath.factorial(i - 1) * w**-i)
                 * (-1) ** (j - i) * mpmath.factorial(j - i) * z ** (i - j - 1)
                 for i in range(j + 1)
             )
@@ -1578,6 +1580,22 @@ EVALUATION_KINDS = {
 }
 
 
+@pytest.fixture
+def geometries(monkeypatch):
+    """The geometries a call forms, counted where `parts` computes."""
+    formed = []
+    parts = _N2Geometry.parts.func
+
+    def counted(self):
+        formed.append(self)
+        return parts(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(_N2Geometry, "parts")
+    monkeypatch.setattr(_N2Geometry, "parts", prop)
+    return formed
+
+
 class TestRepeatedCosines:
     """A grid evaluates its distinct cosines once and gathers them back to
     the directions: each form and the series give repeated cosines, bit for
@@ -1591,6 +1609,9 @@ class TestRepeatedCosines:
         rho=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4),
         pole_norm=st.floats(0.5, 1.0),
     )
+    # subnormal radii, where the q = -2 form's division by z overflowed
+    @example(kind="lower", theta=[0.0], azimuth=0.0, rho=[2.225073858507203e-309], pole_norm=1.0)
+    @example(kind="lower", theta=[0.0], azimuth=0.0, rho=[5e-324], pole_norm=1.0)
     def test_mirror_pairs_are_the_distinct_cosines_alone(self, kind, theta, azimuth, rho, pole_norm):
         n, coeff = EVALUATION_KINDS[kind]
         theta = np.array(theta)
@@ -1636,21 +1657,6 @@ class TestBatchedClosedForms:
     UNITS = np.stack([np.cos(THETA), np.sin(THETA)], axis=1)
     POLE = np.array([0.9, 0.0])
     RADII = [np.array([0.0, 0.4, 0.93]), np.array([0.7])]
-
-    @pytest.fixture
-    def geometries(self, monkeypatch):
-        """The geometries a call forms, counted where `parts` computes."""
-        formed = []
-        parts = _N2Geometry.parts.func
-
-        def counted(self):
-            formed.append(self)
-            return parts(self)
-
-        prop = functools.cached_property(counted)
-        prop.__set_name__(_N2Geometry, "parts")
-        monkeypatch.setattr(_N2Geometry, "parts", prop)
-        return formed
 
     def test_each_coefficient_is_its_call_alone(self, geometries):
         rho = [r * 0.9 for r in self.RADII]
@@ -1778,3 +1784,100 @@ class TestTolerances:
         with pytest.raises(ValueError, match="tolerance tol_rel must be finite"):
             eval_coeff_series_rule_sum(n, self.coeff, 0.5 * np.eye(n)[:1], np.array([0.3, 0.6]),
                                        sphere.units, weighted, sphere.rings, tol_rel=math.nan)
+
+
+class TestSubnormalRadii:
+    """Every n = 2 form holds at the smallest radii, subnormal ones too,
+    where -log(1 - z) / z of the q = -2 form takes its z -> 0 limit."""
+
+    REFERENCE = {  # (q, offsets) of `lifted_reference` per kind
+        "plain_integer_b": (0.0, ()),
+        "plain": (0.7, ()),
+        "lifted_upper": (0.3, (2.5,)),
+        "lower": (-2.0, ()),
+    }
+
+    @pytest.mark.parametrize("kind", list(REFERENCE))
+    def test_values_are_those_of_mpmath(self, kind):
+        n, coeff = EVALUATION_KINDS[kind]
+        rho = np.array([0.0, 5e-324, 2.225073858507203e-309, 2.2250738585072014e-308, 1e-300])
+        u = np.array([-1.0, 0.0, 0.6, 1.0])
+        (got,) = closed_form(coeff, u, [rho], tol_rel=1e-10)
+        want, _, mass = lifted_reference(*self.REFERENCE[kind], rho, u)
+        assert np.all(np.abs(got - want) <= 2 * _EPS * mass[:, None])
+
+
+def paired_grids(n, seed):
+    """Three grids of (radii, units, rows) about the pole e1: shallow radii,
+    radii up to 0.9995 and one radius.  Each grid has repeated cosines, the
+    pole and its antipode among its directions, and rows drawn at random."""
+    rng = np.random.default_rng(seed)
+    grids = []
+    for radii in ([0.0, 0.05, 0.1], [0.2, 0.9, 0.9995], [0.6]):
+        theta = rng.uniform(0.0, np.pi, 12)
+        theta = np.concatenate([theta, theta[:4], [0.0, np.pi]])
+        azimuth = rng.uniform(0.0, 2.0 * np.pi, theta.shape[0])
+        units = np.zeros((theta.shape[0], n))
+        units[:, 0] = np.cos(theta)
+        units[:, 1] = np.sin(theta) * (np.cos(azimuth) if n == 3 else 1.0)
+        if n == 3:
+            units[:, 2] = np.sin(theta) * np.sin(azimuth)
+        grids.append((np.array(radii), units, rng.integers(0, len(radii), theta.shape[0])))
+    return grids
+
+
+class TestPairedSeries:
+    """A paired call gives each pair, bit for bit, the entry of its grid in
+    a grid call: the n = 2 closed forms elementwise on the pairs, with one
+    geometry per call, and every other series, also a closed form whose
+    gate fails on a grid, on the same sum as the grid call."""
+
+    KINDS = dict(EVALUATION_KINDS, no_form=(2, CoeffProduct.kernel(-2.5)))
+    TOL = 5e-15  # the closed forms' gates pass on the shallow grid alone
+
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """The (cosines, radii) of every `_series_sums` call, as bytes."""
+        import hball.kernel as kernel
+
+        calls = []
+        real = kernel._series_sums
+
+        def recorded(n, coeffs, u, rho_sets, **kw):
+            calls.append((u.tobytes(), np.concatenate(rho_sets).tobytes()))
+            return real(n, coeffs, u, rho_sets, **kw)
+
+        monkeypatch.setattr(kernel, "_series_sums", recorded)
+        return calls
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_pairs_are_the_entries_of_their_grids(self, kind, sums, geometries):
+        n, coeff = self.KINDS[kind]
+        grids = paired_grids(n, 7)
+        if n == 2 and _N2Form.of(coeff) is not None:
+            used = [closed_form(coeff, units[:, 0], [radii], tol_rel=self.TOL) is not None
+                    for radii, units, _ in grids]
+            assert used[0] and not used[1]
+        geometries.clear()
+        got = eval_coeff_series_pairs(n, coeff, np.eye(n)[0], grids, tol_rel=self.TOL)
+        paired = list(sums)
+        assert len(geometries) == (n == 2 and _N2Form.of(coeff) is not None)
+        sums.clear()
+        for (radii, units, rows), values in zip(grids, got, strict=True):
+            (grid,) = eval_coeff_series_grid(n, coeff, units, np.eye(n)[0], [radii], tol_rel=self.TOL)
+            assert np.array_equal(bits(values), bits(grid[rows, np.arange(rows.shape[0])]))
+        # the series of each grid is the grid call's sum
+        assert paired == sums
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_grid_whose_series_raises_leaves_the_others(self, n):
+        coeff = CoeffProduct.kernel(0.0)
+        grids = paired_grids(n, 8)
+        grids.insert(1, (np.array([0.5, 1.0]), grids[0][1], grids[0][2] % 2))
+        got = eval_coeff_series_pairs(n, coeff, np.eye(n)[0], grids, tol_rel=1e-10)
+        with pytest.raises(NonConvergent) as alone:
+            eval_coeff_series_grid(n, coeff, grids[1][1], np.eye(n)[0], [grids[1][0]], tol_rel=1e-10)
+        assert isinstance(got[1], NonConvergent) and str(got[1]) == str(alone.value)
+        for (radii, units, rows), values in zip(grids[::2], got[::2], strict=True):
+            (grid,) = eval_coeff_series_grid(n, coeff, units, np.eye(n)[0], [radii], tol_rel=1e-10)
+            assert np.array_equal(bits(values), bits(grid[rows, np.arange(rows.shape[0])]))

@@ -18,6 +18,7 @@ from hball.calculus import (
     evaluate,
     evaluate_grid,
     evaluate_grids,
+    evaluate_pairs,
 )
 from hball.errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from hball.experiments import verification_family
@@ -325,7 +326,7 @@ class TestLevelSet:
             got = rep.integral.increments[j]
             assert got == pytest.approx(want, rel=2e-3, abs=1e-12)
 
-    def test_a_ring_of_many_arcs_measures_as_its_runs(self, monkeypatch):
+    def test_a_ring_of_many_arcs_measures_as_its_runs(self):
         # |Z_12(r u, zeta)| = 2 r^12 |cos 12 theta| is above a third of its
         # largest value on 9 arcs of the circle; the arcs are summed in
         # order, which from 8 arcs on may round otherwise than np.sum
@@ -334,19 +335,14 @@ class TestLevelSet:
         grid = shell_decomposition(n, 4)
         vals = spaces._shell_values(f, grid, j)
         eps = float(np.abs(vals).max()) / 3.0
-        bounds = []
-        real = spaces._bisect_boundaries
-
-        def record(*args):
-            bounds.append(real(*args))
-            return bounds[-1]
-
-        monkeypatch.setattr(spaces, "_bisect_boundaries", record)
-        got, count = spaces._shell_level_measures(f, grid, j, 0.0, eps)
+        level = spaces._level_shell(f, grid, j, 0.0, eps)
+        (bounds,), stop = spaces._bisect_boundaries(f, 0.0, eps, [level.brackets])
+        assert stop is None
+        got, count = spaces._shell_level_measures(level, bounds)
         rings = grid.spheres[j].rings
         status = np.abs(vals[:, rings.index]) >= eps
         flips = status != np.roll(status, -1, axis=2)
-        per_ring = np.split(bounds[0], np.cumsum(flips.sum(axis=2).ravel())[:-1])
+        per_ring = np.split(bounds, np.cumsum(flips.sum(axis=2).ravel())[:-1])
         runs = []
         for first_in, cuts in zip(status[:, :, 0].ravel(), per_ring):
             edges = np.concatenate([[rings.span[0]], cuts, [rings.span[1]]])
@@ -357,16 +353,16 @@ class TestLevelSet:
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
 
     def shell_walk_failing_from(self, monkeypatch, j_fail, exc):
-        """level_set on a constant, with the measure of shells >= j_fail
-        raising `exc`."""
-        real = spaces._shell_level_measures
+        """level_set on a constant, with the indicator of shells >= j_fail
+        (the walk's first phase) raising `exc`."""
+        real = spaces._level_shell
 
         def failing(g, grid, j, exponent, eps):
             if j >= j_fail:
                 raise exc
             return real(g, grid, j, exponent, eps)
 
-        monkeypatch.setattr(spaces, "_shell_level_measures", failing)
+        monkeypatch.setattr(spaces, "_level_shell", failing)
         one = constant(2)
         pair = Bloch.standard(0.0).pair
         return level_set(one, 0.0, pair, 0.5, default_shell_grid(one, depth=8), -2.0)
@@ -379,6 +375,45 @@ class TestLevelSet:
     def test_other_errors_name_the_shell(self, monkeypatch):
         with pytest.raises(EvaluationFailure, match="shell 2"):
             self.shell_walk_failing_from(monkeypatch, 2, RuntimeError("broken measure"))
+
+    def bisection_failing_on(self, monkeypatch, j_fail, result):
+        """level_set of the critical atom at n = 2, where the paired call of
+        the bisection (the walk's second phase) gives `result(values)` for
+        shell j_fail's pairs, and the same walk without the failure."""
+        atom = HarmonicExpansion(2, (KernelAtom(-2.0, ZETA2),))
+        grid = default_shell_grid(atom)
+        pair = DiffPair(1.0, 1.0)
+        eps = 0.5 * bloch_norm(atom, Bloch(0.0, pair), grid)
+        g = apply_D(atom, pair)
+        assert all(len(spaces._level_shell(g, grid, j, 1.0, eps).brackets[1]) for j in range(4))
+        want = level_set(atom, 0.0, pair, eps, grid, -2.0)
+        fail_nodes = grid.shells[j_fail].nodes
+        real = spaces.evaluate_pairs
+
+        def failing(f, grids, **kw):
+            values = real(f, grids, **kw)
+            return [result(v) if radii is fail_nodes else v for (radii, _, _), v in zip(grids, values)]
+
+        monkeypatch.setattr(spaces, "evaluate_pairs", failing)
+        return level_set(atom, 0.0, pair, eps, grid, -2.0), want
+
+    @pytest.mark.parametrize("j_fail", [1, 3])
+    def test_a_shell_whose_bisection_raises_ends_the_walk(self, monkeypatch, j_fail):
+        got, want = self.bisection_failing_on(monkeypatch, j_fail, lambda v: NonConvergent("deep shell"))
+        assert want.integral.shells_used > j_fail
+        assert got.integral.increments == want.integral.increments[:j_fail]
+        assert got.node_counts == want.node_counts[:j_fail]
+
+    def test_no_shell_bisected_certifies_no_shell(self, monkeypatch):
+        with pytest.raises(NonConvergent, match="certified no shell"):
+            self.bisection_failing_on(monkeypatch, 0, lambda v: NonConvergent("deep shell"))
+
+    def test_other_bisection_errors_name_the_shells(self, monkeypatch):
+        def broken(values):
+            raise RuntimeError("broken pairs")
+
+        with pytest.raises(EvaluationFailure, match="shells 0-"):
+            self.bisection_failing_on(monkeypatch, 2, broken)
 
     def test_report_serialization(self):
         one = constant(2)
@@ -611,7 +646,7 @@ class TestDistance:
         assert est.value > 0.01 * est.bloch_norm
 
 
-def _bisect_one_step_per_call(g, shell_nodes, exponent, eps, r_idx, lo, hi, lo_in, unit_of):
+def _bisect_one_step_per_call(g, exponent, eps, shell_nodes, r_idx, lo, hi, lo_in, unit_of):
     """Reference: eight halvings, one grid evaluation each."""
     weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
     for _ in range(8):
@@ -621,6 +656,33 @@ def _bisect_one_step_per_call(g, shell_nodes, exponent, eps, r_idx, lo, hi, lo_i
         take_lo = mid_in == lo_in
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _bisect_lookahead_per_shell(g, exponent, eps, shell_nodes, r_idx, lo, hi, lo_in, unit_of):
+    """Reference: the lookahead bisection of one shell on its own grid,
+    one grid evaluation of the shell's nodes per round; a shell without
+    brackets evaluates nothing."""
+    if not len(r_idx):
+        return np.empty(0)
+    weight = (1.0 - shell_nodes[r_idx] ** 2) ** exponent
+    cols = np.arange(len(r_idx))
+    for _ in range(spaces._BISECT_STEPS // spaces._LOOKAHEAD):
+        brackets, mids = [(lo, hi)], []
+        for i in range(2**spaces._LOOKAHEAD - 1):
+            a, b = brackets[i]
+            mids.append(0.5 * (a + b))
+            brackets += [(a, mids[-1]), (mids[-1], b)]
+        units = unit_of(np.concatenate(mids))
+        vals = evaluate_grid(g, shell_nodes, units, tol_rel=spaces._BISECT_TOL)
+        table = np.stack(mids)
+        inside = weight * np.abs(vals[r_idx, np.arange(units.shape[0]).reshape(table.shape)]) >= eps
+        node = np.zeros(len(r_idx), dtype=int)
+        for _ in range(spaces._LOOKAHEAD):
+            take_lo = inside[node, cols] == lo_in
+            lo = np.where(take_lo, table[node, cols], lo)
+            hi = np.where(take_lo, hi, table[node, cols])
+            node = 2 * node + np.where(take_lo, 2, 1)
     return 0.5 * (lo + hi)
 
 
@@ -713,7 +775,9 @@ class TestFillShellValues:
 
 class TestBisectLookahead:
     """The lookahead bisection locates the same boundaries, bit for bit, as
-    one grid evaluation per halving, in two evaluations per call."""
+    one grid evaluation per halving, in two paired calls over all the
+    shells of a walk; each series is summed on the grids that one shell's
+    bisection on its own evaluates."""
 
     J, SHELL_DEPTH = 3, 4
 
@@ -727,21 +791,6 @@ class TestBisectLookahead:
         nodes = grid.shells[self.J].nodes
         weighted = (1.0 - nodes**2)[:, None] ** exponent * np.abs(spaces._shell_values(g, grid, self.J))
         return g, grid, exponent, 0.5 * float(weighted.max()), np.asarray(zeta)
-
-    def level_brackets(self, monkeypatch, g, grid, exponent, eps):
-        """The brackets the level-set measure hands to the bisection."""
-        seen = []
-        real = spaces._bisect_boundaries
-
-        def record(*args):
-            seen.append(args)
-            return real(*args)
-
-        with monkeypatch.context() as m:
-            m.setattr(spaces, "_bisect_boundaries", record)
-            spaces._shell_level_measures(g, grid, self.J, exponent, eps)
-        assert len(seen) == 1
-        return seen[0]
 
     def wide_brackets(self, g, grid, exponent, eps, zeta):
         """Brackets along ring 0 of shell J's rule across the pole direction,
@@ -766,30 +815,68 @@ class TestBisectLookahead:
             status = (1.0 - nodes[i] ** 2) ** exponent * np.abs(vals) >= eps
             assert np.count_nonzero(status[1:] != status[:-1]) >= 2
             lo_in.append(status[0])
-        return (g, nodes, exponent, eps, r_idx, lo, hi, np.array(lo_in), unit_of)
+        return (nodes, r_idx, lo, hi, np.array(lo_in), unit_of)
+
+    def walk_brackets(self, n):
+        """The brackets of every shell of the walk, as its first phase
+        hands them to the bisection, and the wide brackets as one shell
+        more."""
+        g, grid, exponent, eps, zeta = self.critical_derivative(n)
+        shells = [spaces._level_shell(g, grid, j, exponent, eps).brackets for j in range(grid.depth)]
+        shells.append(self.wide_brackets(g, grid, exponent, eps, zeta))
+        assert sum(len(shell[1]) > 0 for shell in shells) >= 3
+        lo_in = np.concatenate([shell[4] for shell in shells])
+        assert lo_in.any() and not lo_in.all()
+        return g, exponent, eps, shells
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_one_step_per_call(self, n, monkeypatch):
-        g, grid, exponent, eps, zeta = self.critical_derivative(n)
-        cases = [
-            self.level_brackets(monkeypatch, g, grid, exponent, eps),
-            self.wide_brackets(g, grid, exponent, eps, zeta),
-        ]
-        lo_in = np.concatenate([case[7] for case in cases])
-        assert lo_in.any() and not lo_in.all()
-
+        g, exponent, eps, shells = self.walk_brackets(n)
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return evaluate_grid(*args, **kwargs)
+            return evaluate_pairs(*args, **kwargs)
 
-        monkeypatch.setattr(spaces, "evaluate_grid", counted)
-        for case in cases:
+        monkeypatch.setattr(spaces, "evaluate_pairs", counted)
+        for shell in [shells[self.J], shells[-1]]:
             calls.clear()
-            got = spaces._bisect_boundaries(*case)
-            assert len(calls) == 2
-            assert np.array_equal(got, _bisect_one_step_per_call(*case))
+            (got,), stop = spaces._bisect_boundaries(g, exponent, eps, [shell])
+            assert len(calls) == 2 and stop is None
+            assert np.array_equal(got, _bisect_one_step_per_call(g, exponent, eps, *shell))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_all_shells_together_are_each_shell_alone(self, n, monkeypatch):
+        import hball.kernel as kernel
+
+        g, exponent, eps, shells = self.walk_brackets(n)
+        sums = []
+        real = kernel._series_sums
+
+        def recorded(n, coeffs, u, rho_sets, **kw):
+            sums.append((coeffs[0], u.tobytes(), np.concatenate(rho_sets).tobytes()))
+            return real(n, coeffs, u, rho_sets, **kw)
+
+        monkeypatch.setattr(kernel, "_series_sums", recorded)
+        want = [_bisect_lookahead_per_shell(g, exponent, eps, *shell) for shell in shells]
+        alone = sorted(sums, key=repr)
+        sums.clear()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "evaluate_pairs", counted)
+        got, stop = spaces._bisect_boundaries(g, exponent, eps, shells)
+        assert len(calls) == 2 and stop is None
+        # at n = 3 every series is summed on the grids of the shells alone
+        assert sorted(sums, key=repr) == alone
+        assert bool(alone) == (n == 3)
+        assert len(got) == len(shells)
+        for a, b, shell in zip(got, want, shells, strict=True):
+            assert np.array_equal(a, b)
+            assert np.array_equal(b, _bisect_one_step_per_call(g, exponent, eps, *shell))
 
 
 class TestPairIndependence:
