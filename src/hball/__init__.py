@@ -44,7 +44,6 @@ from .spaces import (
     LevelSetReport,
     LittleBloch,
     Membership,
-    SplitResult,
     besov_norm,
     besov_norm_shells,
     bloch_norm,
@@ -56,7 +55,6 @@ from .spaces import (
     membership_kernel_atom,
     reproduce,
     reproducing_rule,
-    split,
 )
 from .special import (
     WeightConstant,

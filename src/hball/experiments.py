@@ -882,9 +882,9 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
 
     Raises ValueError, before any work, for an unknown name, a seed, shell
     depth or tolerance not of its report schema type, a shell depth that is
-    not an integer >= 1, a tolerance that is not finite and positive or
-    kernel-growth parameters it cannot fit; the other runners raise it for
-    parameters they refuse.
+    not an integer >= 1, a tolerance that is not finite and positive, or
+    kernel-growth or family-experiment parameters it cannot run; the other
+    runners raise it for parameters they refuse.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -897,7 +897,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
     """Raise ValueError unless seed, shells and tol are of their report
     schema types, the shell depth is an integer >= 1, the tolerance is
     finite and positive and, for kernel-growth, the parameters are ones it
-    can fit (`_check_growth_parameters`)."""
+    can fit (`_check_growth_parameters`) and, for the experiments on the
+    fixed test family, ones they can run (`_check_family_parameters`)."""
     _check_config_types(vars(cfg))
     if not isinstance(cfg.shells, int) or cfg.shells < 1:
         raise ValueError(f"shells must be an integer >= 1, not {cfg.shells!r}")
@@ -905,6 +906,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
         raise ValueError(f"tol must be finite and positive, not {cfg.tol!r}")
     if cfg.name == "kernel-growth":
         _check_growth_parameters(cfg.parameters)
+    if cfg.name in _FAMILY_LISTS:
+        _check_family_parameters(cfg.name, cfg.parameters)
 
 
 def _finite_number(value) -> bool:
@@ -941,6 +944,48 @@ def _check_growth_parameters(parameters: dict) -> None:
     radii = [1.0 - 2.0**-j for j in j_radii]
     if radii[-1] >= 1.0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"j_radii must give distinct radii 1 - 2^-j below 1.0, not {j_radii!r}")
+
+
+# The parameter lists of each experiment on the fixed test family.
+_FAMILY_LISTS = {
+    "inclusion": ("n_grid", "alpha_grid", "p_grid"),
+    "levelset": ("n_grid", "alpha_grid", "p_grid", "eps_fractions"),
+    "distance": ("n_grid", "alpha_grid", "p_pair"),
+}
+
+
+def _positive(value) -> bool:
+    return _finite_number(value) and value > 0.0
+
+
+# What each entry of a family list must be, and the test of it.
+_FAMILY_ENTRIES = {
+    "n_grid": ("2 or 3", lambda n: not isinstance(n, bool) and isinstance(n, int) and n in (2, 3)),
+    "alpha_grid": ("finite", _finite_number),
+    "p_grid": ("finite and > 0", _positive),
+    "eps_fractions": ("finite and > 0", _positive),
+    "p_pair": ("finite and >= 1", lambda p: _finite_number(p) and p >= 1.0),
+}
+
+
+def _check_family_parameters(name: str, parameters: dict) -> None:
+    """Raise ValueError, naming the key, unless every list of the family
+    experiment `name` is a nonempty list of valid entries (`_FAMILY_ENTRIES`):
+    n_grid holds the dimensions of the family's shell grids, alpha_grid
+    finite weights, p_grid exponents p > 0, eps_fractions fractions > 0 of
+    the Bloch norm, and p_pair two exponents >= 1, where the membership
+    predicate is stated.  An empty list would give a report that passes on
+    no rows."""
+    for key in _FAMILY_LISTS[name]:
+        values = parameters.get(key)
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"{key} must be a nonempty list, not {values!r}")
+        what, valid = _FAMILY_ENTRIES[key]
+        for i, value in enumerate(values):
+            if not valid(value):
+                raise ValueError(f"{key}[{i}] must be {what}, not {value!r}")
+    if name == "distance" and len(parameters["p_pair"]) != 2:
+        raise ValueError(f"p_pair must hold two exponents, not {parameters['p_pair']!r}")
 
 
 def _check_config_types(values: dict) -> None:

@@ -474,22 +474,37 @@ def _circle_rows(u: np.ndarray, k_end: int):
 
     Row k0 + s + j is 2 Re(e^{i (k0+s) theta} e^{i j theta}) over pieces
     of _PIECE_ROWS rows from k0, so a row costs one complex product per
-    entry.  The phases e^{i j theta}, j < min(k_end, _PIECE_ROWS), are
-    built once, each e^{i a theta} e^{i b theta} from two tables of about
-    sqrt(_PIECE_ROWS) phases, a a multiple of the second table's length.
-    Neither the pieces nor the phases of a row depend on the other cosines
-    or, from k0, on size or k_end; the phases take at most twice the bytes
-    of a block of _PIECE_ROWS rows."""
+    entry.  The fine phases e^{i j theta}, j < min(k_end, _PIECE_ROWS), are
+    built only as far as the pieces read them, each e^{i a theta} e^{i b
+    theta} from two tables of at most about sqrt(_PIECE_ROWS) phases, a a
+    multiple of the second table's length.  Phase 0 is 1 and needs no
+    table, so a one-row block, such as the one degree of a zonal term, is
+    2 Re e^{i k0 theta} - 0 Im e^{i k0 theta} from its coarse phase alone.
+    Neither the pieces nor the phases of a row depend on the other cosines,
+    on the blocks read before or, from k0, on size or k_end; the phases
+    take at most twice the bytes of a block of _PIECE_ROWS rows."""
     theta = np.arccos(u)
     cols = theta.shape[0]
     span = min(k_end, _PIECE_ROWS)
     step = math.isqrt(_PIECE_ROWS - 1) + 1
-    fine = (
-        _unit_phases(np.arange(0.0, span, step), theta)[:, None, :]
-        * _unit_phases(np.arange(float(min(step, span))), theta)[None, :, :]
-    ).reshape(-1, cols)[:span]
-    fine_re, fine_im = 2.0 * fine.real, 2.0 * fine.imag
-    del fine
+    # 2 Re and 2 Im of the fine phases, rows below `built` filled
+    fine_re, fine_im = np.empty((span, cols)), np.empty((span, cols))
+    fine_re[:1], fine_im[:1] = 2.0, 0.0
+    built = 1
+
+    def phases(m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first m rows of fine_re and fine_im, filled on demand."""
+        nonlocal built
+        if m > built:
+            a0 = built - built % step
+            fine = (
+                _unit_phases(np.arange(float(a0), m, step), theta)[:, None, :]
+                * _unit_phases(np.arange(float(min(step, m))), theta)[None, :, :]
+            ).reshape(-1, cols)[built - a0 : m - a0]
+            np.multiply(2.0, fine.real, out=fine_re[built:m])
+            np.multiply(2.0, fine.imag, out=fine_im[built:m])
+            built = m
+        return fine_re[:m], fine_im[:m]
 
     def rows(k0: int, size: int) -> np.ndarray:
         out = np.empty((size, cols))
@@ -497,8 +512,9 @@ def _circle_rows(u: np.ndarray, k_end: int):
         coarse = np.exp(1j * (np.arange(k0, k0 + size, _PIECE_ROWS)[:, None] * theta[None, :]))
         for s, start in zip(range(0, size, _PIECE_ROWS), coarse):
             piece = out[s : s + _PIECE_ROWS]
-            np.multiply(fine_re[: piece.shape[0]], start.real, out=piece)
-            piece -= fine_im[: piece.shape[0]] * start.imag
+            re, im = phases(piece.shape[0])
+            np.multiply(re, start.real, out=piece)
+            piece -= im * start.imag
         if k0 == 0 and size:
             out[0] = 1.0
         return out
@@ -553,8 +569,10 @@ def zonal_angular_table(n: int, u, k0: int, size: int) -> np.ndarray:
     Z_k(x, y) = (|x||y|)^k Q_k(u), with u the cosine of the angle between x
     and y and |Q_k| <= h_k.  The rows of `_angular_source`, which pass 2
     sums against, times s_k: at n = 2 any degree block costs one complex
-    product per entry, at n >= 3 every degree from 0 is computed, so
-    callers ask from k0 = 0.
+    product per entry, and a block of one degree d, as a zonal term of
+    `calculus` asks for, is 2 Re e^{i d theta} off its one coarse phase
+    (`_circle_rows`); at n >= 3 every degree from 0 is computed, so callers
+    ask from k0 = 0.
     """
     u = np.asarray(u, dtype=float)
     rows = _angular_source(n, u, k0 + size)

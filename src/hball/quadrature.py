@@ -73,6 +73,10 @@ _GL3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 # Dyadic refinement levels of a focused angular rule beyond its shell index.
 _REFINE_EXTRA = 8
+# Gauss-Legendre radii per dyadic shell, and the degree of a shell's sphere
+# rule without foci (the base partition of a focused circle rule).
+_RADIAL_PER_SHELL = 8
+_BASE_ANGULAR = 32
 
 # The verdict convention of `classify_increments`; the floor is relative to
 # max(1, sum of the increments).
@@ -289,11 +293,11 @@ def shell_decomposition(
     depth: int = 12,
     foci: tuple = (),
     *,
-    radial_per_shell: int = 8,
-    base_angular: int = 32,
     azimuth: int = 16,
 ) -> ShellDecomposition:
-    """Build the dyadic shell grid; angular rules refine toward `foci`.
+    """Build the dyadic shell grid, _RADIAL_PER_SHELL Gauss-Legendre radii
+    per shell times a sphere rule of degree _BASE_ANGULAR; angular rules
+    refine toward `foci`.
 
     n = 2 supports any number of focus directions (exact circle partition);
     n = 3 refines the polar angle toward the first focus only, which covers
@@ -310,7 +314,7 @@ def shell_decomposition(
     # a NaN or inf focus would give NaN directions, a zero one no direction
     if not all(all(map(math.isfinite, f)) and any(f) for f in foci):
         raise ValueError(f"foci must be finite and nonzero, got {foci}")
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(radial_per_shell)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_RADIAL_PER_SHELL)
     shells = []
     spheres = []
     for j in range(depth):
@@ -324,10 +328,10 @@ def shell_decomposition(
             w = np.concatenate([[0.0], w])
         shells.append(RadialShell(r, w))
         if not foci:
-            spheres.append(sphere_rule(n, base_angular))
+            spheres.append(sphere_rule(n, _BASE_ANGULAR))
         elif n == 2:
             angles = [math.atan2(f[1], f[0]) for f in foci]
-            spheres.append(_focused_circle_rule(angles, j + _REFINE_EXTRA, base_angular))
+            spheres.append(_focused_circle_rule(angles, j + _REFINE_EXTRA, _BASE_ANGULAR))
         else:
             axis = np.asarray(foci[0], dtype=float)
             axis = axis / np.linalg.norm(axis)
@@ -367,27 +371,6 @@ class BallQuadrature:
         radial_weights = 0.5 * n * (2.0 ** -(0.5 * n + gamma)) * w
         sph = sphere_rule(n, degree)
         return BallQuadrature(n, float(gamma), radial_nodes, radial_weights, sph, degree)
-
-    @staticmethod
-    def shell_composite(
-        n: int, gamma: float, depth: int = 12, *, foci: tuple = ()
-    ) -> "BallQuadrature":
-        """Shell-based ball rule for integrands concentrated near the boundary:
-        12 Gauss-Legendre radii per dyadic shell times the sphere rule of
-        degree 64, or the deepest shell's rule refined toward `foci`
-        (`shell_decomposition`).
-
-        The boundary weight (1-r^2)^gamma is evaluated explicitly at the
-        piecewise Gauss-Legendre nodes, so gamma may be any finite real.
-        """
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must be finite, got {gamma}")
-        d = shell_decomposition(n, depth, foci, radial_per_shell=12, base_angular=64)
-        nodes = np.concatenate([s.nodes for s in d.shells])
-        weights = np.concatenate(
-            [s.weights * (1.0 - s.nodes**2) ** gamma for s in d.shells]
-        )
-        return BallQuadrature(n, float(gamma), nodes, weights, d.spheres[-1], 0)
 
     @property
     def units(self) -> np.ndarray:

@@ -14,11 +14,13 @@ All operations are reentrant.  Values derived on a shell grid live as
 long as it does (`_memo` holds them weakly under it), keyed by the
 derivative expansion itself and the shell (`_shell_values`), so equal
 derivatives, whatever function and operator pair they come from, are
-evaluated once per shell.  Grids belong to the caller; the experiments keep
-theirs for the life of the process.  A ball rule keeps nothing: its product
-grid holds len(radial_nodes) x len(units) values (14.5 MB on the n = 3
-reproducing rule), so the reproducing integral evaluates its derivative
-grid once per call and releases it.  Each level threshold still locates
+evaluated once per shell; their weighted magnitudes on the shell's rings
+are kept the same way per exponent (`_level_shell`).  Grids belong to the
+caller; the experiments keep theirs for the life of the process.  A ball
+rule keeps nothing: its product grid holds len(radial_nodes) x len(units)
+values (14.5 MB on the n = 3 reproducing rule), so the reproducing
+integral evaluates its derivative grid once per call and releases it.
+Each level threshold still locates
 its own level-set boundaries: it bisects every flip of the indicator
 between neighboring nodes along the rings of the shell's sphere rule
 (`quadrature.Rings`), which evaluates the derivative between nodes.  A
@@ -26,7 +28,8 @@ level-set walk does so in two phases: it walks the shells for their
 indicators and brackets up to the first shell whose values raise
 NonConvergent, then bisects the brackets of all those shells together,
 each round in one paired call (`calculus.evaluate_pairs`) that gives every
-midpoint the value at its own bracket's radius.
+midpoint the value at its own bracket's radius, and measures all those
+shells in one pass.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ __all__ = [
     "LevelSetReport",
     "LittleBloch",
     "Membership",
-    "SplitResult",
     "besov_norm",
     "besov_norm_shells",
     "bloch_norm",
@@ -87,13 +89,12 @@ __all__ = [
     "membership_kernel_atom",
     "reproduce",
     "reproducing_rule",
-    "split",
 ]
 
 REL_TOL = 1e-7
 
-# Relative tolerance of the reproducing integrals, `reproduce` and `split`:
-# of D f on the rule's grid and of the kernel series summed against it.
+# Relative tolerance of the reproducing integral, `reproduce`: of D f on
+# the rule's grid and of the kernel series summed against it.
 _RULE_TOL = 1e-9
 
 # The settings of `little_bloch_test`, `distance_estimate` and
@@ -300,12 +301,22 @@ class _LevelShell:
 def _level_shell(
     g: HarmonicExpansion, grid: ShellDecomposition, j: int, exponent: float, eps: float
 ) -> _LevelShell:
-    """The indicator and the brackets of shell j (`_LevelShell`), from the
-    shell's values (`_shell_values`, which raises their NonConvergent)."""
-    vals = _shell_values(g, grid, j)
+    """The indicator and the brackets of shell j at the level eps
+    (`_LevelShell`).
+
+    The weighted magnitudes (1 - r^2)^exponent |g| on the shell's rings
+    depend on the field, the shell and the exponent alone, not on eps: they
+    are formed once per (g, j, exponent) and memoized under the grid
+    (`_memo`), as the shell's values are (`_shell_values`, which raises
+    their NonConvergent), so each level only compares them with eps."""
     shell, rings = grid.shells[j], grid.spheres[j].rings
-    weighted = (1.0 - shell.nodes**2) ** exponent
-    status = weighted[:, None, None] * np.abs(vals[:, rings.index]) >= eps
+
+    def magnitudes():
+        vals = _shell_values(g, grid, j)
+        weighted = (1.0 - shell.nodes**2) ** exponent
+        return weighted[:, None, None] * np.abs(vals[:, rings.index])
+
+    status = _memo(grid, (g, j, exponent), magnitudes) >= eps
     flips = status != np.roll(status, -1, axis=2)
     if not rings.closed:
         flips[:, :, -1] = False
@@ -318,28 +329,45 @@ def _level_shell(
     return _LevelShell(rings, status, flips, brackets)
 
 
-def _shell_level_measures(level: _LevelShell, bounds: np.ndarray) -> tuple[np.ndarray, int]:
-    """Per-radius spherical measure of the level set on one shell, from its
-    indicator and its boundaries (`_bisect_boundaries`), plus the count of
-    in-set grid nodes (the node-wise indicator samples).
+def _shell_level_measures(levels: list, bounds: list) -> list[tuple[np.ndarray, int]]:
+    """Per shell of a level-set walk, the per-radius spherical measure of
+    the level set and the count of in-set grid nodes (the node-wise
+    indicator samples), from the shells' indicators (`_LevelShell`) and
+    their boundaries (`_bisect_boundaries`), one array per shell; the first
+    len(bounds) shells of `levels` are measured.
 
     Each flip of the indicator between neighboring nodes of a ring has
     been bisected along the ring to a boundary; the measure per radius is
     the mean over the rings of their in-set runs.  The runs of every
-    (radius, ring) are measured in one pass: each one's arcs run from the
-    span's start through its boundaries to the span's end, and every other
-    arc, from the first when the ring starts inside, is summed in order by
-    `np.bincount`."""
-    rings, status = level.rings, level.status
-    cuts = level.flips.sum(axis=2).ravel()  # boundaries per (radius, ring)
+    (shell, radius, ring) are measured in one pass: each one's arcs run
+    from its span's start through its boundaries to its span's end, and
+    every other arc, from the first when the ring starts inside, is summed
+    in order by `np.bincount`.  The measure of an arc depends only on
+    whether the rings are closed, which the shells of one grid share.  Each
+    shell then takes the mean over its rings alone, so a shell's measures
+    are bit for bit those it has when measured alone."""
+    levels = levels[: len(bounds)]
+    if not levels:
+        return []
+    # boundaries per (shell, radius, ring), and each shell's number of cells
+    cuts = [level.flips.sum(axis=2).ravel() for level in levels]
+    sizes = [c.size for c in cuts]
+    cuts = np.concatenate(cuts)
     before = np.cumsum(cuts) - cuts
-    lo = np.insert(bounds, before, rings.span[0])
-    hi = np.insert(bounds, before + cuts, rings.span[1])
+    spans = np.array([level.rings.span for level in levels])
+    bounds = np.concatenate(bounds)
+    lo = np.insert(bounds, before, np.repeat(spans[:, 0], sizes))
+    hi = np.insert(bounds, before + cuts, np.repeat(spans[:, 1], sizes))
     cell = np.repeat(np.arange(cuts.size), cuts + 1)
     arc = np.arange(cell.size) - np.repeat(before + np.arange(cuts.size), cuts + 1)
-    inside = (arc % 2 == 0) == status[:, :, 0].ravel()[cell]
-    measures = np.bincount(cell[inside], rings.measure(lo, hi)[inside], minlength=cuts.size)
-    return measures.reshape(status.shape[:2]).mean(axis=1), int(status.sum())
+    first_in = np.concatenate([level.status[:, :, 0].ravel() for level in levels])
+    inside = (arc % 2 == 0) == first_in[cell]
+    measures = np.bincount(cell[inside], levels[0].rings.measure(lo, hi)[inside], minlength=cuts.size)
+    ends = np.cumsum([0] + sizes)
+    return [
+        (measures[a:b].reshape(level.status.shape[:2]).mean(axis=1), int(level.status.sum()))
+        for level, a, b in zip(levels, ends[:-1], ends[1:])
+    ]
 
 
 def _level_shell_integral(
@@ -354,28 +382,30 @@ def _level_shell_integral(
     the per-shell in-set node counts.
 
     The walk has two phases.  The first walks the shells for their
-    indicators and brackets (`_level_shell`), up to the first shell whose
-    values raise NonConvergent.  The second bisects the brackets of all
-    those shells together (`_bisect_boundaries`), whose rounds make one
-    paired call each over all the shells, and measures each shell from its
-    boundaries; it stops at the first shell whose bisection raised
-    NonConvergent, as the first phase does.  Any other error is raised as
-    an EvaluationFailure that names its shell (`walk_shells`), or the
-    shells of the bisection."""
+    indicators and brackets (`_level_shell`, which reads each shell's
+    memoized weighted magnitudes), up to the first shell whose values raise
+    NonConvergent.  The second bisects the brackets of all those shells
+    together (`_bisect_boundaries`), whose rounds make one paired call each
+    over all the shells, and measures all the shells bisected in one pass
+    (`_shell_level_measures`); it stops at the first shell whose bisection
+    raised NonConvergent, as the first phase does.  Any other error is
+    raised as an EvaluationFailure that names its shell (`walk_shells`), or
+    the shells of the second phase."""
     levels = walk_shells(grid, lambda j: _level_shell(g, grid, j, exponent, epsilon), "level-set integral")
     try:
         bounds, stop = _bisect_boundaries(g, exponent, epsilon, [level.brackets for level in levels])
+        measures = _shell_level_measures(levels, bounds)
     except Exception as exc:  # noqa: BLE001 - as `walk_shells` does, name the shells
-        raise EvaluationFailure(f"level-set bisection failed on shells 0-{len(levels) - 1}: {exc}") from exc
+        raise EvaluationFailure(f"level-set boundaries failed on shells 0-{len(levels) - 1}: {exc}") from exc
 
     def shell_term(j: int) -> tuple[float, int]:
-        if j == len(bounds):
+        if j == len(measures):
             # past the shells both phases certified
             raise stop or NonConvergent(f"level-set shell {j} is not certified")
-        measures, count = _shell_level_measures(levels[j], bounds[j])
+        per_radius, count = measures[j]
         shell = grid.shells[j]
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
-        return float(wr @ measures), count
+        return float(wr @ per_radius), count
 
     terms = walk_shells(grid, shell_term, "level-set integral")
     integral = ShellIntegral.from_increments(inc for inc, _ in terms)
@@ -795,71 +825,3 @@ def reproduce(f: HarmonicExpansion, s: float, t: float, x, q: BallQuadrature):
         )
     v = weight_constant(f.dimension, gamma).value
     return _rule_integral(q, s, x, _rule_derivative(f, s, t, q), v)
-
-
-@dataclass(frozen=True, eq=False)
-class SplitResult:
-    """Level-set splitting f = f1 + f2 of the reproducing integral.
-
-    f1 integrates over the epsilon-level-set nodes, f2 over the complement;
-    both are quadrature-backed callables that, like `reproduce`, take one
-    point (n,) or a stack of points (P, n).  d_f1 / d_f2
-    evaluate the order-t derivative images (kernel shifted under the
-    integral sign).  f2_weighted_sup is the measured sup over the probe
-    points of (1-|x|^2)^(alpha+t) |D f2|, to be compared against epsilon.
-    """
-
-    epsilon: float
-    f1: object
-    f2: object
-    d_f1: object
-    d_f2: object
-    f2_weighted_sup: float
-    probes: np.ndarray
-
-
-def split(
-    f: HarmonicExpansion,
-    alpha: float,
-    pair: DiffPair,
-    epsilon: float,
-    q: BallQuadrature,
-    *,
-    probes: np.ndarray | None = None,
-) -> SplitResult:
-    """Split the reproducing integral along the epsilon level set.
-
-    Requires the rule weight to equal s + t and alpha + t > 0.  The level
-    set is resolved node-wise on the rule's grid.  D f is evaluated on that
-    grid once; the four parts share it and weight a masked copy per call.
-    The series are certified as in `reproduce`, to _RULE_TOL.
-    """
-    s, t = pair.s, pair.t
-    if not alpha + t > 0.0:
-        raise AdmissibilityError("the splitting requires alpha + t > 0")
-    if abs(q.gamma - (s + t)) > 1e-9:
-        raise AdmissibilityError("quadrature weight must equal s + t")
-    n = f.dimension
-    gv = _rule_derivative(f, s, t, q)
-    w_boundary = (1.0 - q.radial_nodes**2) ** (alpha + t)
-    mask = (w_boundary[:, None] * np.abs(gv)) >= epsilon
-    v = weight_constant(n, s + t).value
-
-    def _integral(x, kernel_s: float, masked: np.ndarray):
-        return _rule_integral(q, kernel_s, x, gv * masked, v)
-
-    f1 = lambda x: _integral(x, s, mask)  # noqa: E731
-    f2 = lambda x: _integral(x, s, ~mask)  # noqa: E731
-    d_f1 = lambda x: _integral(x, s + t, mask)  # noqa: E731
-    d_f2 = lambda x: _integral(x, s + t, ~mask)  # noqa: E731
-
-    if probes is None:
-        pole = np.zeros(n)
-        pole[0] = 1.0
-        probes = np.array([r * pole for r in (0.0, 0.3, 0.6, 0.8, 0.9)])
-    probes = np.asarray(probes, dtype=float).reshape(-1, n)
-    sup = 0.0
-    for xp, d in zip(probes, d_f2(probes)):
-        r2 = float(np.dot(xp, xp))
-        sup = max(sup, (1.0 - r2) ** (alpha + t) * abs(d))
-    return SplitResult(epsilon, f1, f2, d_f1, d_f2, sup, probes)

@@ -14,6 +14,7 @@ from hball.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     _at_report_precision,
+    _check_config,
     _growth_integral_curves,
     _report,
     default_config,
@@ -330,6 +331,78 @@ class TestKernelGrowthConfig:
         rep = run_experiment("kernel-growth", ExperimentConfig("kernel-growth", parameters=_radii([3, 4, 5, 6, 7]), shells=16))
         validate_report(rep)
         assert rep["summary"]["rows"] == 3
+
+
+def _family(name, **changes):
+    """The small parameters of family experiment `name` with keys changed,
+    a key set to KeyError removed."""
+    params = dict(small_config(name).parameters, **changes)
+    return {k: v for k, v in params.items() if v is not KeyError}
+
+
+# Parameters the family experiments cannot run, each with the key its
+# refusal names.
+FAMILY_REFUSALS = {
+    "levelset_no_fractions": ("levelset", r"eps_fractions must be a nonempty list", _family("levelset", eps_fractions=[])),
+    "levelset_fractions_missing": ("levelset", r"eps_fractions must be a nonempty list", _family("levelset", eps_fractions=KeyError)),
+    "levelset_fraction_0": ("levelset", r"eps_fractions\[1\] must be finite and > 0", _family("levelset", eps_fractions=[0.5, 0.0])),
+    "levelset_fraction_nan": ("levelset", r"eps_fractions\[0\] must be finite and > 0", _family("levelset", eps_fractions=[math.nan])),
+    "levelset_p_inf": ("levelset", r"p_grid\[0\] must be finite and > 0", _family("levelset", p_grid=[math.inf])),
+    "inclusion_no_p": ("inclusion", r"p_grid must be a nonempty list", _family("inclusion", p_grid=[])),
+    "inclusion_p_0": ("inclusion", r"p_grid\[1\] must be finite and > 0", _family("inclusion", p_grid=[1.0, 0.0])),
+    "inclusion_n_3.0": ("inclusion", r"n_grid\[0\] must be 2 or 3", _family("inclusion", n_grid=[3.0])),
+    "inclusion_n_true": ("inclusion", r"n_grid\[0\] must be 2 or 3", _family("inclusion", n_grid=[True])),
+    "inclusion_alpha_nan": ("inclusion", r"alpha_grid\[0\] must be finite", _family("inclusion", alpha_grid=[math.nan])),
+    "distance_no_n": ("distance", r"n_grid must be a nonempty list", _family("distance", n_grid=[])),
+    "distance_n_4": ("distance", r"n_grid\[0\] must be 2 or 3", _family("distance", n_grid=[4])),
+    "distance_alpha_inf": ("distance", r"alpha_grid\[1\] must be finite", _family("distance", alpha_grid=[0.0, math.inf])),
+    "distance_no_alpha": ("distance", r"alpha_grid must be a nonempty list", _family("distance", alpha_grid=KeyError)),
+    "distance_p_nan": ("distance", r"p_pair\[1\] must be finite and >= 1", _family("distance", p_pair=[1.0, math.nan])),
+    "distance_p_half": ("distance", r"p_pair\[1\] must be finite and >= 1", _family("distance", p_pair=[1.0, 0.5])),
+    "distance_one_p": ("distance", r"p_pair must hold two exponents", _family("distance", p_pair=[1.0])),
+    "distance_three_p": ("distance", r"p_pair must hold two exponents", _family("distance", p_pair=[1.0, 2.0, 3.0])),
+}
+
+
+class TestFamilyConfig:
+    """The experiments on the fixed test family refuse parameters they
+    cannot run before any work, with a ValueError naming the key and,
+    through the CLI, an error and exit 1; their default configs pass."""
+
+    @pytest.mark.parametrize("case", list(FAMILY_REFUSALS))
+    def test_refused_before_any_work(self, case, monkeypatch):
+        import hball.experiments as experiments
+        import hball.kernel as kernel
+
+        calls = []
+        for module, name in (
+            (kernel, "_certified_degree"), (kernel, "_n2_closed_form"),
+            (experiments, "verification_family"), (experiments, "_grid"),
+        ):
+            orig = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _orig=orig, **kw: calls.append(1) or _orig(*a, **kw))
+        name, match, parameters = FAMILY_REFUSALS[case]
+        with pytest.raises(ValueError, match=match):
+            run_experiment(name, ExperimentConfig(name, parameters=parameters, shells=4))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", list(FAMILY_REFUSALS))
+    def test_the_cli_refuses_with_an_error(self, case, tmp_path):
+        name, match, parameters = FAMILY_REFUSALS[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(ExperimentConfig(name, parameters=parameters, shells=4).to_json_dict()))
+        out = tmp_path / "r.json"
+        result = CliRunner().invoke(main, [name, "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Error: " in result.output
+        assert re.search(match, result.output)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["inclusion", "levelset", "distance"])
+    def test_default_and_small_configs_are_accepted(self, name):
+        _check_config(default_config(name))
+        _check_config(small_config(name))
 
 
 class TestReports:

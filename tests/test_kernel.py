@@ -21,6 +21,7 @@ from hball.kernel import (
     _TABLE_CHUNK_BYTES,
     CoeffProduct,
     KMAX_DEFAULT,
+    _angular_source,
     _AssociatedLegendre,
     _certified_degree,
     _degree_blocks,
@@ -1698,6 +1699,37 @@ class TestAngularTable:
             for c, u in enumerate(us):
                 want = 2 * mpmath.cos((k0 + j) * mpmath.acos(mpmath.mpf(u)))
                 assert abs(table[j, c] - float(want)) <= 5e-11 * 2
+
+    @staticmethod
+    def one_degree_row(u, d):
+        """The n = 2 row of degree d >= 1 as a block of its own reads it:
+        its coarse phase times fine phase 0, which is 1, so 2 Re - 0 Im."""
+        coarse = np.exp(1j * (d * np.arccos(u)))
+        return 2.0 * coarse.real - 0.0 * coarse.imag
+
+    @settings(max_examples=300, deadline=None)
+    @given(us=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6), d=st.integers(1, 5000))
+    @example(us=[1.0, -1.0, 0.0, -0.0], d=1)
+    @example(us=[5e-324, -5e-324, 2.225073858507203e-309, 2.2250738585072014e-308], d=5000)
+    @example(us=[0.5, -0.5, math.cos(1e-4)], d=4999)
+    def test_one_degree_circle_row_is_its_coarse_phase(self, us, d):
+        u = np.array(us)
+        got = zonal_angular_table(2, u, d, 1)
+        assert got.shape == (1, u.size)
+        assert np.array_equal(bits(got[0]), bits(self.one_degree_row(u, d)))
+
+    @pytest.mark.parametrize("k_end", [1, 2, 23, 24, 65, 700, 2000])
+    def test_circle_blocks_do_not_depend_on_the_blocks_read_before(self, k_end):
+        # the fine phases are built as far as the blocks read them: a block
+        # is bit for bit the same whatever was read from its source before
+        u = np.concatenate([np.cos(np.linspace(0.0, np.pi, 37)), [0.3, -0.0]])
+        blocks = list(_degree_blocks(k_end - 1)) + [(k_end - 1, 1), (0, k_end)]
+        in_order, reversed_ = _angular_source(2, u, k_end), _angular_source(2, u, k_end)
+        got = [in_order(k0, size) for k0, size in blocks]
+        got_reversed = [reversed_(k0, size) for k0, size in blocks[::-1]][::-1]
+        for (k0, size), a, b in zip(blocks, got, got_reversed):
+            alone = _angular_source(2, u, k_end)(k0, size)
+            assert np.array_equal(bits(a), bits(alone)) and np.array_equal(bits(b), bits(alone))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_low_degrees_match_the_scalar_zonal(self, n):

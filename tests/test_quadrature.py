@@ -205,16 +205,6 @@ class TestIntegrateBall:
         with pytest.raises(EvaluationFailure, match="shape"):
             integrate_ball(q, g)
 
-    def test_shell_composite_mass(self):
-        q = BallQuadrature.shell_composite(2, 1.0, depth=20)
-        assert integrate_ball(q, ONE_BALL) == pytest.approx(0.5, rel=1e-9)
-
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
-    def test_shell_composite_refuses_a_non_finite_weight_exponent(self, gamma):
-        # unchecked, a NaN gamma gives NaN weights and an infinite one zero weights
-        with pytest.raises(ValueError, match="gamma must be finite"):
-            BallQuadrature.shell_composite(2, gamma, depth=4)
-
 
 class TestShellIntegrals:
     @pytest.mark.parametrize("n", [2, 3])

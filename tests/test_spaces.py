@@ -42,7 +42,6 @@ from hball.spaces import (
     membership_kernel_atom,
     reproduce,
     reproducing_rule,
-    split,
 )
 from hball.special import weight_constant
 
@@ -219,6 +218,23 @@ class TestLittleBloch:
         assert little_bloch_test(atom, spec, grid) == DecayVerdict.NON_DECAYING
 
 
+def level_measures_of_one_shell(level, bounds):
+    """The per-radius level-set measures and the in-set node count of one
+    shell, by a pass over that shell alone: its runs per (radius, ring)
+    between the span's ends and its boundaries, every other arc summed in
+    order by `np.bincount`, and the mean over the rings."""
+    rings, status = level.rings, level.status
+    cuts = level.flips.sum(axis=2).ravel()
+    before = np.cumsum(cuts) - cuts
+    lo = np.insert(bounds, before, rings.span[0])
+    hi = np.insert(bounds, before + cuts, rings.span[1])
+    cell = np.repeat(np.arange(cuts.size), cuts + 1)
+    arc = np.arange(cell.size) - np.repeat(before + np.arange(cuts.size), cuts + 1)
+    inside = (arc % 2 == 0) == status[:, :, 0].ravel()[cell]
+    measures = np.bincount(cell[inside], rings.measure(lo, hi)[inside], minlength=cuts.size)
+    return measures.reshape(status.shape[:2]).mean(axis=1), int(status.sum())
+
+
 class TestLevelSet:
     def test_constant_closed_form_boundary(self):
         # the threshold radius satisfies r^2 = 1 - eps^(1/(alpha+t))
@@ -338,7 +354,7 @@ class TestLevelSet:
         level = spaces._level_shell(f, grid, j, 0.0, eps)
         (bounds,), stop = spaces._bisect_boundaries(f, 0.0, eps, [level.brackets])
         assert stop is None
-        got, count = spaces._shell_level_measures(level, bounds)
+        ((got, count),) = spaces._shell_level_measures([level], [bounds])
         rings = grid.spheres[j].rings
         status = np.abs(vals[:, rings.index]) >= eps
         flips = status != np.roll(status, -1, axis=2)
@@ -351,6 +367,29 @@ class TestLevelSet:
         want = np.reshape([r.sum() for r in runs], status.shape[:2]).mean(axis=1)
         assert count == status.sum()
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_all_shells_measured_together_are_each_shell_alone(self, n):
+        # one pass over the shells of a walk gives each shell the measures
+        # and count, bit for bit, of a pass over that shell alone
+        _, (_, f, pair), zeta = verification_family(n, 0.0)
+        grid = shell_decomposition(n, 6, (zeta,))
+        g = apply_D(f, pair)
+        eps = 0.1 * bloch_norm(f, Bloch(0.0, pair), grid)
+        levels = [spaces._level_shell(g, grid, j, pair.t, eps) for j in range(grid.depth)]
+        bounds, stop = spaces._bisect_boundaries(g, pair.t, eps, [level.brackets for level in levels])
+        assert stop is None and sum(b.size > 0 for b in bounds) >= 3
+        got = spaces._shell_level_measures(levels, bounds)
+        assert len(got) == grid.depth
+        for level, shell_bounds, (measures, count) in zip(levels, bounds, got):
+            want, want_count = level_measures_of_one_shell(level, shell_bounds)
+            assert count == want_count
+            assert measures.tobytes() == want.tobytes()
+        # the shells past the bisected ones are left out
+        assert [m.tobytes() for m, _ in spaces._shell_level_measures(levels, bounds[:2])] == [
+            m.tobytes() for m, _ in got[:2]
+        ]
+        assert spaces._shell_level_measures(levels, []) == []
 
     def shell_walk_failing_from(self, monkeypatch, j_fail, exc):
         """level_set on a constant, with the indicator of shells >= j_fail
@@ -547,83 +586,6 @@ class TestReproduce:
             reproduce(constant(2), 0.5, 1.0, np.zeros(2), q)
 
 
-class TestSplit:
-    def test_threshold_above_norm_puts_everything_in_f2(self):
-        n, alpha = 2, 0.0
-        one = constant(n)
-        pair = DiffPair(alpha + 1.0, 1.0)
-        q = reproducing_rule(n, pair.s, pair.t)
-        res = split(one, alpha, pair, 5.0, q)
-        for x in ([0.0, 0.0], [0.5, 0.2]):
-            assert res.f1(x) == pytest.approx(0.0, abs=1e-12)
-            assert res.f2(x) == pytest.approx(1.0, abs=1e-6)
-
-    def test_parts_sum_to_the_function(self):
-        n, alpha = 2, 0.0
-        one = constant(n)
-        pair = DiffPair(1.0, 1.0)
-        q = reproducing_rule(n, pair.s, pair.t)
-        res = split(one, alpha, pair, 0.5, q)
-        for x in ([0.0, 0.0], [0.4, -0.3], [0.8, 0.1]):
-            assert res.f1(x) + res.f2(x) == pytest.approx(1.0, abs=1e-6)
-        assert res.f2_weighted_sup <= 0.5 * 3.0  # C * eps with a small constant
-
-    def test_parts_on_a_stack_are_masked_grid_sums(self):
-        n, alpha, pair = 2, 0.0, DiffPair(1.0, 1.0)
-        f = HarmonicExpansion(n, (KernelAtom(0.3, (0.0, 0.6)),))
-        q = reproducing_rule(n, pair.s, pair.t)
-        gv = spaces._rule_derivative(f, pair.s, pair.t, q)
-        mask = (1.0 - q.radial_nodes**2)[:, None] ** (alpha + pair.t) * np.abs(gv) >= 0.5
-        assert 0 < mask.sum() < mask.size
-        res = split(f, alpha, pair, 0.5, q)
-        points = points_at_norms(np.random.default_rng(5), n, [0.0, 0.4, 0.85])
-        for part, kernel_s, masked in (
-            (res.f1, pair.s, mask), (res.f2, pair.s, ~mask),
-            (res.d_f1, pair.s + pair.t, mask), (res.d_f2, pair.s + pair.t, ~mask),
-        ):
-            got = part(points)
-            TestReproduce.assert_rule_sums(q, kernel_s, points, gv * masked, got)
-            assert [part(x) for x in points] == list(got)
-        assert res.f1(points) + res.f2(points) == pytest.approx(
-            [evaluate(f, x) for x in points], abs=1e-6
-        )
-
-    def test_the_four_parts_share_one_derivative_grid(self, monkeypatch):
-        n, alpha, pair = 2, 0.0, DiffPair(1.0, 1.0)
-        f = HarmonicExpansion(n, (KernelAtom(0.3, (0.0, 0.6)),))
-        q = reproducing_rule(n, pair.s, pair.t)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return evaluate_grid(*args, **kwargs)
-
-        monkeypatch.setattr(spaces, "evaluate_grid", counted)
-        res = split(f, alpha, pair, 0.5, q)
-        points = points_at_norms(np.random.default_rng(6), n, [0.2, 0.7])
-        for part in (res.f1, res.f2, res.d_f1, res.d_f2):
-            assert [part(x) for x in points] == list(part(points))
-        assert len(calls) == 1
-        assert q not in spaces._MEMO
-
-    def test_critical_atom_residual_shrinks_with_epsilon(self):
-        n, alpha = 2, 0.0
-        atom = HarmonicExpansion(n, (KernelAtom(alpha - n, ZETA2),))
-        pair = DiffPair(alpha - n, 1.0 + n)  # atom's own base keeps the shift exact
-        q = BallQuadrature.shell_composite(n, pair.s + pair.t, depth=12, foci=(ZETA2,))
-        grid = default_shell_grid(atom)
-        norm = bloch_norm(atom, Bloch(alpha, DiffPair(alpha + 1, 1.0)), grid)
-        probes = np.array([[0.3, 0.0], [0.6, 0.0], [0.8, 0.0]])
-        sups = []
-        for eps in (0.5 * norm, 0.1 * norm, 0.02 * norm):
-            res = split(atom, alpha, pair, eps, q, probes=probes)
-            sups.append(
-                max(abs(evaluate(atom, x, 1e-10) - res.f1(x)) for x in probes)
-            )
-        assert sups[0] > sups[-1]
-        assert all(b <= a * 1.5 for a, b in zip(sups, sups[1:]))
-
-
 class TestDistance:
     def test_polynomial_distance_is_zero(self):
         poly = HarmonicExpansion(2, (ZonalTerm(2, (0.0, 1.0), 1.2),))
@@ -713,6 +675,42 @@ class TestMemo:
         second = bloch_norm(f, Bloch(0.0, DiffPair(3.0, 3.0)), grid)
         assert len(calls) == depth
         assert first == pytest.approx(2.0) and second == pytest.approx(2.0)
+
+
+    def test_level_magnitudes_are_formed_once_per_field_shell_and_exponent(self, monkeypatch):
+        # a distance estimate walks the level sets of one field at many
+        # levels; each shell's weighted magnitudes are formed by its first
+        # walk and read by the others
+        _, (_, atom, pair), zeta = verification_family(2, 0.0)
+        grid = shell_decomposition(2, 12, (zeta,))
+        made, levels = [], []
+        memo, level_shell = spaces._memo, spaces._level_shell
+
+        def spied_memo(owner, key, make):
+            def counted():
+                made.append(key)
+                return make()
+
+            return memo(owner, key, counted)
+
+        def spied_level_shell(g, grid, j, exponent, eps):
+            levels.append(eps)
+            return level_shell(g, grid, j, exponent, eps)
+
+        monkeypatch.setattr(spaces, "_memo", spied_memo)
+        monkeypatch.setattr(spaces, "_level_shell", spied_level_shell)
+        est = distance_estimate(atom, 0.0, pair, grid)
+        assert est.lower > 0.0 and len(set(levels)) > 3
+        g = apply_D(atom, pair)
+        magnitudes = [key for key in made if len(key) == 3]
+        assert magnitudes == [(g, j, pair.t) for j in range(grid.depth)]
+        # the same magnitudes, at a level walked by the estimate
+        eps = levels[-1]
+        level = level_shell(g, grid, 5, pair.t, eps)
+        nodes, rings = grid.shells[5].nodes, grid.spheres[5].rings
+        weighted = (1.0 - nodes**2) ** pair.t
+        want = weighted[:, None, None] * np.abs(spaces._shell_values(g, grid, 5)[:, rings.index]) >= eps
+        assert np.array_equal(level.status, want)
 
 
 class TestFillShellValues:
