@@ -13,7 +13,11 @@ radii x directions (`evaluate_grid(s)`), and at pairs of grid entries, one
 radius per direction, over several grids at once (`evaluate_pairs`): there
 zonal terms and the n = 2 closed forms compute only the pairs, while a
 series atom sums each grid and reads its pairs off it, so every pair is bit
-for bit its grid's entry.
+for bit its grid's entry.  Grid and pair evaluations add an expansion's
+atoms in their order (`_accumulate`), so expansions evaluated together
+are each, bit for bit, the expansion evaluated alone; `evaluate_grids`
+sums the series atoms of several expansions in rounds, one call per
+round and pole.
 
 Expansions are immutable after construction; everything here is reentrant.
 """
@@ -230,6 +234,19 @@ def _zonal_grid(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarray)
     return radial[:, None] * angular[None, :]
 
 
+def _accumulate(total, vals, weight: float):
+    """total + weight * vals, in place: the first atom's as 0 + w v (a -0.0
+    becomes 0.0), or the atom's NonConvergent, which ends the sum."""
+    if isinstance(vals, NonConvergent):
+        return vals
+    vals *= weight
+    if total is None:
+        vals += 0.0
+        return vals
+    total += vals
+    return total
+
+
 def evaluate_grids(
     fs,
     radii: np.ndarray,
@@ -241,79 +258,48 @@ def evaluate_grids(
     expansion, its (len(radii), len(units)) grid, or the NonConvergent of
     its first series atom that raised one.
 
-    The series atoms are summed in batches, one call each
-    (`eval_coeff_series_grids`), whose series share their angular table:
-    the i-th atom on a pole of every expansion forms one batch, so a
-    batch holds at most one atom of each expansion.  Series atoms are
+    Each expansion adds its atoms in their order, in rounds: round r adds
+    its zonal terms up to its r-th series atom, then that atom.  The r-th
+    series atoms of all expansions on one pole are summed in one call
+    (`eval_coeff_series_grids`), whose series share their angular table,
+    and each grid is scaled and added in place before the next call, so an
+    expansion holds at most its sum and one atom's grid.  Series atoms are
     certified relative to their own majorant mass, so the accuracy is
-    relative to the atom's local size rather than absolute.  Each
-    expansion adds its atoms in their order, each fresh grid scaled and
-    added in place as soon as the atoms before it are added; the batches
-    are summed in the order of their first atoms, so an expansion alone
-    holds at most its sum and one atom's grid, and an expansion after the
-    first may hold grids of a batch until its earlier atoms arrive.  The
-    batches after an expansion's first NonConvergent leave out its atoms.
+    relative to the atom's local size rather than absolute.  The rounds
+    after an expansion's first NonConvergent leave out its atoms.
     """
     fs = list(fs)
     radii = np.asarray(radii, dtype=float)
     units = np.asarray(units, dtype=float)
     if len({f.dimension for f in fs}) > 1:
         raise ValueError("the expansions of one grid evaluation must share their dimension")
-    batches: dict[tuple, list] = {}  # (pole, rank on the pole) -> [(expansion, atom)]
-    for i, f in enumerate(fs):
-        ranks: dict[tuple, int] = {}
-        for a, atom in enumerate(f.atoms):
-            if not isinstance(atom, ZonalTerm):
-                rank = ranks[atom.pole] = ranks.get(atom.pole, -1) + 1
-                batches.setdefault((atom.pole, rank), []).append((i, a))
-
     totals = [None] * len(fs)
     added = [0] * len(fs)  # atoms of each expansion added so far
-    arrived: dict[tuple, object] = {}  # (expansion, atom) -> its series grid
-
-    def advance(i: int) -> None:
-        """Add the atoms of expansion i that are ready, in their order."""
-        f = fs[i]
-        while added[i] < len(f.atoms) and not isinstance(totals[i], NonConvergent):
-            atom = f.atoms[added[i]]
-            if isinstance(atom, ZonalTerm):
-                vals = _zonal_grid(f.dimension, atom.degree, atom.pole, radii, units)
-            elif (i, added[i]) in arrived:
-                vals = arrived.pop((i, added[i]))
-                if isinstance(vals, NonConvergent):
-                    totals[i] = vals
-                    for key in [key for key in arrived if key[0] == i]:
-                        del arrived[key]
-                    return
-                (vals,) = vals
-            else:
-                return
-            added[i] += 1
-            vals *= atom.weight
-            if totals[i] is None:
-                totals[i] = vals
-                totals[i] += 0.0  # as 0 + w v: a -0.0 becomes 0.0
-            else:
-                totals[i] += vals
-
-    for i in range(len(fs)):
-        advance(i)
-    for (pole, _), where in batches.items():
-        where = [(i, a) for i, a in where if not isinstance(totals[i], NonConvergent)]
-        if not where:
-            continue
-        values = eval_coeff_series_grids(
-            fs[0].dimension,
-            [_atom_coeff(fs[i].atoms[a]) for i, a in where],
-            units,
-            pole,
-            [radii],
-            tol_rel=tol_rel,
-        )
-        arrived.update(zip(where, values))
-        del values
-        for i in dict.fromkeys(i for i, _ in where):
-            advance(i)
+    while True:
+        batches: dict[tuple, list] = {}  # pole -> expansions whose next atom is a series on it
+        for i, f in enumerate(fs):
+            if isinstance(totals[i], NonConvergent):
+                continue
+            for atom in f.atoms[added[i]:]:
+                if not isinstance(atom, ZonalTerm):
+                    batches.setdefault(atom.pole, []).append(i)
+                    break
+                totals[i] = _accumulate(
+                    totals[i], _zonal_grid(f.dimension, atom.degree, atom.pole, radii, units), atom.weight
+                )
+                added[i] += 1
+        if not batches:
+            break
+        for pole, where in batches.items():
+            atoms = [fs[i].atoms[added[i]] for i in where]
+            values = eval_coeff_series_grids(
+                fs[0].dimension, [_atom_coeff(atom) for atom in atoms], units, pole, [radii], tol_rel=tol_rel
+            )
+            for i, atom, grids in zip(where, atoms, values):
+                vals = grids if isinstance(grids, NonConvergent) else grids[0]
+                totals[i] = _accumulate(totals[i], vals, atom.weight)
+                added[i] += 1
+            del values, grids, vals
     return [np.zeros((radii.shape[0], units.shape[0])) if t is None else t for t in totals]
 
 
@@ -372,15 +358,7 @@ def evaluate_pairs(
                 f.dimension, _atom_coeff(atom), atom.pole, [grids[i] for i in live], tol_rel=tol_rel
             )
         for i, vals in zip(live, values):
-            if isinstance(vals, NonConvergent):
-                totals[i] = vals
-                continue
-            vals *= atom.weight
-            if totals[i] is None:
-                totals[i] = vals
-                totals[i] += 0.0  # as 0 + w v: a -0.0 becomes 0.0
-            else:
-                totals[i] += vals
+            totals[i] = _accumulate(totals[i], vals, atom.weight)
     return [np.zeros(rows.shape[0]) if t is None else t for t, (_, _, rows) in zip(totals, grids)]
 
 

@@ -3,8 +3,11 @@
 Exit codes: 0 when every check passes, 1 on a hard disagreement or a refused
 config (one for another experiment, a seed, shell depth or tolerance not of
 its report schema type, a shell depth below 1, a tolerance that is not
-finite and positive, or kernel-growth parameters it cannot fit), 2 when the
-only failures are inconclusive verdicts.
+finite and positive, kernel-growth parameters it cannot fit, or parameters
+another experiment cannot run: a missing or empty list, a bad entry, a bad
+dimension or count; see `experiments._check_config`), 2 when the only
+failures are inconclusive verdicts.  A refusal is printed as `Error: ...`
+naming the key.
 """
 
 from __future__ import annotations

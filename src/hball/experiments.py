@@ -883,8 +883,7 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
     Raises ValueError, before any work, for an unknown name, a seed, shell
     depth or tolerance not of its report schema type, a shell depth that is
     not an integer >= 1, a tolerance that is not finite and positive, or
-    kernel-growth or family-experiment parameters it cannot run; the other
-    runners raise it for parameters they refuse.
+    parameters the experiment cannot run (`_check_config`).
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -897,8 +896,8 @@ def _check_config(cfg: ExperimentConfig) -> None:
     """Raise ValueError unless seed, shells and tol are of their report
     schema types, the shell depth is an integer >= 1, the tolerance is
     finite and positive and, for kernel-growth, the parameters are ones it
-    can fit (`_check_growth_parameters`) and, for the experiments on the
-    fixed test family, ones they can run (`_check_family_parameters`)."""
+    can fit (`_check_growth_parameters`) and, for every other experiment,
+    ones it can run (`_check_family_parameters`)."""
     _check_config_types(vars(cfg))
     if not isinstance(cfg.shells, int) or cfg.shells < 1:
         raise ValueError(f"shells must be an integer >= 1, not {cfg.shells!r}")
@@ -946,44 +945,84 @@ def _check_growth_parameters(parameters: dict) -> None:
         raise ValueError(f"j_radii must give distinct radii 1 - 2^-j below 1.0, not {j_radii!r}")
 
 
-# The parameter lists of each experiment on the fixed test family.
+# The parameters of the experiments that `_check_family_parameters` checks:
+# per key, whether it holds a nonempty list of values ("list"), one value
+# ("scalar") or one value when present ("optional", which the runner
+# defaults), and the kind of each value (`_FAMILY_ENTRIES`).
 _FAMILY_LISTS = {
-    "inclusion": ("n_grid", "alpha_grid", "p_grid"),
-    "levelset": ("n_grid", "alpha_grid", "p_grid", "eps_fractions"),
-    "distance": ("n_grid", "alpha_grid", "p_pair"),
+    "membership": {
+        "n": ("scalar", "dimension"),
+        "p_grid": ("list", "exponent"),
+        "s_grid": ("list", "finite"),
+        "delta_grid": ("list", "finite"),
+    },
+    "inclusion": {
+        "n_grid": ("list", "dimension"),
+        "alpha_grid": ("list", "finite"),
+        "p_grid": ("list", "positive"),
+    },
+    "levelset": {
+        "n_grid": ("list", "dimension"),
+        "alpha_grid": ("list", "finite"),
+        "p_grid": ("list", "positive"),
+        "eps_fractions": ("list", "positive"),
+    },
+    "distance": {
+        "n_grid": ("list", "dimension"),
+        "alpha_grid": ("list", "finite"),
+        "p_pair": ("list", "exponent"),
+    },
+    "verify-identities": {
+        "pairs": ("optional", "count"),
+        "layers": ("optional", "degree"),
+        "reproduce_probes": ("optional", "count"),
+    },
 }
+
+
+def _integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int)
 
 
 def _positive(value) -> bool:
     return _finite_number(value) and value > 0.0
 
 
-# What each entry of a family list must be, and the test of it.
+# What a value of each kind must be, and the test of it.
 _FAMILY_ENTRIES = {
-    "n_grid": ("2 or 3", lambda n: not isinstance(n, bool) and isinstance(n, int) and n in (2, 3)),
-    "alpha_grid": ("finite", _finite_number),
-    "p_grid": ("finite and > 0", _positive),
-    "eps_fractions": ("finite and > 0", _positive),
-    "p_pair": ("finite and >= 1", lambda p: _finite_number(p) and p >= 1.0),
+    "dimension": ("2 or 3", lambda n: _integer(n) and n in (2, 3)),
+    "finite": ("finite", _finite_number),
+    "positive": ("finite and > 0", _positive),
+    "exponent": ("finite and >= 1", lambda p: _finite_number(p) and p >= 1.0),
+    "count": ("an integer >= 1", lambda k: _integer(k) and k >= 1),
+    "degree": ("an integer >= 0", lambda k: _integer(k) and k >= 0),
 }
 
 
 def _check_family_parameters(name: str, parameters: dict) -> None:
-    """Raise ValueError, naming the key, unless every list of the family
-    experiment `name` is a nonempty list of valid entries (`_FAMILY_ENTRIES`):
-    n_grid holds the dimensions of the family's shell grids, alpha_grid
-    finite weights, p_grid exponents p > 0, eps_fractions fractions > 0 of
-    the Bloch norm, and p_pair two exponents >= 1, where the membership
-    predicate is stated.  An empty list would give a report that passes on
-    no rows."""
-    for key in _FAMILY_LISTS[name]:
-        values = parameters.get(key)
-        if not isinstance(values, list) or not values:
-            raise ValueError(f"{key} must be a nonempty list, not {values!r}")
-        what, valid = _FAMILY_ENTRIES[key]
-        for i, value in enumerate(values):
+    """Raise ValueError, naming the key, unless every parameter of
+    experiment `name` is of its form and kind (`_FAMILY_LISTS`): n_grid
+    and membership's n the dimensions of the family's shell grids, p_grid
+    exponents p > 0, or p >= 1 for membership, and p_pair two exponents
+    >= 1, where the membership predicate is stated, eps_fractions
+    fractions > 0 of the Bloch norm, pairs and reproduce_probes counts
+    >= 1 and layers the highest degree checked.  An empty list or a count
+    of 0 would give a report that passes on no rows or on vacuous
+    checks."""
+    for key, (form, kind) in _FAMILY_LISTS[name].items():
+        if form == "optional" and key not in parameters:
+            continue
+        what, valid = _FAMILY_ENTRIES[kind]
+        value = parameters.get(key)
+        if form != "list":
             if not valid(value):
-                raise ValueError(f"{key}[{i}] must be {what}, not {value!r}")
+                raise ValueError(f"{key} must be {what}, not {value!r}")
+            continue
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{key} must be a nonempty list, not {value!r}")
+        for i, entry in enumerate(value):
+            if not valid(entry):
+                raise ValueError(f"{key}[{i}] must be {what}, not {entry!r}")
     if name == "distance" and len(parameters["p_pair"]) != 2:
         raise ValueError(f"p_pair must hold two exponents, not {parameters['p_pair']!r}")
 

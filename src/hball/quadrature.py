@@ -35,7 +35,10 @@ Every shell walk (shell integrals, sup probes, level sets) follows the stop
 rule of `walk_shells`: it stops at the first shell that raises NonConvergent
 and answers on the certified shells before it; any other failure on a shell
 raises EvaluationFailure.  A walk with no certified shell has no answer, and
-`walk_shells` raises NonConvergent for it.
+`walk_shells` raises NonConvergent for it.  A level-set walk walks its
+shells once with `walk_shells` for their indicators and then bisects them
+all together; where the bisection stops on a shell, the walk answers on
+the shells before it by the same rule (`spaces._level_shell_integral`).
 """
 
 from __future__ import annotations

@@ -377,39 +377,35 @@ def _level_shell_integral(
     epsilon: float,
     weight_exponent: float,
 ) -> tuple[ShellIntegral, tuple[int, ...]]:
-    """Weighted level-set measure over the certified shells (see
-    `walk_shells`, which raises NonConvergent when there are none), with
-    the per-shell in-set node counts.
+    """Weighted level-set measure over the certified shells, with the
+    per-shell in-set node counts; NonConvergent when no shell is certified.
 
     The walk has two phases.  The first walks the shells for their
-    indicators and brackets (`_level_shell`, which reads each shell's
-    memoized weighted magnitudes), up to the first shell whose values raise
-    NonConvergent.  The second bisects the brackets of all those shells
-    together (`_bisect_boundaries`), whose rounds make one paired call each
-    over all the shells, and measures all the shells bisected in one pass
-    (`_shell_level_measures`); it stops at the first shell whose bisection
-    raised NonConvergent, as the first phase does.  Any other error is
-    raised as an EvaluationFailure that names its shell (`walk_shells`), or
-    the shells of the second phase."""
+    indicators and brackets (`walk_shells` over `_level_shell`, which reads
+    each shell's memoized weighted magnitudes), up to the first shell whose
+    values raise NonConvergent.  The second bisects the brackets of all
+    those shells together (`_bisect_boundaries`), whose rounds make one
+    paired call each over all the shells, and measures all the shells
+    bisected in one pass (`_shell_level_measures`); it stops at the first
+    shell whose bisection raised NonConvergent, as the first phase does.
+    When that is shell 0 the walk certified no shell, and NonConvergent is
+    raised from the bisection's, as `walk_shells` raises it; otherwise each
+    measured shell's term is formed in one pass.  Any other error is raised
+    as an EvaluationFailure that names its shell (`walk_shells`), or the
+    shells of the second phase."""
     levels = walk_shells(grid, lambda j: _level_shell(g, grid, j, exponent, epsilon), "level-set integral")
     try:
         bounds, stop = _bisect_boundaries(g, exponent, epsilon, [level.brackets for level in levels])
         measures = _shell_level_measures(levels, bounds)
     except Exception as exc:  # noqa: BLE001 - as `walk_shells` does, name the shells
         raise EvaluationFailure(f"level-set boundaries failed on shells 0-{len(levels) - 1}: {exc}") from exc
-
-    def shell_term(j: int) -> tuple[float, int]:
-        if j == len(measures):
-            # past the shells both phases certified
-            raise stop or NonConvergent(f"level-set shell {j} is not certified")
-        per_radius, count = measures[j]
-        shell = grid.shells[j]
+    if not measures:
+        raise NonConvergent(f"level-set integral certified no shell of a depth-{grid.depth} grid") from stop
+    increments = []
+    for shell, (per_radius, _) in zip(grid.shells, measures):
         wr = shell.weights * (1.0 - shell.nodes**2) ** weight_exponent
-        return float(wr @ per_radius), count
-
-    terms = walk_shells(grid, shell_term, "level-set integral")
-    integral = ShellIntegral.from_increments(inc for inc, _ in terms)
-    return integral, tuple(count for _, count in terms)
+        increments.append(float(wr @ per_radius))
+    return ShellIntegral.from_increments(increments), tuple(count for _, count in measures)
 
 
 _MEMO: "weakref.WeakKeyDictionary[object, dict]" = weakref.WeakKeyDictionary()

@@ -170,6 +170,34 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="share their dimension"):
             evaluate_grids([constant(2), constant(3)], radii, units)
 
+    def test_one_call_per_round_and_pole(self, monkeypatch):
+        # round 0 sums the first series atom of every expansion, all on P,
+        # in one call; round 1 the second atom of the last, on Q
+        import hball.calculus as calculus
+
+        p, q = (0.0, 0.6, 0.0), (0.5, 0.0, 0.0)
+        fs = [
+            HarmonicExpansion(3, (ZonalTerm(2, ZETA3, -0.7), KernelAtom(0.4, p, 1.2))),
+            HarmonicExpansion(3, (KernelAtom(-1.5, p),)),
+            HarmonicExpansion(3, (KernelAtom(0.4, p, 2.0), KernelAtom(0.0, q, -0.3))),
+        ]
+        radii = np.array([0.0, 0.4, 0.9])
+        units = np.random.default_rng(4).normal(size=(30, 3))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        alone = [evaluate_grid(f, radii, units) for f in fs]
+        calls = []
+        real = calculus.eval_coeff_series_grids
+
+        def spy(n, coeffs, units, pole, radii_sets, **kw):
+            calls.append((tuple(pole), len(coeffs)))
+            return real(n, coeffs, units, pole, radii_sets, **kw)
+
+        monkeypatch.setattr(calculus, "eval_coeff_series_grids", spy)
+        got = evaluate_grids(fs, radii, units)
+        assert calls == [(p, 3), (q, 1)]
+        for values, want in zip(got, alone, strict=True):
+            assert values.tobytes() == want.tobytes()
+
     def test_one_expansion_holds_its_sum_and_one_atom_grid(self):
         # three series atoms on three poles, on a grid of 62 x 20 000 (9.9 MB)
         atoms = (

@@ -361,13 +361,29 @@ FAMILY_REFUSALS = {
     "distance_p_half": ("distance", r"p_pair\[1\] must be finite and >= 1", _family("distance", p_pair=[1.0, 0.5])),
     "distance_one_p": ("distance", r"p_pair must hold two exponents", _family("distance", p_pair=[1.0])),
     "distance_three_p": ("distance", r"p_pair must hold two exponents", _family("distance", p_pair=[1.0, 2.0, 3.0])),
+    "membership_n_4": ("membership", r"\bn must be 2 or 3, not 4", _family("membership", n=4)),
+    "membership_n_2.0": ("membership", r"\bn must be 2 or 3, not 2\.0", _family("membership", n=2.0)),
+    "membership_n_missing": ("membership", r"\bn must be 2 or 3, not None", _family("membership", n=KeyError)),
+    "membership_no_p": ("membership", r"p_grid must be a nonempty list", _family("membership", p_grid=[])),
+    "membership_p_half": ("membership", r"p_grid\[1\] must be finite and >= 1", _family("membership", p_grid=[1.0, 0.5])),
+    "membership_p_inf": ("membership", r"p_grid\[0\] must be finite and >= 1", _family("membership", p_grid=[math.inf])),
+    "membership_no_s": ("membership", r"s_grid must be a nonempty list", _family("membership", s_grid=[])),
+    "membership_s_nan": ("membership", r"s_grid\[0\] must be finite", _family("membership", s_grid=[math.nan])),
+    "membership_delta_missing": ("membership", r"delta_grid must be a nonempty list", _family("membership", delta_grid=KeyError)),
+    "membership_delta_inf": ("membership", r"delta_grid\[1\] must be finite", _family("membership", delta_grid=[0.75, -math.inf])),
+    "identities_pairs_0": ("verify-identities", r"pairs must be an integer >= 1, not 0", _family("verify-identities", pairs=0)),
+    "identities_pairs_2.7": ("verify-identities", r"pairs must be an integer >= 1, not 2\.7", _family("verify-identities", pairs=2.7)),
+    "identities_probes_0": ("verify-identities", r"reproduce_probes must be an integer >= 1, not 0", _family("verify-identities", reproduce_probes=0)),
+    "identities_layers_-1": ("verify-identities", r"layers must be an integer >= 0, not -1", _family("verify-identities", layers=-1)),
+    "identities_layers_true": ("verify-identities", r"layers must be an integer >= 0, not True", _family("verify-identities", layers=True)),
 }
 
 
 class TestFamilyConfig:
-    """The experiments on the fixed test family refuse parameters they
-    cannot run before any work, with a ValueError naming the key and,
-    through the CLI, an error and exit 1; their default configs pass."""
+    """The experiments on the fixed test family, membership and
+    verify-identities refuse parameters they cannot run before any work,
+    with a ValueError naming the key and, through the CLI, an error and
+    exit 1; their default configs pass."""
 
     @pytest.mark.parametrize("case", list(FAMILY_REFUSALS))
     def test_refused_before_any_work(self, case, monkeypatch):
@@ -399,10 +415,14 @@ class TestFamilyConfig:
         assert re.search(match, result.output)
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["inclusion", "levelset", "distance"])
+    @pytest.mark.parametrize("name", ["membership", "inclusion", "levelset", "distance", "verify-identities"])
     def test_default_and_small_configs_are_accepted(self, name):
         _check_config(default_config(name))
         _check_config(small_config(name))
+
+    def test_identity_counts_may_be_left_to_their_defaults(self):
+        _check_config(ExperimentConfig("verify-identities", parameters={}))
+        _check_config(ExperimentConfig("verify-identities", parameters={"layers": 0}))
 
 
 class TestReports:
