@@ -1,13 +1,15 @@
 """Command-line harness: run named verifications, emit JSON/CSV tables.
 
 Exit codes: 0 when every check passes, 1 on a hard disagreement or a refused
-config (one for another experiment, a seed, shell depth or tolerance not of
-its report schema type, a shell depth below 1, a tolerance that is not
-finite and positive, kernel-growth parameters it cannot fit, or parameters
-another experiment cannot run: a missing or empty list, a bad entry, a bad
-dimension or count; see `experiments._check_config`), 2 when the only
-failures are inconclusive verdicts.  A refusal is printed as `Error: ...`
-naming the key.
+config, 2 when the only failures are inconclusive verdicts.  A config is
+refused before any work when its file is not JSON, is not an object, names
+no experiment or another experiment, has a key the experiment does not read
+(at any depth: a family report's echoed `family` manifest too), or holds a
+value not of its key's kind (a seed, shell depth or tolerance not of its
+report schema type, a shell depth below 1, a tolerance that is not finite
+and positive, a missing or empty list, a bad entry, dimension or count; see
+`experiments._check_config`).  A refusal is printed as `Error: ...` naming
+the key.
 """
 
 from __future__ import annotations
@@ -39,23 +41,17 @@ def _exit_code(report: dict) -> int:
 
 
 def _load_config(name: str, config_path: str | None, shells: int | None, tol: float | None) -> ExperimentConfig:
-    if config_path is not None:
-        raw = json.loads(Path(config_path).read_text())
-        try:
-            cfg = ExperimentConfig.from_json_dict(raw)
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
-        if cfg.name != name:
-            raise click.ClickException(
-                f"config is for experiment {cfg.name!r}, not {name!r}"
-            )
-    else:
-        cfg = default_config(name)
-    if shells is not None:
-        cfg.shells = shells
-    if tol is not None:
-        cfg.tol = tol
     try:
+        if config_path is None:
+            cfg = default_config(name)
+        else:
+            cfg = ExperimentConfig.from_json_dict(json.loads(Path(config_path).read_text()))
+        if cfg.name != name:
+            raise ValueError(f"config is for experiment {cfg.name!r}, not {name!r}")
+        if shells is not None:
+            cfg.shells = shells
+        if tol is not None:
+            cfg.tol = tol
         _check_config(cfg)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
@@ -83,8 +79,10 @@ def _make_command(name: str):
     @click.option("--out", "out", type=click.Path(), default=None,
                   help="Output path (stdout when omitted).")
     @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-    @click.option("--shells", type=int, default=None, help="Shell depth override.")
-    @click.option("--tol", type=float, default=None, help="Tolerance override.")
+    @click.option("--shells", type=int, default=None,
+                  help="Shell depth override; verify-identities reads no shell depth.")
+    @click.option("--tol", type=float, default=None,
+                  help="Tolerance override; only kernel-growth reads it, as min(tol, 1e-8).")
     def cmd(config_path, out, fmt, shells, tol):
         cfg = _load_config(name, config_path, shells, tol)
         report = run_experiment(name, cfg)

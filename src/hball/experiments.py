@@ -12,12 +12,15 @@ REPORT_DIGITS significant digits (see `_at_report_precision`).
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import betaln
@@ -96,27 +99,18 @@ class ExperimentConfig:
     tol: float = 1e-6
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "shells": self.shells,
-            "tol": self.tol,
-        }
+        return dict(vars(self))
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
         """The config of a JSON object; raises ValueError, naming the key,
-        when seed, shells or tol is not of its report schema type, so that
-        no value is coerced (12.9 or true to a shell depth, "1e-6" to a
+        unless its fields are of their kinds (`_CONFIG_KINDS`), so that no
+        value is coerced (12.9 or true to a shell depth, "1e-6" to a
         tolerance).  Integral floats such as 12.0 are integers there."""
-        _check_config_types(d)
-        return ExperimentConfig(
-            name=d["name"],
-            parameters=dict(d.get("parameters", {})),
-            seed=int(d.get("seed", 0)),
-            shells=int(d.get("shells", 12)),
-            tol=float(d.get("tol", 1e-6)),
+        _check_value(d, _CONFIG_KINDS, "")
+        cfg = ExperimentConfig(**d)
+        return replace(
+            cfg, parameters=dict(cfg.parameters), seed=int(cfg.seed), shells=int(cfg.shells), tol=float(cfg.tol)
         )
 
 
@@ -301,65 +295,6 @@ def _family_report(name: str, cfg: ExperimentConfig, rows_of) -> dict:
 
 
 # --- kernel growth (weighted kernel integral trichotomy) ----------------------
-
-
-def default_config(name: str) -> ExperimentConfig:
-    if name == "kernel-growth":
-        return ExperimentConfig(
-            name,
-            parameters={
-                "combos": [
-                    {"n": 2, "p": 2.0, "alpha": 0.0, "d": 0.0},
-                    {"n": 3, "p": 2.0, "alpha": 0.0, "d": 1.0},
-                    {"n": 2, "p": 1.0, "alpha": 1.0, "d": 0.0},
-                    {"n": 2, "p": 1.0, "alpha": 0.0, "d": 0.0},
-                    {"n": 3, "p": 1.0, "alpha": 0.0, "d": 0.0},
-                    {"n": 2, "p": 2.0, "alpha": -1.0, "d": 0.0},
-                    {"n": 2, "p": 1.0, "alpha": -0.5, "d": 1.0},
-                    {"n": 3, "p": 1.0, "alpha": -1.0, "d": 0.5},
-                    {"n": 2, "p": 2.0, "alpha": -1.5, "d": 0.0},
-                ],
-                "j_radii": [3, 4, 5, 6, 7, 8, 9, 10],
-            },
-            shells=18,
-        )
-    if name == "membership":
-        return ExperimentConfig(
-            name,
-            parameters={
-                "n": 2,
-                "p_grid": [1.0, 1.5, 2.0],
-                "s_grid": [-1.0, 0.0, 0.5],
-                "delta_grid": [-1.5, -0.75, 0.75],
-            },
-        )
-    if name == "inclusion":
-        return ExperimentConfig(
-            name,
-            parameters={"n_grid": [2, 3], "alpha_grid": [0.0, 1.0], "p_grid": [1.0, 2.0]},
-        )
-    if name == "levelset":
-        return ExperimentConfig(
-            name,
-            parameters={
-                "n_grid": [2, 3],
-                "alpha_grid": [0.0, 1.0],
-                "p_grid": [1.0, 2.0],
-                "eps_fractions": [0.5, 0.1, 0.02],
-            },
-        )
-    if name == "distance":
-        return ExperimentConfig(
-            name,
-            parameters={"n_grid": [2, 3], "alpha_grid": [0.0, 1.0], "p_pair": [1.0, 2.0]},
-        )
-    if name == "verify-identities":
-        return ExperimentConfig(
-            name,
-            parameters={"pairs": 50, "layers": 200, "reproduce_probes": 4},
-            tol=1e-12,
-        )
-    raise ValueError(f"unknown experiment {name!r}")
 
 
 def _growth_integral_curves(n: int, combos, radii: np.ndarray, depth: int, tol: float) -> list:
@@ -713,10 +648,8 @@ def _random_atom(rng, n: int) -> HarmonicExpansion:
     return HarmonicExpansion(n, (KernelAtom(s, pole, weight),))
 
 
-def _identity_rows(cfg: ExperimentConfig) -> list[dict]:
-    rng = np.random.default_rng(cfg.seed)
-    pairs = int(cfg.parameters.get("pairs", 50))
-    layers = int(cfg.parameters.get("layers", 200))
+def _identity_rows(seed: int, pairs: int, layers: int) -> list[dict]:
+    rng = np.random.default_rng(seed)
     rows = []
 
     worst = 0.0
@@ -820,9 +753,8 @@ def _growth_probe_rows() -> list[dict]:
     ]
 
 
-def _reproduce_rows(cfg: ExperimentConfig) -> list[dict]:
-    probes = int(cfg.parameters.get("reproduce_probes", 4))
-    rng = np.random.default_rng(cfg.seed + 1)
+def _reproduce_rows(seed: int, probes: int) -> list[dict]:
+    rng = np.random.default_rng(seed + 1)
     rows = []
     for n in (2, 3):
         s, t = 0.5, 1.0
@@ -853,13 +785,15 @@ def _reproduce_rows(cfg: ExperimentConfig) -> list[dict]:
 
 def run_verify_identities(cfg: ExperimentConfig) -> dict:
     """Identity battery: operator inverse/shift, quadrature exactness,
-    coefficient power law, pole-ray growth, reproducing formula."""
+    coefficient power law, pole-ray growth, reproducing formula.  A count
+    the config leaves out takes its value in the default config."""
+    counts = {**_DECLARED["verify-identities"].config["parameters"], **cfg.parameters}
     rows = (
-        _identity_rows(cfg)
+        _identity_rows(cfg.seed, counts["pairs"], counts["layers"])
         + _quadrature_rows()
         + _stirling_rows()
         + _growth_probe_rows()
-        + _reproduce_rows(cfg)
+        + _reproduce_rows(cfg.seed, counts["reproduce_probes"])
     )
     disagreements = sum(not r["pass"] for r in rows)
     return _report("verify-identities", cfg, rows, disagreements, 0)
@@ -867,23 +801,95 @@ def run_verify_identities(cfg: ExperimentConfig) -> dict:
 
 # --- dispatch, validation, serialization ---------------------------------------
 
-EXPERIMENTS = {
-    "kernel-growth": run_kernel_growth,
-    "membership": run_membership,
-    "inclusion": run_inclusion_little_bloch,
-    "levelset": run_levelset_characterization,
-    "distance": run_distance,
-    "verify-identities": run_verify_identities,
+
+@dataclass(frozen=True)
+class _Optional:
+    """The kind of an object's key that may be left out."""
+
+    kind: object
+
+
+class _Experiment(NamedTuple):
+    """An experiment: its runner, the kind of value each parameter key
+    takes (see `_check_value`) and its default config, given by the fields
+    that are not the name."""
+
+    run: Callable[[ExperimentConfig], dict]
+    kinds: dict
+    config: dict
+
+
+_DECLARED = {
+    "kernel-growth": _Experiment(
+        run_kernel_growth,
+        {"combos": [{"n": "dimension", "p": "positive", "alpha": "finite", "d": "weight"}],
+         "j_radii": ["nonnegative"]},
+        {
+            "parameters": {
+                "combos": [
+                    {"n": 2, "p": 2.0, "alpha": 0.0, "d": 0.0},
+                    {"n": 3, "p": 2.0, "alpha": 0.0, "d": 1.0},
+                    {"n": 2, "p": 1.0, "alpha": 1.0, "d": 0.0},
+                    {"n": 2, "p": 1.0, "alpha": 0.0, "d": 0.0},
+                    {"n": 3, "p": 1.0, "alpha": 0.0, "d": 0.0},
+                    {"n": 2, "p": 2.0, "alpha": -1.0, "d": 0.0},
+                    {"n": 2, "p": 1.0, "alpha": -0.5, "d": 1.0},
+                    {"n": 3, "p": 1.0, "alpha": -1.0, "d": 0.5},
+                    {"n": 2, "p": 2.0, "alpha": -1.5, "d": 0.0},
+                ],
+                "j_radii": [3, 4, 5, 6, 7, 8, 9, 10],
+            },
+            "shells": 18,
+        },
+    ),
+    "membership": _Experiment(
+        run_membership,
+        # p >= 1, where the membership predicate is stated
+        {"n": "dimension", "p_grid": ["exponent"], "s_grid": ["finite"], "delta_grid": ["finite"]},
+        {"parameters": {"n": 2, "p_grid": [1.0, 1.5, 2.0], "s_grid": [-1.0, 0.0, 0.5],
+                        "delta_grid": [-1.5, -0.75, 0.75]}},
+    ),
+    "inclusion": _Experiment(
+        run_inclusion_little_bloch,
+        {"n_grid": ["dimension"], "alpha_grid": ["finite"], "p_grid": ["positive"]},
+        {"parameters": {"n_grid": [2, 3], "alpha_grid": [0.0, 1.0], "p_grid": [1.0, 2.0]}},
+    ),
+    "levelset": _Experiment(
+        run_levelset_characterization,
+        # eps_fractions are fractions of the Bloch norm
+        {"n_grid": ["dimension"], "alpha_grid": ["finite"], "p_grid": ["positive"], "eps_fractions": ["positive"]},
+        {"parameters": {"n_grid": [2, 3], "alpha_grid": [0.0, 1.0], "p_grid": [1.0, 2.0],
+                        "eps_fractions": [0.5, 0.1, 0.02]}},
+    ),
+    "distance": _Experiment(
+        run_distance,
+        {"n_grid": ["dimension"], "alpha_grid": ["finite"], "p_pair": ["exponent"]},
+        {"parameters": {"n_grid": [2, 3], "alpha_grid": [0.0, 1.0], "p_pair": [1.0, 2.0]}},
+    ),
+    "verify-identities": _Experiment(
+        run_verify_identities,
+        # layers is the highest degree checked; a count left out takes its
+        # default
+        {"pairs": _Optional("count"), "layers": _Optional("degree"), "reproduce_probes": _Optional("count")},
+        {"parameters": {"pairs": 50, "layers": 200, "reproduce_probes": 4}, "tol": 1e-12},
+    ),
 }
+
+EXPERIMENTS = {name: experiment.run for name, experiment in _DECLARED.items()}
+
+
+def default_config(name: str) -> ExperimentConfig:
+    """A new copy of the default config of experiment `name`."""
+    if name not in _DECLARED:
+        raise ValueError(f"unknown experiment {name!r}")
+    return ExperimentConfig(name, **copy.deepcopy(_DECLARED[name].config))
 
 
 def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
     """Run experiment `name` on `cfg` (its default config when None).
 
-    Raises ValueError, before any work, for an unknown name, a seed, shell
-    depth or tolerance not of its report schema type, a shell depth that is
-    not an integer >= 1, a tolerance that is not finite and positive, or
-    parameters the experiment cannot run (`_check_config`).
+    Raises ValueError, before any work, for an unknown name or a config
+    the experiment cannot run (`_check_config`).
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
@@ -893,146 +899,33 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
 
 
 def _check_config(cfg: ExperimentConfig) -> None:
-    """Raise ValueError unless seed, shells and tol are of their report
-    schema types, the shell depth is an integer >= 1, the tolerance is
-    finite and positive and, for kernel-growth, the parameters are ones it
-    can fit (`_check_growth_parameters`) and, for every other experiment,
-    ones it can run (`_check_family_parameters`)."""
-    _check_config_types(vars(cfg))
+    """Raise ValueError, naming the key, unless the config's fields are of
+    their kinds (`_CONFIG_KINDS`), the shell depth is >= 1, the tolerance
+    is finite and positive, the parameters are of the kinds the experiment
+    declares (`_DECLARED`) and the rules that span the entries of one key
+    hold: p_pair holds two exponents, and j_radii at least _FIT_RADII
+    values j, strictly increasing, whose radii 1 - 2^-j are distinct and
+    below 1.0 as doubles (the growth fit reads the last _FIT_RADII of
+    them, and a radius of 1.0 divides by zero)."""
+    _check_value(vars(cfg), _CONFIG_KINDS, "")
     if not isinstance(cfg.shells, int) or cfg.shells < 1:
         raise ValueError(f"shells must be an integer >= 1, not {cfg.shells!r}")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
         raise ValueError(f"tol must be finite and positive, not {cfg.tol!r}")
-    if cfg.name == "kernel-growth":
-        _check_growth_parameters(cfg.parameters)
-    if cfg.name in _FAMILY_LISTS:
-        _check_family_parameters(cfg.name, cfg.parameters)
-
-
-def _finite_number(value) -> bool:
-    return _SCHEMA_TYPES["number"](value) and math.isfinite(value)
-
-
-def _check_growth_parameters(parameters: dict) -> None:
-    """Raise ValueError, naming the key, unless the kernel-growth combos
-    are a nonempty list, each with n in {2, 3}, finite p > 0, finite alpha
-    and finite d > -1, and j_radii holds at least _FIT_RADII finite values
-    j >= 0, strictly increasing, whose radii 1 - 2^-j are distinct and
-    below 1.0 as doubles: the fit reads the last _FIT_RADII of them, and
-    a radius of 1.0 divides by zero."""
-    combos = parameters.get("combos")
-    if not isinstance(combos, list) or not combos:
-        raise ValueError(f"combos must be a nonempty list, not {combos!r}")
-    for i, combo in enumerate(combos):
-        if not isinstance(combo, dict):
-            raise ValueError(f"combos[{i}] must be an object, not {combo!r}")
-        n, p, alpha, d = (combo.get(key) for key in ("n", "p", "alpha", "d"))
-        if isinstance(n, bool) or not isinstance(n, int) or n not in (2, 3):
-            raise ValueError(f"combos[{i}].n must be 2 or 3, not {n!r}")
-        if not (_finite_number(p) and p > 0.0):
-            raise ValueError(f"combos[{i}].p must be finite and > 0, not {p!r}")
-        if not _finite_number(alpha):
-            raise ValueError(f"combos[{i}].alpha must be finite, not {alpha!r}")
-        if not (_finite_number(d) and d > -1.0):
-            raise ValueError(f"combos[{i}].d, the boundary weight, must be finite and > -1, not {d!r}")
+    parameters = cfg.parameters
+    _check_value(parameters, _DECLARED[cfg.name].kinds, "parameters")
+    if "p_pair" in parameters and len(parameters["p_pair"]) != 2:
+        raise ValueError(f"p_pair must hold two exponents, not {parameters['p_pair']!r}")
     j_radii = parameters.get("j_radii")
-    if not (isinstance(j_radii, list) and len(j_radii) >= _FIT_RADII and all(map(_finite_number, j_radii))):
-        raise ValueError(f"j_radii must hold at least {_FIT_RADII} finite numbers, not {j_radii!r}")
-    if j_radii[0] < 0 or any(b <= a for a, b in zip(j_radii, j_radii[1:])):
-        raise ValueError(f"j_radii must be >= 0 and strictly increasing, not {j_radii!r}")
+    if j_radii is None:
+        return
+    if len(j_radii) < _FIT_RADII:
+        raise ValueError(f"j_radii must hold at least {_FIT_RADII} values, not {j_radii!r}")
+    if any(b <= a for a, b in zip(j_radii, j_radii[1:])):
+        raise ValueError(f"j_radii must be strictly increasing, not {j_radii!r}")
     radii = [1.0 - 2.0**-j for j in j_radii]
     if radii[-1] >= 1.0 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"j_radii must give distinct radii 1 - 2^-j below 1.0, not {j_radii!r}")
-
-
-# The parameters of the experiments that `_check_family_parameters` checks:
-# per key, whether it holds a nonempty list of values ("list"), one value
-# ("scalar") or one value when present ("optional", which the runner
-# defaults), and the kind of each value (`_FAMILY_ENTRIES`).
-_FAMILY_LISTS = {
-    "membership": {
-        "n": ("scalar", "dimension"),
-        "p_grid": ("list", "exponent"),
-        "s_grid": ("list", "finite"),
-        "delta_grid": ("list", "finite"),
-    },
-    "inclusion": {
-        "n_grid": ("list", "dimension"),
-        "alpha_grid": ("list", "finite"),
-        "p_grid": ("list", "positive"),
-    },
-    "levelset": {
-        "n_grid": ("list", "dimension"),
-        "alpha_grid": ("list", "finite"),
-        "p_grid": ("list", "positive"),
-        "eps_fractions": ("list", "positive"),
-    },
-    "distance": {
-        "n_grid": ("list", "dimension"),
-        "alpha_grid": ("list", "finite"),
-        "p_pair": ("list", "exponent"),
-    },
-    "verify-identities": {
-        "pairs": ("optional", "count"),
-        "layers": ("optional", "degree"),
-        "reproduce_probes": ("optional", "count"),
-    },
-}
-
-
-def _integer(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int)
-
-
-def _positive(value) -> bool:
-    return _finite_number(value) and value > 0.0
-
-
-# What a value of each kind must be, and the test of it.
-_FAMILY_ENTRIES = {
-    "dimension": ("2 or 3", lambda n: _integer(n) and n in (2, 3)),
-    "finite": ("finite", _finite_number),
-    "positive": ("finite and > 0", _positive),
-    "exponent": ("finite and >= 1", lambda p: _finite_number(p) and p >= 1.0),
-    "count": ("an integer >= 1", lambda k: _integer(k) and k >= 1),
-    "degree": ("an integer >= 0", lambda k: _integer(k) and k >= 0),
-}
-
-
-def _check_family_parameters(name: str, parameters: dict) -> None:
-    """Raise ValueError, naming the key, unless every parameter of
-    experiment `name` is of its form and kind (`_FAMILY_LISTS`): n_grid
-    and membership's n the dimensions of the family's shell grids, p_grid
-    exponents p > 0, or p >= 1 for membership, and p_pair two exponents
-    >= 1, where the membership predicate is stated, eps_fractions
-    fractions > 0 of the Bloch norm, pairs and reproduce_probes counts
-    >= 1 and layers the highest degree checked.  An empty list or a count
-    of 0 would give a report that passes on no rows or on vacuous
-    checks."""
-    for key, (form, kind) in _FAMILY_LISTS[name].items():
-        if form == "optional" and key not in parameters:
-            continue
-        what, valid = _FAMILY_ENTRIES[kind]
-        value = parameters.get(key)
-        if form != "list":
-            if not valid(value):
-                raise ValueError(f"{key} must be {what}, not {value!r}")
-            continue
-        if not isinstance(value, list) or not value:
-            raise ValueError(f"{key} must be a nonempty list, not {value!r}")
-        for i, entry in enumerate(value):
-            if not valid(entry):
-                raise ValueError(f"{key}[{i}] must be {what}, not {entry!r}")
-    if name == "distance" and len(parameters["p_pair"]) != 2:
-        raise ValueError(f"p_pair must hold two exponents, not {parameters['p_pair']!r}")
-
-
-def _check_config_types(values: dict) -> None:
-    """Raise ValueError, naming the key, unless the seed, shells and tol of
-    `values` that it holds are of their report schema types."""
-    for key, kind in (("seed", "integer"), ("shells", "integer"), ("tol", "number")):
-        if key in values and not _SCHEMA_TYPES[kind](values[key]):
-            raise ValueError(f"{key} must be of type {kind}, not {values[key]!r}")
 
 
 def _schema() -> dict:
@@ -1052,6 +945,72 @@ _SCHEMA_TYPES = {
     and (isinstance(v, int) or (isinstance(v, float) and v.is_integer())),
     "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Real),
 }
+
+
+def _finite_number(value) -> bool:
+    return _SCHEMA_TYPES["number"](value) and math.isfinite(value)
+
+
+def _integer(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int)
+
+
+# What a value of each kind must be, and the test of it.
+_KINDS = {
+    "experiment": ("the name of an experiment", lambda v: isinstance(v, str) and v in _DECLARED),
+    "object": ("an object", _SCHEMA_TYPES["object"]),
+    "integer": ("of type integer", _SCHEMA_TYPES["integer"]),
+    "number": ("of type number", _SCHEMA_TYPES["number"]),
+    "dimension": ("2 or 3", lambda n: _integer(n) and n in (2, 3)),
+    "finite": ("finite", _finite_number),
+    "positive": ("finite and > 0", lambda v: _finite_number(v) and v > 0.0),
+    "exponent": ("finite and >= 1", lambda p: _finite_number(p) and p >= 1.0),
+    "weight": ("finite and > -1", lambda d: _finite_number(d) and d > -1.0),
+    "nonnegative": ("finite and >= 0", lambda j: _finite_number(j) and j >= 0.0),
+    "count": ("an integer >= 1", lambda k: _integer(k) and k >= 1),
+    "degree": ("an integer >= 0", lambda k: _integer(k) and k >= 0),
+}
+
+# The kinds of a config's fields; a field left out takes its default
+# (`ExperimentConfig.from_json_dict`).
+_CONFIG_KINDS = {
+    "name": "experiment",
+    "parameters": _Optional("object"),
+    "seed": _Optional("integer"),
+    "shells": _Optional("integer"),
+    "tol": _Optional("number"),
+}
+
+
+def _check_value(value, kind, where: str) -> None:
+    """Raise ValueError, naming the place `where`, unless `value` is of
+    `kind`: the name of a kind in `_KINDS`, [kind] for a nonempty list of
+    that kind, or {key: kind} for an object with no other key and each
+    key's value of its kind, a key of kind `_Optional` only when present.
+    A key left out reads as None, which no kind in `_KINDS` holds."""
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{where} must be a nonempty list, not {value!r}")
+        for i, entry in enumerate(value):
+            _check_value(entry, kind[0], f"{where}[{i}]")
+    elif isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where or 'the config'} must be an object, not {value!r}")
+        prefix = f"{where}." if where else ""
+        for key in value:
+            if key not in kind:
+                raise ValueError(f"unknown key {prefix}{key}; {where or 'the config'} takes {sorted(kind)}")
+        for key, sub in kind.items():
+            if isinstance(sub, _Optional):
+                if key not in value:
+                    continue
+                sub = sub.kind
+            _check_value(value.get(key), sub, f"{prefix}{key}")
+    else:
+        what, valid = _KINDS[kind]
+        if not valid(value):
+            raise ValueError(f"{where} must be {what}, not {value!r}")
+
 
 # The keywords `_check_schema` reads; "$schema" and "title" constrain nothing.
 _SCHEMA_KEYWORDS = frozenset({

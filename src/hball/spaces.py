@@ -317,9 +317,12 @@ def _level_shell(
         return weighted[:, None, None] * np.abs(vals[:, rings.index])
 
     status = _memo(grid, (g, j, exponent), magnitudes) >= eps
-    flips = status != np.roll(status, -1, axis=2)
-    if not rings.closed:
-        flips[:, :, -1] = False
+    # each node against its successor on the ring; an open ring's last
+    # node has none
+    flips = np.zeros_like(status)
+    flips[..., :-1] = status[..., :-1] != status[..., 1:]
+    if rings.closed:
+        flips[..., -1] = status[..., -1] != status[..., 0]
     r_idx, ring, k = np.nonzero(flips)
     ends = np.append(rings.param, rings.span[1])
     brackets = (

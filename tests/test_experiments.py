@@ -284,12 +284,15 @@ GROWTH_REFUSALS = {
     "p_0": (r"combos\[0\]\.p must be", _combo(p=0.0)),
     "p_inf": (r"combos\[2\]\.p must be", _combo(2, p=math.inf)),
     "alpha_nan": (r"combos\[0\]\.alpha must be", _combo(alpha=math.nan)),
-    "d_-1": (r"combos\[0\]\.d, the boundary weight, must be", _combo(d=-1.0)),
-    "d_nan": (r"combos\[1\]\.d, the boundary weight, must be", _combo(1, d=math.nan)),
+    "d_-1": (r"combos\[0\]\.d must be finite and > -1", _combo(d=-1.0)),
+    "d_nan": (r"combos\[1\]\.d must be finite and > -1", _combo(1, d=math.nan)),
+    "combo_q": (r"unknown key parameters\.combos\[0\]\.q\b", _combo(q=5)),
+    "combo_list": (r"combos\[1\] must be an object", dict(_radii([3, 4, 5, 6, 7]), combos=[_combo()["combos"][0], [2, 1.0, 0.0, 0.0]])),
+    "j_-1": (r"j_radii\[0\] must be finite and >= 0", _radii([-1, 4, 5, 6, 7])),
     "unsorted": (r"j_radii must be", _radii([5, 4, 3, 6, 7, 8])),
     "two": (r"j_radii must hold", _radii([3, 4])),
     "one": (r"j_radii must hold", _radii([3])),
-    "none": (r"j_radii must hold", _radii([])),
+    "none": (r"j_radii must be a nonempty list", _radii([])),
     "j_60": (r"j_radii must give", _radii([3, 4, 5, 6, 60])),
 }
 
@@ -376,6 +379,20 @@ FAMILY_REFUSALS = {
     "identities_probes_0": ("verify-identities", r"reproduce_probes must be an integer >= 1, not 0", _family("verify-identities", reproduce_probes=0)),
     "identities_layers_-1": ("verify-identities", r"layers must be an integer >= 0, not -1", _family("verify-identities", layers=-1)),
     "identities_layers_true": ("verify-identities", r"layers must be an integer >= 0, not True", _family("verify-identities", layers=True)),
+    "identities_unknown_pair": ("verify-identities", r"unknown key parameters\.pair\b", {"pair": 1, "layers": 0, "reproduce_probes": 1}),
+    "membership_unknown_n_grid": ("membership", r"unknown key parameters\.n_grid\b", _family("membership", n_grid=[2])),
+    # a family report echoes its manifest; a config does not take it back
+    "levelset_family": ("levelset", r"unknown key parameters\.family\b", _family("levelset", family={})),
+    "distance_parameters_string": ("distance", r"parameters must be an object, not 'x'", "x"),
+    "inclusion_parameters_list": ("inclusion", r"parameters must be an object", [["n_grid", [2]]]),
+}
+
+# Config files of no experiment's shape, each with the key its refusal names.
+CONFIG_FILE_REFUSALS = {
+    "no_name": (r"\bname must be the name of an experiment, not None", {"parameters": {}, "shells": 4}),
+    "unknown_name": (r"\bname must be the name of an experiment, not 'nope'", {"name": "nope"}),
+    "array": (r"the config must be an object", [{"name": "membership"}]),
+    "unknown_key": (r"unknown key seeds\b", {"name": "membership", "seeds": 1}),
 }
 
 
@@ -423,6 +440,32 @@ class TestFamilyConfig:
     def test_identity_counts_may_be_left_to_their_defaults(self):
         _check_config(ExperimentConfig("verify-identities", parameters={}))
         _check_config(ExperimentConfig("verify-identities", parameters={"layers": 0}))
+
+    @pytest.mark.parametrize("case", list(CONFIG_FILE_REFUSALS))
+    def test_config_files_of_no_experiment_are_refused(self, case, tmp_path):
+        match, raw = CONFIG_FILE_REFUSALS[case]
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_json_dict(raw)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["membership", "--config", str(cfg_path)])
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert re.search("Error: .*" + match, result.output)
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_default_config_is_a_new_copy_each_call(self, name):
+        # the CLI sets the shells and tol of the config it gets
+        want = default_config(name).to_json_dict()
+        cfg = default_config(name)
+        cfg.shells += 1
+        for value in cfg.parameters.values():
+            if isinstance(value, list):
+                if isinstance(value[0], dict):
+                    value[0].clear()
+                value.append(0)
+        cfg.parameters["added"] = 1
+        assert default_config(name).to_json_dict() == want
 
 
 class TestReports:
@@ -627,6 +670,12 @@ class TestCli:
         with pytest.raises(ValueError, match=f"{key} must be of type"):
             run_experiment("membership", cfg)
         assert calls == []
+
+    def test_a_config_file_that_is_not_json_is_refused(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"name": "membership",')
+        result = CliRunner().invoke(main, ["membership", "--config", str(cfg_path)])
+        assert result.exit_code == 1 and "Error: " in result.output
 
     def test_integral_floats_are_integers(self):
         d = dict(small_config("membership").to_json_dict(), shells=5.0, seed=2.0, tol=1)
