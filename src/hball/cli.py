@@ -46,13 +46,11 @@ def _load_config(name: str, config_path: str | None, shells: int | None, tol: fl
             cfg = default_config(name)
         else:
             cfg = ExperimentConfig.from_json_dict(json.loads(Path(config_path).read_text()))
-        if cfg.name != name:
-            raise ValueError(f"config is for experiment {cfg.name!r}, not {name!r}")
         if shells is not None:
             cfg.shells = shells
         if tol is not None:
             cfg.tol = tol
-        _check_config(cfg)
+        _check_config(name, cfg)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     return cfg

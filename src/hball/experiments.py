@@ -889,25 +889,29 @@ def run_experiment(name: str, cfg: ExperimentConfig | None = None) -> dict:
     """Run experiment `name` on `cfg` (its default config when None).
 
     Raises ValueError, before any work, for an unknown name or a config
-    the experiment cannot run (`_check_config`).
+    the experiment cannot run (`_check_config`), such as another
+    experiment's.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     cfg = cfg if cfg is not None else default_config(name)
-    _check_config(cfg)
+    _check_config(name, cfg)
     return EXPERIMENTS[name](cfg)
 
 
-def _check_config(cfg: ExperimentConfig) -> None:
+def _check_config(name: str, cfg: ExperimentConfig) -> None:
     """Raise ValueError, naming the key, unless the config's fields are of
-    their kinds (`_CONFIG_KINDS`), the shell depth is >= 1, the tolerance
-    is finite and positive, the parameters are of the kinds the experiment
-    declares (`_DECLARED`) and the rules that span the entries of one key
-    hold: p_pair holds two exponents, and j_radii at least _FIT_RADII
-    values j, strictly increasing, whose radii 1 - 2^-j are distinct and
-    below 1.0 as doubles (the growth fit reads the last _FIT_RADII of
-    them, and a radius of 1.0 divides by zero)."""
+    their kinds (`_CONFIG_KINDS`), the config is one of experiment `name`
+    (another experiment's would fail inside the runner), the shell depth
+    is >= 1, the tolerance is finite and positive, the parameters are of
+    the kinds the experiment declares (`_DECLARED`) and the rules that
+    span the entries of one key hold: p_pair holds two exponents, and
+    j_radii at least _FIT_RADII values j, strictly increasing, whose radii
+    1 - 2^-j are distinct and below 1.0 as doubles (the growth fit reads
+    the last _FIT_RADII of them, and a radius of 1.0 divides by zero)."""
     _check_value(vars(cfg), _CONFIG_KINDS, "")
+    if cfg.name != name:
+        raise ValueError(f"config is for experiment {cfg.name!r}, not {name!r}")
     if not isinstance(cfg.shells, int) or cfg.shells < 1:
         raise ValueError(f"shells must be an integer >= 1, not {cfg.shells!r}")
     if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):

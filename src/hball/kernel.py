@@ -11,10 +11,10 @@ the growth ratio of gamma_k h_k.
 Series are summed adaptively and a `NonConvergent` error is raised when the
 degree cap, the module constant KMAX_DEFAULT, is reached before the tail
 bound certifies the requested accuracy (in particular for |x||y| = 1, where
-the series need not converge).  Grids and rule sums are certified to a
-tolerance relative to the majorant mass, points to an absolute one.
-Non-finite directions, poles, points and radii, and NaN, infinite or
-negative tolerances, are refused with ValueError.
+the series need not converge).  Before any work, ValueError refuses
+non-finite directions, poles, points and radii, negative radii, vectors
+that are not of R^n, paired rows that are not one index into their radii
+per direction, and NaN, infinite or negative tolerances.
 
 A series sum runs in two passes, for a batch of coefficients on one grid
 (a single coefficient is the batch of one).  Z_k(x, pole) = (|x||pole|)^k
@@ -56,26 +56,24 @@ largest degree end it kept, so the tables hold at most 16 (sum_c k_c +
 sum_n k_n) bytes, with k_c that end for the batch's coefficient c and k_n
 that of log h_k at n.
 
-At n = 2 the kernels and their derivative fields have closed forms.
-With z = x conj(pole) the grid values are 2 Re F(z) - 1, F = sum_k c_k z^k.
-When c_k = P(k) gamma_k(q), P a polynomial that the operator pairs of the
-coefficient contribute, F is the Euler operator P(z d/dz) applied to the
-atom's generating function: (1 - z)^-(2+q) on the upper branch, and
--log(1 - z)/z for q = -2 (`_N2Form`).  `eval_coeff_series_grids` uses it
-in place of the series wherever its stated rounding bound meets the
-requested tolerance (`_n2_closed_form`); the other coefficients
-(non-integer or negative operator orders, other lower-branch atoms),
-n >= 3, and the point and rule-sum modes always sum the series.
+Grids, pairs and points are evaluated by one core, `_evaluate`, on grids
+(rho, u, rows): the radii times |pole|, the cosines to the pole, and None
+for the product grid rho x u or one radius row per direction for pairs,
+each pair bit for bit its product grid's entry.  A point is the one pair
+of its own 1 x 1 grid.  At n = 2 the kernels and their derivative fields
+have closed forms: with z = x conj(pole) the values are 2 Re F(z) - 1, F =
+sum_k c_k z^k, and when c_k = P(k) gamma_k(q), P a polynomial that the
+operator pairs of the coefficient contribute, F is the Euler operator
+P(z d/dz) applied to the atom's generating function: (1 - z)^-(2+q) on the
+upper branch, and -log(1 - z)/z for q = -2 (`_N2Form`).  The core uses a
+form, with K = 0, on every grid whose radii pass its gate, where its
+stated rounding bound meets the tolerance (`_n2_gate`), at the pairs alone
+and with one geometry per call.  That bound is relative to the form's
+mass, so a point's absolute tolerance keeps it on the series, as are the
+other coefficients (non-integer or negative operator orders, other
+lower-branch atoms), n >= 3 and rule sums.
 
-A paired mode evaluates one coefficient at chosen entries of several
-grids, one radius per direction (`eval_coeff_series_pairs`), each value
-bit for bit its grid's entry.  A closed form is elementwise in radius and
-cosine, so at n = 2 it passes its gate per grid, on all the grid's radii,
-and is evaluated on the pairs alone, over all the grids in one geometry;
-a series is summed over whole grids whatever the number of directions,
-so every other grid sums its grid series and reads its pairs off it.
-
-A third mode sums the series against a product sphere rule's weighted
+Rule sums sum the series against a product sphere rule's weighted
 values for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes
 each point's K as above.  The radial moments sum_i r_i^k weighted[i, j]
 are built a chunk of degrees at a time, and by the addition theorem their
@@ -86,7 +84,7 @@ A point then costs O(K) at n = 2 and O(K^2) at n = 3, not O(K M) over the
 rule's M directions.  Past a degree K* read off the rule's shape
 (`_shared_degree`), where the shared ring work, which grows as K^2, would
 cost more, an n = 3 point sums its own grid series on the distinct
-cosines of the rule's nodes (`_series_sum`) and weights it, the same finite
+cosines of the rule's nodes (`_evaluate`) and weights it, the same finite
 sum in another order.
 """
 
@@ -706,7 +704,10 @@ def _angular_pass(n: int, cols: np.ndarray, rho: np.ndarray, terms) -> None:
 
 
 def _stack(rho_sets: list[np.ndarray]) -> tuple[np.ndarray, list[slice]]:
-    """The rho sets stacked into one radius vector, and where each set sits."""
+    """The rho sets stacked into one radius vector, and where each set sits;
+    a lone set is its own stack, with no copy."""
+    if len(rho_sets) == 1:
+        return rho_sets[0], [slice(0, rho_sets[0].shape[0])]
     ends = np.cumsum([0] + [r.shape[0] for r in rho_sets])
     return np.concatenate(rho_sets), [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
@@ -892,22 +893,6 @@ def _series_sums(
     return results
 
 
-def _series_sum(n: int, coeff: CoeffProduct, u: np.ndarray, rho_sets: list[np.ndarray], **kw):
-    """`_series_sums` of the one coefficient `coeff`: (values, tails,
-    masses, K), or the NonConvergent raised."""
-    (result,) = _series_sums(n, [coeff], u, rho_sets, **kw)
-    if isinstance(result, NonConvergent):
-        raise result
-    return result
-
-
-def _require_finite(name: str, *arrays: np.ndarray) -> None:
-    """Refuse NaN and inf inputs before any series work: a NaN direction
-    would give NaN values and a NaN radius would never certify."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError(f"{name} must be finite")
-
-
 def _require_tolerances(**tols: float) -> None:
     """Refuse NaN, infinite and negative tolerances, and all zero, before
     any series work: NaN runs to the cap and inf certifies at degree 1."""
@@ -923,6 +908,35 @@ def _unit_and_norm(p: np.ndarray) -> tuple[np.ndarray, float]:
     if norm == 0.0:
         return np.zeros_like(p), 0.0
     return p / norm, norm
+
+
+def _vectors(name: str, n: int, a) -> np.ndarray:
+    """`a` as an (m, n) array, refused unless it holds finite vectors of
+    R^n: a NaN would give NaN values, and another width a cosine that is
+    not its own."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[1] != n or not np.isfinite(a).all():
+        raise ValueError(f"{name} must hold finite vectors of R^{n}, got an array of shape {a.shape}")
+    return a
+
+
+def _radii(radii) -> np.ndarray:
+    """`radii` as a vector, refused unless finite and >= 0: a NaN radius
+    would never certify, and the series would read a negative one as 0."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not ((radii >= 0.0) & (radii < np.inf)).all():
+        raise ValueError("radii must be a 1-d array of finite values >= 0")
+    return radii
+
+
+def _paired_grid(n: int, radii, units, rows) -> tuple:
+    """A paired grid (radii, units, rows) as arrays, refused unless `rows`
+    holds one index into `radii` per direction: an index of -1 would read
+    the last radius, and too few rows would give too few values."""
+    radii, units, rows = _radii(radii), _vectors("units", n, units), np.asarray(rows, dtype=np.intp)
+    if rows.shape != units.shape[:1] or (rows.size and (rows.min() < 0 or rows.max() >= radii.shape[0])):
+        raise ValueError(f"rows must hold one index in [0, {radii.shape[0]}) per direction")
+    return radii, units, rows
 
 
 def _n2_lift(coeff: CoeffProduct):
@@ -1051,7 +1065,7 @@ class _N2Form:
 
 class _N2Geometry:
     """w = 1 - z at the points of one evaluation at n = 2, formed once for
-    every closed form of the evaluation (`_n2_values`).
+    every closed form of the evaluation (`_evaluate`).
 
     z = rho e^{i theta} with cos theta = u, and 1 - z is formed without
     cancellation as w = (1 - rho) + rho (1 - u) - i rho sqrt((1 - u)(1 + u));
@@ -1111,44 +1125,110 @@ def _n2_gate(form: _N2Form, rho: np.ndarray, *, tol_rel: float) -> np.ndarray:
         return np.isfinite(mass) & (bound <= tol_rel * mass)
 
 
-def _n2_values(form: _N2Form, geometry: _N2Geometry) -> np.ndarray:
-    """2 Re F - 1 in the closed form `form` at the points of `geometry`."""
-    _, _, _, log_abs, arg = geometry.parts
-    z, w = (None, None) if form.plain else geometry.complex
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return 2.0 * form(z, w, log_abs, arg) - 1.0
-
-
-def _n2_closed_form(form: _N2Form, geometry: _N2Geometry, sets: list[slice], *, tol_rel: float):
-    """sum_k c_k Z_k(x, pole) at n = 2 in the closed form `form`, on the
-    product grid rho x u of `geometry` (a column of radii, a row of
-    cosines), split into the rho sets of `sets`; None where the form is not
-    used.
-
-    The form is used only when its gate (`_n2_gate`) passes at every radius
-    and every value is finite; otherwise the caller sums the series, whose
-    tail bound stays as it is.  The gate reads the radii alone, so the
-    grid's geometry is formed only for a form that passes it.  Each value is
-    elementwise in its radius and cosine, so repeated cosines get
-    bit-identical values and a caller may pass the distinct ones
-    (`_distinct`).
-    """
-    if not _n2_gate(form, geometry.rho, tol_rel=tol_rel).all():
-        return None
-    values = _n2_values(form, geometry)
-    if not np.all(np.isfinite(values)):
-        return None
-    return [values[sl] for sl in sets]
-
-
 def _distinct(u: np.ndarray):
     """(cols, inv): the distinct cosines, by exact `np.unique`, and each
     direction's column among them; (u, None) when no cosine repeats, so
-    that no second grid is gathered."""
+    that no second grid is gathered, as for a point's one cosine."""
+    if u.shape[0] < 2:
+        return u, None
     cols = np.unique(u)
     if cols.shape[0] == u.shape[0]:
         return u, None
     return cols, np.searchsorted(cols, u)
+
+
+def _evaluate(n: int, coeffs, grids, *, tol_abs: float = 0.0, tol_rel: float = 0.0) -> list:
+    """sum_k c_k rho^k Q_k(u) for each coefficient c of `coeffs` on each
+    grid, certified to tol_abs + tol_rel times the majorant mass: the one
+    core of grids, pairs and points.
+
+    A grid is (rho, u, rows): radii (times |pole|), cosines to the pole,
+    and rows either None, for the product grid rho x u, then the only grid
+    of its call, or one index into rho per direction, for pairs, the
+    entries (rows[i], i) of that grid.  Returns per coefficient, per grid,
+    (values, tails, K), with tails per radius or per pair and K = 0 for a
+    closed form, or the NonConvergent raised, which leaves the others.
+
+    At n = 2 each coefficient that `_N2Form` covers passes one gate
+    (`_n2_gate`) over the radii inside [0, 1) of every grid stacked, and
+    is evaluated in closed form on each grid whose radii all pass and
+    whose values are finite, with one geometry (`_N2Geometry`) over the
+    product grid or the pairs of those grids.  The gate's bound is
+    relative to the mass, so at tol_rel = 0 none passes.  The rest sums
+    the series, one `_series_sums` batch per grid on its distinct cosines
+    (`_distinct`), which are found only where a product grid or a series
+    reads them; pairs read their entries off that grid.  No value depends
+    on the other coefficients, grids or directions of the call.
+    """
+    results = [[None] * len(grids) for _ in coeffs]
+    product = bool(grids) and grids[0][2] is None
+    distinct = [None] * len(grids)  # per grid, its `_distinct` once found
+    outs = [None] * len(coeffs)
+    if product:
+        rho, u, _ = grids[0]
+        distinct[0] = _distinct(u)
+        if distinct[0][1] is not None:
+            # the gathered grids, allocated before the work: callers keep
+            # such grids (shell values are cached), and one allocated last
+            # sits above the freed temporaries on the heap, which raised the
+            # peak RSS of the n = 3 inclusion experiment by 0.3-0.5 MB
+            outs = [np.empty((rho.shape[0], u.shape[0])) for _ in coeffs]
+
+    def read(i: int, g: int, values: np.ndarray) -> np.ndarray:
+        """Coefficient i's values on grid g off its values on the grid's
+        distinct cosines: at its pairs, or gathered back to its directions
+        (mode "clip" writes with no buffer: the indices are in range)."""
+        _, inv = distinct[g]
+        rows = grids[g][2]
+        if rows is not None:
+            return values[rows, np.arange(rows.shape[0]) if inv is None else inv]
+        return values if inv is None else np.take(values, inv, axis=1, out=outs[i], mode="clip")
+
+    inside = [g for g, (rho, _, _) in enumerate(grids) if n == 2 and rho.size and rho.max() < 1.0]
+    if inside:
+        rho, sets = _stack([grids[g][0] for g in inside])
+        used = {}  # coefficient -> (its form, the grids whose radii pass its gate)
+        for i, coeff in enumerate(coeffs):
+            form = _N2Form.of(coeff)
+            if form is not None:
+                gate = _n2_gate(form, rho, tol_rel=tol_rel)
+                passed = [g for g, sl in zip(inside, sets) if gate[sl].all()]
+                if passed:
+                    used[i] = (form, passed)
+        if used:
+            formed = sorted({g for _, passed in used.values() for g in passed})
+            if product:
+                geometry = _N2Geometry(grids[0][0][:, None], distinct[0][0][None, :])
+            else:
+                geometry = _N2Geometry(
+                    np.concatenate([grids[g][0][grids[g][2]] for g in formed]),
+                    np.concatenate([grids[g][1] for g in formed]),
+                )
+                ends = np.cumsum([grids[g][1].shape[0] for g in formed])[:-1]
+            _, _, _, log_abs, arg = geometry.parts
+            for i, (form, passed) in used.items():
+                z, w = (None, None) if form.plain else geometry.complex
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    values = 2.0 * form(z, w, log_abs, arg) - 1.0  # 2 Re F - 1
+                for g, v in zip(formed, [values] if product else np.split(values, ends)):
+                    if g in passed and np.all(np.isfinite(v)):
+                        results[i][g] = (read(i, g, v) if product else v, np.zeros(v.shape[0]), 0)
+
+    for g, (rho, u, rows) in enumerate(grids):
+        series = [i for i, result in enumerate(results) if result[g] is None]
+        if not series:
+            continue
+        if distinct[g] is None:
+            distinct[g] = _distinct(u)
+        sums = _series_sums(
+            n, [coeffs[i] for i in series], distinct[g][0], [rho], tol_abs=tol_abs, tol_rel=tol_rel
+        )
+        for i, summed in zip(series, sums):
+            if not isinstance(summed, NonConvergent):
+                (values,), (tails,), _, k_used = summed
+                summed = (read(i, g, values), tails if rows is None else tails[rows], k_used)
+            results[i][g] = summed
+    return results
 
 
 def eval_coeff_series_grids(
@@ -1165,66 +1245,25 @@ def eval_coeff_series_grids(
     to tol_rel times the majorant mass at its radius.
 
     `units` is an (M, n) array of unit vectors; each entry of `radii_sets`
-    is a radius vector.  Returns, per coefficient, its list of grids, the
-    one of each radius set of shape (m, M), or the NonConvergent its series
-    raised, which leaves the others evaluated.  The radius sets and the
-    coefficients share one angular table (`_series_sums`); a coefficient's
-    grids do not depend on the others.
-
-    Every value depends on its radius and its cosine u = <unit, pole/|pole|>
-    alone, so the call finds the distinct cosines once (`_distinct`, exact
-    `np.unique`), evaluates on them, and gathers each coefficient's grids
-    back to the directions into outputs allocated before the work; when no
-    cosine repeats it evaluates on the directions themselves.  At n = 2,
-    for radii in [0, 1), a coefficient that `_N2Form` covers is evaluated in
-    closed form where its stated rounding bound meets the tolerance
-    (`_n2_closed_form`); it needs no degree cap, so KMAX_DEFAULT does not
-    limit it.  Each coefficient passes its own gate, and the closed forms of
-    the call all read one geometry (`_N2Geometry`: w = 1 - z, log |w| and
-    arg w over the stacked radii and the distinct cosines), formed when the
-    first of them passes, so a call with one coefficient does the work of
-    one.  Every other coefficient sums the certified series.
+    is a vector of radii >= 0.  Returns, per coefficient, its list of
+    grids, the one of each radius set of shape (m, M), or the NonConvergent
+    its series raised, which leaves the others evaluated.  The sets are
+    stacked into the product grid of one `_evaluate` call, so they share
+    one angular table and, at n = 2, one closed-form geometry.
     """
     _require_tolerances(tol_rel=tol_rel)
-    pole = np.asarray(pole, dtype=float)
-    units = np.asarray(units, dtype=float)
+    pole_unit, pole_norm = _unit_and_norm(_vectors("pole", n, [pole])[0])
+    units = _vectors("units", n, units)
     radii, sets = _stack([np.asarray(r, dtype=float) for r in radii_sets])
-    _require_finite("units", units)
-    _require_finite("pole", pole)
-    _require_finite("radii", radii)
-    pole_unit, pole_norm = _unit_and_norm(pole)
+    radii = _radii(radii)
     if pole_norm == 0.0:
         # only the k = 0 term survives: the sum is identically c_0 = 1
         return [[np.ones((sl.stop - sl.start, units.shape[0])) for sl in sets] for _ in coeffs]
-    cols, inv = _distinct(np.clip(units @ pole_unit, -1.0, 1.0))
-    rho = radii * pole_norm
-    rho_sets = [rho[sl] for sl in sets]
-    # the gathered grids, allocated before the work: callers keep such
-    # grids (shell values are cached), and one allocated last sits above
-    # the freed temporaries on the heap, which raised the peak RSS of the
-    # n = 3 inclusion experiment by 0.3-0.5 MB
-    outs = [None if inv is None else np.empty((rho.shape[0], inv.shape[0])) for _ in coeffs]
-
-    def gathered(i, grids):
-        """Coefficient i's grids on the directions, written into its output
-        (mode "clip" writes with no buffer: the indices are in range)."""
-        if inv is None or grids is None or isinstance(grids, NonConvergent):
-            return grids
-        return [np.take(g, inv, axis=1, out=outs[i][sl], mode="clip") for g, sl in zip(grids, sets)]
-
-    results = [None] * len(coeffs)
-    if n == 2 and rho.size and rho.min() >= 0.0 and rho.max() < 1.0:
-        geometry = _N2Geometry(rho[:, None], cols[None, :])
-        for i, coeff in enumerate(coeffs):
-            form = _N2Form.of(coeff)
-            if form is not None:
-                results[i] = gathered(i, _n2_closed_form(form, geometry, sets, tol_rel=tol_rel))
-    series = [i for i, values in enumerate(results) if values is None]
-    if series:
-        sums = _series_sums(n, [coeffs[i] for i in series], cols, rho_sets, tol_rel=tol_rel)
-        for i, result in zip(series, sums):
-            results[i] = gathered(i, result if isinstance(result, NonConvergent) else result[0])
-    return results
+    grid = (radii * pole_norm, np.clip(units @ pole_unit, -1.0, 1.0), None)
+    return [
+        result if isinstance(result, NonConvergent) else [result[0][sl] for sl in sets]
+        for (result,) in _evaluate(n, coeffs, [grid], tol_rel=tol_rel)
+    ]
 
 
 def eval_coeff_series_grid(
@@ -1238,13 +1277,7 @@ def eval_coeff_series_grid(
 ):
     """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units:
     `eval_coeff_series_grids` of the one coefficient `coeff`, raising its
-    NonConvergent.
-
-    `units` is an (M, n) array of unit vectors; each entry of `radii_sets`
-    is a radius vector; the corresponding result has shape (m, M).  Sharing
-    the angular tables across the radius sets is what makes near-boundary
-    sweeps affordable.
-    """
+    NonConvergent; the grid of a radius set of m radii has shape (m, M)."""
     (values,) = eval_coeff_series_grids(n, [coeff], units, pole, radii_sets, tol_rel=tol_rel)
     if isinstance(values, NonConvergent):
         raise values
@@ -1267,64 +1300,19 @@ def eval_coeff_series_pairs(
     `eval_coeff_series_grids(n, [coeff], units, pole, [radii])`, certified
     to tol_rel times the majorant mass at its radius.  Returns per grid its
     values, of shape (len(units),), or the NonConvergent its series raised
-    on that grid, which leaves the other grids evaluated.
-
-    At n = 2 a coefficient that `_N2Form` covers passes its gate
-    (`_n2_gate`) per grid on all the grid's radii, as the grid call does,
-    with the radii of every grid stacked into one gate, and is evaluated
-    in closed form elementwise on the pairs of every grid that passes, with
-    one geometry (`_N2Geometry`) over those pairs: no other entry of the
-    grids is computed.  A grid keeps the closed form when its pair values
-    are finite (the grid call checks all its values).  Every other grid,
-    and every grid at n >= 3, makes the grid call's series sum on its radii
-    and on the distinct cosines of its units (`_series_sums`), and reads its
-    pairs off that grid, so a series keeps its values and its cost.
+    on that grid, which leaves the other grids evaluated.  The grids are
+    the paired grids of one `_evaluate` call: a closed form is evaluated
+    at the pairs alone, and a series on its whole grid.
     """
     _require_tolerances(tol_rel=tol_rel)
-    pole = np.asarray(pole, dtype=float)
-    grids = [
-        (np.asarray(radii, dtype=float), np.asarray(units, dtype=float), np.asarray(rows, dtype=np.intp))
-        for radii, units, rows in grids
-    ]
-    _require_finite("pole", pole)
-    for radii, units, _ in grids:
-        _require_finite("units", units)
-        _require_finite("radii", radii)
-    pole_unit, pole_norm = _unit_and_norm(pole)
+    pole_unit, pole_norm = _unit_and_norm(_vectors("pole", n, [pole])[0])
+    grids = [_paired_grid(n, *grid) for grid in grids]
     if pole_norm == 0.0:
         # only the k = 0 term survives: the sum is identically c_0 = 1
         return [np.ones(units.shape[0]) for _, units, _ in grids]
-    rhos = [radii * pole_norm for radii, _, _ in grids]
-    us = [np.clip(units @ pole_unit, -1.0, 1.0) for _, units, _ in grids]
-    results: list = [None] * len(grids)
-    form = _N2Form.of(coeff) if n == 2 else None
-    inside = [] if form is None else [
-        i for i, rho in enumerate(rhos) if rho.size and rho.min() >= 0.0 and rho.max() < 1.0
-    ]
-    if inside:
-        rho, sets = _stack([rhos[i] for i in inside])
-        gate = _n2_gate(form, rho, tol_rel=tol_rel)
-        used = [i for i, sl in zip(inside, sets) if gate[sl].all()]
-        if used:
-            geometry = _N2Geometry(
-                np.concatenate([rhos[i][grids[i][2]] for i in used]), np.concatenate([us[i] for i in used])
-            )
-            values = _n2_values(form, geometry)
-            ends = np.cumsum([us[i].shape[0] for i in used])[:-1]
-            for i, v in zip(used, np.split(values, ends)):
-                if np.all(np.isfinite(v)):
-                    results[i] = v
-    for i, result in enumerate(results):
-        if result is not None:
-            continue
-        cols, inv = _distinct(us[i])
-        (summed,) = _series_sums(n, [coeff], cols, [rhos[i]], tol_rel=tol_rel)
-        if isinstance(summed, NonConvergent):
-            results[i] = summed
-        else:
-            rows = grids[i][2]
-            results[i] = summed[0][0][rows, np.arange(rows.shape[0]) if inv is None else inv]
-    return results
+    grids = [(radii * pole_norm, np.clip(units @ pole_unit, -1.0, 1.0), rows) for radii, units, rows in grids]
+    (results,) = _evaluate(n, [coeff], grids, tol_rel=tol_rel)
+    return [result if isinstance(result, NonConvergent) else result[0] for result in results]
 
 
 def eval_coeff_series_points(
@@ -1338,28 +1326,31 @@ def eval_coeff_series_points(
     """Evaluate sum_k c_k Z_k(x, pole) at a flat (N, n) array of points,
     each value certified to the absolute tolerance tol_abs.
 
-    Each point is summed as its own 1 x 1 grid, cut at its own K, so a
-    value does not depend on the other points.  Returns (values, tails,
-    degree_used), degree_used the largest K (0 when no series is summed).
+    Each point is the one pair of its own 1 x 1 grid in one `_evaluate`
+    call, cut at its own K, and an absolute tolerance keeps it on the
+    series.  Returns (values, tails, degree_used), degree_used the largest
+    K (0 when no series is summed).
     """
     _require_tolerances(tol_abs=tol_abs)
-    pole = np.asarray(pole, dtype=float)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    _require_finite("pole", pole)
-    _require_finite("points", points)
-    pole_unit, pole_norm = _unit_and_norm(pole)
-    norms = np.linalg.norm(points, axis=1)
+    pole_unit, pole_norm = _unit_and_norm(_vectors("pole", n, [pole])[0])
+    points = _vectors("points", n, np.atleast_2d(np.asarray(points, dtype=float)))
     if pole_norm == 0.0:
         return np.ones(points.shape[0]), np.zeros(points.shape[0]), 0
+    norms = np.linalg.norm(points, axis=1)
     with np.errstate(invalid="ignore"):
         u = points @ pole_unit / np.where(norms > 0.0, norms, 1.0)
     u = np.clip(np.where(norms > 0.0, u, 1.0), -1.0, 1.0)
     rho = norms * pole_norm
+    first = np.zeros(1, dtype=np.intp)
+    (results,) = _evaluate(
+        n, [coeff], [(rho[i : i + 1], u[i : i + 1], first) for i in range(rho.shape[0])], tol_abs=tol_abs
+    )
     values, tails = np.empty(rho.shape[0]), np.empty(rho.shape[0])
     k_used = 0
-    for i in range(rho.shape[0]):
-        v, t, _, k = _series_sum(n, coeff, u[i : i + 1], [rho[i : i + 1]], tol_abs=tol_abs)
-        values[i], tails[i], k_used = v[0][0, 0], t[0][0], max(k_used, k)
+    for i, result in enumerate(results):
+        if isinstance(result, NonConvergent):
+            raise result
+        values[i], tails[i], k_used = result[0][0], result[1][0], max(k_used, result[2])
     return values, tails, k_used
 
 
@@ -1630,7 +1621,7 @@ def eval_coeff_series_rule_sum(
 
     Each point's series is cut at K_x, the smallest degree whose tail bound
     certifies every radius |x| radii[i] (`_certified_degree`), the degree
-    at which `_series_sum` stops for that grid.  The result is that truncated
+    at which `_evaluate` stops for that grid.  The result is that truncated
     series on the grid radii x units, summed against `weighted` in another
     order:
 
@@ -1645,7 +1636,7 @@ def eval_coeff_series_rule_sum(
     chunk would pass _TABLE_CHUNK_BYTES), so no (K+1) x M table is held;
     then a point costs O(K_x) at n = 2 and O(K_x^2) at n = 3.  An n = 3
     point with K_x above K* (`_shared_degree`) sums its own grid series
-    instead (`_series_sum`, the same K_x), over radii |x| radii and the
+    instead (`_evaluate`, the same K_x), over radii |x| radii and the
     distinct cosines u_j (`_distinct`), and that grid against `weighted`
     folded onto them by a per-radius `np.bincount`, so beside `weighted` it
     holds no radii x nodes grid.  The path is chosen from K_x alone, and neither path lets a
@@ -1654,21 +1645,13 @@ def eval_coeff_series_rule_sum(
     values.  Returns (values,
     degrees), each of shape (P,).
     """
-    points = np.asarray(points, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    units = np.asarray(units, dtype=float)
-    weighted = np.asarray(weighted, dtype=float)
     _require_tolerances(tol_rel=tol_rel)
     if n not in (2, 3):
         raise ValueError("rule sums are implemented for n in {2, 3}")
-    if points.ndim != 2 or points.shape[1] != units.shape[1]:
-        raise ValueError(f"points must have shape (P, {units.shape[1]})")
-    if weighted.shape != (radii.shape[0], units.shape[0]):
-        raise ValueError("weighted must have shape (len(radii), len(units))")
-    _require_finite("points", points)
-    _require_finite("radii", radii)
-    _require_finite("units", units)
-    _require_finite("weighted values", weighted)
+    points, radii, units = _vectors("points", n, points), _radii(radii), _vectors("units", n, units)
+    weighted = np.asarray(weighted, dtype=float)
+    if weighted.shape != (radii.shape[0], units.shape[0]) or not np.all(np.isfinite(weighted)):
+        raise ValueError("weighted values must be finite, of shape (len(radii), len(units))")
     off_rings = np.ones(units.shape[0], dtype=bool)
     off_rings[rings.index] = False
     if np.any(weighted[:, off_rings]):
@@ -1693,7 +1676,10 @@ def eval_coeff_series_rule_sum(
         )
     for p in np.flatnonzero(deep):
         cols, inv = _distinct(np.clip(units @ x_units[p], -1.0, 1.0))
-        (grid,), *_ = _series_sum(n, coeff, cols, [radii * norms[p]], tol_rel=tol_rel)
+        ((grid,),) = _evaluate(n, [coeff], [(radii * norms[p], cols, None)], tol_rel=tol_rel)
+        if isinstance(grid, NonConvergent):
+            raise grid
+        grid = grid[0]
         folded = weighted
         if inv is not None:
             # the weighted values summed per distinct cosine, radius by radius

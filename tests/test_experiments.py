@@ -306,7 +306,7 @@ class TestKernelGrowthConfig:
         import hball.kernel as kernel
 
         calls = []
-        for name in ("_certified_degree", "_n2_closed_form"):
+        for name in ("_certified_degree", "_evaluate"):
             orig = getattr(kernel, name)
             monkeypatch.setattr(kernel, name, lambda *a, _orig=orig, **kw: calls.append(1) or _orig(*a, **kw))
         match, parameters = GROWTH_REFUSALS[case]
@@ -409,7 +409,7 @@ class TestFamilyConfig:
 
         calls = []
         for module, name in (
-            (kernel, "_certified_degree"), (kernel, "_n2_closed_form"),
+            (kernel, "_certified_degree"), (kernel, "_evaluate"),
             (experiments, "verification_family"), (experiments, "_grid"),
         ):
             orig = getattr(module, name)
@@ -434,12 +434,22 @@ class TestFamilyConfig:
 
     @pytest.mark.parametrize("name", ["membership", "inclusion", "levelset", "distance", "verify-identities"])
     def test_default_and_small_configs_are_accepted(self, name):
-        _check_config(default_config(name))
-        _check_config(small_config(name))
+        _check_config(name, default_config(name))
+        _check_config(name, small_config(name))
 
     def test_identity_counts_may_be_left_to_their_defaults(self):
-        _check_config(ExperimentConfig("verify-identities", parameters={}))
-        _check_config(ExperimentConfig("verify-identities", parameters={"layers": 0}))
+        _check_config("verify-identities", ExperimentConfig("verify-identities", parameters={}))
+        _check_config("verify-identities", ExperimentConfig("verify-identities", parameters={"layers": 0}))
+
+    def test_a_config_of_another_experiment_is_refused_before_any_work(self, monkeypatch):
+        # unchecked, it passes the check of its own experiment's kinds and
+        # fails inside the runner with KeyError: 'n'
+        def never(cfg):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(EXPERIMENTS, "membership", never)
+        with pytest.raises(ValueError, match="config is for experiment 'distance', not 'membership'"):
+            run_experiment("membership", default_config("distance"))
 
     @pytest.mark.parametrize("case", list(CONFIG_FILE_REFUSALS))
     def test_config_files_of_no_experiment_are_refused(self, case, tmp_path):
@@ -662,7 +672,7 @@ class TestCli:
         import hball.kernel as kernel
 
         calls = []
-        for name in ("_certified_degree", "_n2_closed_form"):
+        for name in ("_certified_degree", "_evaluate"):
             orig = getattr(kernel, name)
             monkeypatch.setattr(kernel, name, lambda *a, _orig=orig, **kw: calls.append(1) or _orig(*a, **kw))
         cfg = small_config("membership")

@@ -32,10 +32,10 @@ from hball.kernel import (
     _meridian_frame,
     _N2Form,
     _N2Geometry,
-    _n2_closed_form,
+    _evaluate,
+    _n2_gate,
     _powers,
     _ring_spectra,
-    _series_sum,
     _series_sums,
     _stack,
     _shared_degree,
@@ -56,6 +56,15 @@ from hball.kernel import (
 from hball.quadrature import shell_decomposition, sphere_rule
 from hball.spaces import reproducing_rule
 from hball.special import dim_spherical_harmonics, log_dim_spherical_harmonics, pochhammer
+
+
+def _series_sum(n, coeff, u, rho_sets, **kw):
+    """`_series_sums` of the one coefficient `coeff`: (values, tails,
+    masses, K), or the NonConvergent raised."""
+    (result,) = _series_sums(n, [coeff], u, rho_sets, **kw)
+    if isinstance(result, NonConvergent):
+        raise result
+    return result
 
 
 def gamma_by_direct_product(n, alpha, k):
@@ -1320,14 +1329,23 @@ def assert_within_closed_form_bound(got, alpha, rho, u):
 
 
 def closed_form(coeff, u, rho_sets, *, tol_rel):
-    """`_n2_closed_form` of `coeff` on the grids rho x u of `rho_sets`, as a
-    grid call at n = 2 runs it; None where the form is not used."""
-    form = _N2Form.of(coeff)
-    if form is None:
-        return None
+    """The closed form of `coeff` on the grids rho x u of `rho_sets`, as the
+    core (`_evaluate`) runs it on a product grid at n = 2, with K = 0; None
+    where the form is not used, which the core would sum as a series (here
+    stubbed out)."""
     rho, sets = _stack([np.asarray(r, dtype=float) for r in rho_sets])
-    geometry = _N2Geometry(rho[:, None], np.asarray(u, dtype=float)[None, :])
-    return _n2_closed_form(form, geometry, sets, tol_rel=tol_rel)
+
+    def no_series(n, coeffs, *args, **kwargs):
+        return [NonConvergent("summed as a series") for _ in coeffs]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hball.kernel._series_sums", no_series)
+        ((result,),) = _evaluate(2, [coeff], [(rho, np.asarray(u, dtype=float), None)], tol_rel=tol_rel)
+    if isinstance(result, NonConvergent):
+        return None
+    values, _, k_used = result
+    assert k_used == 0
+    return [values[sl] for sl in sets]
 
 
 class TestPlainN2ClosedForm:
@@ -1772,6 +1790,56 @@ class TestNonFiniteInputs:
             kernel_eval(2, 0.0, np.array([np.nan, 0.0]), np.array([0.5, 0.0]), 1e-9)
 
 
+class TestRefusedInputs:
+    """A negative radius, paired rows that are not one index into the
+    radii per direction, and a unit, pole or point that is not a vector of
+    R^n are refused with a ValueError naming the argument before any
+    evaluation, not evaluated to values that are not theirs."""
+
+    coeff = CoeffProduct.kernel(0.0)
+
+    @pytest.fixture(autouse=True)
+    def no_evaluation(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the evaluation started")
+
+        monkeypatch.setattr("hball.kernel._evaluate", never)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_negative_radius(self, n):
+        # unchecked, the series reads -0.5 as 0 and gives 1.0, where the
+        # value at -0.25 e1 is 0.2453
+        with pytest.raises(ValueError, match="radii must be a 1-d array of finite values >= 0"):
+            eval_coeff_series_grid(n, self.coeff, np.eye(n)[:1], 0.5 * np.eye(n)[0], [[-0.5]], tol_rel=1e-9)
+        grid = (np.array([0.2, -0.5]), np.eye(n)[:2], np.array([0, 1]))
+        with pytest.raises(ValueError, match="radii must be a 1-d array of finite values >= 0"):
+            eval_coeff_series_pairs(n, self.coeff, 0.5 * np.eye(n)[0], [grid], tol_rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rows", [[-1, 0], [0, 2], [0], [0, 1, 1], [[0, 1]]])
+    def test_rows_that_are_not_one_index_per_direction(self, n, rows):
+        # unchecked, -1 reads the last radius, and one row for two
+        # directions gives two values on the n = 2 closed form and one on
+        # the series
+        grids = [(np.array([0.1]), np.eye(n)[:1], np.array([0])), (np.array([0.2, 0.5]), np.eye(n)[:2], rows)]
+        with pytest.raises(ValueError, match=r"rows must hold one index in \[0, 2\) per direction"):
+            eval_coeff_series_pairs(n, self.coeff, 0.5 * np.eye(n)[0], grids, tol_rel=1e-9)
+
+    def test_vectors_that_are_not_of_width_n(self):
+        # unchecked, 2-vectors run at n = 3
+        pole, point = (0.5, 0.0), np.array([[0.2, 0.1]])
+        with pytest.raises(ValueError, match=r"pole must hold finite vectors of R\^3"):
+            eval_coeff_series_grid(3, self.coeff, np.eye(2), pole, [[0.5]], tol_rel=1e-9)
+        with pytest.raises(ValueError, match=r"pole must hold finite vectors of R\^3"):
+            kernel_eval(3, 0.0, point[0], pole, 1e-9)
+        with pytest.raises(ValueError, match=r"units must hold finite vectors of R\^3"):
+            eval_coeff_series_grid(3, self.coeff, np.eye(2), (0.5, 0.0, 0.0), [[0.5]], tol_rel=1e-9)
+        with pytest.raises(ValueError, match=r"units must hold finite vectors of R\^3"):
+            eval_coeff_series_pairs(3, self.coeff, (0.5, 0.0, 0.0), [([0.5], np.eye(2), [0, 0])], tol_rel=1e-9)
+        with pytest.raises(ValueError, match=r"points must hold finite vectors of R\^3"):
+            eval_coeff_series_points(3, self.coeff, (0.5, 0.0, 0.0), point, tol_abs=1e-9)
+
+
 class TestTolerances:
     """A NaN, infinite or negative tolerance, or none positive, is refused
     with a ValueError naming it before any series work, on every entry and
@@ -1785,7 +1853,7 @@ class TestTolerances:
             raise AssertionError("a series was summed")
 
         monkeypatch.setattr("hball.kernel._certified_degree", never)
-        monkeypatch.setattr("hball.kernel._n2_closed_form", never)
+        monkeypatch.setattr("hball.kernel._evaluate", never)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
     def test_kernel_eval(self, tol):
@@ -1856,6 +1924,52 @@ def paired_grids(n, seed):
             units[:, 2] = np.sin(theta) * np.sin(azimuth)
         grids.append((np.array(radii), units, rng.integers(0, len(radii), theta.shape[0])))
     return grids
+
+
+class TestEvaluationCore:
+    """`_evaluate` returns K = 0 exactly where an n = 2 closed form is used,
+    on product grids and on pairs, and a point, whose tolerance is
+    absolute, stays on the series whatever its coefficient."""
+
+    COEFFS = [CoeffProduct.kernel(0.0), LIFTED["upper_shift"][0], LIFTED["lower_atom"][0], CoeffProduct.kernel(-2.5)]
+    TOL = 5e-15  # the gates pass on the shallow grids and fail at 0.9
+
+    @staticmethod
+    def form_used(coeff, radii):
+        form = _N2Form.of(coeff)
+        return form is not None and bool(_n2_gate(form, radii, tol_rel=TestEvaluationCore.TOL).all())
+
+    def grids(self):
+        rng = np.random.default_rng(3)
+        out = []
+        for radii in ([0.0, 0.1, 0.3], [0.2, 0.9], [0.5]):
+            u = np.concatenate([rng.uniform(-1.0, 1.0, 5), [1.0, -1.0, 0.5, 0.5]])
+            out.append((np.array(radii), u, rng.integers(0, len(radii), u.shape[0])))
+        return out
+
+    def test_k_is_zero_exactly_where_a_form_is_used(self):
+        grids = self.grids()
+        used = [[self.form_used(coeff, radii) for radii, _, _ in grids] for coeff in self.COEFFS]
+        assert any(map(any, used)) and not all(map(all, used))
+        for g, (radii, u, _) in enumerate(grids):
+            for i, ((values, tails, k),) in enumerate(_evaluate(2, self.COEFFS, [(radii, u, None)], tol_rel=self.TOL)):
+                assert (k == 0) == used[i][g] and values.shape == (radii.shape[0], u.shape[0])
+                assert tails.shape == radii.shape and (k > 0 or not tails.any())
+        for i, results in enumerate(_evaluate(2, self.COEFFS, grids, tol_rel=self.TOL)):
+            for g, (values, tails, k) in enumerate(results):
+                assert (k == 0) == used[i][g] and values.shape == tails.shape == grids[g][1].shape
+                assert k > 0 or not tails.any()
+
+    def test_a_point_stays_on_the_series(self):
+        coeff = CoeffProduct.kernel(0.0)
+        rho = np.array([0.0, 0.1, 0.5])
+        assert _N2Form.of(coeff) is not None and not _n2_gate(_N2Form.of(coeff), rho, tol_rel=0.0).any()
+        first = np.zeros(1, dtype=np.intp)
+        points = [(rho[i : i + 1], np.array([0.3]), first) for i in range(rho.shape[0])]
+        (results,) = _evaluate(2, [coeff], points, tol_abs=1e-10)
+        assert all(k > 0 for _, _, k in results)
+        _, _, k_used = eval_coeff_series_points(2, coeff, (0.5, 0.0), np.array([[0.2, 0.0], [0.0, 0.0]]), tol_abs=1e-10)
+        assert k_used > 0
 
 
 class TestPairedSeries:

@@ -36,26 +36,34 @@ def _load_checks(checkout: Path):
     return module
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    checkout = Path(argv[0]).resolve()
+def report_runs(checkout: Path) -> tuple:
+    """(hball, runs): the package imported from the checkout's `src`, and
+    per report its key and a function that runs it and returns the JSON the
+    CLI writes, in the order `main` prints them."""
     sys.path.insert(0, str(checkout / "src"))
     import hball
     from hball.experiments import EXPERIMENTS, ExperimentConfig, report_to_json, run_experiment
 
-    def digest(name: str, cfg) -> str:
-        return hashlib.sha256(report_to_json(run_experiment(name, cfg)).encode()).hexdigest()
+    def run(name: str, cfg):
+        return lambda: report_to_json(run_experiment(name, cfg))
 
     checks = _load_checks(checkout)
-    reports = {}
+    runs = {}
     for workload in checks.WORKLOADS:
         for seed in SEEDS:
             cfg = ExperimentConfig.from_json_dict(checks.config(workload, seed))
-            reports[f"{workload}/seed{seed}"] = digest(cfg.name, cfg)
+            runs[f"{workload}/seed{seed}"] = run(cfg.name, cfg)
     for name in EXPERIMENTS:
-        reports[f"default/{name}"] = digest(name, None)
+        runs[f"default/{name}"] = run(name, None)
+    return hball, runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    hball, runs = report_runs(Path(argv[0]).resolve())
+    reports = {key: hashlib.sha256(run().encode()).hexdigest() for key, run in runs.items()}
     print(json.dumps({"source": str(Path(hball.__file__).parent), "reports": reports}, indent=2))
     return 0
 
