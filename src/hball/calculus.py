@@ -8,16 +8,16 @@ the action is exact at the coefficient level.  Applying it to a kernel atom
 with a mismatched base parameter yields a general coefficient-product atom,
 evaluated by the same certified truncation machinery as the kernels.
 
-An expansion is evaluated at points (`evaluate`), on product grids of
-radii x directions (`evaluate_grid(s)`), and at pairs of grid entries, one
-radius per direction, over several grids at once (`evaluate_pairs`): there
-zonal terms and the n = 2 closed forms compute only the pairs, while a
-series atom sums each grid and reads its pairs off it, so every pair is bit
-for bit its grid's entry.  Grid and pair evaluations add an expansion's
-atoms in their order (`_accumulate`), so expansions evaluated together
-are each, bit for bit, the expansion evaluated alone; `evaluate_grids`
-sums the series atoms of several expansions in rounds, one call per
-round and pole.
+An expansion is evaluated at points (`evaluate`, the pointwise reference)
+and by one core on grids (`evaluate_grids`): product grids of radii x
+directions, or pairs of grid entries, one radius per direction, over
+several grids at once, each pair bit for bit its product grid's entry.
+The core checks every grid before any atom is added, and adds each
+expansion's atoms in their order, in rounds: a zonal term's factors are
+computed once per grid, and the series atoms of a round on one pole and
+one set of still-live grids are summed in one kernel call
+(`eval_coeff_series_grids`).  So expansions evaluated together are each,
+bit for bit, the expansion evaluated alone on each grid.
 
 Expansions are immutable after construction; everything here is reentrant.
 """
@@ -34,8 +34,8 @@ import numpy as np
 from .errors import NonConvergent
 from .kernel import (
     CoeffProduct,
+    check_grids,
     eval_coeff_series_grids,
-    eval_coeff_series_pairs,
     eval_coeff_series_points,
     gamma_ratio,
     log_coeff_block,
@@ -56,7 +56,6 @@ __all__ = [
     "evaluate",
     "evaluate_grid",
     "evaluate_grids",
-    "evaluate_pairs",
     "expansion_from_json",
     "expansion_to_json",
     "homogeneous_coefficient",
@@ -228,10 +227,15 @@ def _zonal_factors(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarr
     return radii**degree, np.where(scale > 0.0, scale**degree * q, 0.0)
 
 
-def _zonal_grid(n: int, degree: int, pole, radii: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Z_degree on the product grid radii x units (`_zonal_factors`)."""
+def _zonal_values(n: int, degree: int, pole, grid) -> np.ndarray:
+    """Z_degree on a grid (radii, units, rows) from its factors
+    (`_zonal_factors`): spread over the product grid, or read at the
+    pairs."""
+    radii, units, rows = grid
     radial, angular = _zonal_factors(n, degree, pole, radii, units)
-    return radial[:, None] * angular[None, :]
+    if rows is None:
+        return radial[:, None] * angular[None, :]
+    return radial[rows] * angular
 
 
 def _accumulate(total, vals, weight: float):
@@ -247,60 +251,67 @@ def _accumulate(total, vals, weight: float):
     return total
 
 
-def evaluate_grids(
-    fs,
-    radii: np.ndarray,
-    units: np.ndarray,
-    *,
-    tol_rel: float = 1e-9,
-) -> list:
-    """Values of each expansion of `fs` on the product grid {r * u}: per
-    expansion, its (len(radii), len(units)) grid, or the NonConvergent of
-    its first series atom that raised one.
+def evaluate_grids(fs, grids, *, tol_rel: float = 1e-9) -> list:
+    """Values of each expansion of `fs` on each grid (radii, units, rows):
+    rows None for the product grid {r * u}, then the only grid of its
+    call, or one index into the radii per direction for the pairs
+    radii[rows[i]] * units[i].  Returns per expansion, per grid, its
+    values, of shape (len(radii), len(units)) on a product grid and
+    (len(units),) at pairs, each pair bit for bit the entry (rows[i], i)
+    of its product grid, or the NonConvergent of the expansion's first
+    series atom that raised one on that grid.
 
+    Every grid is checked once, before any atom is added (`check_grids`).
     Each expansion adds its atoms in their order, in rounds: round r adds
-    its zonal terms up to its r-th series atom, then that atom.  The r-th
-    series atoms of all expansions on one pole are summed in one call
-    (`eval_coeff_series_grids`), whose series share their angular table,
-    and each grid is scaled and added in place before the next call, so an
-    expansion holds at most its sum and one atom's grid.  Series atoms are
-    certified relative to their own majorant mass, so the accuracy is
-    relative to the atom's local size rather than absolute.  The rounds
-    after an expansion's first NonConvergent leave out its atoms.
+    its zonal terms up to its r-th series atom, then that atom.  A zonal
+    term's factors are computed once per grid (`_zonal_values`).  The r-th
+    series atoms of all expansions on one pole and one set of still-live
+    grids are summed in one call (`eval_coeff_series_grids`), whose series
+    share their angular table per grid, and each value is scaled and added
+    in place before the next call, so an expansion holds at most its sums
+    and one atom's values.  Series atoms are certified relative to their
+    own majorant mass, so the accuracy is relative to the atom's local size
+    rather than absolute.  The rounds after an expansion's first
+    NonConvergent on a grid leave out its atoms there.
     """
     fs = list(fs)
-    radii = np.asarray(radii, dtype=float)
-    units = np.asarray(units, dtype=float)
     if len({f.dimension for f in fs}) > 1:
         raise ValueError("the expansions of one grid evaluation must share their dimension")
-    totals = [None] * len(fs)
+    if not fs:
+        return []
+    n = fs[0].dimension
+    grids = check_grids(n, grids)
+    totals = [[None] * len(grids) for _ in fs]
     added = [0] * len(fs)  # atoms of each expansion added so far
     while True:
-        batches: dict[tuple, list] = {}  # pole -> expansions whose next atom is a series on it
+        batches: dict[tuple, list] = {}  # (pole, live grids) -> expansions whose next atom is a series on it
         for i, f in enumerate(fs):
-            if isinstance(totals[i], NonConvergent):
+            live = tuple(g for g, total in enumerate(totals[i]) if not isinstance(total, NonConvergent))
+            if not live:
                 continue
             for atom in f.atoms[added[i]:]:
                 if not isinstance(atom, ZonalTerm):
-                    batches.setdefault(atom.pole, []).append(i)
+                    batches.setdefault((atom.pole, live), []).append(i)
                     break
-                totals[i] = _accumulate(
-                    totals[i], _zonal_grid(f.dimension, atom.degree, atom.pole, radii, units), atom.weight
-                )
+                for g in live:
+                    totals[i][g] = _accumulate(
+                        totals[i][g], _zonal_values(n, atom.degree, atom.pole, grids[g]), atom.weight
+                    )
                 added[i] += 1
         if not batches:
             break
-        for pole, where in batches.items():
+        for (pole, live), where in batches.items():
             atoms = [fs[i].atoms[added[i]] for i in where]
             values = eval_coeff_series_grids(
-                fs[0].dimension, [_atom_coeff(atom) for atom in atoms], units, pole, [radii], tol_rel=tol_rel
+                n, [_atom_coeff(atom) for atom in atoms], pole, [grids[g] for g in live], tol_rel=tol_rel
             )
-            for i, atom, grids in zip(where, atoms, values):
-                vals = grids if isinstance(grids, NonConvergent) else grids[0]
-                totals[i] = _accumulate(totals[i], vals, atom.weight)
+            for i, atom, per_grid in zip(where, atoms, values):
+                for g, vals in zip(live, per_grid):
+                    totals[i][g] = _accumulate(totals[i][g], vals, atom.weight)
                 added[i] += 1
-            del values, grids, vals
-    return [np.zeros((radii.shape[0], units.shape[0])) if t is None else t for t in totals]
+            del values, per_grid, vals
+    shapes = [(radii.shape[0], units.shape[0]) if rows is None else rows.shape for radii, units, rows in grids]
+    return [[np.zeros(shape) if t is None else t for t, shape in zip(row, shapes)] for row in totals]
 
 
 def evaluate_grid(
@@ -311,55 +322,12 @@ def evaluate_grid(
     tol_rel: float = 1e-9,
 ) -> np.ndarray:
     """Values of f on the product grid {r * u}, shape (len(radii),
-    len(units)): `evaluate_grids` of the one expansion f, raising the
-    NonConvergent of its first series atom that fails."""
-    (values,) = evaluate_grids([f], radii, units, tol_rel=tol_rel)
+    len(units)): `evaluate_grids` of the one expansion f on that grid,
+    raising the NonConvergent of its first series atom that fails."""
+    ((values,),) = evaluate_grids([f], [(radii, units, None)], tol_rel=tol_rel)
     if isinstance(values, NonConvergent):
         raise values
     return values
-
-
-def evaluate_pairs(
-    f: HarmonicExpansion,
-    grids,
-    *,
-    tol_rel: float = 1e-9,
-) -> list:
-    """Values of f at pairs of points of several product grids: per grid
-    (radii, units, rows), the values at radii[rows[i]] * units[i], each bit
-    for bit the entry (rows[i], i) of `evaluate_grid(f, radii, units)`, or
-    the NonConvergent of f's first series atom that raised one on that
-    grid.
-
-    Only the pairs are computed where an atom allows it: a zonal term is
-    its radial factor at the pair's radius times its angular factor at the
-    pair's direction (`_zonal_factors`), and each series atom makes one
-    `eval_coeff_series_pairs` call over all the grids, which evaluates the
-    n = 2 closed forms on the pairs alone and sums every other series on
-    its grid, one call per grid as `evaluate_grid` makes it.  Each grid adds
-    f's atoms in their order, as `evaluate_grids` does, and leaves out the
-    atoms after its first NonConvergent.
-    """
-    grids = [
-        (np.asarray(radii, dtype=float), np.asarray(units, dtype=float), np.asarray(rows, dtype=np.intp))
-        for radii, units, rows in grids
-    ]
-    totals: list = [None] * len(grids)
-    for atom in f.atoms:
-        live = [i for i, total in enumerate(totals) if not isinstance(total, NonConvergent)]
-        if isinstance(atom, ZonalTerm):
-            values = []
-            for i in live:
-                radii, units, rows = grids[i]
-                radial, angular = _zonal_factors(f.dimension, atom.degree, atom.pole, radii, units)
-                values.append(radial[rows] * angular)
-        else:
-            values = eval_coeff_series_pairs(
-                f.dimension, _atom_coeff(atom), atom.pole, [grids[i] for i in live], tol_rel=tol_rel
-            )
-        for i, vals in zip(live, values):
-            totals[i] = _accumulate(totals[i], vals, atom.weight)
-    return [np.zeros(rows.shape[0]) if t is None else t for t, (_, _, rows) in zip(totals, grids)]
 
 
 def apply_D(f: HarmonicExpansion, pair: DiffPair) -> HarmonicExpansion:

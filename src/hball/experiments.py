@@ -303,8 +303,9 @@ def _growth_integral_curves(n: int, combos, radii: np.ndarray, depth: int, tol: 
     alpha.
 
     Per shell, the kernels of every distinct alpha are evaluated in one grid
-    call (`eval_coeff_series_grids`), which shares the radius sets, the
-    Legendre table at n = 3 and the closed forms' geometry at n = 2.  A
+    call (`eval_coeff_series_grids`) on the radius sets stacked into one
+    product grid, which shares the Legendre table at n = 3 and the closed
+    forms' geometry at n = 2.  A
     kernel value depends on its radius and its cosine u = <y/|y|, e1>
     alone, so the call gets one direction per distinct cosine (exact
     `np.unique` of the dot products, the cosines the kernel finds) and the
@@ -324,16 +325,17 @@ def _growth_integral_curves(n: int, combos, radii: np.ndarray, depth: int, tol: 
             break
         _, first, inv = np.unique(sph.units @ pole, return_index=True, return_inverse=True)
         folded = np.bincount(inv, weights=sph.weights)
+        stacked = np.concatenate([shell.nodes * r for r in radii])
         results = eval_coeff_series_grids(
-            n, [CoeffProduct.kernel(alpha) for alpha in live], sph.units[first], pole,
-            [shell.nodes * r for r in radii], tol_rel=min(tol, 1e-8),
+            n, [CoeffProduct.kernel(alpha) for alpha in live], pole,
+            [(stacked, sph.units[first], None)], tol_rel=min(tol, 1e-8),
         )
         vals = {}
-        for alpha, result in zip(live, results):
+        for alpha, (result,) in zip(live, results):
             if isinstance(result, NonConvergent):
                 failed[alpha] = result
             else:
-                vals[alpha] = np.abs(np.stack(result))  # (radius set, node, cosine)
+                vals[alpha] = np.abs(result).reshape(len(radii), -1, first.shape[0])  # (radius set, node, cosine)
         for c, combo in enumerate(combos):
             if combo["alpha"] not in vals:
                 continue

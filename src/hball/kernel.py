@@ -14,7 +14,8 @@ bound certifies the requested accuracy (in particular for |x||y| = 1, where
 the series need not converge).  Before any work, ValueError refuses
 non-finite directions, poles, points and radii, negative radii, vectors
 that are not of R^n, paired rows that are not one index into their radii
-per direction, and NaN, infinite or negative tolerances.
+per direction, a product grid beside other grids, and NaN, infinite or
+negative tolerances.
 
 A series sum runs in two passes, for a batch of coefficients on one grid
 (a single coefficient is the batch of one).  Z_k(x, pole) = (|x||pole|)^k
@@ -59,19 +60,24 @@ that of log h_k at n.
 Grids, pairs and points are evaluated by one core, `_evaluate`, on grids
 (rho, u, rows): the radii times |pole|, the cosines to the pole, and None
 for the product grid rho x u or one radius row per direction for pairs,
-each pair bit for bit its product grid's entry.  A point is the one pair
-of its own 1 x 1 grid.  At n = 2 the kernels and their derivative fields
-have closed forms: with z = x conj(pole) the values are 2 Re F(z) - 1, F =
-sum_k c_k z^k, and when c_k = P(k) gamma_k(q), P a polynomial that the
-operator pairs of the coefficient contribute, F is the Euler operator
-P(z d/dz) applied to the atom's generating function: (1 - z)^-(2+q) on the
-upper branch, and -log(1 - z)/z for q = -2 (`_N2Form`).  The core uses a
+each pair bit for bit its product grid's entry.  Product grids and pairs
+reach it through one checked entry, `eval_coeff_series_grids`, which
+takes the same grids with the radii and unit directions before the
+pole's scaling (`check_grids`); a point is the one pair of its own 1 x 1
+grid (`eval_coeff_series_points`).  At n = 2 the kernels and their
+derivative fields have closed forms: with z = x conj(pole) the values
+are 2 Re F(z) - 1, F = sum_k c_k z^k, and when c_k = P(k) gamma_k(q), P
+a polynomial that the operator pairs of the coefficient contribute, F is
+the Euler operator P(z d/dz) applied to the atom's generating function:
+(1 - z)^-(2+q) on the upper branch, and -log(1 - z)/z for q = -2
+(`_N2Form`).  The core uses a
 form, with K = 0, on every grid whose radii pass its gate, where its
 stated rounding bound meets the tolerance (`_n2_gate`), at the pairs alone
 and with one geometry per call.  That bound is relative to the form's
-mass, so a point's absolute tolerance keeps it on the series, as are the
-other coefficients (non-integer or negative operator orders, other
-lower-branch atoms), n >= 3 and rule sums.
+mass, so a point's absolute tolerance, with tol_rel = 0, tries no form
+and keeps the point on the series, as are the other coefficients
+(non-integer or negative operator orders, other lower-branch atoms),
+n >= 3 and rule sums.
 
 Rule sums sum the series against a product sphere rule's weighted
 values for a stack of points (`eval_coeff_series_rule_sum`).  Pass 1 fixes
@@ -929,14 +935,24 @@ def _radii(radii) -> np.ndarray:
     return radii
 
 
-def _paired_grid(n: int, radii, units, rows) -> tuple:
-    """A paired grid (radii, units, rows) as arrays, refused unless `rows`
-    holds one index into `radii` per direction: an index of -1 would read
-    the last radius, and too few rows would give too few values."""
-    radii, units, rows = _radii(radii), _vectors("units", n, units), np.asarray(rows, dtype=np.intp)
-    if rows.shape != units.shape[:1] or (rows.size and (rows.min() < 0 or rows.max() >= radii.shape[0])):
-        raise ValueError(f"rows must hold one index in [0, {radii.shape[0]}) per direction")
-    return radii, units, rows
+def check_grids(n: int, grids) -> list:
+    """`grids` as a list of grids (radii, units, rows) of arrays, refused
+    unless each holds radii >= 0 (`_radii`), vectors of R^n as its units
+    (`_vectors`) and as rows either None, for the product grid radii x
+    units, then the only grid of the list, or one index into the radii per
+    direction, for pairs: an index of -1 would read the last radius, and
+    too few rows would give too few values."""
+    checked = []
+    for radii, units, rows in grids:
+        radii, units = _radii(radii), _vectors("units", n, units)
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.shape != units.shape[:1] or (rows.size and (rows.min() < 0 or rows.max() >= radii.shape[0])):
+                raise ValueError(f"rows must hold one index in [0, {radii.shape[0]}) per direction")
+        checked.append((radii, units, rows))
+    if len(checked) > 1 and any(rows is None for _, _, rows in checked):
+        raise ValueError("a product grid (rows None) must be the only grid of its call")
+    return checked
 
 
 def _n2_lift(coeff: CoeffProduct):
@@ -1153,8 +1169,9 @@ def _evaluate(n: int, coeffs, grids, *, tol_abs: float = 0.0, tol_rel: float = 0
     (`_n2_gate`) over the radii inside [0, 1) of every grid stacked, and
     is evaluated in closed form on each grid whose radii all pass and
     whose values are finite, with one geometry (`_N2Geometry`) over the
-    product grid or the pairs of those grids.  The gate's bound is
-    relative to the mass, so at tol_rel = 0 none passes.  The rest sums
+    product grid or the pairs of those grids.  The gate's bound is at
+    least _CLOSED_FORM_ROUNDING eps times the mass, so at tol_rel = 0 none
+    would pass, and no form is tried.  The rest sums
     the series, one `_series_sums` batch per grid on its distinct cosines
     (`_distinct`), which are found only where a product grid or a series
     reads them; pairs read their entries off that grid.  No value depends
@@ -1184,7 +1201,9 @@ def _evaluate(n: int, coeffs, grids, *, tol_abs: float = 0.0, tol_rel: float = 0
             return values[rows, np.arange(rows.shape[0]) if inv is None else inv]
         return values if inv is None else np.take(values, inv, axis=1, out=outs[i], mode="clip")
 
-    inside = [g for g, (rho, _, _) in enumerate(grids) if n == 2 and rho.size and rho.max() < 1.0]
+    inside = [
+        g for g, (rho, _, _) in enumerate(grids) if n == 2 and tol_rel > 0.0 and rho.size and rho.max() < 1.0
+    ]
     if inside:
         rho, sets = _stack([grids[g][0] for g in inside])
         used = {}  # coefficient -> (its form, the grids whose radii pass its gate)
@@ -1234,35 +1253,40 @@ def _evaluate(n: int, coeffs, grids, *, tol_abs: float = 0.0, tol_rel: float = 0
 def eval_coeff_series_grids(
     n: int,
     coeffs,
-    units: np.ndarray,
     pole,
-    radii_sets,
+    grids,
     *,
     tol_rel: float,
 ) -> list:
-    """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units for
-    each coefficient c of `coeffs`, all on one pole, each value certified
-    to tol_rel times the majorant mass at its radius.
+    """Evaluate sum_k c_k Z_k(x, pole) for each coefficient c of `coeffs`,
+    all on one pole, on grids (radii, units, rows), each value certified to
+    tol_rel times the majorant mass at its radius.
 
-    `units` is an (M, n) array of unit vectors; each entry of `radii_sets`
-    is a vector of radii >= 0.  Returns, per coefficient, its list of
-    grids, the one of each radius set of shape (m, M), or the NonConvergent
-    its series raised, which leaves the others evaluated.  The sets are
-    stacked into the product grid of one `_evaluate` call, so they share
-    one angular table and, at n = 2, one closed-form geometry.
+    `units` is an (M, n) array of unit vectors and `radii` a vector of radii
+    >= 0; `rows` is None for the product grid radii x units, then the only
+    grid of its call, or one index into the radii per direction for the
+    pairs x = radii[rows[i]] units[i], each bit for bit the entry
+    (rows[i], i) of its product grid (`check_grids`).  Returns per
+    coefficient, per grid, its values, of shape (len(radii), M) on a
+    product grid and (M,) at pairs, or the NonConvergent its series raised
+    on that grid, which leaves the others evaluated.  The grids, scaled by
+    |pole|, are those of one `_evaluate` call: its series share one
+    angular table per grid, and at n = 2 a closed form is evaluated at the
+    pairs alone, with one geometry per call.
     """
     _require_tolerances(tol_rel=tol_rel)
     pole_unit, pole_norm = _unit_and_norm(_vectors("pole", n, [pole])[0])
-    units = _vectors("units", n, units)
-    radii, sets = _stack([np.asarray(r, dtype=float) for r in radii_sets])
-    radii = _radii(radii)
+    grids = check_grids(n, grids)
     if pole_norm == 0.0:
         # only the k = 0 term survives: the sum is identically c_0 = 1
-        return [[np.ones((sl.stop - sl.start, units.shape[0])) for sl in sets] for _ in coeffs]
-    grid = (radii * pole_norm, np.clip(units @ pole_unit, -1.0, 1.0), None)
+        shapes = [
+            (radii.shape[0], units.shape[0]) if rows is None else rows.shape for radii, units, rows in grids
+        ]
+        return [[np.ones(shape) for shape in shapes] for _ in coeffs]
+    grids = [(radii * pole_norm, np.clip(units @ pole_unit, -1.0, 1.0), rows) for radii, units, rows in grids]
     return [
-        result if isinstance(result, NonConvergent) else [result[0][sl] for sl in sets]
-        for (result,) in _evaluate(n, coeffs, [grid], tol_rel=tol_rel)
+        [result if isinstance(result, NonConvergent) else result[0] for result in results]
+        for results in _evaluate(n, coeffs, grids, tol_rel=tol_rel)
     ]
 
 
@@ -1276,43 +1300,14 @@ def eval_coeff_series_grid(
     tol_rel: float,
 ):
     """Evaluate sum_k c_k Z_k(x, pole) on product grids radii x units:
-    `eval_coeff_series_grids` of the one coefficient `coeff`, raising its
-    NonConvergent; the grid of a radius set of m radii has shape (m, M)."""
-    (values,) = eval_coeff_series_grids(n, [coeff], units, pole, radii_sets, tol_rel=tol_rel)
+    `eval_coeff_series_grids` of the one coefficient `coeff` on the product
+    grid of the radius sets stacked, raising its NonConvergent; the grid of
+    a radius set of m radii has shape (m, M)."""
+    radii, sets = _stack([np.asarray(r, dtype=float) for r in radii_sets])
+    ((values,),) = eval_coeff_series_grids(n, [coeff], pole, [(radii, units, None)], tol_rel=tol_rel)
     if isinstance(values, NonConvergent):
         raise values
-    return values
-
-
-def eval_coeff_series_pairs(
-    n: int,
-    coeff: CoeffProduct,
-    pole,
-    grids,
-    *,
-    tol_rel: float,
-) -> list:
-    """Evaluate sum_k c_k Z_k(x, pole) at pairs of points of several
-    product grids, each value the entry of its grid.
-
-    Each grid is (radii, units, rows): value i is the one at x = radii[rows[i]]
-    units[i], bit for bit the entry (rows[i], i) of
-    `eval_coeff_series_grids(n, [coeff], units, pole, [radii])`, certified
-    to tol_rel times the majorant mass at its radius.  Returns per grid its
-    values, of shape (len(units),), or the NonConvergent its series raised
-    on that grid, which leaves the other grids evaluated.  The grids are
-    the paired grids of one `_evaluate` call: a closed form is evaluated
-    at the pairs alone, and a series on its whole grid.
-    """
-    _require_tolerances(tol_rel=tol_rel)
-    pole_unit, pole_norm = _unit_and_norm(_vectors("pole", n, [pole])[0])
-    grids = [_paired_grid(n, *grid) for grid in grids]
-    if pole_norm == 0.0:
-        # only the k = 0 term survives: the sum is identically c_0 = 1
-        return [np.ones(units.shape[0]) for _, units, _ in grids]
-    grids = [(radii * pole_norm, np.clip(units @ pole_unit, -1.0, 1.0), rows) for radii, units, rows in grids]
-    (results,) = _evaluate(n, [coeff], grids, tol_rel=tol_rel)
-    return [result if isinstance(result, NonConvergent) else result[0] for result in results]
+    return [values[sl] for sl in sets]
 
 
 def eval_coeff_series_points(

@@ -27,7 +27,7 @@ between neighboring nodes along the rings of the shell's sphere rule
 level-set walk does so in two phases: it walks the shells for their
 indicators and brackets up to the first shell whose values raise
 NonConvergent, then bisects the brackets of all those shells together,
-each round in one paired call (`calculus.evaluate_pairs`) that gives every
+each round in one paired call (`calculus.evaluate_grids`) that gives every
 midpoint the value at its own bracket's radius, and measures all those
 shells in one pass.
 """
@@ -49,7 +49,6 @@ from .calculus import (
     apply_D,
     evaluate_grid,
     evaluate_grids,
-    evaluate_pairs,
 )
 from .errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from .kernel import CoeffProduct, eval_coeff_series_rule_sum, log_coeff_block, log_dim_block
@@ -211,7 +210,7 @@ def _bisect_boundaries(g: HarmonicExpansion, exponent: float, eps: float, shells
     A call costs about the same whatever its number of directions, so each
     of the _BISECT_STEPS // _LOOKAHEAD rounds evaluates the dyadic tree of
     midpoints _LOOKAHEAD levels below every bracket of every shell in one
-    paired call (`evaluate_pairs`), each shell's midpoints on the
+    paired call (`evaluate_grids`), each shell's midpoints on the
     directions of one `unit_of` call and each at its own bracket's radius,
     and then replays the _LOOKAHEAD lo/hi decisions on that table.  The tree's
     midpoints are formed by the same `0.5 * (lo + hi)` as halving one step
@@ -258,7 +257,7 @@ def _bisect_boundaries(g: HarmonicExpansion, exponent: float, eps: float, shells
             # the shell's midpoints node by node, each pair at its radius
             units = unit_of(table[:, ends[j] : ends[j + 1]].ravel())
             grids.append((nodes, units, np.tile(rows, table.shape[0])))
-        values = evaluate_pairs(g, grids, tol_rel=_BISECT_TOL)
+        (values,) = evaluate_grids([g], grids, tol_rel=_BISECT_TOL)
         failed = next((k for k, v in enumerate(values) if isinstance(v, NonConvergent)), None)
         if failed is not None:
             # the walk stops at that shell, as at a shell whose values failed
@@ -467,8 +466,8 @@ def fill_shell_values(fields, grid: ShellDecomposition) -> None:
     memo = _MEMO.setdefault(grid, {})
     for j in range(grid.depth):
         todo = [g for g in fields if (g, j) not in memo]
-        values = evaluate_grids(todo, grid.shells[j].nodes, grid.spheres[j].units, tol_rel=REL_TOL)
-        for g, v in zip(todo, values):
+        values = evaluate_grids(todo, [(grid.shells[j].nodes, grid.spheres[j].units, None)], tol_rel=REL_TOL)
+        for g, (v,) in zip(todo, values):
             memo[(g, j)] = v.with_traceback(None) if isinstance(v, NonConvergent) else v
         fields = [g for g in fields if not isinstance(memo[(g, j)], NonConvergent)]
 

@@ -12,14 +12,13 @@ from hball.calculus import (
     KernelAtom,
     ZonalTerm,
     _atom_coeff,
-    _zonal_grid,
+    _zonal_values,
     apply_D,
     apply_I,
     constant,
     evaluate,
     evaluate_grid,
     evaluate_grids,
-    evaluate_pairs,
     expansion_from_json,
     expansion_to_json,
     homogeneous_coefficient,
@@ -138,7 +137,7 @@ class TestEvaluate:
         want = np.zeros((radii.shape[0], units.shape[0]))
         for atom in atoms:
             if isinstance(atom, ZonalTerm):
-                vals = _zonal_grid(3, atom.degree, atom.pole, radii, units)
+                vals = _zonal_values(3, atom.degree, atom.pole, (radii, units, None))
                 assert np.signbit(atom.weight * vals[0]).any()
             else:
                 vals = eval_coeff_series_grid(3, _atom_coeff(atom), units, atom.pole, [radii], tol_rel=1e-9)[0]
@@ -160,7 +159,7 @@ class TestEvaluate:
         radii = np.array([0.0, 0.4, 0.9, 1.0])
         units = np.random.default_rng(3).normal(size=(30, 3))
         units /= np.linalg.norm(units, axis=1)[:, None]
-        got = evaluate_grids(fs, radii, units, tol_rel=1e-9)
+        got = [values for (values,) in evaluate_grids(fs, [(radii, units, None)], tol_rel=1e-9)]
         for f, values in zip(fs[:3], got[:3], strict=True):
             want = evaluate_grid(f, radii, units, tol_rel=1e-9)
             assert values.shape == want.shape and values.tobytes() == want.tobytes()
@@ -168,7 +167,7 @@ class TestEvaluate:
             evaluate_grid(fs[3], radii, units, tol_rel=1e-9)
         assert isinstance(got[3], NonConvergent) and str(got[3]) == str(alone.value)
         with pytest.raises(ValueError, match="share their dimension"):
-            evaluate_grids([constant(2), constant(3)], radii, units)
+            evaluate_grids([constant(2), constant(3)], [(radii, units, None)])
 
     def test_one_call_per_round_and_pole(self, monkeypatch):
         # round 0 sums the first series atom of every expansion, all on P,
@@ -188,14 +187,14 @@ class TestEvaluate:
         calls = []
         real = calculus.eval_coeff_series_grids
 
-        def spy(n, coeffs, units, pole, radii_sets, **kw):
+        def spy(n, coeffs, pole, grids, **kw):
             calls.append((tuple(pole), len(coeffs)))
-            return real(n, coeffs, units, pole, radii_sets, **kw)
+            return real(n, coeffs, pole, grids, **kw)
 
         monkeypatch.setattr(calculus, "eval_coeff_series_grids", spy)
-        got = evaluate_grids(fs, radii, units)
+        got = evaluate_grids(fs, [(radii, units, None)])
         assert calls == [(p, 3), (q, 1)]
-        for values, want in zip(got, alone, strict=True):
+        for (values,), want in zip(got, alone, strict=True):
             assert values.tobytes() == want.tobytes()
 
     def test_one_expansion_holds_its_sum_and_one_atom_grid(self):
@@ -246,7 +245,7 @@ class TestEvaluate:
             (np.array([0.5, 1.0]), units[:10], rng.integers(0, 2, 10)),
             (np.array([0.95]), units[5:], np.zeros(units.shape[0] - 5, dtype=int)),
         ]
-        got = evaluate_pairs(f, grids, tol_rel=1e-9)
+        (got,) = evaluate_grids([f], grids, tol_rel=1e-9)
         for (radii, units, rows), values in zip(grids, got, strict=True):
             try:
                 want = evaluate_grid(f, radii, units, tol_rel=1e-9)[rows, np.arange(rows.shape[0])]
@@ -255,8 +254,104 @@ class TestEvaluate:
                 continue
             assert values.tobytes() == want.tobytes()
         assert isinstance(got[1], NonConvergent)
-        zero = evaluate_pairs(HarmonicExpansion(n, ()), grids[:1])
-        assert zero[0].tobytes() == np.zeros(grids[0][2].shape[0]).tobytes()
+        ((zero,),) = evaluate_grids([HarmonicExpansion(n, ())], grids[:1])
+        assert zero.tobytes() == np.zeros(grids[0][2].shape[0]).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_several_expansions_on_several_paired_grids(self, n, monkeypatch):
+        # f1's first series atom raises on grid 1, where its |x||pole|
+        # reaches 1, and its later atoms are left out there only; one
+        # kernel call per round, pole and set of still-live grids
+        import hball.calculus as calculus
+
+        e = np.eye(n)
+        p, q = tuple(0.6 * e[1]), tuple(0.5 * e[0])
+        fs = [
+            HarmonicExpansion(n, (ZonalTerm(1, tuple(e[0]), -0.7), KernelAtom(0.4, p, 1.2), KernelAtom(0.0, q, -0.3))),
+            HarmonicExpansion(n, (KernelAtom(-2.0, tuple(e[0])), ZonalTerm(2, tuple(e[1]), 0.5), KernelAtom(0.4, p, -1.1))),
+            HarmonicExpansion(n, (KernelAtom(0.4, p, 2.0), ZonalTerm(2, tuple(e[0]), -0.4))),
+            HarmonicExpansion(n, ()),
+        ]
+        rng = np.random.default_rng(10 + n)
+        units = rng.normal(size=(20, n))
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        grids = [
+            (np.array([0.0, 0.4, 0.9]), units, rng.integers(0, 3, 20)),
+            (np.array([0.5, 1.0]), units[:8], rng.integers(0, 2, 8)),
+            (np.array([0.95]), units[4:], np.zeros(16, dtype=int)),
+        ]
+        calls = []
+        real = calculus.eval_coeff_series_grids
+
+        def spy(n, coeffs, pole, called, **kw):
+            ids = tuple(next(g for g, grid in enumerate(grids) if grid[0] is radii) for radii, _, _ in called)
+            calls.append((tuple(pole), len(coeffs), ids))
+            return real(n, coeffs, pole, called, **kw)
+
+        monkeypatch.setattr(calculus, "eval_coeff_series_grids", spy)
+        got = evaluate_grids(fs, grids, tol_rel=1e-9)
+        assert calls == [(p, 2, (0, 1, 2)), (tuple(e[0]), 1, (0, 1, 2)), (q, 1, (0, 1, 2)), (p, 1, (0, 2))]
+        monkeypatch.undo()
+        for f, values in zip(fs, got, strict=True):
+            for (radii, units, rows), vals in zip(grids, values, strict=True):
+                try:
+                    want = evaluate_grid(f, radii, units, tol_rel=1e-9)[rows, np.arange(rows.shape[0])]
+                except NonConvergent as exc:
+                    assert isinstance(vals, NonConvergent) and str(vals) == str(exc)
+                    continue
+                assert vals.tobytes() == want.tobytes()
+        assert [isinstance(v, NonConvergent) for v in got[1]] == [False, True, False]
+        assert not any(isinstance(v, NonConvergent) for f in (0, 2, 3) for v in got[f])
+
+
+class TestGridChecks:
+    """A grid is refused with the kernel's checks and messages before any
+    atom is added, also for an expansion of zonal terms alone, which no
+    kernel call would check: a row of -1 would read the last radius, too
+    few rows give too many values, a negative radius gives the value at
+    its absolute value, a NaN radius gives NaNs, and a unit of another
+    width fails inside numpy."""
+
+    F = HarmonicExpansion(2, (ZonalTerm(2, (1.0, 0.0)),))
+    RADII = np.array([0.2, 0.5])
+    UNITS = np.eye(2)
+    ROWS = "rows must hold one index in \\[0, 2\\) per direction"
+    RADIUS = "radii must be a 1-d array of finite values >= 0"
+
+    @pytest.fixture(autouse=True)
+    def no_atom_added(self, monkeypatch):
+        import hball.calculus as calculus
+
+        def never(*args, **kwargs):
+            raise AssertionError("an atom was added")
+
+        monkeypatch.setattr(calculus, "_zonal_factors", never)
+        monkeypatch.setattr(calculus, "eval_coeff_series_grids", never)
+
+    @pytest.mark.parametrize(
+        "grid, match",
+        [
+            ((RADII, UNITS, [-1, 0]), ROWS),
+            ((RADII, UNITS, [0]), ROWS),
+            ((np.array([-0.5]), UNITS, None), RADIUS),
+            ((np.array([np.nan]), UNITS, None), RADIUS),
+            ((RADII, np.eye(3)[:2], None), "units must hold finite vectors of R\\^2"),
+        ],
+    )
+    def test_a_zonal_expansion_is_refused_an_invalid_grid(self, grid, match):
+        with pytest.raises(ValueError, match=match):
+            evaluate_grids([self.F], [grid])
+        if grid[2] is None:
+            with pytest.raises(ValueError, match=match):
+                evaluate_grid(self.F, grid[0], grid[1])
+
+    def test_every_grid_is_checked_before_any_atom(self):
+        f = self.F + HarmonicExpansion(2, (KernelAtom(0.0, (0.5, 0.0)),))
+        grids = [(self.RADII, self.UNITS, [0, 1]), (self.RADII, self.UNITS, [0, 2])]
+        with pytest.raises(ValueError, match=self.ROWS):
+            evaluate_grids([self.F, f], grids)
+        with pytest.raises(ValueError, match="a product grid \\(rows None\\) must be the only grid"):
+            evaluate_grids([f], [grids[0], (self.RADII, self.UNITS, None)])
 
 
 class TestApplyD:
@@ -420,5 +515,5 @@ class TestZonalGrid:
         radii = np.array([0.0, 0.3, 0.9, 1.0])
         for k in range(6):
             want = np.array([[zonal(n, k, r * u, pole) for u in units] for r in radii])
-            got = _zonal_grid(n, k, pole, radii, units)
+            got = _zonal_values(n, k, pole, (radii, units, None))
             assert np.allclose(got, want, rtol=0.0, atol=1e-13)

@@ -128,9 +128,9 @@ class TestRunners:
 
         walk_side = []
 
-        def evaluate(g, *args, **kw):
+        def evaluate(g, radii, units, **kw):
             walk_side.append(g)
-            return spaces.evaluate_grids([g], *args, **kw)[0]
+            return spaces.evaluate_grids([g], [(radii, units, None)], **kw)[0][0]
 
         monkeypatch.setattr(spaces, "evaluate_grid", evaluate)
         monkeypatch.setattr("hball.experiments._GRIDS", {})  # no shell memoized yet
@@ -206,9 +206,10 @@ class TestKernelGrowthBatch:
         calls = []
         orig = experiments.eval_coeff_series_grids
 
-        def counted(n, coeffs, units, *args, **kw):
+        def counted(n, coeffs, pole, grids, **kw):
+            ((_, units, _),) = grids
             calls.append((n, [c.single_kernel_parameter() for c in coeffs], units @ np.eye(n)[0]))
-            return orig(n, coeffs, units, *args, **kw)
+            return orig(n, coeffs, pole, grids, **kw)
 
         monkeypatch.setattr(experiments, "eval_coeff_series_grids", counted)
         for n in (2, 3):
@@ -249,7 +250,7 @@ class TestKernelGrowthBatch:
             results = orig(n, coeffs, *args, **kw)
             fails = {2: (-0.5, 1), 3: (-1.0, self.DEPTH)}[n]
             return [
-                NonConvergent(f"alpha {alpha} at shell {shells[n]}")
+                [NonConvergent(f"alpha {alpha} at shell {shells[n]}")]
                 if (alpha, shells[n]) == fails else result
                 for alpha, result in zip((c.single_kernel_parameter() for c in coeffs), results)
             ]

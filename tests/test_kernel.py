@@ -42,7 +42,6 @@ from hball.kernel import (
     _ZonalAngular,
     eval_coeff_series_grid,
     eval_coeff_series_grids,
-    eval_coeff_series_pairs,
     eval_coeff_series_points,
     eval_coeff_series_rule_sum,
     gamma_coeff,
@@ -948,7 +947,7 @@ class TestBatchedSeries:
         coeffs = [CoeffProduct.kernel(a) for a in (-1.0, 0.0, 1.0)]
         coeffs.append(CoeffProduct.kernel(-1.0).shifted(0.0, 1.0))  # (2k+5)/5
         polys = [[1.0], [1.0, 2.0 / 3.0], [1.0, 16.0 / 15.0, 4.0 / 15.0], [1.0, 2.0 / 5.0]]
-        batch = eval_coeff_series_grids(3, coeffs, units, (1.0, 0.0, 0.0), [radii], tol_rel=1e-10)
+        batch = eval_coeff_series_grids(3, coeffs, (1.0, 0.0, 0.0), [(radii, units, None)], tol_rel=1e-10)
         u = np.clip(units[:, 0], -1.0, 1.0)
         sums = _series_sums(3, coeffs, u, [radii], tol_rel=1e-10)
         picks = [int(np.argmax(u))] + list(np.random.default_rng(12).choice(u.shape[0], 4, replace=False))
@@ -1684,17 +1683,19 @@ class TestBatchedClosedForms:
         used = [closed_form(coeff, u, rho, tol_rel=1e-10) is not None for coeff in self.BATCH]
         assert used == [True, True, True, True, False]
         geometries.clear()
-        batch = eval_coeff_series_grids(2, self.BATCH, self.UNITS, self.POLE, self.RADII, tol_rel=1e-10)
+        grid = (np.concatenate(self.RADII), self.UNITS, None)
+        batch = eval_coeff_series_grids(2, self.BATCH, self.POLE, [grid], tol_rel=1e-10)
         assert len(geometries) == 1
         for coeff, got in zip(self.BATCH, batch, strict=True):
-            (alone,) = eval_coeff_series_grids(2, [coeff], self.UNITS, self.POLE, self.RADII, tol_rel=1e-10)
+            (alone,) = eval_coeff_series_grids(2, [coeff], self.POLE, [grid], tol_rel=1e-10)
             for a, b in zip(got, alone, strict=True):
                 assert a.shape == (b.shape[0], len(self.THETA))
                 assert np.array_equal(bits(a), bits(b))
 
     def test_no_geometry_when_every_gate_fails(self, geometries):
         # below the rounding bound every coefficient sums its series
-        eval_coeff_series_grids(2, self.BATCH[:4], self.UNITS, self.POLE, self.RADII, tol_rel=1e-16)
+        grid = (np.concatenate(self.RADII), self.UNITS, None)
+        eval_coeff_series_grids(2, self.BATCH[:4], self.POLE, [grid], tol_rel=1e-16)
         assert geometries == []
 
 
@@ -1813,7 +1814,7 @@ class TestRefusedInputs:
             eval_coeff_series_grid(n, self.coeff, np.eye(n)[:1], 0.5 * np.eye(n)[0], [[-0.5]], tol_rel=1e-9)
         grid = (np.array([0.2, -0.5]), np.eye(n)[:2], np.array([0, 1]))
         with pytest.raises(ValueError, match="radii must be a 1-d array of finite values >= 0"):
-            eval_coeff_series_pairs(n, self.coeff, 0.5 * np.eye(n)[0], [grid], tol_rel=1e-9)
+            eval_coeff_series_grids(n, [self.coeff], 0.5 * np.eye(n)[0], [grid], tol_rel=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("rows", [[-1, 0], [0, 2], [0], [0, 1, 1], [[0, 1]]])
@@ -1823,7 +1824,14 @@ class TestRefusedInputs:
         # the series
         grids = [(np.array([0.1]), np.eye(n)[:1], np.array([0])), (np.array([0.2, 0.5]), np.eye(n)[:2], rows)]
         with pytest.raises(ValueError, match=r"rows must hold one index in \[0, 2\) per direction"):
-            eval_coeff_series_pairs(n, self.coeff, 0.5 * np.eye(n)[0], grids, tol_rel=1e-9)
+            eval_coeff_series_grids(n, [self.coeff], 0.5 * np.eye(n)[0], grids, tol_rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_product_grid_beside_other_grids(self, n):
+        # unchecked, the core would read the product grid as pairs
+        grids = [(np.array([0.2]), np.eye(n)[:1], np.array([0])), (np.array([0.2, 0.5]), np.eye(n)[:2], None)]
+        with pytest.raises(ValueError, match=r"a product grid \(rows None\) must be the only grid"):
+            eval_coeff_series_grids(n, [self.coeff], 0.5 * np.eye(n)[0], grids, tol_rel=1e-9)
 
     def test_vectors_that_are_not_of_width_n(self):
         # unchecked, 2-vectors run at n = 3
@@ -1835,7 +1843,7 @@ class TestRefusedInputs:
         with pytest.raises(ValueError, match=r"units must hold finite vectors of R\^3"):
             eval_coeff_series_grid(3, self.coeff, np.eye(2), (0.5, 0.0, 0.0), [[0.5]], tol_rel=1e-9)
         with pytest.raises(ValueError, match=r"units must hold finite vectors of R\^3"):
-            eval_coeff_series_pairs(3, self.coeff, (0.5, 0.0, 0.0), [([0.5], np.eye(2), [0, 0])], tol_rel=1e-9)
+            eval_coeff_series_grids(3, [self.coeff], (0.5, 0.0, 0.0), [([0.5], np.eye(2), [0, 0])], tol_rel=1e-9)
         with pytest.raises(ValueError, match=r"points must hold finite vectors of R\^3"):
             eval_coeff_series_points(3, self.coeff, (0.5, 0.0, 0.0), point, tol_abs=1e-9)
 
@@ -1971,6 +1979,21 @@ class TestEvaluationCore:
         _, _, k_used = eval_coeff_series_points(2, coeff, (0.5, 0.0), np.array([[0.2, 0.0], [0.0, 0.0]]), tol_abs=1e-10)
         assert k_used > 0
 
+    def test_no_form_is_tried_at_a_zero_relative_tolerance(self, monkeypatch):
+        # the gate's bound is at least 4 eps times the mass, so none passes
+        # at tol_rel = 0: the core skips the lift and the gate
+        def never(coeff):
+            raise AssertionError("a closed form was tried")
+
+        rho = np.array([0.0, 0.1, 0.5])
+        first = np.zeros(1, dtype=np.intp)
+        points = [(rho[i : i + 1], np.array([0.3]), first) for i in range(rho.shape[0])]
+        (want,) = _evaluate(2, [CoeffProduct.kernel(0.0)], points, tol_abs=1e-10)
+        monkeypatch.setattr(_N2Form, "of", staticmethod(never))
+        (got,) = _evaluate(2, [CoeffProduct.kernel(0.0)], points, tol_abs=1e-10)
+        for (a, ta, ka), (b, tb, kb) in zip(got, want, strict=True):
+            assert np.array_equal(bits(a), bits(b)) and np.array_equal(bits(ta), bits(tb)) and ka == kb > 0
+
 
 class TestPairedSeries:
     """A paired call gives each pair, bit for bit, the entry of its grid in
@@ -2005,7 +2028,7 @@ class TestPairedSeries:
                     for radii, units, _ in grids]
             assert used[0] and not used[1]
         geometries.clear()
-        got = eval_coeff_series_pairs(n, coeff, np.eye(n)[0], grids, tol_rel=self.TOL)
+        (got,) = eval_coeff_series_grids(n, [coeff], np.eye(n)[0], grids, tol_rel=self.TOL)
         paired = list(sums)
         assert len(geometries) == (n == 2 and _N2Form.of(coeff) is not None)
         sums.clear()
@@ -2020,7 +2043,7 @@ class TestPairedSeries:
         coeff = CoeffProduct.kernel(0.0)
         grids = paired_grids(n, 8)
         grids.insert(1, (np.array([0.5, 1.0]), grids[0][1], grids[0][2] % 2))
-        got = eval_coeff_series_pairs(n, coeff, np.eye(n)[0], grids, tol_rel=1e-10)
+        (got,) = eval_coeff_series_grids(n, [coeff], np.eye(n)[0], grids, tol_rel=1e-10)
         with pytest.raises(NonConvergent) as alone:
             eval_coeff_series_grid(n, coeff, grids[1][1], np.eye(n)[0], [grids[1][0]], tol_rel=1e-10)
         assert isinstance(got[1], NonConvergent) and str(got[1]) == str(alone.value)

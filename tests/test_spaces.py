@@ -18,7 +18,6 @@ from hball.calculus import (
     evaluate,
     evaluate_grid,
     evaluate_grids,
-    evaluate_pairs,
 )
 from hball.errors import AdmissibilityError, EvaluationFailure, NonConvergent, UnsupportedPair
 from hball.experiments import verification_family
@@ -427,13 +426,13 @@ class TestLevelSet:
         assert all(len(spaces._level_shell(g, grid, j, 1.0, eps).brackets[1]) for j in range(4))
         want = level_set(atom, 0.0, pair, eps, grid, -2.0)
         fail_nodes = grid.shells[j_fail].nodes
-        real = spaces.evaluate_pairs
+        real = spaces.evaluate_grids
 
-        def failing(f, grids, **kw):
-            values = real(f, grids, **kw)
-            return [result(v) if radii is fail_nodes else v for (radii, _, _), v in zip(grids, values)]
+        def failing(fs, grids, **kw):
+            (values,) = real(fs, grids, **kw)
+            return [[result(v) if radii is fail_nodes else v for (radii, _, _), v in zip(grids, values)]]
 
-        monkeypatch.setattr(spaces, "evaluate_pairs", failing)
+        monkeypatch.setattr(spaces, "evaluate_grids", failing)
         return level_set(atom, 0.0, pair, eps, grid, -2.0), want
 
     @pytest.mark.parametrize("j_fail", [1, 3])
@@ -753,9 +752,9 @@ class TestFillShellValues:
 
         filled = []
 
-        def batched(gs, radii, units, **kw):
+        def batched(gs, grids, **kw):
             filled.extend(gs)
-            return evaluate_grids(gs, radii, units, **kw)
+            return evaluate_grids(gs, grids, **kw)
 
         monkeypatch.setattr(spaces, "evaluate_grids", batched)
         asked.clear()
@@ -834,9 +833,9 @@ class TestBisectLookahead:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return evaluate_pairs(*args, **kwargs)
+            return evaluate_grids(*args, **kwargs)
 
-        monkeypatch.setattr(spaces, "evaluate_pairs", counted)
+        monkeypatch.setattr(spaces, "evaluate_grids", counted)
         for shell in [shells[self.J], shells[-1]]:
             calls.clear()
             (got,), stop = spaces._bisect_boundaries(g, exponent, eps, [shell])
@@ -863,9 +862,9 @@ class TestBisectLookahead:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return evaluate_pairs(*args, **kwargs)
+            return evaluate_grids(*args, **kwargs)
 
-        monkeypatch.setattr(spaces, "evaluate_pairs", counted)
+        monkeypatch.setattr(spaces, "evaluate_grids", counted)
         got, stop = spaces._bisect_boundaries(g, exponent, eps, shells)
         assert len(calls) == 2 and stop is None
         # at n = 3 every series is summed on the grids of the shells alone

@@ -1,13 +1,18 @@
 """Print, per report of `report_digests.py`, the count and sha256 of the
-`_series_sums` calls and the number of `_N2Geometry` builds that a checkout
-makes while it writes that report, as JSON.
+`_series_sums` calls and of the `_evaluate` calls, and the number of
+`_N2Geometry` builds that a checkout makes while it writes that report, as
+JSON.
 
     python tools/series_calls.py <checkout>
 
-A call's sha256 is taken over n, the reprs of its coefficients, its tol_abs
-and tol_rel, and the sha256 of its cosines and of its radius sets stacked;
-a report's is that of its calls' in order.  Two checkouts make the same
-series calls and geometries when the printed outputs are equal:
+A `_series_sums` call's sha256 is taken over n, the reprs of its
+coefficients, its tol_abs and tol_rel, and the sha256 of its cosines and of
+its radius sets stacked.  An `_evaluate` call's is taken over n, the reprs
+of its coefficients, its tol_abs and tol_rel, and per grid the sha256 of
+its radii, of its cosines and of its rows, or "product" for a product
+grid.  A report's sha256 is that of its calls' in order.  Two checkouts
+make the same series calls, the same evaluation batches and the same
+geometries when the printed outputs are equal:
 
     python tools/series_calls.py <old> > old.json
     python tools/series_calls.py <new> > new.json
@@ -40,8 +45,8 @@ def main(argv: list[str]) -> int:
 
     from hball import kernel
 
-    calls, geometries = [], [0]
-    series_sums, init = kernel._series_sums, kernel._N2Geometry.__init__
+    calls, evaluations, geometries = [], [], [0]
+    series_sums, evaluate, init = kernel._series_sums, kernel._evaluate, kernel._N2Geometry.__init__
 
     def recorded(n, coeffs, u, rho_sets, *, tol_abs=0.0, tol_rel=0.0):
         rho = np.concatenate([np.asarray(r, dtype=float) for r in rho_sets])
@@ -50,25 +55,33 @@ def main(argv: list[str]) -> int:
         calls.append(_sha(json.dumps(key).encode()))
         return series_sums(n, coeffs, u, rho_sets, tol_abs=tol_abs, tol_rel=tol_rel)
 
+    def evaluated(n, coeffs, grids, *, tol_abs=0.0, tol_rel=0.0):
+        key = [n, [repr(c) for c in coeffs], repr(tol_abs), repr(tol_rel)]
+        for rho, u, rows in grids:
+            key.append([_sha(np.asarray(rho, dtype=float).tobytes()), _sha(np.asarray(u, dtype=float).tobytes()),
+                        "product" if rows is None else _sha(np.asarray(rows, dtype=np.intp).tobytes())])
+        evaluations.append(_sha(json.dumps(key).encode()))
+        return evaluate(n, coeffs, grids, tol_abs=tol_abs, tol_rel=tol_rel)
+
     def counted(self, *args, **kwargs):
         geometries[0] += 1
         init(self, *args, **kwargs)
 
-    kernel._series_sums, kernel._N2Geometry.__init__ = recorded, counted
+    kernel._series_sums, kernel._evaluate, kernel._N2Geometry.__init__ = recorded, evaluated, counted
     reports = {}
     for key, run in runs.items():
         calls.clear()
+        evaluations.clear()
         geometries[0] = 0
         run()
         reports[key] = {
             "series_calls": len(calls),
             "series_sha256": _sha("".join(calls).encode()),
+            "evaluate_calls": len(evaluations),
+            "evaluate_sha256": _sha("".join(evaluations).encode()),
             "n2_geometries": geometries[0],
         }
-    total = {
-        "series_calls": sum(r["series_calls"] for r in reports.values()),
-        "n2_geometries": sum(r["n2_geometries"] for r in reports.values()),
-    }
+    total = {name: sum(r[name] for r in reports.values()) for name in ("series_calls", "evaluate_calls", "n2_geometries")}
     print(json.dumps({"source": str(Path(hball.__file__).parent), "total": total, "reports": reports}, indent=2))
     return 0
 
